@@ -68,26 +68,32 @@ END_TO_END = (
     ("peak_rss_mb", "MB", "lower", 0.1),
 )
 
-# Timings are reported at a nominal machine speed: each one is multiplied
-# by REFERENCE_SECONDS over the time reference_seconds() took just before
-# it.  The 2-CPU shared virtual machine these bounds were set on changes
-# speed by up to 60% in spells of seconds to minutes; the reference follows
-# those spells, and no change to engelcalc moves it.
+# Timings are reported at a nominal machine speed: each request time is
+# multiplied by REFERENCE_SECONDS over the mean time reference_seconds()
+# took just before and just after it.  The 2-CPU shared virtual machine
+# these bounds were set on changes speed by up to 60% in spells of seconds
+# to minutes; the reference follows those spells, and no change to
+# engelcalc moves it.
 REFERENCE_SECONDS = 0.004
-SETUP_REPEATS = 15
+# Import time follows a reference of its own kind: a fresh interpreter
+# importing these standard-library modules, which no change to engelcalc
+# moves.  Each engelcalc import sample is multiplied by
+# REFERENCE_IMPORT_SECONDS over the reference import timed right after it.
+REFERENCE_IMPORT = (
+    "asyncio", "email.mime.multipart", "http.server", "xml.etree.ElementTree",
+    "xml.dom.minidom", "decimal", "unittest", "sqlite3", "logging.handlers",
+    "csv", "tarfile", "ssl", "multiprocessing.pool", "concurrent.futures", "pydoc",
+)
+REFERENCE_IMPORT_SECONDS = 0.12
+SETUP_REPEATS = 11
 # A scaled-grid pass has 12 requests and takes several seconds; four passes
 # leave at least ten samples beyond request_ms.p75 even on a slow machine.
 MIN_PASSES = 4
-# Run in a fresh interpreter: the import time, then the reference time on
-# the same CPU (after one untimed call that loads numpy's linear algebra).
 _IMPORT_TIMER = """\
 import time
 start = time.perf_counter()
-import engelcalc.cli
-seconds = time.perf_counter() - start
-from run import reference_seconds
-reference_seconds()
-print(seconds, sorted(reference_seconds() for _ in range(3))[1])
+import {modules}
+print(time.perf_counter() - start)
 """
 
 
@@ -134,47 +140,27 @@ def reference_seconds() -> float:
         gc.enable()
 
 
-def import_sample() -> tuple[float, float]:
-    """Seconds a fresh interpreter spends importing engelcalc.cli: as
-    measured, and at nominal speed."""
+def import_seconds(modules: tuple[str, ...]) -> float:
+    """Seconds a fresh interpreter spends importing ``modules``."""
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_TIMER],
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(BENCH)))),
+        [sys.executable, "-c", _IMPORT_TIMER.format(modules=", ".join(modules))],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120, check=True,
     )
-    seconds, reference = (float(word) for word in done.stdout.split())
-    return seconds, seconds * REFERENCE_SECONDS / reference
+    return float(done.stdout)
 
 
-class SetupSampler:
-    """Takes SETUP_REPEATS import samples spread evenly over the measured loop.
-
-    Spreading them lets them see the same machine as the requests do; the
-    loop pauses while a child process imports, and the pause is not
-    request time.
-    """
-
-    def __init__(self, seconds: float):
-        import_sample()  # untimed: writes the bytecode caches, as any earlier CLI run would
-        self.samples: list[tuple[float, float]] = []
-        self.interval = seconds / SETUP_REPEATS
-        self.due = time.perf_counter()
-
-    def __call__(self) -> float:
-        """Take a sample if one is due; returns the seconds spent."""
-        start = time.perf_counter()
-        if start < self.due or len(self.samples) >= SETUP_REPEATS:
-            return 0.0
-        self.samples.append(import_sample())
-        self.due += self.interval
-        return time.perf_counter() - start
-
-    def medians(self) -> tuple[float, float]:
-        """Median import time as measured, and at nominal speed."""
-        while len(self.samples) < SETUP_REPEATS:
-            self.samples.append(import_sample())
-        measured, nominal = zip(*self.samples)
-        return statistics.median(measured), statistics.median(nominal)
+def setup_seconds() -> tuple[float, float]:
+    """Median seconds over SETUP_REPEATS fresh interpreters to import
+    engelcalc.cli: as measured, and at nominal speed."""
+    for modules in (("engelcalc.cli",), REFERENCE_IMPORT):
+        import_seconds(modules)  # untimed: writes the bytecode caches, as any earlier run would
+    measured, nominal = [], []
+    for _ in range(SETUP_REPEATS):
+        seconds = import_seconds(("engelcalc.cli",))
+        measured.append(seconds)
+        nominal.append(seconds * REFERENCE_IMPORT_SECONDS / import_seconds(REFERENCE_IMPORT))
+    return statistics.median(measured), statistics.median(nominal)
 
 
 class Latencies:
@@ -182,8 +168,8 @@ class Latencies:
 
     Every pass holds each type once, so the types weigh equally.  A type's
     typical latency is the median of its samples, which discards the slow
-    spells of a shared machine; percentiles and throughput are taken over
-    the typical latencies.
+    spells of a shared machine; percentiles are taken over the typical
+    latencies, and throughput over every sample.
     """
 
     def __init__(self):
@@ -204,8 +190,7 @@ class Latencies:
         return 1000.0 * statistics.quantiles(self._typical(), n=100, method="inclusive")[q - 1]
 
     def per_second(self) -> float:
-        typical = self._typical()
-        return len(typical) / sum(typical)
+        return self.count / sum(sum(v) for v in self.by_type.values())
 
     def beyond(self, q: int) -> int:
         """Samples of the request types whose typical latency lies beyond the q-th percentile."""
@@ -260,25 +245,21 @@ class Runner:
             self.problems.append(f"{request.manifest} {request.command}: {'; '.join(found)}")
         return elapsed
 
-    def run_passes(self, mix: Mix, seconds: float, between=None) -> tuple[Latencies, Latencies, int]:
+    def run_passes(self, mix: Mix, seconds: float) -> tuple[Latencies, Latencies, int]:
         """Whole passes until ``seconds`` have elapsed and at least MIN_PASSES
         have run; returns the latencies as measured and at nominal speed,
-        and the pass count.
-
-        ``between`` runs after each request and returns the seconds it took,
-        which extend the deadline.
-        """
+        and the pass count."""
         measured, nominal = Latencies(), Latencies()
         passes = 0
         deadline = time.perf_counter() + seconds
+        before = reference_seconds()
         while passes < MIN_PASSES or time.perf_counter() < deadline:
             for request in mix.next_pass():
-                scale = REFERENCE_SECONDS / reference_seconds()
                 elapsed = self.execute(request)
+                after = reference_seconds()
                 measured.add(request, elapsed)
-                nominal.add(request, elapsed * scale)
-                if between is not None:
-                    deadline += between()
+                nominal.add(request, elapsed * 2 * REFERENCE_SECONDS / (before + after))
+                before = after
             passes += 1
         return measured, nominal, passes
 
@@ -322,9 +303,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             runner.execute(request)
         print(f"environment {json.dumps(environment())}")
         if not trace:
-            setup = SetupSampler(seconds)
-            measured, latencies, passes = runner.run_passes(mix, seconds, between=setup)
-            setup_measured, setup_nominal = setup.medians()
+            setup_measured, setup_nominal = setup_seconds()
+            measured, latencies, passes = runner.run_passes(mix, seconds)
             raw = _timings(measured, setup_measured)
             metrics = _timings(latencies, setup_nominal)
             metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -409,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_all(args.seed, args.seconds)
     result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace))
     print(json.dumps(result))
-    return 0
+    return 0 if result["correct"] else 1
 
 
 if __name__ == "__main__":

@@ -694,10 +694,6 @@ def _linearize(e: ScalarExpr) -> _Lin:
         k = e.exponent
         if k == 0:
             return _Lin(1.0)
-        if k == 1:
-            # u^1 is u; an atom here would rebuild without the power and
-            # linearize differently on a second pass
-            return base
         if _is_const(base):
             if base.const == 0.0 and k < 0:
                 return _atom(IntPower(ZERO, k))
