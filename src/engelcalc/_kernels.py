@@ -1,22 +1,12 @@
-"""Batch-evaluation backends for compiled expression programs.
+"""Batch evaluation of compiled expression programs.
 
 Expression trees are flattened into postfix stack programs (see
 ``engelcalc.expr.compile_program``) and executed here over arrays of
-sample points.  Two interchangeable backends exist:
-
-* a numba ``@njit`` kernel that walks the program over cache-resident
-  blocks of points (the default whenever numba imports), and
-* a pure-numpy interpreter that loops over program steps with a stack of
-  full-length arrays.
-
-Set the environment variable ``ENGELCALC_NO_NUMBA=1`` to force the numpy
-path.  ``benchmarks/bench_eval.py`` compares the two.
+sample points by a numpy interpreter that loops over program steps with a
+stack of full-length arrays.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
@@ -32,30 +22,19 @@ OP_SIN = 8
 OP_COS = 9
 OP_EXP = 10
 
-ENV_FLAG = "ENGELCALC_NO_NUMBA"
-
-_BLOCK = 512
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() not in ("", "0", "false")
+# perfbench/run.py records both of these on every benchmark run.
+HAVE_NUMBA = False
 
 
 def active_backend() -> str:
-    """Name of the backend ``run_program`` picks by default."""
-    return "numba" if (HAVE_NUMBA and not numba_disabled_by_env()) else "numpy"
+    """Name of the evaluation backend (there is only the numpy interpreter)."""
+    return "numpy"
 
 
-def run_program_numpy(
+def run_program(
     ops: np.ndarray, iargs: np.ndarray, fargs: np.ndarray, depth: int, points: np.ndarray
 ) -> np.ndarray:
+    """Evaluate a stack program at ``points`` (shape ``(n, dim)``)."""
     n = points.shape[0]
     stack = np.empty((max(depth, 1), n), dtype=np.float64)
     top = 0
@@ -83,14 +62,7 @@ def run_program_numpy(
                 np.divide(stack[top - 2], stack[top - 1], out=stack[top - 2])
                 top -= 1
             elif op == OP_POWI:
-                e = int(iargs[k])
-                x = stack[top - 1]
-                r = np.ones_like(x)
-                for _ in range(abs(e)):
-                    r *= x
-                if e < 0:
-                    r = 1.0 / r
-                stack[top - 1] = r
+                np.power(stack[top - 1], float(iargs[k]), out=stack[top - 1])
             elif op == OP_SIN:
                 np.sin(stack[top - 1], out=stack[top - 1])
             elif op == OP_COS:
@@ -100,110 +72,3 @@ def run_program_numpy(
             else:  # pragma: no cover
                 raise ValueError(f"bad opcode {op}")
     return stack[0].copy()
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _run_rpn_jit(ops, iargs, fargs, points, out, depth):  # pragma: no cover
-        n = points.shape[0]
-        m = ops.shape[0]
-        stack = np.empty((depth, _BLOCK), dtype=np.float64)
-        start = 0
-        while start < n:
-            w = min(_BLOCK, n - start)
-            top = 0
-            for k in range(m):
-                op = ops[k]
-                if op == 0:
-                    v = fargs[k]
-                    for i in range(w):
-                        stack[top, i] = v
-                    top += 1
-                elif op == 1:
-                    j = iargs[k]
-                    for i in range(w):
-                        stack[top, i] = points[start + i, j]
-                    top += 1
-                elif op == 2:
-                    for i in range(w):
-                        stack[top - 1, i] = -stack[top - 1, i]
-                elif op == 3:
-                    for i in range(w):
-                        stack[top - 2, i] += stack[top - 1, i]
-                    top -= 1
-                elif op == 4:
-                    for i in range(w):
-                        stack[top - 2, i] -= stack[top - 1, i]
-                    top -= 1
-                elif op == 5:
-                    for i in range(w):
-                        stack[top - 2, i] *= stack[top - 1, i]
-                    top -= 1
-                elif op == 6:
-                    for i in range(w):
-                        b = stack[top - 1, i]
-                        a = stack[top - 2, i]
-                        if b != 0.0:
-                            stack[top - 2, i] = a / b
-                        elif a == 0.0 or a != a:
-                            stack[top - 2, i] = np.nan
-                        elif a > 0.0:
-                            stack[top - 2, i] = np.inf
-                        else:
-                            stack[top - 2, i] = -np.inf
-                    top -= 1
-                elif op == 7:
-                    e = iargs[k]
-                    p = e if e >= 0 else -e
-                    for i in range(w):
-                        x = stack[top - 1, i]
-                        r = 1.0
-                        for _ in range(p):
-                            r *= x
-                        if e < 0:
-                            if r != 0.0:
-                                r = 1.0 / r
-                            else:
-                                r = np.inf
-                        stack[top - 1, i] = r
-                elif op == 8:
-                    for i in range(w):
-                        stack[top - 1, i] = math.sin(stack[top - 1, i])
-                elif op == 9:
-                    for i in range(w):
-                        stack[top - 1, i] = math.cos(stack[top - 1, i])
-                else:
-                    for i in range(w):
-                        stack[top - 1, i] = math.exp(stack[top - 1, i])
-            for i in range(w):
-                out[start + i] = stack[0, i]
-            start += w
-
-
-def run_program_numba(
-    ops: np.ndarray, iargs: np.ndarray, fargs: np.ndarray, depth: int, points: np.ndarray
-) -> np.ndarray:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    out = np.empty(points.shape[0], dtype=np.float64)
-    _run_rpn_jit(ops, iargs, fargs, points, out, max(depth, 1))
-    return out
-
-
-def run_program(
-    ops: np.ndarray,
-    iargs: np.ndarray,
-    fargs: np.ndarray,
-    depth: int,
-    points: np.ndarray,
-    backend: str | None = None,
-) -> np.ndarray:
-    """Evaluate a stack program at ``points`` (shape ``(n, dim)``)."""
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        return run_program_numba(ops, iargs, fargs, depth, points)
-    if backend == "numpy":
-        return run_program_numpy(ops, iargs, fargs, depth, points)
-    raise ValueError(f"unknown backend {backend!r}")

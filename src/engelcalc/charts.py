@@ -189,9 +189,9 @@ class VectorField:
             if extra:
                 raise GeometryError(f"component uses unknown variables {sorted(extra)}")
 
-    def evaluate_at(self, points: np.ndarray, backend: str | None = None) -> np.ndarray:
+    def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         cols = [
-            ex.evaluate_many(c, self.chart.names, points, backend)
+            ex.evaluate_many(c, self.chart.names, points)
             for c in self.components
         ]
         return np.stack(cols, axis=1)
@@ -294,13 +294,10 @@ class KForm:
                 return c
         return ex.ZERO
 
-    def coeff_by_names(self, names: Sequence[str]) -> ScalarExpr:
-        return self.coeff(tuple(self.chart.index(n) for n in names))
-
     def all_keys(self) -> tuple[tuple[int, ...], ...]:
         return tuple(itertools.combinations(range(self.chart.dim), self.degree))
 
-    def evaluate_at(self, points: np.ndarray, backend: str | None = None) -> np.ndarray:
+    def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Coefficient matrix (n, n_keys) over the full increasing-key list."""
         cols = []
         for key in self.all_keys():
@@ -308,7 +305,7 @@ class KForm:
             if c == ex.ZERO:
                 cols.append(np.zeros(points.shape[0]))
             else:
-                cols.append(ex.evaluate_many(c, self.chart.names, points, backend))
+                cols.append(ex.evaluate_many(c, self.chart.names, points))
         if not cols:
             return np.zeros((points.shape[0], 0))
         return np.stack(cols, axis=1)

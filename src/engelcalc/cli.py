@@ -64,18 +64,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        manifest = parse_manifest(text)
+        manifest = parse_manifest(text).with_overrides(
+            grid=args.samples_grid,
+            random=args.samples_random,
+            seed=args.seed,
+            tol_rank=args.tol_rank,
+            tol_zero=args.tol_zero,
+        )
     except (ManifestError, ExprError, GeometryError) as err:
         print(f"engelcalc: {path}: {err}", file=sys.stderr)
         return 2
-
-    manifest = manifest.with_overrides(
-        grid=args.samples_grid,
-        random=args.samples_random,
-        seed=args.seed,
-        tol_rank=args.tol_rank,
-        tol_zero=args.tol_zero,
-    )
 
     report = run_tasks(
         manifest,

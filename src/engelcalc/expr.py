@@ -378,7 +378,7 @@ def _fmt(e: ScalarExpr, minlevel: int) -> str:
 
 
 def _format_float(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
@@ -557,7 +557,10 @@ class _Parser:
     def parse_atom(self) -> ScalarExpr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Constant(float(value))
+            v = float(value)
+            if not math.isfinite(v):
+                raise ExprSyntaxError(f"numeric literal {value!r} is not finite", offset)
+            return Constant(v)
         if kind == "ident":
             if value in FUNCTION_NAMES:
                 self.expect_op("(")
@@ -694,6 +697,10 @@ def _linearize(e: ScalarExpr) -> _Lin:
         k = e.exponent
         if k == 0:
             return _Lin(1.0)
+        if k == 1:
+            # u^1 is u; an atom here would rebuild without the power and
+            # linearize differently on a second pass
+            return base
         if _is_const(base):
             if base.const == 0.0 and k < 0:
                 return _atom(IntPower(ZERO, k))
@@ -884,7 +891,6 @@ def evaluate_many(
     e: ScalarExpr,
     var_order: tuple[str, ...],
     points: np.ndarray,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Evaluate at every row of ``points`` (columns follow ``var_order``)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -893,6 +899,4 @@ def evaluate_many(
             f"points must have shape (n, {len(var_order)}), got {pts.shape}"
         )
     prog = compile_program(e, tuple(var_order))
-    return _kernels.run_program(
-        prog.ops, prog.iargs, prog.fargs, prog.stack_depth, pts, backend
-    )
+    return _kernels.run_program(prog.ops, prog.iargs, prog.fargs, prog.stack_depth, pts)

@@ -31,7 +31,7 @@ from .charts import (
     sample_points,
 )
 from .expr import ScalarExpr, simplify
-from .invariants import BoundaryConventionWarning, LegendrianLineField
+from .invariants import BoundaryConventionWarning
 from .prolongation import ContactFrame
 from .structures import (
     DEFAULT_PLAN,
@@ -340,17 +340,4 @@ def extend_family(
             mtw.append(minimal_twisting_number(dist, spec.frame, base_plan, tol))
     return FamilyExtension(
         s_values=s_values, slices=tuple(slices), mtw_profile=tuple(mtw)
-    )
-
-
-def end_line_fields(
-    dist: Distribution2, frame: ContactFrame, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[LegendrianLineField, LegendrianLineField]:
-    """Induced line fields at the two interval ends."""
-    from .invariants import induced_legendrian_line
-
-    axis = dist.chart.axis(dist.chart.fiber)
-    return (
-        induced_legendrian_line(dist, frame, axis.lo, tol),
-        induced_legendrian_line(dist, frame, axis.hi, tol),
     )

@@ -291,18 +291,22 @@ def _parse_sampling(entries, base: SamplePlan) -> SamplePlan:
 
 
 def _parse_tolerances(entries, base: Tolerances) -> Tolerances:
-    values = {}
+    tol = base
     allowed = set(base.as_dict())
     for key, value, lineno in entries:
         if key not in allowed:
             raise ManifestError(f"unknown tolerance '{key}'", lineno)
         try:
-            values[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ManifestError(
                 f"tolerance '{key}' must be a number, got {value!r}", lineno
             ) from None
-    return replace(base, **values)
+        try:
+            tol = replace(tol, **{key: number})
+        except GeometryError as err:
+            raise ManifestError(str(err), lineno) from None
+    return tol
 
 
 def _parse_definitions(chart: Chart, entries, definitions: dict) -> None:

@@ -46,6 +46,15 @@ class Tolerances:
     projection: float = 1e-8
     nonzero_norm: float = 1e-8  # threshold on squared norms
 
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not 0.0 < value < np.inf:
+                raise GeometryError(
+                    f"tolerance '{name}' must be finite and > 0, got {value!r}"
+                )
+        if self.rank >= 1.0:
+            raise GeometryError(f"tolerance 'rank' must be < 1, got {self.rank!r}")
+
     def as_dict(self) -> dict[str, float]:
         return {
             "rank": self.rank,

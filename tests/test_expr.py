@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engelcalc import expr as ex
@@ -77,6 +77,17 @@ def test_parse_reports_byte_offset():
 )
 def test_parse_precedence_and_literals(text, expected):
     assert evaluate(parse_scalar_expr(text, ()), {}) == pytest.approx(expected)
+
+
+def test_parse_rejects_non_finite_literal():
+    with pytest.raises(ExprSyntaxError, match="'1e400' is not finite") as err:
+        parse_scalar_expr("x + 1e400", {"x"})
+    assert err.value.offset == 4
+
+
+def test_to_text_formats_non_finite_constants():
+    values = (float("inf"), float("-inf"), float("nan"))
+    assert [to_text(Constant(v)) for v in values] == ["inf", "-inf", "nan"]
 
 
 def test_power_requires_integer_literal():
@@ -251,6 +262,7 @@ def test_round_trip_arbitrary_trees(e):
 
 
 @given(_expr_strategy())
+@example(Cos(Negate(IntPower(Add(Variable("x"), Variable("y")), 1))))
 @settings(max_examples=100, deadline=None)
 def test_simplify_idempotent_arbitrary_trees(e):
     s = simplify(e)

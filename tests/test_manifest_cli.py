@@ -101,6 +101,7 @@ def test_unknown_reference_in_task():
         (("[define]", "[sampling]\ngrid = abc\n\n[define]"), "integer"),
         (("[define]", "[tolerances]\nrank = soft\n\n[define]"), "number"),
         (("kind = verify", "kind = verify\nexpect = maybe"), "integer"),
+        (("dz - w*dx", "dz - 1e400*dx"), "'1e400' is not finite"),
     ],
 )
 def test_hostile_inputs_are_manifest_errors(mutation, message):
@@ -113,6 +114,25 @@ def test_cli_never_tracebacks_on_bad_values(tmp_path):
     path = tmp_path / "bad.manifest"
     path.write_text(MINIMAL.replace("box w = -1 1", "box w = 1 -1"))
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags,section,message",
+    [
+        (["--samples-grid", "1"], "", "grid resolutions must be >= 2"),
+        (["--samples-random", "-1"], "", "random count must be >= 0"),
+        (["--tol-rank", "-1"], "", "'rank' must be finite and > 0"),
+        (["--tol-rank", "nan"], "", "'rank' must be finite and > 0"),
+        (["--tol-rank", "1"], "", "'rank' must be < 1"),
+        (["--tol-zero", "inf"], "", "'zero' must be finite and > 0"),
+        ([], "[tolerances]\nrank = -1\n\n", r"line \d+: tolerance 'rank' must be"),
+    ],
+)
+def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, section, message):
+    path = tmp_path / "bad.manifest"
+    path.write_text(MINIMAL.replace("[define]", section + "[define]"))
+    assert main(["verify", str(path), *flags]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
