@@ -167,6 +167,20 @@ def sample_points(chart: Chart, plan: SamplePlan) -> np.ndarray:
     return pts
 
 
+def require_finite(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Return ``values`` (one row per point) if every entry is finite.
+
+    Otherwise raise a :class:`GeometryError` naming the first sample point
+    with a non-finite value, before any rank or norm is taken of it.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = finite.reshape(len(values), -1).all(axis=1)
+        idx = int(np.argmin(rows))
+        raise GeometryError(f"non-finite value at sample point {points[idx].tolist()}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 
@@ -194,7 +208,7 @@ class VectorField:
             ex.evaluate_many(c, self.chart.names, points)
             for c in self.components
         ]
-        return np.stack(cols, axis=1)
+        return require_finite(np.stack(cols, axis=1), points)
 
     def simplified(self) -> "VectorField":
         return VectorField(self.chart, tuple(simplify(c) for c in self.components))
@@ -308,7 +322,7 @@ class KForm:
                 cols.append(ex.evaluate_many(c, self.chart.names, points))
         if not cols:
             return np.zeros((points.shape[0], 0))
-        return np.stack(cols, axis=1)
+        return require_finite(np.stack(cols, axis=1), points)
 
     def simplified(self) -> "KForm":
         return KForm(

@@ -8,6 +8,7 @@ manifest, missing file, bad flags).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
             tol_rank=args.tol_rank,
             tol_zero=args.tol_zero,
         )
+        if not 0.0 < args.fd_step < math.inf:
+            raise GeometryError(f"--fd-step must be finite and > 0, got {args.fd_step!r}")
     except (ManifestError, ExprError, GeometryError) as err:
         print(f"engelcalc: {path}: {err}", file=sys.stderr)
         return 2

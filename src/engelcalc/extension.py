@@ -28,6 +28,7 @@ from .charts import (
     lie_bracket,
     lift_to_product,
     product_chart,
+    require_finite,
     sample_points,
 )
 from .expr import ScalarExpr, simplify
@@ -97,8 +98,8 @@ def legendrian_angle_function(
     res = plan.resolutions(chart.dim)
     grid_plan = SamplePlan(grid=plan.grid, random=0, seed=plan.seed)
     pts = sample_points(chart, grid_plan)
-    av = ex.evaluate_many(a, chart.names, pts)
-    bv = ex.evaluate_many(b, chart.names, pts)
+    av = require_finite(ex.evaluate_many(a, chart.names, pts), pts)
+    bv = require_finite(ex.evaluate_many(b, chart.names, pts), pts)
     if np.min(av * av + bv * bv, initial=np.inf) < tol.nonzero_norm:
         raise GeometryError("coefficient pair vanishes at a sample point")
 
@@ -173,7 +174,7 @@ class ExtensionSpec:
         plan = plan or DEFAULT_PLAN
         if self.g is not None:
             pts = sample_points(self.frame.chart, plan)
-            vals = ex.evaluate_many(self.g, self.frame.chart.names, pts)
+            vals = require_finite(ex.evaluate_many(self.g, self.frame.chart.names, pts), pts)
             gmin = float(np.min(vals))
             if not 0.0 < gmin <= math.pi + 1e-12:
                 raise NormalizationError(

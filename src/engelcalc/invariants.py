@@ -23,6 +23,7 @@ from .charts import (
     GeometryError,
     SamplePlan,
     base_chart_of,
+    require_finite,
     sample_points,
 )
 from .expr import ScalarExpr, simplify, substitute
@@ -80,6 +81,7 @@ class LegendrianLineField:
             table = np.stack([av, bv], axis=1)
         else:
             table = np.asarray(self.evaluator(points), dtype=float)
+        require_finite(table, points)
         sq = np.einsum("nk,nk->n", table, table)
         if np.min(sq, initial=np.inf) < tol.nonzero_norm:
             raise GeometryError("line-field coefficients vanish at a sample point")

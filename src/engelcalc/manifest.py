@@ -188,7 +188,9 @@ def parse_manifest(text: str) -> Manifest:
                 raise ManifestError("structure sections need a name", header_line)
             if label in structures:
                 raise ManifestError(f"duplicate structure '{label}'", header_line)
-            decl = _parse_structure(chart, label, entries, definitions, header_line)
+            decl = _parse_structure(
+                chart, label, entries, definitions, structures, header_line
+            )
             structures[label] = decl
         elif kind == "task":
             if not label:
@@ -367,7 +369,12 @@ _DIMENSION_OF_KIND = {
 
 
 def _parse_structure(
-    chart: Chart, name: str, entries, definitions: dict, header_line: int
+    chart: Chart,
+    name: str,
+    entries,
+    definitions: dict,
+    structures: dict,
+    header_line: int,
 ) -> StructureDecl:
     options = {}
     kind = None
@@ -405,7 +412,13 @@ def _parse_structure(
             for fname in names:
                 _lookup(definitions, fname, VectorField, lineno)
         elif key == "frame":
-            pass  # structure reference, resolved below
+            if value not in structures:
+                raise ManifestError(f"undefined structure '{value}'", lineno)
+            if structures[value].kind != "contact_frame":
+                raise ManifestError(
+                    f"'{value}' is a {structures[value].kind}, expected contact_frame",
+                    lineno,
+                )
         elif key == "g":
             for gname in value.split():
                 _lookup(definitions, gname, ScalarExpr, lineno)
@@ -421,6 +434,8 @@ def _parse_structure(
                     int(part)
                 except ValueError:
                     raise ManifestError(f"'n' must be integers, got {part!r}", lineno)
+            if kind != "extension_family" and len(value.split()) != 1:
+                raise ManifestError(f"'n' must be one integer, got {value!r}", lineno)
         else:
             raise ManifestError(f"unknown structure entry '{key}'", lineno)
     if kind == "extension" and ("g" in options) == ("f1" in options):
@@ -451,7 +466,9 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
                 raise ManifestError(f"undefined structure '{value}'", lineno)
             options["target"] = value
         elif key in ("expect", "base_points"):
-            _parse_int(value, key, lineno)
+            number = _parse_int(value, key, lineno)
+            if key == "base_points" and number < 1:
+                raise ManifestError(f"base_points must be >= 1, got {number}", lineno)
             options[key] = value
         elif key in ("invariant", "section", "out"):
             options[key] = value
@@ -480,15 +497,7 @@ def resolve_contact_frame(manifest: Manifest, decl: StructureDecl):
 
 
 def _frame_of(manifest: Manifest, decl: StructureDecl):
-    ref = decl.options["frame"]
-    if ref not in manifest.structures:
-        raise ManifestError(f"undefined structure '{ref}'", decl.line)
-    target = manifest.structures[ref]
-    if target.kind != "contact_frame":
-        raise ManifestError(
-            f"'{ref}' is a {target.kind}, expected contact_frame", decl.line
-        )
-    return resolve_contact_frame(manifest, target)
+    return resolve_contact_frame(manifest, manifest.structures[decl.options["frame"]])
 
 
 def materialize(manifest: Manifest, decl: StructureDecl):

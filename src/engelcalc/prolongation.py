@@ -30,6 +30,7 @@ from .charts import (
     lie_bracket,
     lift_to_product,
     product_chart,
+    require_finite,
     sample_points,
 )
 from .expr import ScalarExpr, simplify, substitute
@@ -191,10 +192,11 @@ def fiber_characteristic_annihilator(
     fiber_idx = chart.index(chart.fiber)
     fiber_coeff = simplify(beta.coeff((fiber_idx,)))
     if fiber_coeff != ex.ZERO:
-        vals = np.abs(ex.evaluate_many(fiber_coeff, chart.names, sample_points(chart, plan)))
+        pts = sample_points(chart, plan)
+        vals = np.abs(require_finite(ex.evaluate_many(fiber_coeff, chart.names, pts), pts))
         scale = max(
             1.0,
-            float(np.max(np.linalg.norm(beta.evaluate_at(sample_points(chart, plan)), axis=1))),
+            float(np.max(np.linalg.norm(beta.evaluate_at(pts), axis=1))),
         )
         if np.max(vals, initial=0.0) > tol.zero * scale:
             raise CheckError(
@@ -392,7 +394,7 @@ def develop_section(
         raise GeometryError("twist count must be a non-negative integer")
     plan = plan or DEFAULT_PLAN
     pts = sample_points(frame.chart, plan)
-    vals = ex.evaluate_many(g, frame.chart.names, pts)
+    vals = require_finite(ex.evaluate_many(g, frame.chart.names, pts), pts)
     gmin = float(np.min(vals))
     if not 0.0 < gmin <= math.pi + 1e-12:
         raise GeometryError(

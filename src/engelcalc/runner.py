@@ -31,13 +31,14 @@ from .report import RunReport, TaskRecord
 from .structures import (
     CheckError,
     Distribution2,
-    Tolerances,
     VerificationReport,
+    annihilator_1form,
     check_characteristic,
     check_contact_3d,
     check_engel_frame,
     check_engel_pair,
     check_even_contact,
+    derived_square,
 )
 
 COMMAND_TASK_KINDS = {
@@ -87,9 +88,14 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     elif decl.kind == "prolongation":
         dist = obj.distribution
         rep = check_engel_frame(dist, plan, tol)
+        if rep.witnesses["rank_step1_min"] == 3:
+            # check_engel_frame already ranked (X, Y, [X, Y]) on this plan
+            frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
+        else:
+            frame3 = derived_square(dist, plan, tol)  # raises the rank error
         char = check_characteristic(
             coordinate_field(dist.chart, dist.chart.fiber),
-            _annihilator_for(dist, plan, tol),
+            annihilator_1form(frame3, plan, tol),
             plan,
             tol,
         )
@@ -113,12 +119,6 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     record.status = "pass" if rep.passed else "fail"
     record.witnesses.update(_report_witnesses(rep))
     return record
-
-
-def _annihilator_for(dist: Distribution2, plan: SamplePlan, tol: Tolerances):
-    from .structures import annihilator_1form, derived_square
-
-    return annihilator_1form(derived_square(dist, plan, tol), plan, tol)
 
 
 def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> TaskRecord:

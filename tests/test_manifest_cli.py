@@ -126,6 +126,10 @@ def test_cli_never_tracebacks_on_bad_values(tmp_path):
         (["--tol-rank", "1"], "", "'rank' must be < 1"),
         (["--tol-zero", "inf"], "", "'zero' must be finite and > 0"),
         ([], "[tolerances]\nrank = -1\n\n", r"line \d+: tolerance 'rank' must be"),
+        (["--fd-step=nan"], "", "--fd-step must be finite and > 0, got nan"),
+        (["--fd-step=inf"], "", "--fd-step must be finite and > 0, got inf"),
+        (["--fd-step=0"], "", "--fd-step must be finite and > 0, got 0.0"),
+        (["--fd-step=-1"], "", r"--fd-step must be finite and > 0, got -1\.0"),
     ],
 )
 def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, section, message):
@@ -133,6 +137,83 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
     path.write_text(MINIMAL.replace("[define]", section + "[define]"))
     assert main(["verify", str(path), *flags]) == 2
     assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("frame = frame", "frame = nosuch", "undefined structure 'nosuch'"),
+        ("frame = frame", "frame = prolonged", "undefined structure 'prolonged'"),
+        ("n = 1", "n = 1 2", "'n' must be one integer"),
+        ("base_points = 10", "base_points = -3", "base_points must be >= 1, got -3"),
+        ("base_points = 10", "base_points = 0", "base_points must be >= 1, got 0"),
+    ],
+)
+def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, new, message):
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    assert text.count(old + "\n") == 1
+    text = text.replace(old + "\n", new + "\n")
+    with pytest.raises(ManifestError, match=message) as err:
+        parse_manifest(text)
+    assert text.splitlines()[err.value.line - 1] == new
+    path = tmp_path / "bad.manifest"
+    path.write_text(text)
+    for command in ("verify", "invariant"):
+        assert main([command, str(path)]) == 2
+        assert f"line {err.value.line}: {message}" in capsys.readouterr().err
+
+
+def test_frame_reference_must_be_a_contact_frame():
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    text = text.replace("[task verify_frame]", "[structure again]\nkind = prolongation\n"
+                        "frame = prolonged\nn = 2\n\n[task verify_frame]")
+    with pytest.raises(ManifestError, match="'prolonged' is a prolongation, expected"):
+        parse_manifest(text)
+
+
+ENGEL_FRAME_1_OVER_X = """
+[chart]
+coords = x y z w
+box x = -1 1
+box y = -1 1
+box z = -1 1
+box w = -1 1
+
+[define]
+field E1 = 1; 0; 0; 1/x
+field E2 = 0; 1; x; 0
+
+[structure f]
+kind = engel_frame
+fields = E1 E2
+
+[task check]
+kind = verify
+target = f
+"""
+
+
+@pytest.mark.parametrize(
+    "text,first_error",
+    [
+        (ENGEL_FRAME_1_OVER_X, "non-finite value at sample point [0.0, -1.0, -1.0, -1.0]"),
+        (
+            (MANIFESTS / "t3-contact-k.manifest")
+            .read_text(encoding="utf-8")
+            .replace("field V1 = 0; 0; 1", "field V1 = 1e200*1e200; z; 0"),
+            "non-finite value at sample point [0.0, 0.0, 0.0]",
+        ),
+    ],
+    ids=["engel-frame-1/x", "contact-frame-1e200*1e200"],
+)
+def test_non_finite_samples_are_task_errors(tmp_path, text, first_error):
+    path = tmp_path / "m.manifest"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    flags = ["--samples-grid", "5", "--samples-random", "0", "--report", str(out)]
+    assert main(["verify", str(path), *flags]) == 1
+    errors = [t["error"] for t in json.loads(out.read_text())["tasks"] if t["status"] == "error"]
+    assert errors[0] == first_error
 
 
 # ---------------------------------------------------------------------------
