@@ -210,9 +210,6 @@ class VectorField:
         ]
         return require_finite(np.stack(cols, axis=1), points)
 
-    def simplified(self) -> "VectorField":
-        return VectorField(self.chart, tuple(simplify(c) for c in self.components))
-
     def scaled_by(self, factor) -> "VectorField":
         f = as_expr(factor)
         return VectorField(
@@ -323,11 +320,6 @@ class KForm:
         if not cols:
             return np.zeros((points.shape[0], 0))
         return require_finite(np.stack(cols, axis=1), points)
-
-    def simplified(self) -> "KForm":
-        return KForm(
-            self.chart, self.degree, tuple((k, simplify(c)) for k, c in self.terms)
-        )
 
     def scaled_by(self, factor) -> "KForm":
         f = as_expr(factor)

@@ -689,7 +689,8 @@ def _linearize(e: ScalarExpr) -> _Lin:
         den = _linearize(e.right)
         if _is_const(den) and den.const != 0.0:
             return _lin_scale(num, 1.0 / den.const)
-        if _is_const(num) and num.const == 0.0:
+        if _is_const(num) and num.const == 0.0 and not _is_const(den):
+            # 0/den is 0 wherever den is nonzero; 0/0 stays nan
             return _Lin()
         return _atom(Divide(_rebuild(num), _rebuild(den)))
     if isinstance(e, IntPower):

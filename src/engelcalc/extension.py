@@ -33,7 +33,7 @@ from .charts import (
 )
 from .expr import ScalarExpr, simplify
 from .invariants import BoundaryConventionWarning
-from .prolongation import ContactFrame
+from .prolongation import ContactFrame, _angle_min
 from .structures import (
     DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
@@ -45,10 +45,6 @@ from .structures import (
 
 
 class ContinuityError(GeometryError):
-    pass
-
-
-class NormalizationError(GeometryError):
     pass
 
 
@@ -173,13 +169,7 @@ class ExtensionSpec:
     ) -> ScalarExpr:
         plan = plan or DEFAULT_PLAN
         if self.g is not None:
-            pts = sample_points(self.frame.chart, plan)
-            vals = require_finite(ex.evaluate_many(self.g, self.frame.chart.names, pts), pts)
-            gmin = float(np.min(vals))
-            if not 0.0 < gmin <= math.pi + 1e-12:
-                raise NormalizationError(
-                    f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
-                )
+            gmin = _angle_min(self.g, self.frame.chart, plan)
             if abs(gmin - math.pi) <= 1e-9:
                 warnings.warn(
                     "normalized angle function attains pi at its minimum",

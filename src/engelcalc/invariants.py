@@ -124,7 +124,7 @@ def twisting_number(
     """Signed degree of the induced line along one fiber loop, in pi units.
 
     Every base point must yield the same integer; the sign follows the
-    declared orientation of the frame.
+    order of the frame (V0, V1).
     """
     base_points = list(base_points)
     if not base_points:

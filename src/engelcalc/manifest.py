@@ -492,8 +492,7 @@ def resolve_contact_frame(manifest: Manifest, decl: StructureDecl):
 
     v0 = manifest.definitions[decl.options["v0"]]
     v1 = manifest.definitions[decl.options["v1"]]
-    oriented = decl.options.get("orientation", "positive") != "negative"
-    return ContactFrame(manifest.chart, v0, v1, positively_oriented=oriented)
+    return ContactFrame(manifest.chart, v0, v1)
 
 
 def _frame_of(manifest: Manifest, decl: StructureDecl):

@@ -41,11 +41,12 @@ from .structures import (
     Distribution2,
     Tolerances,
     VerificationReport,
+    _frame_ranks,
+    _lowest_rank_at,
     annihilator_1form,
     check_characteristic,
     check_contact_3d,
     derived_square,
-    matrix_ranks,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -66,7 +67,6 @@ class ContactFrame:
     chart: Chart
     v0: VectorField
     v1: VectorField
-    positively_oriented: bool = True
 
     def __post_init__(self):
         if self.chart.dim != 3:
@@ -80,16 +80,12 @@ class ContactFrame:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
         plan = plan or DEFAULT_PLAN
         pts = sample_points(self.chart, plan)
-        c0 = self.v0.evaluate_at(pts)
-        c1 = self.v1.evaluate_at(pts)
-        bracket = lie_bracket(self.v0, self.v1).evaluate_at(pts)
-        ranks2, ratio2 = matrix_ranks(np.stack([c0, c1], axis=2), tol.rank)
-        ranks3, ratio3 = matrix_ranks(np.stack([c0, c1, bracket], axis=2), tol.rank)
-        passed = bool(np.all(ranks2 == 2) and np.all(ranks3 == 3))
+        fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
+        (ranks2, ratio2), (ranks3, ratio3) = _frame_ranks(fields, pts, tol.rank, (2, 3))
+        # first point where either rank is short: the lowest of a 0/1 "rank"
+        idx = _lowest_rank_at((ranks2 == 2) & (ranks3 == 3), True)
         first = None
-        if not passed:
-            bad = np.where((ranks2 != 2) | (ranks3 != 3))[0]
-            idx = int(bad[0])
+        if idx is not None:
             first = {
                 "point": [float(v) for v in pts[idx]],
                 "rank_plane": int(ranks2[idx]),
@@ -97,19 +93,13 @@ class ContactFrame:
             }
         return VerificationReport(
             kind="contact_frame",
-            passed=passed,
+            passed=idx is None,
             tolerances=tol.as_dict(),
             witnesses={
                 "min_sv_ratio_plane": float(np.min(ratio2)),
                 "min_sv_ratio_bracket": float(np.min(ratio3)),
             },
             first_failure=first,
-            per_point={
-                "rank_plane": ranks2,
-                "rank_with_bracket": ranks3,
-                "sv_ratio_plane": ratio2,
-                "sv_ratio_bracket": ratio3,
-            },
         )
 
     def basis_at(self, base_point: np.ndarray) -> np.ndarray:
@@ -290,10 +280,7 @@ def _raw_angles(
             f"projection onto the frame leaves relative residual {np.max(rel):.3e}"
             f" > {tol.projection:.1e}"
         )
-    angles = np.arctan2(coeffs[1], coeffs[0]) % math.pi
-    if not frame.positively_oriented:
-        angles = (-angles) % math.pi
-    return angles
+    return np.arctan2(coeffs[1], coeffs[0]) % math.pi
 
 
 def _unwrap(raw: np.ndarray) -> np.ndarray:
@@ -379,6 +366,17 @@ def development_angle(
     return float(angles[-1])
 
 
+def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
+    """min g over the sample set, checked to satisfy 0 < min g <= pi."""
+    pts = sample_points(chart, plan)
+    gmin = float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
+    if not 0.0 < gmin <= math.pi + 1e-12:
+        raise GeometryError(
+            f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
+        )
+    return gmin
+
+
 def develop_section(
     frame: ContactFrame,
     g: ScalarExpr,
@@ -392,14 +390,7 @@ def develop_section(
     """
     if not isinstance(n, int) or n < 0:
         raise GeometryError("twist count must be a non-negative integer")
-    plan = plan or DEFAULT_PLAN
-    pts = sample_points(frame.chart, plan)
-    vals = require_finite(ex.evaluate_many(g, frame.chart.names, pts), pts)
-    gmin = float(np.min(vals))
-    if not 0.0 < gmin <= math.pi + 1e-12:
-        raise GeometryError(
-            f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
-        )
+    _angle_min(g, frame.chart, plan or DEFAULT_PLAN)
     if n == 0:
         return simplify(g)
     return simplify(ex.Add(g, ex.Multiply(ex.Constant(n), ex.PI)))

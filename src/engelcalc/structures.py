@@ -1,7 +1,8 @@
 """Verification of contact, even-contact, and Engel structures.
 
 All checks sample a chart with a :class:`~engelcalc.charts.SamplePlan` and
-report per-point witness data under explicit tolerances:
+report witnesses and the first failing sample point under explicit
+tolerances:
 
 * never-vanishing checks compare the pointwise coefficient norm against
   ``tol.never_vanishing`` times its maximum over the box;
@@ -11,11 +12,14 @@ report per-point witness data under explicit tolerances:
   :func:`matrix_ranks` certifies most matrices full rank from the
   eigenvalues of their small Gram matrix and falls back to the exact SVD
   inside a guard band, so ranks and reported ratios equal the SVD's.
+  Every rank check (plane fields, Engel frames, derived squares, contact
+  frames, the twisting condition) takes one path: :func:`_frame_ranks`
+  evaluates the frame once and ranks its leading columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +98,6 @@ class VerificationReport:
     first_failure: dict | None = None
     subreports: tuple["VerificationReport", ...] = ()
     notes: tuple[str, ...] = ()
-    per_point: dict[str, np.ndarray] = field(default_factory=dict)
 
     def require(self, what: str = "") -> "VerificationReport":
         if not self.passed:
@@ -131,7 +134,6 @@ def never_vanishing_report(
         tolerances=tol.as_dict(),
         witnesses={"min_abs": vmin, "max_abs": vmax, "min_over_max": rel},
         first_failure=first,
-        per_point={"witness": values},
     )
 
 
@@ -155,7 +157,6 @@ def zero_report(
         tolerances=tol.as_dict(),
         witnesses={"max_abs": vmax, "scale": scale, "max_rel": vmax / scale},
         first_failure=first,
-        per_point={"residual": values},
     )
 
 
@@ -230,6 +231,25 @@ def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray
     return ranks, g
 
 
+def _frame_ranks(
+    fields: Sequence[VectorField], pts: np.ndarray, ratio: float, sizes: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`matrix_ranks` of the first k fields at each point, for k in sizes.
+
+    Each field is evaluated once into one (n, dim, len(fields)) stack whose
+    leading columns are ranked in place.
+    """
+    cols = np.stack([f.evaluate_at(pts) for f in fields], axis=2)
+    return [matrix_ranks(cols[:, :, :k], ratio) for k in sizes]
+
+
+def _lowest_rank_at(ranks: np.ndarray, full: int) -> int | None:
+    """Index of the first matrix of lowest rank, or None when every rank is full."""
+    if np.all(ranks == full):
+        return None
+    return int(np.argmin(ranks))
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -257,22 +277,16 @@ class Distribution2:
     def frame(self) -> tuple[VectorField, VectorField]:
         return (self.x, self.y)
 
-    def evaluate_frame(self, points: np.ndarray) -> np.ndarray:
-        """(n, dim, 2) array with frame fields as columns."""
-        return np.stack([self.x.evaluate_at(points), self.y.evaluate_at(points)], axis=2)
-
     def validate_rank(self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
         pts = sample_points(self.chart, plan)
-        mats = self.evaluate_frame(pts)
-        ranks, ratios = matrix_ranks(mats, tol.rank)
-        passed = bool(np.all(ranks == 2))
+        ((ranks, ratios),) = _frame_ranks(self.frame, pts, tol.rank, (2,))
+        idx = _lowest_rank_at(ranks, 2)
         first = None
-        if not passed:
-            idx = int(np.argmin(ranks))
+        if idx is not None:
             first = _failure_at(pts, idx, rank=ranks[idx], sv_ratio=ratios[idx])
         return VerificationReport(
             kind="distribution_rank2",
-            passed=passed,
+            passed=idx is None,
             tolerances=tol.as_dict(),
             witnesses={
                 "min_sv_ratio": float(np.min(ratios)),
@@ -280,7 +294,6 @@ class Distribution2:
                 "rank_max": int(np.max(ranks)),
             },
             first_failure=first,
-            per_point={"rank": ranks, "sv_ratio": ratios},
         )
 
 
@@ -408,24 +421,6 @@ def check_engel_pair(
     )
 
 
-def _engel_frame_matrices(
-    d: Distribution2, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[str, VectorField]]:
-    xy = lie_bracket(d.x, d.y)
-    xxy = lie_bracket(d.x, xy)
-    yxy = lie_bracket(d.y, xy)
-    cols = {
-        "x": d.x.evaluate_at(pts),
-        "y": d.y.evaluate_at(pts),
-        "xy": xy.evaluate_at(pts),
-        "xxy": xxy.evaluate_at(pts),
-        "yxy": yxy.evaluate_at(pts),
-    }
-    m3 = np.stack([cols["x"], cols["y"], cols["xy"]], axis=2)
-    m5 = np.stack([cols[k] for k in ("x", "y", "xy", "xxy", "yxy")], axis=2)
-    return m3, m5, {"xy": xy, "xxy": xxy, "yxy": yxy}
-
-
 def check_engel_frame(
     d: Distribution2,
     plan: SamplePlan,
@@ -435,22 +430,17 @@ def check_engel_frame(
     if d.chart.dim != 4:
         raise DimensionError("frame check requires a 4-dimensional chart")
     pts = sample_points(d.chart, plan)
-    m3, m5, _ = _engel_frame_matrices(d, pts)
-    ranks3, ratio3 = matrix_ranks(m3, tol.rank)
-    ranks4, ratio4 = matrix_ranks(m5, tol.rank)
-    ok3 = bool(np.all(ranks3 == 3))
-    ok4 = bool(np.all(ranks4 == 4))
-    passed = ok3 and ok4
+    xy = lie_bracket(d.x, d.y)
+    fields = (d.x, d.y, xy, lie_bracket(d.x, xy), lie_bracket(d.y, xy))
+    (ranks3, ratio3), (ranks4, ratio4) = _frame_ranks(fields, pts, tol.rank, (3, 5))
     first = None
-    if not ok3:
-        idx = int(np.argmin(ranks3))
+    if (idx := _lowest_rank_at(ranks3, 3)) is not None:
         first = _failure_at(pts, idx, rank_step1=ranks3[idx], sv_ratio=ratio3[idx])
-    elif not ok4:
-        idx = int(np.argmin(ranks4))
+    elif (idx := _lowest_rank_at(ranks4, 4)) is not None:
         first = _failure_at(pts, idx, rank_step2=ranks4[idx], sv_ratio=ratio4[idx])
     return VerificationReport(
         kind="engel_frame",
-        passed=passed,
+        passed=first is None,
         tolerances=tol.as_dict(),
         witnesses={
             "rank_step1_min": int(np.min(ranks3)),
@@ -461,12 +451,6 @@ def check_engel_frame(
             "min_sv_ratio_step2": float(np.min(ratio4)),
         },
         first_failure=first,
-        per_point={
-            "rank_step1": ranks3,
-            "rank_step2": ranks4,
-            "sv_ratio_step1": ratio3,
-            "sv_ratio_step2": ratio4,
-        },
     )
 
 
@@ -483,12 +467,8 @@ def derived_square(
     plan = plan or DEFAULT_PLAN
     pts = sample_points(d.chart, plan)
     xy = lie_bracket(d.x, d.y)
-    m3 = np.stack(
-        [d.x.evaluate_at(pts), d.y.evaluate_at(pts), xy.evaluate_at(pts)], axis=2
-    )
-    ranks, ratios = matrix_ranks(m3, tol.rank)
-    if not np.all(ranks == 3):
-        idx = int(np.argmin(ranks))
+    ((ranks, _),) = _frame_ranks((d.x, d.y, xy), pts, tol.rank, (3,))
+    if (idx := _lowest_rank_at(ranks, 3)) is not None:
         raise RankDeficiencyError(
             f"derived distribution has rank {int(ranks[idx])} at sample point"
             f" {pts[idx].tolist()}"
@@ -545,10 +525,9 @@ def annihilator_1form(
             f"frame drops rank at sample point {pts[idx].tolist()}"
         )
     for f in frame:
-        residual = np.abs(
-            np.einsum("nd,nd->n", bvals, f.evaluate_at(pts))
-        )
-        scale = max(1.0, float(np.max(bnorm * np.linalg.norm(f.evaluate_at(pts), axis=1))))
+        fvals = f.evaluate_at(pts)
+        residual = np.abs(np.einsum("nd,nd->n", bvals, fvals))
+        scale = max(1.0, float(np.max(bnorm * np.linalg.norm(fvals, axis=1))))
         if np.max(residual) > 1e-10 * scale:
             raise CheckError("annihilator does not annihilate its frame")
     return beta
@@ -653,9 +632,5 @@ def twisting_condition_ranks(
     if x0.chart != v.chart:
         raise ChartMismatchError("fields on different charts")
     pts = sample_points(x0.chart, plan)
-    b = lie_bracket(x0, v)
-    mats = np.stack(
-        [x0.evaluate_at(pts), v.evaluate_at(pts), b.evaluate_at(pts)], axis=2
-    )
-    ranks, _ = matrix_ranks(mats, tol.rank)
+    ((ranks, _),) = _frame_ranks((x0, v, lie_bracket(x0, v)), pts, tol.rank, (3,))
     return ranks

@@ -166,6 +166,13 @@ def test_simplify_drops_zero_products():
     assert simplify(e) == Variable("y")
 
 
+@pytest.mark.parametrize("text", ["0/0*z", "(x-x)/(y-y)", "0/(0*x)"])
+def test_simplify_keeps_zero_over_zero(text):
+    s = simplify(parse_scalar_expr(text, VARS))
+    assert np.isnan(ex.evaluate_many(s, VARS, np.ones((1, len(VARS))))).all()
+    assert simplify(parse_scalar_expr("0/x", VARS)) == Constant(0)
+
+
 def test_simplify_pythagorean_identity():
     t = Variable("t")
     e = Add(IntPower(Sin(t), 2), IntPower(Cos(t), 2))
@@ -263,6 +270,7 @@ def test_round_trip_arbitrary_trees(e):
 
 @given(_expr_strategy())
 @example(Cos(Negate(IntPower(Add(Variable("x"), Variable("y")), 1))))
+@example(Multiply(Divide(Constant(0.0), Constant(0.0)), Variable("z")))
 @settings(max_examples=100, deadline=None)
 def test_simplify_idempotent_arbitrary_trees(e):
     s = simplify(e)

@@ -147,6 +147,7 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
         ("n = 1", "n = 1 2", "'n' must be one integer"),
         ("base_points = 10", "base_points = -3", "base_points must be >= 1, got -3"),
         ("base_points = 10", "base_points = 0", "base_points must be >= 1, got 0"),
+        ("v1 = V1", "v1 = V1\norientation = negative", "unknown structure entry 'orientation'"),
     ],
 )
 def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, new, message):
@@ -155,7 +156,7 @@ def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, n
     text = text.replace(old + "\n", new + "\n")
     with pytest.raises(ManifestError, match=message) as err:
         parse_manifest(text)
-    assert text.splitlines()[err.value.line - 1] == new
+    assert text.splitlines()[err.value.line - 1] == new.splitlines()[-1]
     path = tmp_path / "bad.manifest"
     path.write_text(text)
     for command in ("verify", "invariant"):
@@ -214,6 +215,22 @@ def test_non_finite_samples_are_task_errors(tmp_path, text, first_error):
     assert main(["verify", str(path), *flags]) == 1
     errors = [t["error"] for t in json.loads(out.read_text())["tasks"] if t["status"] == "error"]
     assert errors[0] == first_error
+
+
+def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):
+    # simplify must not fold 0/0*z to 0: the prolongation is built from
+    # simplified components and must meet the same nan as the parsed frame
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "m.manifest"
+    path.write_text(text.replace("field V1 = 1; z; 0", "field V1 = 1; 0/0*z; 0"))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--report", str(out)]) == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [(t["id"], t["status"]) for t in tasks] == [
+        ("verify_frame", "error"),
+        ("verify_prolonged", "error"),
+    ]
+    assert all(t["error"].startswith("non-finite value at sample point") for t in tasks)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,20 @@ def test_annihilator_coordinate_frame(box4):
     assert beta.keys == ((3,),)
 
 
+def test_annihilator_evaluates_each_field_once(box4, monkeypatch):
+    frame = tuple(coordinate_field(box4, n) for n in ("x", "y", "z"))
+    calls = []
+    original = ch.VectorField.evaluate_at
+
+    def counting(self, points):
+        calls.append(self)
+        return original(self, points)
+
+    monkeypatch.setattr(ch.VectorField, "evaluate_at", counting)
+    annihilator_1form(frame, PLAN)
+    assert calls == list(frame)
+
+
 def test_annihilator_prolonged_has_no_fiber_term(std_frame):
     from engelcalc.prolongation import prolong
 
