@@ -30,7 +30,6 @@ from .charts import (
     interior_product,
     lie_derivative_form,
     coordinate_field,
-    one_form,
     volume_form,
     product_chart,
     base_chart_of,
@@ -54,9 +53,7 @@ from .prolongation import (
     ProlongedEngel,
     prolong,
     deprolong,
-    development_angle,
     development_profile,
-    develop_section,
 )
 from .invariants import (
     LegendrianLineField,
@@ -68,7 +65,6 @@ from .invariants import (
 )
 from .extension import (
     ExtensionSpec,
-    FamilyExtension,
     legendrian_angle_function,
     extend,
     verify_extension_identities,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,18 +85,6 @@ class Chart:
 
     def parse(self, text: str) -> ScalarExpr:
         return ex.parse_scalar_expr(text, self.names)
-
-
-def chart_from_box(
-    bounds: Mapping[str, tuple[float, float]],
-    periodic: Iterable[str] = (),
-    fiber: str | None = None,
-) -> Chart:
-    per = set(periodic)
-    axes = tuple(
-        CoordinateAxis(n, lo, hi, periodic=n in per) for n, (lo, hi) in bounds.items()
-    )
-    return Chart(axes, fiber=fiber)
 
 
 def product_chart(
@@ -295,10 +283,6 @@ class KForm:
         cleaned.sort(key=lambda kv: kv[0])
         object.__setattr__(self, "terms", tuple(cleaned))
 
-    @property
-    def keys(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(k for k, _ in self.terms)
-
     def coeff(self, key: tuple[int, ...]) -> ScalarExpr:
         for k, c in self.terms:
             if k == tuple(key):
@@ -342,14 +326,6 @@ class KForm:
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scaled_by(-1.0)
-
-
-def one_form(chart: Chart, coeffs: Mapping[str, object]) -> KForm:
-    terms = []
-    for name, c in coeffs.items():
-        e = chart.parse(c) if isinstance(c, str) else as_expr(c)
-        terms.append(((chart.index(name),), e))
-    return KForm(chart, 1, tuple(terms))
 
 
 def volume_form(chart: Chart, density=1.0) -> KForm:
@@ -498,16 +474,6 @@ def interior_product(x: VectorField, form: KForm) -> KForm:
     )
 
 
-def differential(chart: Chart, scalar: ScalarExpr) -> KForm:
-    """d of a 0-form."""
-    terms = []
-    for j, name in enumerate(chart.names):
-        d = ex.partial_derivative(scalar, name)
-        if d != ex.ZERO:
-            terms.append(((j,), d))
-    return KForm(chart, 1, tuple(terms))
-
-
 def lie_derivative_form(x: VectorField, form: KForm) -> KForm:
     """Cartan formula: X . d(form) + d(X . form)."""
     _require_same_chart(x, form)
@@ -582,29 +548,3 @@ def one_form_to_text(form: KForm) -> str:
         else:
             parts.append(f"({ex.to_text(coeff)})*{dn}")
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# periodicity respect
-
-
-def period_respect_mismatch(
-    obj: VectorField | KForm, plan: SamplePlan
-) -> float:
-    """Max |value(c) - value(c + period)| over samples and periodic axes.
-
-    Component expressions must already be built from period-respecting
-    functions of the periodic coordinates; this measures the violation.
-    """
-    chart = obj.chart
-    pts = sample_points(chart, plan)
-    worst = 0.0
-    for j, axis in enumerate(chart.axes):
-        if not axis.periodic:
-            continue
-        shifted = pts.copy()
-        shifted[:, j] += axis.period
-        a = obj.evaluate_at(pts)
-        b = obj.evaluate_at(shifted)
-        worst = max(worst, float(np.max(np.abs(a - b), initial=0.0)))
-    return worst

@@ -91,39 +91,6 @@ class ScalarExpr:
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Subtract(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Subtract(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Multiply(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Multiply(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Divide(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Divide(as_expr(other), self)
-
-    def __neg__(self):
-        return Negate(self)
-
-    def __pow__(self, exponent):
-        return IntPower(self, exponent)
-
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Constant(ScalarExpr):

@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as ex
 from .charts import (
+    Chart,
     GeometryError,
     SamplePlan,
     VectorField,
@@ -33,7 +33,7 @@ from .charts import (
 )
 from .expr import ScalarExpr, simplify
 from .invariants import BoundaryConventionWarning
-from .prolongation import ContactFrame, _angle_min
+from .prolongation import ContactFrame
 from .structures import (
     DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
@@ -61,13 +61,16 @@ class AngleFunction:
     symbolic: ScalarExpr | None
     boundary_warning: bool
 
-    @property
-    def min(self) -> float:
-        return float(np.min(self.table))
 
-    @property
-    def max(self) -> float:
-        return float(np.max(self.table))
+def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
+    """min g over the sample set, checked to satisfy 0 < min g <= pi."""
+    pts = sample_points(chart, plan)
+    gmin = float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
+    if not 0.0 < gmin <= math.pi + 1e-12:
+        raise GeometryError(
+            f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
+        )
+    return gmin
 
 
 def _normalization_shift(min_raw: float) -> int:
@@ -284,51 +287,32 @@ def verify_extension_identities(
     )
 
 
-@dataclass(frozen=True)
-class FamilyExtension:
-    s_values: tuple[float, ...]
-    slices: tuple[Distribution2, ...]
-    mtw_profile: tuple[int, ...]
-
-
 def extend_family(
-    specs: Callable[[float], ExtensionSpec],
-    s_grid: Sequence[float],
+    specs: list[ExtensionSpec],
     plan: SamplePlan | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> FamilyExtension:
-    """Materialize and verify a one-parameter family of extensions.
+) -> tuple[int, ...]:
+    """Verify a family of extensions; return each slice's minimal twisting number.
 
-    The twist count may change by at most one between adjacent grid
-    values; every slice is verified individually and its minimal twisting
-    number recorded.
+    Slice i sits at s = i.  The twist count may change by at most one
+    between adjacent slices; every slice is verified individually.
     """
     from .invariants import minimal_twisting_number
 
     plan = plan or DEFAULT_PLAN
-    s_values = tuple(float(s) for s in s_grid)
-    if not s_values:
+    if not specs:
         raise GeometryError("family grid is empty")
-    built = []
-    ns = []
-    for s in s_values:
-        spec = specs(s)
-        ns.append(spec.n)
-        built.append((s, spec))
-    for (s0, n0), (s1, n1) in zip(zip(s_values, ns), zip(s_values[1:], ns[1:])):
-        if abs(n1 - n0) > 1:
+    for s, (a, b) in enumerate(zip(specs, specs[1:])):
+        if abs(b.n - a.n) > 1:
             raise GeometryError(
-                f"twist count jumps from {n0} to {n1} between s={s0} and s={s1}"
+                f"twist count jumps from {a.n} to {b.n}"
+                f" between s={float(s)} and s={float(s + 1)}"
             )
-    slices = []
-    mtw = []
     base_plan = SamplePlan(grid=3, random=4, seed=plan.seed)
-    for s, spec in built:
+    mtw = []
+    for spec in specs:
         dist = extend(spec, plan, tol, verify=True)
-        slices.append(dist)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryConventionWarning)
             mtw.append(minimal_twisting_number(dist, spec.frame, base_plan, tol))
-    return FamilyExtension(
-        s_values=s_values, slices=tuple(slices), mtw_profile=tuple(mtw)
-    )
+    return tuple(mtw)

@@ -1,6 +1,7 @@
 """Manifest files: declarative structure definitions and task lists.
 
-The format is line-oriented with bracketed section headers::
+The format is line-oriented with bracketed section headers; every key the
+parser accepts is listed here::
 
     [chart]
     coords = x y z w
@@ -8,13 +9,14 @@ The format is line-oriented with bracketed section headers::
     periodic theta = 2*pi   # sampled over [0, period)
     fiber = theta           # optional
 
-    [sampling]
-    grid = 5
+    [sampling]              # optional; defaults grid 4, random 32, seed 0
+    grid = 5                # or one resolution per coordinate: 5 5 5 9
     random = 200
     seed = 0
 
     [tolerances]            # optional overrides
-    rank = 1e-7
+    rank = 1e-7             # also never_vanishing, zero, projection,
+                            # nonzero_norm
 
     [define]
     expr g = pi/2
@@ -22,15 +24,23 @@ The format is line-oriented with bracketed section headers::
     form alpha = dy - z*dx
 
     [structure NAME]
-    kind = contact | even_contact | engel_pair | engel_frame |
-           contact_frame | prolongation | extension | extension_family
-    ...kind-specific keys referencing earlier definitions...
+    kind = contact | even_contact       # form = FORM
+         | engel_pair                   # alpha = FORM, beta = FORM
+         | engel_frame                  # fields = FIELD FIELD
+         | contact_frame                # v0 = FIELD, v1 = FIELD
+         | prolongation                 # frame = CONTACT_FRAME, n = 2
+         | extension                    # frame, n, and g = EXPR
+                                        #   or f1 = EXPR EXPR
+         | extension_family             # frame, g = EXPR EXPR ...,
+                                        #   n = 0 1 ... (equal lengths)
 
     [task ID]
     kind = verify | invariant | identities | construct
     target = NAME
     invariant = twisting_number | minimal_twisting_number
     expect = 3              # optional expectation for invariant tasks
+    base_points = 10        # twisting_number only; default 10, at least 1
+    out = PATH              # construct only; overrides --out
 
 Every referenced name must be defined before use; validation errors carry
 the offending line number.
@@ -470,7 +480,7 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
             if key == "base_points" and number < 1:
                 raise ManifestError(f"base_points must be >= 1, got {number}", lineno)
             options[key] = value
-        elif key in ("invariant", "section", "out"):
+        elif key in ("invariant", "out"):
             options[key] = value
         else:
             raise ManifestError(f"unknown task entry '{key}'", lineno)
@@ -527,14 +537,9 @@ def materialize(manifest: Manifest, decl: StructureDecl):
         return ExtensionSpec(frame=frame, n=n, f1=(defs[a], defs[b]))
     if decl.kind == "extension_family":
         frame = _frame_of(manifest, decl)
-        gs = [defs[gname] for gname in decl.options["g"].split()]
-        ns = [int(p) for p in decl.options["n"].split()]
-
-        def specs(s: float) -> ExtensionSpec:
-            i = int(round(s))
-            return ExtensionSpec(frame=frame, n=ns[i], g=gs[i])
-
-        return specs, list(range(len(gs)))
+        gs = decl.options["g"].split()
+        ns = decl.options["n"].split()
+        return [ExtensionSpec(frame=frame, n=int(n), g=defs[g]) for g, n in zip(gs, ns)]
     raise ManifestError(f"cannot materialize kind '{decl.kind}'", decl.line)
 
 

@@ -330,67 +330,3 @@ def development_profile(
         "development refinement exceeded the resolution budget;"
         " the field twists too fast for the requested fiber grid"
     )
-
-
-def _default_fiber_grid(chart: Chart, t_end: float, min_steps: int) -> np.ndarray:
-    axis = chart.axis(chart.fiber)
-    span = abs(t_end - axis.lo)
-    steps = max(min_steps, int(math.ceil(64 * span / TWO_PI)) * 4)
-    return np.linspace(axis.lo, t_end, steps + 1)
-
-
-def development_angle(
-    d: Distribution2,
-    frame: ContactFrame,
-    base_point,
-    t: float,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    min_steps: int = 256,
-) -> float:
-    """Unwrapped development angle at fiber value ``t``.
-
-    The angle at the fiber start lies in [0, pi) and is tracked
-    continuously up to ``t``; one projective loop of the induced line
-    contributes pi.
-    """
-    chart = d.chart
-    if chart.fiber is None:
-        raise GeometryError("distribution chart has no fiber coordinate")
-    axis = chart.axis(chart.fiber)
-    if t == axis.lo:
-        grid = np.array([axis.lo, axis.lo + 1e-9])
-        _, angles = development_profile(d, frame, base_point, grid, tol)
-        return float(angles[0])
-    grid = _default_fiber_grid(chart, float(t), min_steps)
-    _, angles = development_profile(d, frame, base_point, grid, tol)
-    return float(angles[-1])
-
-
-def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
-    """min g over the sample set, checked to satisfy 0 < min g <= pi."""
-    pts = sample_points(chart, plan)
-    gmin = float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
-    if not 0.0 < gmin <= math.pi + 1e-12:
-        raise GeometryError(
-            f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
-        )
-    return gmin
-
-
-def develop_section(
-    frame: ContactFrame,
-    g: ScalarExpr,
-    n: int,
-    plan: SamplePlan | None = None,
-) -> ScalarExpr:
-    """Graph function g + n*pi of the developed end section.
-
-    The start section develops to the zero graph; ``g`` must satisfy
-    0 < min g <= pi over the sample set.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise GeometryError("twist count must be a non-negative integer")
-    _angle_min(g, frame.chart, plan or DEFAULT_PLAN)
-    if n == 0:
-        return simplify(g)
-    return simplify(ex.Add(g, ex.Multiply(ex.Constant(n), ex.PI)))

@@ -78,7 +78,7 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     elif decl.kind == "even_contact":
         rep = check_even_contact(obj, plan, tol)
     elif decl.kind == "engel_pair":
-        rep = check_engel_pair(obj, plan, tol, auto_orient=True)
+        rep = check_engel_pair(obj, plan, tol)
         record.notes.extend(rep.notes)
     elif decl.kind == "engel_frame":
         rep = check_engel_frame(obj, plan, tol)
@@ -108,10 +108,8 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
         rep = check_engel_frame(dist, plan, tol)
         record.witnesses["fd_bracket_max_error"] = _fd_cross_check(dist, manifest, fd_step)
     elif decl.kind == "extension_family":
-        specs, grid = obj
-        family = extend_family(specs, grid, plan, tol)
         record.status = "pass"
-        record.witnesses["mtw_profile"] = list(family.mtw_profile)
+        record.witnesses["mtw_profile"] = list(extend_family(obj, plan, tol))
         return record
     else:
         raise GeometryError(f"verify cannot handle kind '{decl.kind}'")

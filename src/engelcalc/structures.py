@@ -19,7 +19,7 @@ tolerances:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -96,7 +96,6 @@ class VerificationReport:
     tolerances: dict[str, float]
     witnesses: dict[str, float]
     first_failure: dict | None = None
-    subreports: tuple["VerificationReport", ...] = ()
     notes: tuple[str, ...] = ()
 
     def require(self, what: str = "") -> "VerificationReport":
@@ -377,31 +376,17 @@ def check_engel_pair(
     pair: EngelPair,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    auto_orient: bool = False,
 ) -> VerificationReport:
     """The three pair conditions, evaluated in the given (alpha, beta) order.
 
-    With ``auto_orient`` the swapped order is also evaluated and the notes
-    record which ordering satisfies the conditions; the verdict always
-    refers to the given order.
+    The swapped order is also evaluated, and the notes record which
+    ordering satisfies the conditions; the verdict always refers to the
+    given order.
     """
     pts = sample_points(pair.chart, plan)
     r1, r2, r3 = _pair_condition_reports(pair.alpha, pair.beta, pts, tol)
     passed = r1.passed and r2.passed and r3.passed
-    notes: tuple[str, ...] = ()
-    subs = (r1, r2, r3)
-    if auto_orient:
-        s1, s2, s3 = _pair_condition_reports(pair.beta, pair.alpha, pts, tol)
-        swapped = s1.passed and s2.passed and s3.passed
-        notes = (
-            f"given order (alpha, beta): {'pass' if passed else 'fail'}",
-            f"swapped order (beta, alpha): {'pass' if swapped else 'fail'}",
-        )
-        subs = subs + (
-            replace(s1, kind="swapped_" + s1.kind),
-            replace(s2, kind="swapped_" + s2.kind),
-            replace(s3, kind="swapped_" + s3.kind),
-        )
+    swapped = all(r.passed for r in _pair_condition_reports(pair.beta, pair.alpha, pts, tol))
     failing = [r for r in (r1, r2, r3) if not r.passed]
     return VerificationReport(
         kind="engel_pair",
@@ -416,8 +401,10 @@ def check_engel_pair(
             "condition3_min_over_max": r3.witnesses["min_over_max"],
         },
         first_failure=failing[0].first_failure if failing else None,
-        subreports=subs,
-        notes=notes,
+        notes=(
+            f"given order (alpha, beta): {'pass' if passed else 'fail'}",
+            f"swapped order (beta, alpha): {'pass' if swapped else 'fail'}",
+        ),
     )
 
 
@@ -618,7 +605,6 @@ def check_characteristic(
             "kernel_pairing_max": r_pair.witnesses["max_abs"],
         },
         first_failure=(r_wedge.first_failure or r_pair.first_failure),
-        subreports=(r_wedge, r_pair),
     )
 
 

@@ -8,6 +8,15 @@ from engelcalc import expr as ex
 from engelcalc.prolongation import ContactFrame
 
 
+def chart_from_box(bounds, periodic=(), fiber=None) -> ch.Chart:
+    """Chart with one axis per ``name: (lo, hi)`` entry, in insertion order."""
+    per = set(periodic)
+    axes = tuple(
+        ch.CoordinateAxis(n, lo, hi, periodic=n in per) for n, (lo, hi) in bounds.items()
+    )
+    return ch.Chart(axes, fiber=fiber)
+
+
 def plane_angle_sin(a: np.ndarray, b: np.ndarray) -> float:
     """sin of the largest principal angle between two column-span planes.
 
@@ -27,12 +36,12 @@ def kernel_plane_basis(coeffs: np.ndarray) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def box3():
-    return ch.chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
+    return chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
 
 
 @pytest.fixture(scope="session")
 def box4():
-    return ch.chart_from_box(
+    return chart_from_box(
         {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "w": (-1, 1)}
     )
 
@@ -40,7 +49,7 @@ def box4():
 @pytest.fixture(scope="session")
 def t3():
     p = 2 * math.pi
-    return ch.chart_from_box(
+    return chart_from_box(
         {"x": (0, p), "y": (0, p), "z": (0, p)}, periodic=("x", "y", "z")
     )
 

@@ -59,8 +59,8 @@ def test_angle_function_recovers_linear_phase(std_frame):
     u = chart.parse("x/4 + 1")
     fn = legendrian_angle_function(std_frame, (ex.Cos(u), ex.Sin(u)), PLAN)
     assert fn.symbolic == ex.simplify(u)
-    assert 0.0 < fn.min <= math.pi
-    assert fn.min == pytest.approx(0.75)
+    assert 0.0 < np.min(fn.table) <= math.pi
+    assert np.min(fn.table) == pytest.approx(0.75)
 
 
 def test_angle_function_rejects_vanishing_pair(std_frame):
@@ -101,6 +101,15 @@ def test_extend_torus(t3_frame):
 def test_extend_rejects_negative_twist(std_frame):
     with pytest.raises(GeometryError):
         ExtensionSpec(frame=std_frame, n=-1, g=ex.Constant(1.0))
+
+
+@pytest.mark.parametrize("g", ["x + 1", "5 + x"])
+def test_extend_rejects_angle_minimum_outside_range(std_frame, g):
+    """min g over the samples must lie in (0, pi]: x + 1 reaches 0, 5 + x
+    never comes down to pi."""
+    spec = ExtensionSpec(frame=std_frame, n=1, g=std_frame.chart.parse(g))
+    with pytest.raises(GeometryError, match="0 < min g <= pi"):
+        extend(spec, PLAN)
 
 
 def test_extend_requires_exactly_one_target(std_frame):
@@ -239,17 +248,12 @@ def test_identities_nonconstant_angle_correction_in_plane(std_frame):
 
 
 def test_family_constant(std_frame):
-    fam = extend_family(
-        lambda s: ExtensionSpec(frame=std_frame, n=1, g=ex.Constant(1.0)),
-        [0.0, 0.5, 1.0],
-        PLAN,
-    )
-    assert fam.mtw_profile == (1, 1, 1)
-    assert len(fam.slices) == 3
+    spec = ExtensionSpec(frame=std_frame, n=1, g=ex.Constant(1.0))
+    assert extend_family([spec] * 3, PLAN) == (1, 1, 1)
 
 
 def test_family_steps_by_one(std_frame):
-    def specs(s: float) -> ExtensionSpec:
+    def spec(s: float) -> ExtensionSpec:
         raw = math.pi / 2 + s * math.pi
         n = 0
         while raw > math.pi:
@@ -259,15 +263,11 @@ def test_family_steps_by_one(std_frame):
 
     # at s = 0.5 the normalized angle sits exactly at pi
     with pytest.warns(BoundaryConventionWarning):
-        fam = extend_family(specs, [0.0, 0.25, 0.5, 0.75, 1.0], PLAN)
-    assert fam.mtw_profile == (0, 0, 1, 1, 1)
+        profile = extend_family([spec(s) for s in (0.0, 0.25, 0.5, 0.75, 1.0)], PLAN)
+    assert profile == (0, 0, 1, 1, 1)
 
 
 def test_family_rejects_twist_jump(std_frame):
-    def specs(s: float) -> ExtensionSpec:
-        return ExtensionSpec(
-            frame=std_frame, n=0 if s < 0.5 else 2, g=ex.Constant(1.0)
-        )
-
-    with pytest.raises(GeometryError, match="jumps"):
-        extend_family(specs, [0.0, 1.0], PLAN)
+    specs = [ExtensionSpec(frame=std_frame, n=n, g=ex.Constant(1.0)) for n in (0, 2)]
+    with pytest.raises(GeometryError, match="jumps from 0 to 2 between s=0.0 and s=1.0"):
+        extend_family(specs, PLAN)

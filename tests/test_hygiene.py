@@ -1,17 +1,25 @@
-"""Dead-code guard: unused top-level imports and unreferenced private names.
+"""Dead-code guard: unused top-level imports, unreferenced private names, and
+public functions that no manifest reaches.
 
-Both scans read the package source with the standard-library ``ast`` module
-only, so they cost no import of the package itself.
+The first two scans read the package source with the standard-library
+``ast`` module only, so they cost no import of the package itself.  The
+reachability scan runs every bundled manifest through the CLI in a fresh
+interpreter under ``sys.settrace``.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "engelcalc"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "engelcalc"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -107,3 +115,85 @@ def test_every_private_module_name_is_referenced():
         if private not in referenced
     ]
     assert not dead, f"private names no source file references: {dead}"
+
+
+# Public top-level functions that no bundled manifest calls, and why each stays.
+UNREACHED_BY_FIXTURES = {
+    # entry point of the installed ``engelcalc`` script; tests call cli.main
+    "cli.entry",
+    # reached from input through an ``extension`` declared with ``f1 = a b``
+    # (tests/test_manifest_cli.py::test_extension_from_a_coefficient_pair)
+    "extension.legendrian_angle_function",
+    # recorded on every run of perfbench/run.py
+    "_kernels.active_backend",
+    # inputs of the normal-form task planned in ROADMAP item 1
+    "prolongation.deprolong",
+    "structures.characteristic_vector_field",
+    "structures.twisting_condition_ranks",
+    "invariants.induced_legendrian_line",
+    "invariants.line_angle_distance",
+    "charts.one_form_to_text",
+    "charts.volume_form",
+}
+
+# Runs in a fresh interpreter, so no cache warmed by an earlier test (such as
+# expr.compile_program's) hides a call.  Prints the "module.name" of every
+# top-level function of the package whose code ran.
+_TRACE_RUN = """
+import importlib, inspect, json, sys, tempfile
+from pathlib import Path
+
+src, manifests = Path(sys.argv[1]), sorted(Path(sys.argv[2]).glob("*.manifest"))
+from engelcalc.cli import main
+
+ran = set()
+
+def tracer(frame, event, arg):
+    ran.add(frame.f_code)
+
+with tempfile.TemporaryDirectory() as tmp:
+    sys.settrace(tracer)
+    try:
+        for manifest in manifests:
+            for command in ("verify", "invariant", "construct"):
+                out = ["--out", tmp + "/out.manifest"] if command == "construct" else []
+                main([command, str(manifest), "--report", tmp + "/report.json", *out])
+    finally:
+        sys.settrace(None)
+
+reached = []
+for path in sorted(src.glob("*.py")):
+    module = importlib.import_module("engelcalc." + path.stem)
+    for name, obj in vars(module).items():
+        fn = inspect.unwrap(obj) if callable(obj) else None
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and fn.__code__ in ran:
+            reached.append(path.stem + "." + name)
+print(json.dumps(reached))
+"""
+
+
+def _public_functions() -> set[str]:
+    return {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_function_is_reached_by_a_manifest():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACE_RUN, str(SRC), str(REPO / "manifests")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    reached = set(json.loads(run.stdout))
+    public = _public_functions()
+    unreached = sorted(public - reached - UNREACHED_BY_FIXTURES)
+    assert not unreached, f"public functions no manifest reaches: {unreached}"
+    stale = sorted(UNREACHED_BY_FIXTURES - public)
+    assert not stale, f"allowlisted names that are no longer defined: {stale}"
+    now_reached = sorted(UNREACHED_BY_FIXTURES & reached)
+    assert not now_reached, f"allowlisted names that a manifest now reaches: {now_reached}"

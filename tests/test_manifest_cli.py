@@ -148,6 +148,7 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
         ("base_points = 10", "base_points = -3", "base_points must be >= 1, got -3"),
         ("base_points = 10", "base_points = 0", "base_points must be >= 1, got 0"),
         ("v1 = V1", "v1 = V1\norientation = negative", "unknown structure entry 'orientation'"),
+        ("base_points = 10", "base_points = 10\nsection = banana", "unknown task entry 'section'"),
     ],
 )
 def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, new, message):
@@ -162,6 +163,60 @@ def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, n
     for command in ("verify", "invariant"):
         assert main([command, str(path)]) == 2
         assert f"line {err.value.line}: {message}" in capsys.readouterr().err
+
+
+F1_EXTENSION = """
+[chart]
+coords = x y z
+box x = -1 1
+box y = -1 1
+box z = -1 1
+
+[sampling]
+grid = 3
+random = 20
+seed = 0
+
+[define]
+field V0 = 0; 0; 1
+field V1 = 1; z; 0
+expr fa = cos(x/4 + 1)
+expr fb = sin(x/4 + 1)
+
+[structure frame]
+kind = contact_frame
+v0 = V0
+v1 = V1
+
+[structure ext]
+kind = extension
+frame = frame
+f1 = fa fb
+n = 1
+
+[task verify_ext]
+kind = verify
+target = ext
+
+[task mtw]
+kind = invariant
+target = ext
+invariant = minimal_twisting_number
+expect = 1
+"""
+
+
+def test_extension_from_a_coefficient_pair(tmp_path):
+    """``f1 = fa fb`` reaches the angle function: g = x/4 + 1 lies in (0, pi]."""
+    path = tmp_path / "f1.manifest"
+    path.write_text(F1_EXTENSION)
+    reports = {}
+    for command in ("verify", "invariant"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(path), "--report", str(out)]) == 0
+        (task,) = json.loads(out.read_text())["tasks"]
+        reports[task["id"]] = task["status"]
+    assert reports == {"verify_ext": "pass", "mtw": "match"}
 
 
 def test_frame_reference_must_be_a_contact_frame():
@@ -378,7 +433,7 @@ def test_report_witnesses_reproducible():
     m = parse_manifest(MINIMAL)
     report = run_tasks(m, command="verify")
     pair = EngelPair(m.definitions["alpha"], m.definitions["beta"])
-    direct = check_engel_pair(pair, m.sampling, m.tolerances, auto_orient=True)
+    direct = check_engel_pair(pair, m.sampling, m.tolerances)
     for key in (
         "condition1_min_over_max",
         "condition1_max_abs",

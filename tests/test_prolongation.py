@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import kernel_plane_basis, plane_angle_sin
+from conftest import chart_from_box, kernel_plane_basis, plane_angle_sin
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -16,8 +16,6 @@ from engelcalc.charts import (
 from engelcalc.prolongation import (
     ContactFrame,
     deprolong,
-    develop_section,
-    development_angle,
     development_profile,
     prolong,
 )
@@ -158,15 +156,16 @@ def test_development_profile_is_affine_with_half_slope(std_frame, n):
 
 def test_development_angle_start_normalized(std_frame):
     pe = prolong(std_frame, 3)
-    s0 = development_angle(pe.distribution, std_frame, (0.2, -0.4, 0.8), 0.0)
-    assert 0.0 <= s0 < math.pi
+    grid = np.linspace(0.0, 2 * math.pi, 257)
+    _, angles = development_profile(pe.distribution, std_frame, (0.2, -0.4, 0.8), grid)
+    assert 0.0 <= angles[0] < math.pi
 
 
 def test_development_angle_on_extension():
     """For an interval extension the angle at (p, t) is t*(g(p) + n*pi)."""
     from engelcalc.extension import ExtensionSpec, extend
 
-    chart = ch.chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
+    chart = chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
     frame = ContactFrame(
         chart, coordinate_field(chart, "z"), vector_field(chart, ["1", "z", "0"])
     )
@@ -174,9 +173,8 @@ def test_development_angle_on_extension():
     dist = extend(ExtensionSpec(frame=frame, n=2, g=g), PLAN)
     for p in [(0.0, 0.0, 0.0), (0.5, -0.2, 0.3)]:
         gval = ex.evaluate(g, dict(zip(("x", "y", "z"), p)))
-        for t in (0.25, 0.7, 1.0):
-            angle = development_angle(dist, frame, p, t)
-            assert angle == pytest.approx(t * (gval + 2 * math.pi), abs=1e-9)
+        t, angles = development_profile(dist, frame, p, np.linspace(0.0, 1.0, 257))
+        np.testing.assert_allclose(angles, t * (gval + 2 * math.pi), rtol=0, atol=1e-9)
 
 
 def test_development_refinement_budget_is_bounded(std_frame, monkeypatch):
@@ -215,28 +213,7 @@ def test_development_rejects_frame_mismatch(std_frame, t3_frame):
         vector_field(std_frame.chart, ["1", "0", "0"]),
     )
     with pytest.raises((ProjectionResidualError, GeometryError)):
-        development_angle(pe.distribution, bad_frame, (0.3, 0.3, 0.9), 1.0)
+        development_profile(
+            pe.distribution, bad_frame, (0.3, 0.3, 0.9), np.linspace(0.0, 2 * math.pi, 257)
+        )
 
-
-# ---------------------------------------------------------------------------
-# develop_section
-
-
-def test_develop_section_constant(std_frame):
-    out = develop_section(std_frame, ex.Constant(math.pi / 2), 2)
-    assert ex.evaluate(out, {}) == pytest.approx(math.pi / 2 + 2 * math.pi)
-
-
-def test_develop_section_rejects_zero_minimum(std_frame):
-    with pytest.raises(GeometryError):
-        develop_section(std_frame, std_frame.chart.parse("x + 1"), 1)
-
-
-def test_develop_section_variable_graph(std_frame):
-    g = std_frame.chart.parse("pi/2 + sin(x)/4")
-    out = develop_section(std_frame, g, 0)
-    pts = sample_points(std_frame.chart, PLAN)
-    vals = ex.evaluate_many(out, std_frame.chart.names, pts)
-    assert np.min(vals) > 0.0
-    expected = ex.evaluate_many(g, std_frame.chart.names, pts)
-    np.testing.assert_allclose(vals, expected, atol=1e-15)
