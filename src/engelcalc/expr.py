@@ -690,8 +690,8 @@ def _linearize(e: ScalarExpr) -> _Lin:
             fn = {Sin: math.sin, Cos: math.cos, Exp: math.exp}[type(e)]
             try:
                 v = fn(inner.value)
-            except OverflowError:
-                v = math.inf
+            except (OverflowError, ValueError):  # exp overflows; sin, cos of an infinity
+                v = math.nan
             if math.isfinite(v):
                 return _Lin(v)
         return _atom(type(e)(inner))

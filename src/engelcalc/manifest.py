@@ -37,13 +37,14 @@ parser accepts is listed here::
     [task ID]
     kind = verify | invariant | identities | construct
     target = NAME
-    invariant = twisting_number | minimal_twisting_number
-    expect = 3              # optional expectation for invariant tasks
+    invariant = twisting_number | minimal_twisting_number   # invariant only
+    expect = 3              # invariant only; optional expected value
     base_points = 10        # twisting_number only; default 10, at least 1
     out = PATH              # construct only; overrides --out
 
-Every referenced name must be defined before use; validation errors carry
-the offending line number.
+A structure or task accepts only the keys its kind uses.  Every referenced
+name must be defined before use; validation errors carry the offending line
+number.
 """
 
 from __future__ import annotations
@@ -366,6 +367,17 @@ _REQUIRED_KEYS = {
     "extension_family": {"frame", "g", "n"},
 }
 
+# Keys a structure kind accepts beyond its required ones.
+_OPTIONAL_KEYS = {"extension": {"g", "f1"}}
+
+# Keys each task kind accepts; base_points further needs twisting_number.
+_TASK_KEYS = {
+    "verify": {"target"},
+    "invariant": {"target", "invariant", "expect", "base_points"},
+    "identities": {"target"},
+    "construct": {"target", "out"},
+}
+
 _DIMENSION_OF_KIND = {
     "contact": 3,
     "even_contact": 4,
@@ -410,7 +422,10 @@ def _parse_structure(
         )
 
     # validate references and value shapes now so errors carry line numbers
+    allowed = _REQUIRED_KEYS[kind] | _OPTIONAL_KEYS.get(kind, set())
     for key, (value, lineno) in options.items():
+        if key not in allowed:
+            raise ManifestError(f"unknown structure entry '{key}' for kind '{kind}'", lineno)
         if key in ("form", "alpha", "beta"):
             _lookup(definitions, value, KForm, lineno)
         elif key in ("v0", "v1"):
@@ -438,7 +453,7 @@ def _parse_structure(
                 raise ManifestError("'f1' needs two expression names", lineno)
             for ename in parts:
                 _lookup(definitions, ename, ScalarExpr, lineno)
-        elif key == "n":
+        else:  # n
             for part in value.split():
                 try:
                     int(part)
@@ -446,8 +461,6 @@ def _parse_structure(
                     raise ManifestError(f"'n' must be integers, got {part!r}", lineno)
             if kind != "extension_family" and len(value.split()) != 1:
                 raise ManifestError(f"'n' must be one integer, got {value!r}", lineno)
-        else:
-            raise ManifestError(f"unknown structure entry '{key}'", lineno)
     if kind == "extension" and ("g" in options) == ("f1" in options):
         raise ManifestError(
             f"extension '{name}' needs exactly one of 'g' or 'f1'", header_line
@@ -465,27 +478,34 @@ def _parse_structure(
 
 def _parse_task(label: str, entries, structures: dict, header_line: int) -> TaskDecl:
     options = {}
+    lines = {}
     kind = None
     for key, value, lineno in entries:
         if key == "kind":
             kind = value
             if kind not in _TASK_KINDS:
                 raise ManifestError(f"unknown task kind '{kind}'", lineno)
-        elif key == "target":
+            continue
+        if key == "target":
             if value not in structures:
                 raise ManifestError(f"undefined structure '{value}'", lineno)
-            options["target"] = value
         elif key in ("expect", "base_points"):
             number = _parse_int(value, key, lineno)
             if key == "base_points" and number < 1:
                 raise ManifestError(f"base_points must be >= 1, got {number}", lineno)
-            options[key] = value
-        elif key in ("invariant", "out"):
-            options[key] = value
-        else:
+        elif key not in ("invariant", "out"):
             raise ManifestError(f"unknown task entry '{key}'", lineno)
+        options[key] = value
+        lines[key] = lineno
     if kind is None:
         raise ManifestError(f"task '{label}' has no kind", header_line)
+    for key, lineno in lines.items():
+        if key not in _TASK_KEYS[kind]:
+            raise ManifestError(f"unknown task entry '{key}' for kind '{kind}'", lineno)
+    if "base_points" in options and options.get("invariant") != "twisting_number":
+        raise ManifestError(
+            "base_points applies only to the twisting_number invariant", lines["base_points"]
+        )
     if "target" not in options:
         raise ManifestError(f"task '{label}' has no target", header_line)
     if kind == "invariant" and "invariant" not in options:

@@ -9,12 +9,14 @@ tolerances:
 * identically-zero checks compare the max against ``tol.zero`` times a
   scale derived from the factors entering the expression (at least 1);
 * rank checks count singular values at ratio ``tol.rank`` to the largest.
-  :func:`matrix_ranks` certifies most matrices full rank from the
-  eigenvalues of their small Gram matrix and falls back to the exact SVD
-  inside a guard band, so ranks and reported ratios equal the SVD's.
-  Every rank check (plane fields, Engel frames, derived squares, contact
-  frames, the twisting condition) takes one path: :func:`_frame_ranks`
-  evaluates the frame once and ranks its leading columns.
+  :func:`matrix_ranks` certifies most matrices full rank from the extreme
+  eigenvalues of their small Gram matrix: closed-form estimates, each
+  proved to a relative ``_GRAM_DELTA`` by unpivoted Cholesky tests of the
+  shifted Gram.  Uncertified matrices and those inside a guard band go to
+  the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
+  check (plane fields, Engel frames, derived squares, contact frames, the
+  twisting condition) takes one path: :func:`_frame_ranks` evaluates the
+  frame once into a component-major buffer and ranks its leading fields.
 """
 
 from __future__ import annotations
@@ -159,18 +161,38 @@ def zero_report(
     )
 
 
-# eigvalsh errs by about eps * lambda_max, so g = sqrt(lambda_min / lambda_max)
-# has relative error about eps / (2 g^2): about 1e-8 once g >= 1e-4.
+# The Gram path's error budget.  Each matrix is scaled by its largest |entry|,
+# so its Gram G has 1 <= lambda_max <= rows * cols.  Forming G, and an
+# unpivoted Cholesky of G - s I with k <= 4 columns, each err by a few
+# k^2 eps lambda_max, under 1e-14 lambda_max.  The fast path trusts
+# g = sqrt(lambda_min / lambda_max) only at g >= _GRAM_FLOOR, where
+# lambda_min >= 1e-8 lambda_max, so that rounding is under 1e-6 lambda_min.
 _GRAM_FLOOR = 1e-4
+# Relative width of the Cholesky certificate (_certified): it proves the
+# closed-form lambda_min and lambda_max each to 1e-6, so with the rounding
+# above g errs by under 2e-6.
+_GRAM_DELTA = 1e-6
 # Guard band, relative, around the rank cut and the smallest fast-path ratio:
-# 1e4 times the worst error above, so rows inside it take the exact SVD.
+# 50 times the worst error above, so rows inside it take the exact SVD.
 _GRAM_BAND = 1e-4
-# One row in 64 is ranked first; a stack mostly deficient there goes straight
-# to the SVD, so an all-deficient stack costs one SVD plus 1/64 of a Gram pass.
+# One row in 64 of a stack longer than one chunk is ranked first; a stack
+# mostly deficient there goes straight to the SVD, so an all-deficient stack
+# costs one SVD plus 1/64 of a Gram pass.  A shorter stack is probed whole.
 _GRAM_PROBE = 64
-# Rows per Gram block: the block's copies stay near 2 MB, so ranking a large
-# stack needs little more memory than the SVD does.
+# Rows per Gram block: the block's four shifted Grams stay near 2 MB, so
+# ranking a large stack needs little more memory than the SVD does.
 _GRAM_CHUNK = 4096
+# Row t of the certificate tests sign_t * G - shift_t * ends[end_t] * I, where
+# ends = (lambda_min, lambda_max): the estimates are certified when the four
+# matrices are positive definite exactly where _GRAM_EXPECT says.
+_GRAM_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+_GRAM_SHIFT = np.array(
+    [[1.0 - _GRAM_DELTA], [1.0 + _GRAM_DELTA], [-1.0 - _GRAM_DELTA], [-1.0 + _GRAM_DELTA]]
+)
+_GRAM_END = [0, 0, 1, 1]
+_GRAM_EXPECT = np.array([[True], [False], [True], [False]])
+_PLUS_MINUS = np.array([[-1.0], [1.0]])
+_THIRD_TURN = np.array([[2.0 * np.pi / 3.0], [0.0]])
 
 
 def _svd_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -182,43 +204,112 @@ def _svd_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     return ranks, last_ratio
 
 
+def _extreme_eigenvalues(G: np.ndarray) -> np.ndarray:
+    """Closed-form (lambda_min, lambda_max), as a (2, n) array, of a (k, k, n)
+    stack of symmetric matrices with k in 2..4: the quadratic formula, the
+    trigonometric cubic, and the depressed quartic through its resolvent cubic.
+
+    A formula divides 0 by 0 only on a multiple of the identity, where fmax
+    and fmin clamp the nan into a term that is then multiplied by 0.  For
+    other k the estimates are wrong, and :func:`_certified` rejects them.
+    """
+    k = G.shape[0]
+    if k == 2:
+        mean = 0.5 * (G[0, 0] + G[1, 1])
+        return mean + _PLUS_MINUS * np.hypot(0.5 * (G[0, 0] - G[1, 1]), G[0, 1])
+    # B = G - q I has trace 0 and power sums t_j = tr(B^j).
+    q = np.einsum("iin->n", G) / k
+    B = G.copy()
+    np.einsum("iin->in", B)[...] -= q
+    B2 = np.einsum("ijn,jkn->ikn", B, B)
+    t2 = np.einsum("iin->n", B2)
+    t3 = np.einsum("ijn,ijn->n", B2, B)
+    if k == 3:
+        # eigenvalues q + 2p cos(phi + 2 pi j / 3), with 6 p^2 = t2 and
+        # cos(3 phi) = det(B) / (2 p^3) = t3 / (6 p^3) = t3 / (t2 p)
+        p = np.sqrt(t2 / 6.0)
+        phi = np.arccos(np.fmin(np.fmax(t3 / (t2 * p), -1.0), 1.0)) / 3.0
+        return q + 2.0 * p * np.cos(phi + _THIRD_TURN)
+    # det(x I - B) = x^4 + P x^2 + Q x + R, with P = -t2 / 2, Q = -t3 / 3 and
+    # R = t2^2 / 8 - t4 / 4.  Its resolvent cubic m^3 + P m^2 + (P^2/4 - R) m
+    # - Q^2/8 has largest root m = (x3 + x4)^2 / 2 = (sqrt(D0) cos(theta) - P) / 3,
+    # with D0 = P^2 + 12 R, D1 = 2 P^3 + 27 Q^2 - 72 P R and
+    # cos(3 theta) = D1 / (2 D0^1.5).  With S = sqrt(2 m) and c = m + P / 2 the
+    # quartic is (x^2 + S x + c - Q/2S)(x^2 - S x + c + Q/2S), whose factors
+    # hold the roots x1 <= x2 and x3 <= x4.
+    t4 = np.einsum("ijn,ijn->n", B2, B2)
+    t22 = t2 * t2
+    d0 = np.fmax(1.75 * t22 - 3.0 * t4, 0.0)
+    sq = np.sqrt(d0)
+    d1 = t2 * (4.25 * t22 - 9.0 * t4) + 3.0 * t3 * t3
+    angle = np.arccos(np.fmin(np.fmax(d1 / (2.0 * d0 * sq), -1.0), 1.0)) / 3.0
+    m = np.maximum(sq * np.cos(angle) + 0.5 * t2, 0.0) / 3.0
+    half_s = np.sqrt(0.5 * m)
+    h = t3 / (-12.0 * half_s)  # Q / (2 S)
+    w = 0.25 * t2 - 0.5 * m
+    return q + _PLUS_MINUS * (half_s + np.sqrt(np.fmax(w - _PLUS_MINUS * h, 0.0)))
+
+
+def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Rows whose lambda_min and lambda_max lie within _GRAM_DELTA of ends.
+
+    G - lambda_min (1 -+ delta) I and lambda_max (1 +- delta) I - G go through
+    one unpivoted LDL^T together, column by column over the whole stack; the
+    pivots end on the diagonal.  lambda_min lies between its two shifts exactly
+    when the first matrix is positive definite and the second is not, and
+    likewise for lambda_max.  Non-finite estimates fail.
+    """
+    k = G.shape[0]
+    A = G[:, :, None, :] * _GRAM_SIGN
+    pivots = np.einsum("iitn->itn", A)
+    pivots -= _GRAM_SHIFT * ends[_GRAM_END]
+    for j in range(k - 1):
+        below = A[j + 1 :, j] / A[j, j]
+        for i in range(j + 1, k):  # the lower triangle of row i
+            A[i, j + 1 : i + 1] -= below[i - j - 1] * A[j + 1 : i + 1, j]
+    positive_definite = (pivots > 0.0).all(axis=0)
+    return (positive_definite == _GRAM_EXPECT).all(axis=0)
+
+
 def _gram_ratios(mats: np.ndarray) -> np.ndarray:
-    """sqrt(lambda_min / lambda_max) of each matrix's small Gram matrix.
+    """Certified sqrt(lambda_min / lambda_max) of each matrix's small Gram matrix.
 
     Each matrix is first scaled by its largest |entry|, so the Gram cannot
-    overflow; zero and non-finite matrices get 0.
+    overflow.  Rows whose closed-form spectrum fails its certificate, and
+    zero and non-finite matrices, get 0.
     """
-    rows, cols = mats.shape[1:]
-    g2 = np.zeros(len(mats))
-    for lo in range(0, len(mats), _GRAM_CHUNK):
-        m = mats[lo : lo + _GRAM_CHUNK]
-        amax = np.max(np.abs(m), axis=(1, 2))
-        ok = np.isfinite(amax) & (amax > 0.0)
-        m = m / np.where(ok, amax, 1.0)[:, None, None]
-        m[~ok] = 0.0
-        t = m.transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(t @ m if rows > cols else m @ t)
-        out = g2[lo : lo + _GRAM_CHUNK]
-        np.divide(np.maximum(lam[:, 0], 0.0), lam[:, -1], out=out, where=ok)
-    return np.sqrt(g2)
+    cols = mats.transpose(2, 1, 0)  # (k, dim, n): entry (i, j) of every matrix
+    k, dim = cols.shape[:2]
+    gram = "ain,bin->abn" if dim > k else "ain,ajn->ijn"
+    g = np.zeros(len(mats))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(mats), _GRAM_CHUNK):
+            m = cols[:, :, lo : lo + _GRAM_CHUNK]
+            m = m * (1.0 / np.abs(m).max(axis=(0, 1)))
+            G = np.einsum(gram, m, m)
+            ends = _extreme_eigenvalues(G)
+            np.sqrt(ends[0] / ends[1], out=g[lo : lo + _GRAM_CHUNK], where=_certified(G, ends))
+    return g
 
 
 def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Numerical ranks of a stack of matrices, plus the smallest sv ratio.
 
     Rank r means exactly r singular values satisfy sigma_i >= ratio * sigma_1.
-    A matrix whose Gram-eigenvalue ratio clears the cut by the guard band is
-    full rank; every other matrix, and every one whose Gram ratio is within
-    the band of the smallest fast-path ratio, is ranked by the SVD.  So the
-    ranks, the minimum ratio and the ratio of every deficient matrix equal
+    A matrix whose certified Gram-eigenvalue ratio clears the cut by the guard
+    band is full rank; every other matrix, and every one whose Gram ratio is
+    within the band of the smallest fast-path ratio, is ranked by the SVD.  So
+    the ranks, the minimum ratio and the ratio of every deficient matrix equal
     the SVD's bit for bit; the ratios of the other full-rank matrices carry
-    the Gram path's relative error of about 1e-8.
+    the Gram path's relative error of under 2e-6.
     """
     cut = max(_GRAM_FLOOR, ratio) * (1.0 + _GRAM_BAND)
-    probe = _gram_ratios(mats[::_GRAM_PROBE])
-    if 2 * np.count_nonzero(probe < cut) > len(probe):
+    whole = len(mats) <= _GRAM_CHUNK
+    g = _gram_ratios(mats if whole else mats[::_GRAM_PROBE])
+    if 2 * np.count_nonzero(g < cut) > len(g):
         return _svd_ranks(mats, ratio)
-    g = _gram_ratios(mats)
+    if not whole:
+        g = _gram_ratios(mats)
     fast = g >= cut
     exact = ~fast
     if fast.any():
@@ -235,11 +326,16 @@ def _frame_ranks(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """:func:`matrix_ranks` of the first k fields at each point, for k in sizes.
 
-    Each field is evaluated once into one (n, dim, len(fields)) stack whose
-    leading columns are ranked in place.
+    The fields are evaluated once into one component-major (len(fields), dim, n)
+    buffer, so each matrix entry is a contiguous (n,) vector; its leading
+    fields are ranked through the (n, dim, k) transposed view.
     """
-    cols = np.stack([f.evaluate_at(pts) for f in fields], axis=2)
-    return [matrix_ranks(cols[:, :, :k], ratio) for k in sizes]
+    buf = np.empty((len(fields), len(fields[0].components), len(pts)))
+    for f, rows in zip(fields, buf):
+        for c, row in zip(f.components, rows):
+            row[:] = ex.evaluate_many(c, f.chart.names, pts)
+        require_finite(rows.T, pts)
+    return [matrix_ranks(buf[:k].transpose(2, 1, 0), ratio) for k in sizes]
 
 
 def _lowest_rank_at(ranks: np.ndarray, full: int) -> int | None:

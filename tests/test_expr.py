@@ -271,6 +271,7 @@ def test_round_trip_arbitrary_trees(e):
 @given(_expr_strategy())
 @example(Cos(Negate(IntPower(Add(Variable("x"), Variable("y")), 1))))
 @example(Multiply(Divide(Constant(0.0), Constant(0.0)), Variable("z")))
+@example(Sin(Negate(Divide(Constant(1.0), Constant(2.225073858507e-311)))))
 @settings(max_examples=100, deadline=None)
 def test_simplify_idempotent_arbitrary_trees(e):
     s = simplify(e)

@@ -149,6 +149,24 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
         ("base_points = 10", "base_points = 0", "base_points must be >= 1, got 0"),
         ("v1 = V1", "v1 = V1\norientation = negative", "unknown structure entry 'orientation'"),
         ("base_points = 10", "base_points = 10\nsection = banana", "unknown task entry 'section'"),
+        ("n = 1", "n = 1\nv0 = V0", "unknown structure entry 'v0' for kind 'prolongation'"),
+        ("v1 = V1", "v1 = V1\nn = 2", "unknown structure entry 'n' for kind 'contact_frame'"),
+        ("target = frame", "target = frame\nexpect = 1", "unknown task entry 'expect' for kind 'verify'"),
+        (
+            "target = frame",
+            "target = frame\ninvariant = twisting_number",
+            "unknown task entry 'invariant' for kind 'verify'",
+        ),
+        (
+            "kind = construct",
+            "kind = construct\nbase_points = 10",
+            "unknown task entry 'base_points' for kind 'construct'",
+        ),
+        (
+            "invariant = twisting_number\nexpect = 1\nbase_points = 10",
+            "invariant = minimal_twisting_number\nexpect = 1\nbase_points = 10",
+            "base_points applies only to the twisting_number invariant",
+        ),
     ],
 )
 def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, new, message):

@@ -1,8 +1,8 @@
 """matrix_ranks against a plain batched-SVD rank, the path it must reproduce.
 
-The Gram-eigenvalue fast path may differ from the SVD only in the ratios
-of full-rank matrices away from the minimum; the ranks, the minimum ratio,
-the first index of the minimum rank and the ratio of every deficient
+The certified Gram-eigenvalue fast path may differ from the SVD only in the
+ratios of full-rank matrices away from the minimum; the ranks, the minimum
+ratio, the first index of the minimum rank and the ratio of every deficient
 matrix must be bit-identical.
 """
 
@@ -12,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engelcalc import structures
-from engelcalc.manifest import parse_manifest
+from engelcalc.charts import lie_bracket, sample_points
+from engelcalc.manifest import materialize, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
 
@@ -157,6 +160,149 @@ def test_large_rank_ratio(shape):
     lasts = np.concatenate([rng.uniform(0.3, 0.7, 300), [0.5, 0.5 * (1 + 1e-5)]])
     mats = with_singular_values(rng, shape, ratio_rows(rng, shape, lasts))
     assert_matches_svd(mats, ratio=0.5)
+
+
+def component_major(mats):
+    """The same stack as the (n, rows, cols) view of a (cols, rows, n) buffer."""
+    return np.ascontiguousarray(mats.transpose(2, 1, 0)).transpose(2, 1, 0)
+
+
+def exact_multiple_eigenvalue_stack(shape, values):
+    """Matrices whose Gram is exactly diag(values): scaled signed unit vectors."""
+    rows, cols = shape
+    k = min(shape)
+    mats = np.zeros((len(values) * 6, rows, cols))
+    rng = np.random.default_rng(7)
+    for i, m in enumerate(mats):
+        r = rng.permutation(rows)[:k]
+        c = rng.permutation(cols)[:k]
+        m[r, c] = rng.choice([-1.0, 1.0], k) * np.sqrt(values[i % len(values)])
+    return mats
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exact_double_triple_and_quadruple_eigenvalues(shape):
+    k = min(shape)
+    values = [
+        np.ones(k),  # k-fold
+        np.r_[np.ones(k - 1), 0.25],
+        np.r_[4.0, np.ones(k - 1)],
+        np.r_[np.ones(2), np.full(k - 2, 1e-2)],
+        np.r_[np.ones(k - 2), 0.0, 0.0],  # a double zero: deficient
+    ]
+    mats = exact_multiple_eigenvalue_stack(shape, values)
+    ranks = assert_matches_svd(mats)
+    assert np.all(ranks[4::5] == k - 2)
+    assert_matches_svd(component_major(mats))
+    rng = np.random.default_rng(8)
+    for svals in values[:4]:
+        s = np.sqrt(np.sort(svals)[::-1])
+        assert_matches_svd(with_singular_values(rng, shape, np.tile(s, (64, 1))))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("g", [1e-4 * (1 - 1e-6), 1e-4 * (1 + 1e-6), 1e-3, 1e-2])
+def test_smallest_two_singular_values_equal_far_below_the_largest(shape, g):
+    rng = np.random.default_rng(9)
+    svals = ratio_rows(rng, shape, rng.uniform(0.01, 0.5, 256))
+    svals[::5] = {2: [1.0, g], 3: [1.0, g, g], 4: [1.0, 0.5, g, g]}[min(shape)]
+    mats = with_singular_values(rng, shape, svals)
+    assert_matches_svd(mats)
+    assert_matches_svd(component_major(mats))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sign_flipped_and_permuted_copies_of_one_matrix(shape):
+    rng = np.random.default_rng(10)
+    base = rng.standard_normal(shape)
+    copies = []
+    for _ in range(300):
+        rows = rng.permutation(shape[0])
+        cols = rng.permutation(shape[1])
+        signs = rng.choice([-1.0, 1.0], shape[0])[:, None] * rng.choice([-1.0, 1.0], shape[1])
+        copies.append(signs * base[rows][:, cols])
+    mats = np.array(copies)
+    assert_matches_svd(mats)
+    mats[::4] *= 1e-3
+    assert_matches_svd(component_major(mats))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_component_major_views_match_contiguous_stacks(shape):
+    rng = np.random.default_rng(11)
+    lasts = np.concatenate([rng.uniform(0.01, 1.0, 5000), [1e-9, TOL * 2, 1e-4]])
+    mats = with_singular_values(rng, shape, ratio_rows(rng, shape, rng.permutation(lasts)))
+    view = component_major(mats)
+    assert not view.flags.c_contiguous
+    ranks, ratios = structures.matrix_ranks(mats, TOL)
+    view_ranks, view_ratios = structures.matrix_ranks(view, TOL)
+    np.testing.assert_array_equal(view_ranks, ranks)
+    # fast-path ratios may differ in the last bits: the Gram sums run in a
+    # layout-dependent order
+    np.testing.assert_allclose(view_ratios, ratios, rtol=2e-6)
+    assert_matches_svd(view)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_certificate_brackets_each_end_within_delta(k):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((k + 1, k, 500))
+    m[:, :, ::2] *= np.linspace(1e-3, 1.0, k)[:, None]
+    G = np.einsum("ain,ajn->ijn", m, m)
+    lam = np.linalg.eigvalsh(np.moveaxis(G, 2, 0))
+    ends = np.stack([lam[:, 0], lam[:, -1]])
+    delta = structures._GRAM_DELTA
+    with np.errstate(all="ignore"):
+        assert structures._certified(G, ends).all()
+        for end in (0, 1):
+            for factor in (1 - 3 * delta, 1 + 3 * delta):
+                off = ends.copy()
+                off[end] *= factor
+                assert not structures._certified(G, off).any()
+        assert not structures._certified(G, np.full_like(ends, np.nan)).any()
+
+
+@st.composite
+def singular_value_stacks(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    k = min(shape)
+    n = draw(st.integers(1, 24))
+    exponent = st.floats(-12.0, 0.0)
+    svals = []
+    for _ in range(n):
+        row = sorted((10.0 ** draw(exponent) for _ in range(k)), reverse=True)
+        if draw(st.booleans()):  # repeat a neighbour exactly
+            i = draw(st.integers(0, k - 2))
+            row[i + 1] = row[i]
+        svals.append(np.array(row) / row[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = with_singular_values(rng, shape, np.array(svals))
+    return mats * 10.0 ** draw(st.floats(-150.0, 150.0))
+
+
+@given(singular_value_stacks(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_random_singular_values_match_the_svd(mats, as_view):
+    assert_matches_svd(component_major(mats) if as_view else mats)
+
+
+def test_prolonged_n3_step2_stack_is_certified_almost_whole(monkeypatch):
+    """A certificate that rejects every row stays correct, so count the SVD rows."""
+    text = (MANIFESTS / "prolonged-n3.manifest").read_text(encoding="utf-8")
+    manifest = parse_manifest(text).with_overrides(grid=16, random=1000)
+    dist = materialize(manifest, manifest.structures["prolonged"]).distribution
+    pts = sample_points(dist.chart, manifest.sampling)
+    xy = lie_bracket(dist.x, dist.y)
+    fields = (dist.x, dist.y, xy, lie_bracket(dist.x, xy), lie_bracket(dist.y, xy))
+    ranked = []
+    svd = structures._svd_ranks
+    monkeypatch.setattr(
+        structures, "_svd_ranks", lambda m, r: ranked.append(len(m)) or svd(m, r)
+    )
+    ((ranks, _),) = structures._frame_ranks(fields, pts, manifest.tolerances.rank, (5,))
+    assert len(pts) == 66536
+    assert np.all(ranks == 4)
+    assert sum(ranked) <= 0.02 * len(pts)
 
 
 def _verify_reports(names):
