@@ -365,30 +365,31 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def fd_lie_bracket(
-    x: VectorField, y: VectorField, p: Sequence[float], h: float
+    x: VectorField, y: VectorField, points: np.ndarray, h: float
 ) -> np.ndarray:
-    """Bracket with every partial replaced by a central difference of step h.
+    """(n, dim) bracket at n points with every partial replaced by a central
+    difference of step h; all 2*dim + 1 stencil rows per point are
+    evaluated in one call.
 
     Independent numeric oracle for :func:`lie_bracket`; second-order in h.
     """
     _require_same_chart(x, y)
     if h <= 0:
         raise GeometryError("finite-difference step must be positive")
-    p = np.asarray(p, dtype=float)
-    dim = x.chart.dim
-    shifted = np.repeat(p[None, :], 2 * dim + 1, axis=0)
-    for j in range(dim):
-        shifted[2 * j, j] += h
-        shifted[2 * j + 1, j] -= h
-    xv = x.evaluate_at(shifted)
-    yv = y.evaluate_at(shifted)
-    x0, y0 = xv[-1], yv[-1]
-    out = np.zeros(dim)
-    for j in range(dim):
-        dy_j = (yv[2 * j] - yv[2 * j + 1]) / (2 * h)
-        dx_j = (xv[2 * j] - xv[2 * j + 1]) / (2 * h)
-        out += x0[j] * dy_j - y0[j] * dx_j
-    return out
+    p = np.asarray(points, dtype=float)
+    n, dim = p.shape
+    # rows 2j and 2j+1 step coordinate j by +h and -h; the last row is p
+    stencil = np.repeat(p[:, None, :], 2 * dim + 1, axis=1)
+    j = np.arange(dim)
+    stencil[:, 2 * j, j] += h
+    stencil[:, 2 * j + 1, j] -= h
+    rows = stencil.reshape(-1, dim)
+    xv = x.evaluate_at(rows).reshape(n, 2 * dim + 1, dim)
+    yv = y.evaluate_at(rows).reshape(n, 2 * dim + 1, dim)
+    # [n, j, i] = d_j of component i
+    dx = (xv[:, 0:-1:2] - xv[:, 1::2]) / (2 * h)
+    dy = (yv[:, 0:-1:2] - yv[:, 1::2]) / (2 * h)
+    return np.sum(xv[:, -1, :, None] * dy - yv[:, -1, :, None] * dx, axis=1)
 
 
 def _insertion_sign(i: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

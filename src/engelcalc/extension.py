@@ -191,9 +191,7 @@ class ExtensionSpec:
 FIBER_NAME = "t"
 
 
-def _twisted_generator(
-    spec: ExtensionSpec, g: ScalarExpr
-) -> tuple[Distribution2, tuple[ScalarExpr, ScalarExpr]]:
+def _twisted_generator(spec: ExtensionSpec, g: ScalarExpr) -> Distribution2:
     frame = spec.frame
     fiber = FIBER_NAME
     while fiber in frame.chart.names:
@@ -210,13 +208,12 @@ def _twisted_generator(
     v = lift_to_product(frame.v0, chart4).scaled_by(a) + lift_to_product(
         frame.v1, chart4
     ).scaled_by(b)
-    dist = Distribution2(
+    return Distribution2(
         chart4,
         coordinate_field(chart4, fiber),
         v,
         legendrian_coefficients=(a, b),
     )
-    return dist, (a, b)
 
 
 def extend(
@@ -228,7 +225,7 @@ def extend(
     """Build the interval extension; optionally verify the frame condition."""
     plan = plan or DEFAULT_PLAN
     g = spec.angle_expression(plan, tol)
-    dist, _ = _twisted_generator(spec, g)
+    dist = _twisted_generator(spec, g)
     if verify:
         check_engel_frame(dist, plan, tol).require("extension frame check")
     return dist
@@ -251,7 +248,7 @@ def verify_extension_identities(
     """
     plan = plan or DEFAULT_PLAN
     g = spec.angle_expression(plan, tol)
-    dist, _ = _twisted_generator(spec, g)
+    dist = _twisted_generator(spec, g)
     chart4 = dist.chart
     fiber = chart4.fiber
     frame = spec.frame
@@ -282,7 +279,6 @@ def verify_extension_identities(
     return VerificationReport(
         kind="extension_identities",
         passed=passed,
-        tolerances={"residual": 1e-9},
         witnesses={"first_bracket_residual": r1, "second_bracket_residual": r2},
     )
 
@@ -297,7 +293,7 @@ def extend_family(
     Slice i sits at s = i.  The twist count may change by at most one
     between adjacent slices; every slice is verified individually.
     """
-    from .invariants import minimal_twisting_number
+    from .invariants import minimal_twisting_number, minimal_twisting_plan
 
     plan = plan or DEFAULT_PLAN
     if not specs:
@@ -308,7 +304,7 @@ def extend_family(
                 f"twist count jumps from {a.n} to {b.n}"
                 f" between s={float(s)} and s={float(s + 1)}"
             )
-    base_plan = SamplePlan(grid=3, random=4, seed=plan.seed)
+    base_plan = minimal_twisting_plan(plan.seed)
     mtw = []
     for spec in specs:
         dist = extend(spec, plan, tol, verify=True)

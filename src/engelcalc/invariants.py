@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +39,10 @@ INTEGER_TOLERANCE = 1e-6
 
 # light plan for the fiber-characteristic precondition of the invariants
 CHARACTERISTIC_PLAN = SamplePlan(grid=3, random=8, seed=0)
+
+# fiber grid steps of the twisting number and the minimal twisting number
+TWISTING_STEPS = 512
+MINIMAL_TWISTING_STEPS = 256
 
 
 class BoundaryConventionWarning(UserWarning):
@@ -107,11 +111,10 @@ def line_angle_distance(
     return float(np.max(d, initial=0.0))
 
 
-def _fiber_loop_grid(chart: Chart, steps: int) -> np.ndarray:
-    axis = chart.axis(chart.fiber)
-    if not axis.periodic:
-        raise GeometryError("twisting number needs a periodic fiber")
-    return np.linspace(axis.lo, axis.lo + axis.period, steps + 1)
+def minimal_twisting_plan(seed: int) -> SamplePlan:
+    """Base points of a manifest's minimal twisting numbers: the shape of
+    ``CHARACTERISTIC_PLAN``, seeded from the manifest."""
+    return replace(CHARACTERISTIC_PLAN, seed=seed)
 
 
 def twisting_number(
@@ -119,35 +122,37 @@ def twisting_number(
     frame: ContactFrame,
     base_points: Sequence,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    steps: int = 512,
 ) -> int:
     """Signed degree of the induced line along one fiber loop, in pi units.
 
     Every base point must yield the same integer; the sign follows the
     order of the frame (V0, V1).
     """
-    base_points = list(base_points)
-    if not base_points:
+    base_points = np.asarray(base_points, dtype=float)
+    if base_points.size == 0:
         raise GeometryError("need at least one base point")
     if d.chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
-    grid = _fiber_loop_grid(d.chart, steps)
-    results = []
-    for p in base_points:
-        _, angles = development_profile(d, frame, p, grid, tol)
-        total = (angles[-1] - angles[0]) / math.pi
-        nearest = round(total)
-        if abs(total - nearest) > INTEGER_TOLERANCE:
-            raise GeometryError(
-                f"total rotation {total:.9f} pi is not an integer at base point {p}"
-            )
-        results.append(int(nearest))
-    if len(set(results)) != 1:
-        raise PointDisagreementError(
-            f"twisting number disagrees across base points: {sorted(set(results))}"
+    axis = d.chart.axis(d.chart.fiber)
+    if not axis.periodic:
+        raise GeometryError("twisting number needs a periodic fiber")
+    grid = np.linspace(axis.lo, axis.lo + axis.period, TWISTING_STEPS + 1)
+    _, angles = development_profile(d, frame, base_points, grid, tol)
+    totals = (angles[:, -1] - angles[:, 0]) / math.pi
+    nearest = np.round(totals)
+    off = np.flatnonzero(np.abs(totals - nearest) > INTEGER_TOLERANCE)
+    if off.size:
+        raise GeometryError(
+            f"total rotation {totals[off[0]]:.9f} pi is not an integer"
+            f" at base point {base_points[off[0]]}"
         )
-    return results[0]
+    values = sorted(set(nearest.astype(int).tolist()))
+    if len(values) != 1:
+        raise PointDisagreementError(
+            f"twisting number disagrees across base points: {values}"
+        )
+    return values[0]
 
 
 def minimal_twisting_number(
@@ -155,7 +160,6 @@ def minimal_twisting_number(
     frame: ContactFrame,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    steps: int = 256,
 ) -> int:
     """floor(min total rotation / pi) over sampled base points on M x I.
 
@@ -170,20 +174,18 @@ def minimal_twisting_number(
     if axis.periodic:
         raise GeometryError("minimal twisting number needs an interval fiber")
     fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
-    base = base_chart_of(chart)
-    base_pts = sample_points(base, plan)
-    grid = np.linspace(axis.lo, axis.hi, steps + 1)
-    totals = []
-    for p in base_pts:
-        _, angles = development_profile(d, frame, p, grid, tol)
-        phi = angles[-1] - angles[0]
-        if phi < -INTEGER_TOLERANCE:
-            raise GeometryError(
-                f"negative rotation {phi:.3e} at base point {p.tolist()};"
-                " input violates the monotone normalization"
-            )
-        totals.append(phi)
-    min_phi = float(np.min(totals))
+    base_pts = sample_points(base_chart_of(chart), plan)
+    grid = np.linspace(axis.lo, axis.hi, MINIMAL_TWISTING_STEPS + 1)
+    _, angles = development_profile(d, frame, base_pts, grid, tol)
+    phi = angles[:, -1] - angles[:, 0]
+    negative = np.flatnonzero(phi < -INTEGER_TOLERANCE)
+    if negative.size:
+        raise GeometryError(
+            f"negative rotation {phi[negative[0]]:.3e} at base point"
+            f" {base_pts[negative[0]].tolist()};"
+            " input violates the monotone normalization"
+        )
+    min_phi = float(np.min(phi))
     ratio = min_phi / math.pi
     if abs(min_phi - round(ratio) * math.pi) <= INTEGER_TOLERANCE:
         warnings.warn(
@@ -223,12 +225,8 @@ def induced_legendrian_line(
         return line
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        out = np.empty((points.shape[0], 2))
-        for i, p in enumerate(points):
-            raw = _raw_angles(d, frame, p, np.array([float(t)]), tol)[0]
-            out[i, 0] = math.cos(raw)
-            out[i, 1] = math.sin(raw)
-        return out
+        raw = _raw_angles(d, frame, points, np.array([float(t)]), tol)[:, 0]
+        return np.stack([np.cos(raw), np.sin(raw)], axis=1)
 
     return LegendrianLineField(base, frame, evaluator=evaluator)
 
@@ -242,12 +240,12 @@ def _check_coefficients_match(
 ) -> None:
     base_pts = sample_points(line.chart, DEFAULT_PLAN)[:8]
     table = line.tabulate(base_pts, tol)
-    for p, (a, b) in zip(base_pts, table):
-        raw = _raw_angles(d, frame, p, np.array([float(t)]), tol)[0]
-        diff = abs((math.atan2(b, a) - raw)) % math.pi
-        diff = min(diff, math.pi - diff)
-        if diff > 1e-8:
-            raise GeometryError(
-                "stored line-field coefficients disagree with the frame"
-                f" (projective angle {diff:.3e} at {p.tolist()})"
-            )
+    raw = _raw_angles(d, frame, base_pts, np.array([float(t)]), tol)[:, 0]
+    diff = np.abs(np.arctan2(table[:, 1], table[:, 0]) - raw) % math.pi
+    diff = np.minimum(diff, math.pi - diff)
+    off = np.flatnonzero(diff > 1e-8)
+    if off.size:
+        raise GeometryError(
+            "stored line-field coefficients disagree with the frame"
+            f" (projective angle {diff[off[0]]:.3e} at {base_pts[off[0]].tolist()})"
+        )

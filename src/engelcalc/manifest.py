@@ -39,7 +39,7 @@ parser accepts is listed here::
     target = NAME
     invariant = twisting_number | minimal_twisting_number   # invariant only
     expect = 3              # invariant only; optional expected value
-    base_points = 10        # twisting_number only; default 10, at least 1
+    base_points = 10        # twisting_number only; 1..256, default 10
     out = PATH              # construct only; overrides --out
 
 A structure or task accepts only the keys its kind uses.  Every referenced
@@ -370,6 +370,11 @@ _REQUIRED_KEYS = {
 # Keys a structure kind accepts beyond its required ones.
 _OPTIONAL_KEYS = {"extension": {"g", "f1"}}
 
+# Largest twisting_number base_points: 256 base points times the 513 fiber
+# values of the twisting grid use half of the row budget of one development
+# pass (prolongation.MAX_PROFILE_POINTS).
+MAX_BASE_POINTS = 256
+
 # Keys each task kind accepts; base_points further needs twisting_number.
 _TASK_KEYS = {
     "verify": {"target"},
@@ -493,6 +498,10 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
             number = _parse_int(value, key, lineno)
             if key == "base_points" and number < 1:
                 raise ManifestError(f"base_points must be >= 1, got {number}", lineno)
+            if key == "base_points" and number > MAX_BASE_POINTS:
+                raise ManifestError(
+                    f"base_points must be <= {MAX_BASE_POINTS}, got {number}", lineno
+                )
         elif key not in ("invariant", "out"):
             raise ManifestError(f"unknown task entry '{key}'", lineno)
         options[key] = value

@@ -6,7 +6,8 @@ fiber angle (times the covering index), so one fiber loop sweeps the
 projective line of the contact plane n times.  Deprolongation inverts
 this: the annihilator of the bracket-extended distribution is restricted
 to a cross section.  Development tracks the induced line's angle against
-the frame along a fiber, unwrapped modulo pi.
+the frame along the fibers over a stack of base points, in one evaluation
+pass per refinement level, unwrapped modulo pi.
 """
 
 from __future__ import annotations
@@ -30,14 +31,12 @@ from .charts import (
     lie_bracket,
     lift_to_product,
     product_chart,
-    require_finite,
     sample_points,
 )
 from .expr import ScalarExpr, simplify, substitute
 from .structures import (
     DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
-    CheckError,
     Distribution2,
     Tolerances,
     VerificationReport,
@@ -94,7 +93,6 @@ class ContactFrame:
         return VerificationReport(
             kind="contact_frame",
             passed=idx is None,
-            tolerances=tol.as_dict(),
             witnesses={
                 "min_sv_ratio_plane": float(np.min(ratio2)),
                 "min_sv_ratio_bracket": float(np.min(ratio3)),
@@ -102,11 +100,10 @@ class ContactFrame:
             first_failure=first,
         )
 
-    def basis_at(self, base_point: np.ndarray) -> np.ndarray:
-        """3x2 matrix with V0, V1 as columns at a base point."""
-        p = np.asarray(base_point, dtype=float)[None, :]
+    def basis_at(self, base_points: np.ndarray) -> np.ndarray:
+        """(m, 3, 2) stack with V0, V1 as columns at each of m base points."""
         return np.stack(
-            [self.v0.evaluate_at(p)[0], self.v1.evaluate_at(p)[0]], axis=1
+            [self.v0.evaluate_at(base_points), self.v1.evaluate_at(base_points)], axis=2
         )
 
 
@@ -172,27 +169,13 @@ def fiber_characteristic_annihilator(
     d: Distribution2, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> KForm:
     """Annihilator of the bracket-extended frame, verified to single out the
-    fiber direction: it must have no fiber component and the fiber field
-    must satisfy the characteristic conditions against it."""
+    fiber direction: the fiber field must satisfy the characteristic
+    conditions against it (which includes having no fiber component)."""
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     frame3 = derived_square(d, plan, tol)
     beta = annihilator_1form(frame3, plan, tol)
-    fiber_idx = chart.index(chart.fiber)
-    fiber_coeff = simplify(beta.coeff((fiber_idx,)))
-    if fiber_coeff != ex.ZERO:
-        pts = sample_points(chart, plan)
-        vals = np.abs(require_finite(ex.evaluate_many(fiber_coeff, chart.names, pts), pts))
-        scale = max(
-            1.0,
-            float(np.max(np.linalg.norm(beta.evaluate_at(pts), axis=1))),
-        )
-        if np.max(vals, initial=0.0) > tol.zero * scale:
-            raise CheckError(
-                "characteristic direction is not the fiber field"
-                " (annihilator has a fiber component)"
-            )
     check_characteristic(coordinate_field(chart, chart.fiber), beta, plan, tol).require(
         "fiber-direction characteristic check"
     )
@@ -240,20 +223,23 @@ def _wrap_half_pi(delta: np.ndarray) -> np.ndarray:
 def _raw_angles(
     d: Distribution2,
     frame: ContactFrame,
-    base_point: np.ndarray,
+    base_points: np.ndarray,
     fiber_values: np.ndarray,
     tol: Tolerances,
 ) -> np.ndarray:
-    """Angle mod pi of the fiber-free generator against (V0, V1)."""
+    """(m, s) angles mod pi of the fiber-free generator against (V0, V1), at
+    m base points times s fiber values, evaluated in one pass."""
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     fiber_idx = chart.index(chart.fiber)
     base_idx = [i for i in range(chart.dim) if i != fiber_idx]
 
-    pts = np.empty((fiber_values.size, chart.dim))
-    pts[:, base_idx] = np.asarray(base_point, dtype=float)[None, :]
-    pts[:, fiber_idx] = fiber_values
+    m, s = base_points.shape[0], fiber_values.size
+    pts = np.empty((m, s, chart.dim))
+    pts[:, :, base_idx] = base_points[:, None, :]
+    pts[:, :, fiber_idx] = fiber_values
+    pts = pts.reshape(m * s, chart.dim)
 
     xv = d.x.evaluate_at(pts)
     yv = d.y.evaluate_at(pts)
@@ -266,11 +252,11 @@ def _raw_angles(
         raise GeometryError("frame has no generator transverse to the base")
     ratio = np.where(use_x, yf, xf) / pivot
     w = np.where(use_x[:, None], yv - ratio[:, None] * xv, xv - ratio[:, None] * yv)
-    wb = w[:, base_idx]
+    wb = w[:, base_idx].reshape(m, s, len(base_idx)).transpose(0, 2, 1)
 
-    basis = frame.basis_at(base_point)
-    coeffs, _, _, _ = np.linalg.lstsq(basis, wb.T, rcond=None)
-    residual = np.linalg.norm(basis @ coeffs - wb.T, axis=0)
+    basis = frame.basis_at(base_points)
+    coeffs = np.linalg.pinv(basis) @ wb
+    residual = np.linalg.norm(basis @ coeffs - wb, axis=1)
     wnorm = np.linalg.norm(wb, axis=1)
     if np.any(wnorm <= 0.0):
         raise GeometryError("degenerate generator along the fiber")
@@ -280,32 +266,36 @@ def _raw_angles(
             f"projection onto the frame leaves relative residual {np.max(rel):.3e}"
             f" > {tol.projection:.1e}"
         )
-    return np.arctan2(coeffs[1], coeffs[0]) % math.pi
+    return np.arctan2(coeffs[:, 1], coeffs[:, 0]) % math.pi
 
 
 def _unwrap(raw: np.ndarray) -> np.ndarray:
-    start = raw[0] % math.pi
-    deltas = _wrap_half_pi(np.diff(raw))
-    return start + np.concatenate([[0.0], np.cumsum(deltas)])
+    steps = np.cumsum(_wrap_half_pi(np.diff(raw, axis=1)), axis=1)
+    return raw[:, :1] + np.concatenate([np.zeros((len(raw), 1)), steps], axis=1)
 
 
+# Rows (base points x fiber values) one development pass may evaluate.
 MAX_PROFILE_POINTS = 1 << 18
+# Passes development_profile checks at most: its input grid, then one per
+# refinement level.
+MAX_REFINE = 24
 
 
 def development_profile(
     d: Distribution2,
     frame: ContactFrame,
-    base_point,
+    base_points,
     fiber_values,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    max_refine: int = 24,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped development angles along one fiber.
+    """Unwrapped development angles along the fibers over m base points.
 
-    Returns (fiber_values, angles) after step refinement: wherever two
-    consecutive raw angles differ by pi/4 or more (mod pi) a midpoint is
-    inserted, so genuine increments stay below the pi/2 aliasing bound.
-    Refinement is bounded both in depth and in total point count.
+    Returns (fiber_values, angles) with angles of shape (m, len(fiber_values))
+    after step refinement of one shared fiber grid: wherever two consecutive
+    raw angles differ by pi/4 or more (mod pi) at any base point, a midpoint
+    is inserted, so genuine increments stay below the pi/2 aliasing bound.
+    Refinement is bounded in depth (``MAX_REFINE``), and every pass in rows
+    (``MAX_PROFILE_POINTS``, base points times fiber values).
 
     Refinement cannot detect increments that alias to a clean multiple of
     pi, so the input grid must already resolve the twisting (64 steps per
@@ -314,18 +304,18 @@ def development_profile(
     t = np.asarray(fiber_values, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise GeometryError("need at least two fiber values")
-    base_point = np.asarray(base_point, dtype=float)
-    raw = _raw_angles(d, frame, base_point, t, tol)
-    for _ in range(max_refine):
-        deltas = np.abs(_wrap_half_pi(np.diff(raw)))
-        bad = np.where(deltas >= math.pi / 4.0)[0]
+    base_points = np.asarray(base_points, dtype=float)
+    if base_points.ndim != 2 or len(base_points) == 0:
+        raise GeometryError("need a non-empty (m, dim) stack of base points")
+    for _ in range(MAX_REFINE):
+        if len(base_points) * t.size > MAX_PROFILE_POINTS:
+            break
+        raw = _raw_angles(d, frame, base_points, t, tol)
+        deltas = np.abs(_wrap_half_pi(np.diff(raw, axis=1)))
+        bad = np.flatnonzero(np.any(deltas >= math.pi / 4.0, axis=0))
         if bad.size == 0:
             return t, _unwrap(raw)
-        if t.size + bad.size > MAX_PROFILE_POINTS:
-            break
-        mids = (t[bad] + t[bad + 1]) / 2.0
-        t = np.sort(np.concatenate([t, mids]))
-        raw = _raw_angles(d, frame, base_point, t, tol)
+        t = np.sort(np.concatenate([t, (t[bad] + t[bad + 1]) / 2.0]))
     raise RefinementDepthError(
         "development refinement exceeded the resolution budget;"
         " the field twists too fast for the requested fiber grid"

@@ -23,6 +23,7 @@ from .extension import ExtensionSpec, extend, extend_family, verify_extension_id
 from .invariants import (
     BoundaryConventionWarning,
     minimal_twisting_number,
+    minimal_twisting_plan,
     twisting_number,
 )
 from .manifest import Manifest, StructureDecl, TaskDecl, frame_to_manifest_text, materialize
@@ -58,13 +59,8 @@ def _report_witnesses(rep: VerificationReport) -> dict:
 def _fd_cross_check(dist: Distribution2, manifest: Manifest, fd_step: float) -> float:
     """Max |symbolic - finite-difference| bracket component over a few points."""
     pts = sample_points(dist.chart, SamplePlan(grid=2, random=6, seed=manifest.sampling.seed))
-    bracket = lie_bracket(dist.x, dist.y)
-    sym = bracket.evaluate_at(pts)
-    worst = 0.0
-    for i, p in enumerate(pts):
-        fd = fd_lie_bracket(dist.x, dist.y, p, fd_step)
-        worst = max(worst, float(np.max(np.abs(fd - sym[i]))))
-    return worst
+    sym = lie_bracket(dist.x, dist.y).evaluate_at(pts)
+    return float(np.max(np.abs(fd_lie_bracket(dist.x, dist.y, pts, fd_step) - sym)))
 
 
 def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> TaskRecord:
@@ -140,7 +136,7 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
         if not isinstance(obj, ExtensionSpec):
             raise GeometryError("minimal_twisting_number targets an extension structure")
         dist = extend(obj, plan, tol, verify=False)
-        base_plan = SamplePlan(grid=3, random=8, seed=plan.seed)
+        base_plan = minimal_twisting_plan(plan.seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundaryConventionWarning)
             value = minimal_twisting_number(dist, obj.frame, base_plan, tol)

@@ -95,7 +95,6 @@ class RankDeficiencyError(CheckError):
 class VerificationReport:
     kind: str
     passed: bool
-    tolerances: dict[str, float]
     witnesses: dict[str, float]
     first_failure: dict | None = None
     notes: tuple[str, ...] = ()
@@ -132,7 +131,6 @@ def never_vanishing_report(
     return VerificationReport(
         kind=kind,
         passed=passed,
-        tolerances=tol.as_dict(),
         witnesses={"min_abs": vmin, "max_abs": vmax, "min_over_max": rel},
         first_failure=first,
     )
@@ -155,7 +153,6 @@ def zero_report(
     return VerificationReport(
         kind=kind,
         passed=passed,
-        tolerances=tol.as_dict(),
         witnesses={"max_abs": vmax, "scale": scale, "max_rel": vmax / scale},
         first_failure=first,
     )
@@ -382,7 +379,6 @@ class Distribution2:
         return VerificationReport(
             kind="distribution_rank2",
             passed=idx is None,
-            tolerances=tol.as_dict(),
             witnesses={
                 "min_sv_ratio": float(np.min(ratios)),
                 "rank_min": int(np.min(ranks)),
@@ -487,7 +483,6 @@ def check_engel_pair(
     return VerificationReport(
         kind="engel_pair",
         passed=passed,
-        tolerances=tol.as_dict(),
         witnesses={
             "condition1_min_abs": r1.witnesses["min_abs"],
             "condition1_min_over_max": r1.witnesses["min_over_max"],
@@ -524,7 +519,6 @@ def check_engel_frame(
     return VerificationReport(
         kind="engel_frame",
         passed=first is None,
-        tolerances=tol.as_dict(),
         witnesses={
             "rank_step1_min": int(np.min(ranks3)),
             "rank_step1_max": int(np.max(ranks3)),
@@ -695,7 +689,6 @@ def check_characteristic(
     return VerificationReport(
         kind="characteristic",
         passed=r_wedge.passed and r_pair.passed,
-        tolerances=tol.as_dict(),
         witnesses={
             "lie_wedge_max": r_wedge.witnesses["max_abs"],
             "kernel_pairing_max": r_pair.witnesses["max_abs"],

@@ -127,8 +127,8 @@ def test_criterion_3_prolongation_twisting(std_frame, t3_frame):
             base = _random_base(frame.chart, 10, seed=100 + n)
             ok = ok and twisting_number(pe.distribution, frame, base) == n
             grid = np.linspace(0.0, 2 * math.pi, 64 * n + 1)
-            for p in base[:3]:
-                t, angles = development_profile(pe.distribution, frame, p, grid)
+            t, profiles = development_profile(pe.distribution, frame, base[:3], grid)
+            for angles in profiles:
                 fit = np.polyfit(t, angles, 1)
                 ok = ok and abs(fit[0] - n / 2) <= 1e-8
                 worst_fit = max(
@@ -235,9 +235,8 @@ def test_criterion_6_oracle_equivalence(std_frame, t3_frame, std_kernel_frame, b
         pts = _random_base(chart, 100, seed=hash(chart.names) % 2**32)
         sym_vals = sym.evaluate_at(pts)
         for h in errors:
-            for p, s in zip(pts, sym_vals):
-                fd = fd_lie_bracket(x, y, p, h)
-                errors[h] = max(errors[h], float(np.max(np.abs(fd - s))))
+            fd = fd_lie_bracket(x, y, pts, h)
+            errors[h] = max(errors[h], float(np.max(np.abs(fd - sym_vals))))
     ratio = errors[1e-3] / errors[5e-4]
     ok = errors[1e-3] <= 1e-5 and 3.5 <= ratio <= 4.5
     _verdict(

@@ -128,15 +128,15 @@ def test_bracket_chart_mismatch(box3, box4):
 
 def test_fd_bracket_self_is_zero(box3):
     x = vector_field(box3, ["x*y", "sin(z)", "1"])
-    out = fd_lie_bracket(x, x, (0.1, 0.2, 0.3), 1e-3)
+    out = fd_lie_bracket(x, x, [(0.1, 0.2, 0.3)], 1e-3)
     assert np.max(np.abs(out)) <= 1e-12
 
 
 def test_fd_bracket_standard_case(box3):
     x = coordinate_field(box3, "z")
     y = vector_field(box3, ["1", "z", "0"])
-    out = fd_lie_bracket(x, y, (0.3, -0.2, 0.7), 1e-3)
-    np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-6)
+    out = fd_lie_bracket(x, y, [(0.3, -0.2, 0.7)], 1e-3)
+    np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-6)
 
 
 def test_fd_bracket_second_order_convergence(t3):
@@ -145,14 +145,13 @@ def test_fd_bracket_second_order_convergence(t3):
     sym = lie_bracket(x, y)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 2 * math.pi, (20, 3))
+    exact = sym.evaluate_at(pts)
     errs = {}
     for h in (1e-3, 5e-4):
-        worst = 0.0
-        for p in pts:
-            fd = fd_lie_bracket(x, y, p, h)
-            exact = sym.evaluate_at(p[None, :])[0]
-            worst = max(worst, float(np.max(np.abs(fd - exact))))
-        errs[h] = worst
+        fd = fd_lie_bracket(x, y, pts, h)
+        for i in range(3):  # each row of the stack is the bracket at its point alone
+            np.testing.assert_array_equal(fd_lie_bracket(x, y, pts[i : i + 1], h)[0], fd[i])
+        errs[h] = float(np.max(np.abs(fd - exact)))
     assert errs[1e-3] <= 1e-5
     assert 3.5 <= errs[1e-3] / errs[5e-4] <= 4.5
 

@@ -147,6 +147,7 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
         ("n = 1", "n = 1 2", "'n' must be one integer"),
         ("base_points = 10", "base_points = -3", "base_points must be >= 1, got -3"),
         ("base_points = 10", "base_points = 0", "base_points must be >= 1, got 0"),
+        ("base_points = 10", "base_points = 257", "base_points must be <= 256, got 257"),
         ("v1 = V1", "v1 = V1\norientation = negative", "unknown structure entry 'orientation'"),
         ("base_points = 10", "base_points = 10\nsection = banana", "unknown task entry 'section'"),
         ("n = 1", "n = 1\nv0 = V0", "unknown structure entry 'v0' for kind 'prolongation'"),
@@ -235,6 +236,87 @@ def test_extension_from_a_coefficient_pair(tmp_path):
         (task,) = json.loads(out.read_text())["tasks"]
         reports[task["id"]] = task["status"]
     assert reports == {"verify_ext": "pass", "mtw": "match"}
+
+
+TWO_SLICE_FAMILY = """
+[chart]
+coords = x y z
+box x = -1 1
+box y = -1 1
+box z = -1 1
+
+[sampling]
+grid = 3
+random = 20
+seed = 4
+
+[define]
+field V0 = 0; 0; 1
+field V1 = 1; z; 0
+expr g0 = pi/2 + sin(x)/4
+expr g1 = pi/3
+
+[structure frame]
+kind = contact_frame
+v0 = V0
+v1 = V1
+
+[structure fam]
+kind = extension_family
+frame = frame
+g = g0 g1
+n = 1 2
+
+[structure s0]
+kind = extension
+frame = frame
+g = g0
+n = 1
+
+[structure s1]
+kind = extension
+frame = frame
+g = g1
+n = 2
+
+[task family]
+kind = verify
+target = fam
+
+[task mtw0]
+kind = invariant
+target = s0
+invariant = minimal_twisting_number
+
+[task mtw1]
+kind = invariant
+target = s1
+invariant = minimal_twisting_number
+"""
+
+
+def test_family_profile_and_invariant_tasks_share_one_base_plan(monkeypatch):
+    """``mtw_profile`` of a two-slice family equals the minimal twisting
+    number tasks on the same slices, and both sample the same base points."""
+    from engelcalc import invariants, runner
+    from engelcalc.charts import SamplePlan
+
+    plans = []
+    original = invariants.minimal_twisting_number
+
+    def recording(d, frame, plan, tol):
+        plans.append(plan)
+        return original(d, frame, plan, tol)
+
+    # extend_family imports the function at call time, the runner at load time
+    monkeypatch.setattr(invariants, "minimal_twisting_number", recording)
+    monkeypatch.setattr(runner, "minimal_twisting_number", recording)
+    manifest = parse_manifest(TWO_SLICE_FAMILY)
+    (family,) = run_tasks(manifest, "verify").tasks
+    values = [task.witnesses["value"] for task in run_tasks(manifest, "invariant").tasks]
+    assert family.status == "pass"
+    assert family.witnesses["mtw_profile"] == values == [1, 2]
+    assert plans == [SamplePlan(grid=3, random=8, seed=4)] * 4
 
 
 def test_frame_reference_must_be_a_contact_frame():

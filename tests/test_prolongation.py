@@ -17,6 +17,7 @@ from engelcalc.prolongation import (
     ContactFrame,
     deprolong,
     development_profile,
+    fiber_characteristic_annihilator,
     prolong,
 )
 from engelcalc.structures import CheckError, Distribution2, check_engel_frame
@@ -128,6 +129,24 @@ def test_deprolong_torus_round_trip(t3_frame, n):
         assert plane_angle_sin(kernel_plane_basis(c), np.stack([a, b], 1)) <= 1e-9
 
 
+def test_non_fiber_characteristic_fails_the_kernel_pairing():
+    """The standard Engel frame (d/dw, d/dx + z d/dy + w d/dz) has
+    characteristic d/dw.  Declared with fiber x, its annihilator dy - z dx
+    pairs with d/dx to -z, which reaches 1 on the box."""
+    chart = chart_from_box(
+        {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "w": (-1, 1)}, fiber="x"
+    )
+    d = Distribution2(
+        chart, coordinate_field(chart, "w"), vector_field(chart, ["1", "z", "w", "0"])
+    )
+    with pytest.raises(
+        CheckError,
+        match=r"fiber-direction characteristic check failed: witnesses \{.*"
+        r"'kernel_pairing_max': 1\.0\}, first failure \{'point'",
+    ):
+        fiber_characteristic_annihilator(d, PLAN)
+
+
 def test_deprolong_rejects_non_engel(std_frame, box3):
     chart4 = ch.product_chart(box3, "theta", 0.0, 2 * math.pi, periodic=True)
     d = Distribution2(
@@ -146,8 +165,12 @@ def test_development_profile_is_affine_with_half_slope(std_frame, n):
     pe = prolong(std_frame, n)
     grid = np.linspace(0.0, 2 * math.pi, 64 * n + 1)
     rng = np.random.default_rng(3)
-    for p in -1 + 2 * rng.random((4, 3)):
-        t, angles = development_profile(pe.distribution, std_frame, p, grid)
+    base = -1 + 2 * rng.random((4, 3))
+    t, profiles = development_profile(pe.distribution, std_frame, base, grid)
+    for p, angles in zip(base, profiles):
+        # each row of the stack is the profile of its point alone
+        _, alone = development_profile(pe.distribution, std_frame, p[None, :], grid)
+        np.testing.assert_allclose(alone[0], angles, rtol=0, atol=1e-12)
         fit = np.polyfit(t, angles, 1)
         assert fit[0] == pytest.approx(n / 2, abs=1e-9)
         residual = angles - np.polyval(fit, t)
@@ -157,8 +180,8 @@ def test_development_profile_is_affine_with_half_slope(std_frame, n):
 def test_development_angle_start_normalized(std_frame):
     pe = prolong(std_frame, 3)
     grid = np.linspace(0.0, 2 * math.pi, 257)
-    _, angles = development_profile(pe.distribution, std_frame, (0.2, -0.4, 0.8), grid)
-    assert 0.0 <= angles[0] < math.pi
+    _, angles = development_profile(pe.distribution, std_frame, [(0.2, -0.4, 0.8)], grid)
+    assert 0.0 <= angles[0, 0] < math.pi
 
 
 def test_development_angle_on_extension():
@@ -171,10 +194,31 @@ def test_development_angle_on_extension():
     )
     g = chart.parse("pi/2 + sin(x)/4")
     dist = extend(ExtensionSpec(frame=frame, n=2, g=g), PLAN)
-    for p in [(0.0, 0.0, 0.0), (0.5, -0.2, 0.3)]:
+    base = [(0.0, 0.0, 0.0), (0.5, -0.2, 0.3)]
+    t, profiles = development_profile(dist, frame, base, np.linspace(0.0, 1.0, 257))
+    for p, angles in zip(base, profiles):
         gval = ex.evaluate(g, dict(zip(("x", "y", "z"), p)))
-        t, angles = development_profile(dist, frame, p, np.linspace(0.0, 1.0, 257))
         np.testing.assert_allclose(angles, t * (gval + 2 * math.pi), rtol=0, atol=1e-9)
+
+
+def test_development_refines_the_shared_grid_for_any_base_point():
+    """The angle at (p, t) is t*(pi/2 + x + 10*pi).  On 42 steps it moves
+    0.762 per step at x = -1 (below pi/4) and 0.809 at x = 1 (above), so
+    the second base point alone bisects every step of the shared grid."""
+    from engelcalc.extension import ExtensionSpec, extend
+
+    chart = chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
+    frame = ContactFrame(
+        chart, coordinate_field(chart, "z"), vector_field(chart, ["1", "z", "0"])
+    )
+    spec = ExtensionSpec(frame=frame, n=10, g=chart.parse("pi/2 + x"))
+    dist = extend(spec, PLAN, verify=False)
+    base = [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
+    t, profiles = development_profile(dist, frame, base, np.linspace(0.0, 1.0, 43))
+    assert t.size == 85
+    for (x, _, _), angles in zip(base, profiles):
+        expected = t * (math.pi / 2 + x + 10 * math.pi)
+        np.testing.assert_allclose(angles, expected, rtol=0, atol=1e-9)
 
 
 def test_development_refinement_budget_is_bounded(std_frame, monkeypatch):
@@ -200,7 +244,27 @@ def test_development_refinement_budget_is_bounded(std_frame, monkeypatch):
     dist = Distribution2(chart4, ch.coordinate_field(chart4, "theta"), twist)
     grid = np.linspace(0.0, 2 * math.pi, steps + 1)
     with pytest.raises(prl.RefinementDepthError):
-        development_profile(dist, std_frame, (0.1, 0.2, 0.3), grid)
+        development_profile(dist, std_frame, [(0.1, 0.2, 0.3)], grid)
+    # the budget bounds the rows of one pass: base points times fiber values
+    with pytest.raises(prl.RefinementDepthError):
+        development_profile(dist, std_frame, -1 + 2 * np.random.default_rng(1).random((8, 3)), grid)
+
+
+def test_development_budget_counts_base_points(std_frame, monkeypatch):
+    """MAX_PROFILE_POINTS bounds base points times fiber values: the one
+    refinement level a 20-fold prolongation needs on a 65-point grid fits
+    for one base point and overflows the budget for 32."""
+    from engelcalc import prolongation as prl
+
+    monkeypatch.setattr(prl, "MAX_PROFILE_POINTS", 1 << 12)
+    pe = prolong(std_frame, 20)
+    grid = np.linspace(0.0, 2 * math.pi, 65)
+    base = -1 + 2 * np.random.default_rng(2).random((32, 3))
+    t, angles = development_profile(pe.distribution, std_frame, base[:1], grid)
+    assert t.size == 129
+    assert angles[0, -1] - angles[0, 0] == pytest.approx(20 * math.pi, abs=1e-9)
+    with pytest.raises(prl.RefinementDepthError):
+        development_profile(pe.distribution, std_frame, base, grid)
 
 
 def test_development_rejects_frame_mismatch(std_frame, t3_frame):
@@ -212,8 +276,8 @@ def test_development_rejects_frame_mismatch(std_frame, t3_frame):
         vector_field(std_frame.chart, ["0", "1", "0"]),
         vector_field(std_frame.chart, ["1", "0", "0"]),
     )
-    with pytest.raises((ProjectionResidualError, GeometryError)):
+    with pytest.raises(ProjectionResidualError, match="relative residual"):
         development_profile(
-            pe.distribution, bad_frame, (0.3, 0.3, 0.9), np.linspace(0.0, 2 * math.pi, 257)
+            pe.distribution, bad_frame, [(0.3, 0.3, 0.9)], np.linspace(0.0, 2 * math.pi, 257)
         )
 
