@@ -147,12 +147,17 @@ def sample_points(chart: Chart, plan: SamplePlan) -> np.ndarray:
     grids = np.meshgrid(*lines, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     if plan.random > 0:
-        rng = np.random.default_rng(plan.seed)
-        lo = np.array([a.lo for a in chart.axes])
-        hi = np.array([a.hi for a in chart.axes])
-        rand = lo + (hi - lo) * rng.random((plan.random, chart.dim))
-        pts = np.vstack([pts, rand])
+        pts = np.vstack([pts, random_points(chart, plan.random, plan.seed)])
     return pts
+
+
+def random_points(chart: Chart, count: int, seed: int) -> np.ndarray:
+    """``count`` uniform points of the chart's box, shape (count, dim),
+    drawn from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([a.lo for a in chart.axes])
+    hi = np.array([a.hi for a in chart.axes])
+    return lo + (hi - lo) * rng.random((count, chart.dim))
 
 
 def require_finite(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -278,7 +283,7 @@ class KForm:
                 raise GeometryError(f"duplicate index tuple {key}")
             seen.add(key)
             coeff = as_expr(coeff)
-            if coeff != ex.ZERO:
+            if not ex.is_zero(coeff):
                 cleaned.append((key, coeff))
         cleaned.sort(key=lambda kv: kv[0])
         object.__setattr__(self, "terms", tuple(cleaned))
@@ -297,7 +302,7 @@ class KForm:
         cols = []
         for key in self.all_keys():
             c = self.coeff(key)
-            if c == ex.ZERO:
+            if ex.is_zero(c):
                 cols.append(np.zeros(points.shape[0]))
             else:
                 cols.append(ex.evaluate_many(c, self.chart.names, points))
@@ -410,7 +415,7 @@ def exterior_derivative(form: KForm) -> KForm:
             if j in key:
                 continue
             d = ex.partial_derivative(coeff, names[j])
-            if d == ex.ZERO:
+            if ex.is_zero(d):
                 continue
             sign, newkey = _insertion_sign(j, key)
             term = d if sign > 0 else ex.Negate(d)
@@ -516,7 +521,7 @@ def parse_one_form(chart: Chart, text: str) -> KForm:
     scalar_part = e
     for dn in dnames:
         scalar_part = ex.substitute(scalar_part, dn, 0.0)
-    if simplify(scalar_part) != ex.ZERO:
+    if not ex.is_zero(simplify(scalar_part)):
         raise GeometryError(f"form expression {text!r} has a scalar part")
     coeffs = []
     for i in range(chart.dim):
@@ -527,11 +532,11 @@ def parse_one_form(chart: Chart, text: str) -> KForm:
     residual = e
     for dn, c in zip(dnames, coeffs):
         residual = ex.Subtract(residual, ex.Multiply(ex.Variable(dn), c))
-    if simplify(residual) != ex.ZERO:
+    if not ex.is_zero(simplify(residual)):
         raise GeometryError(
             f"form expression {text!r} must be linear in the differentials"
         )
-    terms = tuple(((i,), c) for i, c in enumerate(coeffs) if c != ex.ZERO)
+    terms = tuple(((i,), c) for i, c in enumerate(coeffs) if not ex.is_zero(c))
     return KForm(chart, 1, terms)
 
 

@@ -8,6 +8,7 @@ manifest, missing file, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -31,7 +32,9 @@ def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="engelcalc",
         description="Verify plane-field structures, compute twisting invariants,"

@@ -6,6 +6,13 @@ and ``sin``/``cos``/``exp``.  Integer-only exponents keep differentiation
 closed over the node set.  Trees are immutable and hashable, so they can be
 shared freely between concurrent evaluators.
 
+Nodes are interned: within one run, equal trees are one object, each
+node's hash is computed once, and ``simplify``, differentiation, the
+linear form behind ``simplify`` and ``to_text`` remember their results per
+node.  These tables are emptied by :func:`clear_tables`, which
+``runner.run_tasks`` calls when it returns, and each is emptied on its
+own when it reaches ``_TABLE_CAP`` entries.
+
 Simplification is a normalizing rewrite (constant folding, flattening of
 sums and products with canonical term ordering, like-term collection, and
 the ``sin^2 + cos^2`` collapse), not a general computer-algebra system.
@@ -44,6 +51,8 @@ __all__ = [
     "UnknownIdentifierError",
     "EvaluationError",
     "as_expr",
+    "is_zero",
+    "clear_tables",
     "parse_scalar_expr",
     "partial_derivative",
     "evaluate",
@@ -86,100 +95,182 @@ class EvaluationError(ExprError):
         self.path = path
 
 
+# ---------------------------------------------------------------------------
+# run tables: the intern table and the memo tables of the symbolic passes
+
+# Entries per table.  A table that reaches the cap is emptied before its
+# next entry, so a caller that never ends a run stays bounded; one run of
+# any bundled manifest fills the largest table to about 230 entries.
+# Threads share the tables; a race costs a repeated computation or a
+# second copy of an equal node, never a wrong result, because stored
+# values are never changed and equal nodes compare equal by their keys.
+_TABLE_CAP = 1 << 14
+
+_interned: dict = {}  # node key -> node
+_simplified: dict = {}  # node -> simplify(node)
+_derivatives: dict = {}  # (node, variable name) -> unsimplified derivative
+_linear: dict = {}  # node -> _Lin, never mutated once stored
+_formatted: dict = {}  # node -> (text, precedence level)
+_TABLES = (_interned, _simplified, _derivatives, _linear, _formatted)
+
+
+def _remember(table: dict, key, value) -> None:
+    if len(table) >= _TABLE_CAP:
+        table.clear()
+    table[key] = value
+
+
+def clear_tables() -> None:
+    """Empty the intern and memo tables; ``runner.run_tasks`` calls this
+    when it returns, so the tables live for one run."""
+    for table in _TABLES:
+        table.clear()
+
+
 class ScalarExpr:
-    """Base class for expression nodes; construct via the subclasses."""
+    """Base class for expression nodes; construct via the subclasses.
 
-    __slots__ = ()
+    Nodes are immutable and hash-consed: while the intern table holds a
+    node, constructing an equal one returns it, so equal trees built in
+    one run are one object and compare by identity.  Each node keeps its
+    key, ``(class, *fields)`` with a constant's value as ``float.hex`` so
+    that ``0.0`` and ``-0.0`` stay apart, and the hash of that key, taken
+    once from the children's cached hashes.  Nodes from outside the
+    table's lifetime (the module constants, the keys ``compile_program``
+    caches across runs) compare equal to fresh equal trees through their
+    keys.
+    """
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True, slots=True)
+def _node(key: tuple, *fields) -> ScalarExpr:
+    """The interned node of ``key`` (its class first), built from ``fields``
+    if the table does not hold it."""
+    node = _interned.get(key)
+    if node is None:
+        cls = key[0]
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_key", key)
+        object.__setattr__(node, "_hash", hash(key))
+        _remember(_interned, key, node)
+    return node
+
+
 class Constant(ScalarExpr):
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value):
+        value = float(value)
+        return _node((cls, value.hex()), value)
 
 
-@dataclass(frozen=True, slots=True)
 class NamedConstant(ScalarExpr):
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if self.name not in NAMED_CONSTANT_VALUES:
-            raise ExprError(f"unrecognized named constant '{self.name}'")
+    def __new__(cls, name):
+        if name not in NAMED_CONSTANT_VALUES:
+            raise ExprError(f"unrecognized named constant '{name}'")
+        return _node((cls, name), name)
 
 
-@dataclass(frozen=True, slots=True)
 class Variable(ScalarExpr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name):
+        return _node((cls, name), name)
 
 
-@dataclass(frozen=True, slots=True)
 class Negate(ScalarExpr):
-    operand: ScalarExpr
+    __slots__ = _fields = ("operand",)
 
     def __new__(cls, operand):
         # negation of a literal is a literal, keeping print/parse inverse
         if isinstance(operand, Constant):
             return Constant(-operand.value)
-        return object.__new__(cls)
+        return _node((cls, operand), operand)
 
 
-@dataclass(frozen=True, slots=True)
-class Add(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+class _Binary(ScalarExpr):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left, right):
+        return _node((cls, left, right), left, right)
 
 
-@dataclass(frozen=True, slots=True)
-class Subtract(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Multiply(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+class Subtract(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Divide(ScalarExpr):
-    left: ScalarExpr
-    right: ScalarExpr
+class Multiply(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Divide(_Binary):
+    __slots__ = ()
+
+
 class IntPower(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+    def __new__(cls, base, exponent):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ExprError("IntPower exponent must be a Python int")
+        return _node((cls, base, exponent), base, exponent)
 
 
-@dataclass(frozen=True, slots=True)
-class Sin(ScalarExpr):
-    operand: ScalarExpr
+class _Function(ScalarExpr):
+    __slots__ = _fields = ("operand",)
+
+    def __new__(cls, operand):
+        return _node((cls, operand), operand)
 
 
-@dataclass(frozen=True, slots=True)
-class Cos(ScalarExpr):
-    operand: ScalarExpr
+class Sin(_Function):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exp(ScalarExpr):
-    operand: ScalarExpr
+class Cos(_Function):
+    __slots__ = ()
+
+
+class Exp(_Function):
+    __slots__ = ()
 
 
 ZERO = Constant(0.0)
 ONE = Constant(1.0)
 PI = NamedConstant("pi")
-
-_BINARY = (Add, Subtract, Multiply, Divide)
-_UNARY_FN = (Sin, Cos, Exp)
 
 
 def as_expr(value) -> ScalarExpr:
@@ -190,10 +281,16 @@ def as_expr(value) -> ScalarExpr:
     raise ExprError(f"cannot coerce {value!r} to a ScalarExpr")
 
 
+def is_zero(e: ScalarExpr) -> bool:
+    """Whether ``e`` is the constant 0 of either sign (``Constant(-0.0)``
+    is a node of its own, so ``e == ZERO`` misses it)."""
+    return isinstance(e, Constant) and e.value == 0.0
+
+
 def children(e: ScalarExpr) -> tuple[ScalarExpr, ...]:
-    if isinstance(e, _BINARY):
+    if isinstance(e, _Binary):
         return (e.left, e.right)
-    if isinstance(e, Negate) or isinstance(e, _UNARY_FN):
+    if isinstance(e, (Negate, _Function)):
         return (e.operand,)
     if isinstance(e, IntPower):
         return (e.base,)
@@ -270,9 +367,9 @@ def substitute(e: ScalarExpr, name: str, replacement) -> ScalarExpr:
     rep = as_expr(replacement)
     if isinstance(e, Variable):
         return rep if e.name == name else e
-    if isinstance(e, _BINARY):
+    if isinstance(e, _Binary):
         return type(e)(substitute(e.left, name, rep), substitute(e.right, name, rep))
-    if isinstance(e, Negate) or isinstance(e, _UNARY_FN):
+    if isinstance(e, (Negate, _Function)):
         return type(e)(substitute(e.operand, name, rep))
     if isinstance(e, IntPower):
         return IntPower(substitute(e.base, name, rep), e.exponent)
@@ -289,6 +386,15 @@ def partial_derivative(e: ScalarExpr, v: str) -> ScalarExpr:
 
 
 def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
+    key = (e, v)
+    d = _derivatives.get(key)
+    if d is None:
+        d = _diff_node(e, v)
+        _remember(_derivatives, key, d)
+    return d
+
+
+def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
     if isinstance(e, (Constant, NamedConstant)):
         return ZERO
     if isinstance(e, Variable):
@@ -346,14 +452,23 @@ def _fmt(e: ScalarExpr, minlevel: int) -> str:
 
 def _format_float(v: float) -> str:
     if abs(v) < 1e16 and v == int(v):
-        return str(int(v))
+        # int() drops the sign of -0.0, which is a node of its own
+        return "-0" if v == 0.0 and math.copysign(1.0, v) < 0 else str(int(v))
     return repr(v)
 
 
 def _fmt_node(e: ScalarExpr) -> tuple[str, int]:
+    out = _formatted.get(e)
+    if out is None:
+        out = _format_node(e)
+        _remember(_formatted, e, out)
+    return out
+
+
+def _format_node(e: ScalarExpr) -> tuple[str, int]:
     if isinstance(e, Constant):
         s = _format_float(e.value)
-        return s, (_LEVEL_UNARY if e.value < 0 else _LEVEL_ATOM)
+        return s, (_LEVEL_UNARY if s.startswith("-") else _LEVEL_ATOM)
     if isinstance(e, NamedConstant):
         return e.name, _LEVEL_ATOM
     if isinstance(e, Variable):
@@ -565,7 +680,9 @@ class _Lin:
     """Linear combination: constant + sum of coefficient * factor-product.
 
     Keys of ``terms`` are sorted tuples of ``(base_expr, positive_exponent)``
-    pairs; the base expressions are already in canonical form.
+    pairs; the base expressions are already in canonical form.  A ``_Lin``
+    is filled by the function that creates it and never changed after it
+    is returned, because ``_linearize`` hands out the same one again.
     """
 
     __slots__ = ("const", "terms")
@@ -639,6 +756,14 @@ def _is_const(lin: _Lin) -> bool:
 
 
 def _linearize(e: ScalarExpr) -> _Lin:
+    lin = _linear.get(e)
+    if lin is None:
+        lin = _linearize_node(e)
+        _remember(_linear, e, lin)
+    return lin
+
+
+def _linearize_node(e: ScalarExpr) -> _Lin:
     if isinstance(e, Constant):
         return _Lin(e.value)
     if isinstance(e, (NamedConstant, Variable)):
@@ -659,7 +784,7 @@ def _linearize(e: ScalarExpr) -> _Lin:
         if _is_const(num) and num.const == 0.0 and not _is_const(den):
             # 0/den is 0 wherever den is nonzero; 0/0 stays nan
             return _Lin()
-        return _atom(Divide(_rebuild(num), _rebuild(den)))
+        return _atom(Divide(_simplify(e.left), _simplify(e.right)))
     if isinstance(e, IntPower):
         base = _linearize(e.base)
         k = e.exponent
@@ -683,9 +808,10 @@ def _linearize(e: ScalarExpr) -> _Lin:
             for _ in range(k - 1):
                 out = _lin_mul(out, base)
             return out
-        return _Lin(0.0, {((_rebuild(base), k) if k > 0 else (IntPower(_rebuild(base), k), 1),): 1.0})
-    if isinstance(e, _UNARY_FN):
-        inner = _rebuild(_linearize(e.operand))
+        inner = _simplify(e.base)
+        return _Lin(0.0, {((inner, k) if k > 0 else (IntPower(inner, k), 1),): 1.0})
+    if isinstance(e, _Function):
+        inner = _simplify(e.operand)
         if isinstance(inner, Constant):
             fn = {Sin: math.sin, Cos: math.cos, Exp: math.exp}[type(e)]
             try:
@@ -698,8 +824,10 @@ def _linearize(e: ScalarExpr) -> _Lin:
     raise ExprError(f"unknown node type {type(e).__name__}")
 
 
-def _pythagorean(lin: _Lin) -> None:
-    """Collapse matching ``c*sin(u)^2`` + ``c*cos(u)^2`` term pairs."""
+def _pythagorean(lin: _Lin) -> _Lin:
+    """Collapse matching ``c*sin(u)^2`` + ``c*cos(u)^2`` term pairs into a
+    new ``_Lin``."""
+    lin = _Lin(lin.const, dict(lin.terms))
     changed = True
     while changed:
         changed = False
@@ -724,6 +852,7 @@ def _pythagorean(lin: _Lin) -> None:
                         lin.const += coef
                     changed = True
                     break
+    return lin
 
 
 def _build_product(key: tuple) -> ScalarExpr:
@@ -737,7 +866,7 @@ def _build_product(key: tuple) -> ScalarExpr:
 
 
 def _rebuild(lin: _Lin) -> ScalarExpr:
-    _pythagorean(lin)
+    lin = _pythagorean(lin)
     entries = []
     for key, coef in lin.terms.items():
         if coef == 0.0:
@@ -766,7 +895,15 @@ def _rebuild(lin: _Lin) -> ScalarExpr:
 
 def simplify(e: ScalarExpr) -> ScalarExpr:
     """Normalize to a canonical, numerically-equivalent form (idempotent)."""
-    return _rebuild(_linearize(e))
+    return _simplify(e)
+
+
+def _simplify(e: ScalarExpr) -> ScalarExpr:
+    out = _simplified.get(e)
+    if out is None:
+        out = _rebuild(_linearize(e))
+        _remember(_simplified, e, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +940,7 @@ def _emit(
         iargs.append(var_index[e.name])
         fargs.append(0.0)
         return 1
-    if isinstance(e, _BINARY):
+    if isinstance(e, _Binary):
         dl = _emit(e.left, var_index, ops, iargs, fargs)
         dr = _emit(e.right, var_index, ops, iargs, fargs)
         op = {
@@ -828,7 +965,7 @@ def _emit(
         iargs.append(e.exponent)
         fargs.append(0.0)
         return d
-    if isinstance(e, _UNARY_FN):
+    if isinstance(e, _Function):
         d = _emit(e.operand, var_index, ops, iargs, fargs)
         op = {Sin: _kernels.OP_SIN, Cos: _kernels.OP_COS, Exp: _kernels.OP_EXP}[type(e)]
         ops.append(op)

@@ -204,7 +204,7 @@ def deprolong(
         if name == chart.fiber:
             continue
         restricted = simplify(substitute(coeff, chart.fiber, float(section_value)))
-        if restricted != ex.ZERO:
+        if not ex.is_zero(restricted):
             terms.append(((base.index(name),), restricted))
     alpha = KForm(base, 1, tuple(terms))
     check_contact_3d(alpha, plan, tol).require("deprolonged form contact check")

@@ -17,6 +17,7 @@ from .charts import (
     coordinate_field,
     fd_lie_bracket,
     lie_bracket,
+    random_points,
     sample_points,
 )
 from .extension import ExtensionSpec, extend, extend_family, verify_extension_identities
@@ -126,11 +127,7 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
         if not isinstance(obj, ProlongedEngel):
             raise GeometryError("twisting_number targets a prolongation structure")
         count = int(task.options.get("base_points", "10"))
-        rng = np.random.default_rng(plan.seed)
-        base = obj.frame.chart
-        lo = np.array([a.lo for a in base.axes])
-        hi = np.array([a.hi for a in base.axes])
-        base_pts = lo + (hi - lo) * rng.random((count, 3))
+        base_pts = random_points(obj.frame.chart, count, plan.seed)
         value = twisting_number(obj.distribution, obj.frame, base_pts, tol)
     elif name == "minimal_twisting_number":
         if not isinstance(obj, ExtensionSpec):
@@ -198,34 +195,38 @@ def run_tasks(
     """Run the manifest's tasks of the kinds the command selects, in order.
 
     Task-level failures are recorded in the report (exit code 1); only
-    I/O and parse problems escape as exceptions (exit code 2).
+    I/O and parse problems escape as exceptions (exit code 2).  The
+    expression intern and memo tables are emptied on the way out.
     """
-    kinds = COMMAND_TASK_KINDS[command]
     started = time.perf_counter()
     records: list[TaskRecord] = []
-    for task in manifest.tasks:
-        if task.kind not in kinds:
-            continue
-        decl = manifest.structures[task.options["target"]]
-        try:
-            if task.kind == "verify":
-                record = _verify_task(manifest, decl, fd_step)
-            elif task.kind == "invariant":
-                record = _invariant_task(manifest, decl, task)
-            elif task.kind == "identities":
-                record = _identities_task(manifest, decl)
-            else:
-                record = _construct_task(manifest, decl, task, out_path)
-        except (GeometryError, CheckError, ex.ExprError) as err:
-            record = TaskRecord(
-                task_id=task.task_id,
-                kind=task.kind,
-                target=task.options["target"],
-                status="error",
-                error=str(err),
-            )
-        record.task_id = task.task_id
-        records.append(record)
+    try:
+        kinds = COMMAND_TASK_KINDS[command]
+        for task in manifest.tasks:
+            if task.kind not in kinds:
+                continue
+            decl = manifest.structures[task.options["target"]]
+            try:
+                if task.kind == "verify":
+                    record = _verify_task(manifest, decl, fd_step)
+                elif task.kind == "invariant":
+                    record = _invariant_task(manifest, decl, task)
+                elif task.kind == "identities":
+                    record = _identities_task(manifest, decl)
+                else:
+                    record = _construct_task(manifest, decl, task, out_path)
+            except (GeometryError, CheckError, ex.ExprError) as err:
+                record = TaskRecord(
+                    task_id=task.task_id,
+                    kind=task.kind,
+                    target=task.options["target"],
+                    status="error",
+                    error=str(err),
+                )
+            record.task_id = task.task_id
+            records.append(record)
+    finally:
+        ex.clear_tables()
     duration = int(round((time.perf_counter() - started) * 1000))
     return RunReport(
         version=__version__,

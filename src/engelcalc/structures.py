@@ -589,7 +589,7 @@ def annihilator_1form(
         rows = [r for r in range(4) if r != i]
         minor = det3(rows)
         coeff = simplify(minor if i % 2 == 0 else ex.Negate(minor))
-        if coeff != ex.ZERO:
+        if not ex.is_zero(coeff):
             terms.append(((i,), coeff))
     beta = KForm(chart, 1, tuple(terms))
 
@@ -642,7 +642,7 @@ def characteristic_vector_field(
         comp_key = tuple(j for j in range(4) if j != i)
         c = bdb.coeff(comp_key)
         raw = c if i % 2 == 0 else ex.Negate(c)
-        comps.append(simplify(ex.Divide(raw, rho)) if c != ex.ZERO else ex.ZERO)
+        comps.append(ex.ZERO if ex.is_zero(c) else simplify(ex.Divide(raw, rho)))
     x0 = VectorField(chart, tuple(comps))
 
     lhs = interior_product(x0, volume)

@@ -74,6 +74,17 @@ def test_sampling_deterministic(box3):
     np.testing.assert_array_equal(a, b)
 
 
+def test_random_points_are_the_random_rows_of_sample_points(box3, t3):
+    plan = SamplePlan(grid=2, random=7, seed=3)
+    for chart in (box3, t3):
+        rows = ch.random_points(chart, 7, 3)
+        np.testing.assert_array_equal(rows, sample_points(chart, plan)[-7:])
+    # the twisting number's base points, as drawn before they used this helper
+    rng = np.random.default_rng(3)
+    lo, hi = np.array([-1.0] * 3), np.array([1.0] * 3)
+    np.testing.assert_array_equal(ch.random_points(box3, 7, 3), lo + (hi - lo) * rng.random((7, 3)))
+
+
 def test_periodic_sampling_half_open(t3):
     pts = sample_points(t3, SamplePlan(grid=4, random=50, seed=1))
     assert np.all(pts >= 0.0)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -314,3 +316,72 @@ def test_derivative_matches_central_differences_second_order():
         assert max(errs) <= 100.0 * h**2
     ratio = max(errors[1e-3]) / max(errors[5e-4])
     assert 3.5 <= ratio <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# interning and the run tables
+
+
+def _subtrees(e):
+    """Every subtree of ``e``, children before their parent."""
+    for c in ex.children(e):
+        yield from _subtrees(c)
+    yield e
+
+
+@given(_expr_strategy())
+@example(Divide(Constant(1.0), Multiply(Constant(-0.0), Variable("x"))))
+@example(Divide(Variable("x"), Add(IntPower(Sin(Variable("t")), 2), IntPower(Cos(Variable("t")), 2))))
+@settings(max_examples=100, deadline=None)
+def test_simplify_same_with_warm_and_cleared_tables(e):
+    for sub in _subtrees(e):
+        simplify(sub)
+        partial_derivative(sub, "x")
+    warm = simplify(e)
+    ex.clear_tables()
+    cold = simplify(e)
+    assert cold == warm
+    assert to_text(cold) == to_text(warm)
+
+
+def test_signed_zero_constants_are_distinct_nodes():
+    pos, neg = Constant(0.0), Constant(-0.0)
+    assert pos is not neg
+    assert pos != neg
+    assert ex.is_zero(pos) and ex.is_zero(neg)
+    assert parse_scalar_expr(to_text(neg), ()) == neg
+    x = Variable("x")
+    at_one = np.ones((1, 1))
+    # the same tables serve all three, so a memo that merged 0 and -0 shows
+    for c, sign in ((0.0, 1.0), (-0.0, -1.0), (0.0, 1.0)):
+        s = simplify(Divide(Constant(1.0), Multiply(Constant(c), x)))
+        assert ex.evaluate_many(s, ("x",), at_one)[0] == sign * np.inf
+
+
+def test_equal_trees_built_apart_share_hash_and_equality():
+    text = "cos(t*(g+pi)) - sin(g)^3/(1 + x^2)"
+    a = parse_scalar_expr(text, VARS)
+    assert parse_scalar_expr(text, VARS) is a
+    program = ex.compile_program(a, VARS)
+    ex.clear_tables()
+    b = parse_scalar_expr(text, VARS)
+    assert b is not a
+    assert b == a and hash(b) == hash(a)
+    assert ex.compile_program(b, VARS) is program
+    assert Constant(0.0) == ex.ZERO and hash(Constant(1)) == hash(ex.ONE)
+
+
+def test_nodes_are_immutable_and_unpickle_to_the_interned_node():
+    e = Add(Variable("x"), Constant(1.0))
+    with pytest.raises(AttributeError):
+        e.left = Variable("y")
+    assert e == Add(Variable("x"), Constant(1.0))
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_tables_stay_within_their_cap():
+    ex.clear_tables()
+    for i in range(ex._TABLE_CAP + 10):
+        Variable(f"v{i}")
+    assert 0 < len(ex._interned) <= ex._TABLE_CAP
+    ex.clear_tables()

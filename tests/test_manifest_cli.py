@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from engelcalc.cli import main
+from engelcalc import expr as ex
+from engelcalc.cli import build_parser, main
 from engelcalc.manifest import Manifest, ManifestError, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
@@ -390,6 +391,21 @@ def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):
 
 # ---------------------------------------------------------------------------
 # runner
+
+
+def test_run_tasks_empties_the_expression_tables():
+    manifest = parse_manifest((MANIFESTS / "prolonged-n2.manifest").read_text())
+    assert any(ex._TABLES)
+    run_tasks(manifest, command="verify")
+    assert not any(ex._TABLES)
+    ex.simplify(ex.parse_scalar_expr("x*(x + 1)", ("x",)))
+    with pytest.raises(KeyError):
+        run_tasks(manifest, command="nosuch")
+    assert not any(ex._TABLES)
+
+
+def test_cli_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_run_tasks_standard_pair_passes():

@@ -20,7 +20,12 @@ from engelcalc.prolongation import (
     fiber_characteristic_annihilator,
     prolong,
 )
-from engelcalc.structures import CheckError, Distribution2, check_engel_frame
+from engelcalc.structures import (
+    CheckError,
+    Distribution2,
+    RankDeficiencyError,
+    check_engel_frame,
+)
 
 PLAN = SamplePlan(grid=4, random=40, seed=0)
 
@@ -152,7 +157,7 @@ def test_deprolong_rejects_non_engel(std_frame, box3):
     d = Distribution2(
         chart4, coordinate_field(chart4, "theta"), coordinate_field(chart4, "x")
     )
-    with pytest.raises((CheckError, GeometryError)):
+    with pytest.raises(RankDeficiencyError, match="derived distribution has rank 2"):
         deprolong(d, 0.0, PLAN)
 
 
