@@ -9,6 +9,7 @@ bookkeeping happens in ``wedge``/``interior_product``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,18 +138,61 @@ class SamplePlan:
 
 def sample_points(chart: Chart, plan: SamplePlan) -> np.ndarray:
     """Ordered sample array of shape (n, dim): grid rows first, then random."""
+    return distinct_samples(chart, plan, chart.names)[0]
+
+
+def distinct_samples(
+    chart: Chart, plan: SamplePlan, names
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`sample_points` that a check reading only the
+    coordinates ``names`` needs, and their row numbers there.
+
+    The points are the grid over the axes in ``names``, every other axis at
+    its first grid value, then every random row.  The row numbers are
+    strictly increasing, and each sample row has one of these rows at or
+    before it with the same coordinates in ``names``.  So min, max, all and
+    the first index of an argmin or argmax over values that depend only on
+    those coordinates agree with the full sample, once mapped through the
+    row numbers.
+    """
     res = plan.resolutions(chart.dim)
     lines = []
     for axis, r in zip(chart.axes, res):
         if axis.periodic:
-            lines.append(axis.lo + axis.period * np.arange(r) / r)
+            line = axis.lo + axis.period * np.arange(r) / r
         else:
-            lines.append(np.linspace(axis.lo, axis.hi, r))
-    grids = np.meshgrid(*lines, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+            line = np.linspace(axis.lo, axis.hi, r)
+        lines.append(line if axis.name in names else line[:1])
+    shape = tuple(map(len, lines))
+    count = math.prod(shape)
+    pts = np.empty((count + plan.random, chart.dim))
+    rows = np.zeros(count + plan.random, dtype=np.intp)
+    grid = pts[:count].reshape(shape + (chart.dim,))
+    grid_rows = rows[:count].reshape(shape)
+    stride = 1  # of axis i in the full grid
+    for i in reversed(range(chart.dim)):
+        along = [1] * chart.dim
+        along[i] = -1
+        grid[..., i] = lines[i].reshape(along)
+        grid_rows += stride * np.arange(shape[i]).reshape(along)
+        stride *= res[i]
     if plan.random > 0:
-        pts = np.vstack([pts, random_points(chart, plan.random, plan.seed)])
-    return pts
+        pts[count:] = random_points(chart, plan.random, plan.seed)
+        rows[count:] = stride + np.arange(plan.random)
+    return pts, rows
+
+
+def variables_of(*items) -> frozenset[str]:
+    """The variables that the given vector fields, forms and scalars read."""
+    exprs = []
+    for item in items:
+        if isinstance(item, VectorField):
+            exprs.extend(item.components)
+        elif isinstance(item, KForm):
+            exprs.extend(c for _, c in item.terms)
+        else:
+            exprs.append(item)
+    return frozenset().union(*map(ex.free_variables, exprs))
 
 
 def random_points(chart: Chart, count: int, seed: int) -> np.ndarray:

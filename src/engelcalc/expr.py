@@ -778,7 +778,8 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
         return _lin_mul(_linearize(e.left), _linearize(e.right))
     if isinstance(e, Divide):
         num = _linearize(e.left)
-        den = _linearize(e.right)
+        # collapse sin^2 + cos^2 first, as _rebuild would on a second pass
+        den = _pythagorean(_linearize(e.right))
         if _is_const(den) and den.const != 0.0:
             return _lin_scale(num, 1.0 / den.const)
         if _is_const(num) and num.const == 0.0 and not _is_const(den):

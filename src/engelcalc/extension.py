@@ -25,11 +25,13 @@ from .charts import (
     SamplePlan,
     VectorField,
     coordinate_field,
+    distinct_samples,
     lie_bracket,
     lift_to_product,
     product_chart,
     require_finite,
     sample_points,
+    variables_of,
 )
 from .expr import ScalarExpr, simplify
 from .invariants import BoundaryConventionWarning
@@ -64,7 +66,7 @@ class AngleFunction:
 
 def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
     """min g over the sample set, checked to satisfy 0 < min g <= pi."""
-    pts = sample_points(chart, plan)
+    pts, _ = distinct_samples(chart, plan, variables_of(g))
     gmin = float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
     if not 0.0 < gmin <= math.pi + 1e-12:
         raise GeometryError(
@@ -266,7 +268,8 @@ def verify_extension_identities(
         lie_bracket(frame.v0, frame.v1), chart4
     ).scaled_by(h)
 
-    pts = sample_points(chart4, plan)
+    fields = (u_actual, u_expected, vu_actual, vu_expected)
+    pts, _ = distinct_samples(chart4, plan, variables_of(*fields))
 
     def max_diff(f1: VectorField, f2: VectorField) -> float:
         return float(

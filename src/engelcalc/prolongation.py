@@ -28,10 +28,11 @@ from .charts import (
     VectorField,
     base_chart_of,
     coordinate_field,
+    distinct_samples,
     lie_bracket,
     lift_to_product,
     product_chart,
-    sample_points,
+    variables_of,
 )
 from .expr import ScalarExpr, simplify, substitute
 from .structures import (
@@ -78,7 +79,7 @@ class ContactFrame:
     ) -> VerificationReport:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
         plan = plan or DEFAULT_PLAN
-        pts = sample_points(self.chart, plan)
+        pts, _ = distinct_samples(self.chart, plan, variables_of(self.v0, self.v1))
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
         (ranks2, ratio2), (ranks3, ratio3) = _frame_ranks(fields, pts, tol.rank, (2, 3))
         # first point where either rank is short: the lowest of a 0/1 "rank"

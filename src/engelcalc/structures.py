@@ -2,7 +2,9 @@
 
 All checks sample a chart with a :class:`~engelcalc.charts.SamplePlan` and
 report witnesses and the first failing sample point under explicit
-tolerances:
+tolerances.  A check evaluates only the sample rows that differ in the
+coordinates its inputs read (:func:`~engelcalc.charts.distinct_samples`)
+and names a failing row by its index in the full sample:
 
 * never-vanishing checks compare the pointwise coefficient norm against
   ``tol.never_vanishing`` times its maximum over the box;
@@ -35,6 +37,7 @@ from .charts import (
     KForm,
     SamplePlan,
     VectorField,
+    distinct_samples,
     exterior_derivative,
     form_evaluate_scalar,
     interior_product,
@@ -42,7 +45,7 @@ from .charts import (
     lie_derivative_form,
     pairing,
     require_finite,
-    sample_points,
+    variables_of,
     wedge,
 )
 from .expr import ScalarExpr, simplify
@@ -109,16 +112,16 @@ class VerificationReport:
         return self
 
 
-def _failure_at(points: np.ndarray, idx: int, **values) -> dict:
+def _failure_at(points: np.ndarray, rows: np.ndarray, idx: int, **values) -> dict:
     return {
         "point": [float(v) for v in points[idx]],
-        "sample_index": int(idx),
+        "sample_index": int(rows[idx]),
         **{k: float(v) for k, v in values.items()},
     }
 
 
 def never_vanishing_report(
-    kind: str, values: np.ndarray, points: np.ndarray, tol: Tolerances
+    kind: str, values: np.ndarray, points: np.ndarray, rows: np.ndarray, tol: Tolerances
 ) -> VerificationReport:
     vmax = float(np.max(values, initial=0.0))
     vmin = float(np.min(values)) if values.size else 0.0
@@ -127,7 +130,7 @@ def never_vanishing_report(
     first = None
     if not passed and values.size:
         idx = int(np.argmin(values))
-        first = _failure_at(points, idx, value=values[idx])
+        first = _failure_at(points, rows, idx, value=values[idx])
     return VerificationReport(
         kind=kind,
         passed=passed,
@@ -140,6 +143,7 @@ def zero_report(
     kind: str,
     values: np.ndarray,
     points: np.ndarray,
+    rows: np.ndarray,
     tol: Tolerances,
     scale: float,
 ) -> VerificationReport:
@@ -149,7 +153,7 @@ def zero_report(
     first = None
     if not passed and values.size:
         idx = int(np.argmax(values))
-        first = _failure_at(points, idx, value=values[idx])
+        first = _failure_at(points, rows, idx, value=values[idx])
     return VerificationReport(
         kind=kind,
         passed=passed,
@@ -172,9 +176,9 @@ _GRAM_DELTA = 1e-6
 # Guard band, relative, around the rank cut and the smallest fast-path ratio:
 # 50 times the worst error above, so rows inside it take the exact SVD.
 _GRAM_BAND = 1e-4
-# One row in 64 of a stack longer than one chunk is ranked first; a stack
-# mostly deficient there goes straight to the SVD, so an all-deficient stack
-# costs one SVD plus 1/64 of a Gram pass.  A shorter stack is probed whole.
+# One row in 64 of a stack is ranked first; a stack mostly deficient there
+# goes straight to the SVD, so an all-deficient stack costs one SVD plus 1/64
+# of a Gram pass.
 _GRAM_PROBE = 64
 # Rows per Gram block: the block's four shifted Grams stay near 2 MB, so
 # ranking a large stack needs little more memory than the SVD does.
@@ -301,12 +305,10 @@ def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray
     the Gram path's relative error of under 2e-6.
     """
     cut = max(_GRAM_FLOOR, ratio) * (1.0 + _GRAM_BAND)
-    whole = len(mats) <= _GRAM_CHUNK
-    g = _gram_ratios(mats if whole else mats[::_GRAM_PROBE])
+    g = _gram_ratios(mats[::_GRAM_PROBE])
     if 2 * np.count_nonzero(g < cut) > len(g):
         return _svd_ranks(mats, ratio)
-    if not whole:
-        g = _gram_ratios(mats)
+    g = _gram_ratios(mats)
     fast = g >= cut
     exact = ~fast
     if fast.any():
@@ -370,12 +372,12 @@ class Distribution2:
         return (self.x, self.y)
 
     def validate_rank(self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-        pts = sample_points(self.chart, plan)
+        pts, rows = distinct_samples(self.chart, plan, variables_of(*self.frame))
         ((ranks, ratios),) = _frame_ranks(self.frame, pts, tol.rank, (2,))
         idx = _lowest_rank_at(ranks, 2)
         first = None
         if idx is not None:
-            first = _failure_at(pts, idx, rank=ranks[idx], sv_ratio=ratios[idx])
+            first = _failure_at(pts, rows, idx, rank=ranks[idx], sv_ratio=ratios[idx])
         return VerificationReport(
             kind="distribution_rank2",
             passed=idx is None,
@@ -420,10 +422,10 @@ def check_contact_3d(
         raise DimensionError("contact check requires a 3-dimensional chart")
     if alpha.degree != 1:
         raise DimensionError("contact check requires a 1-form")
-    pts = sample_points(alpha.chart, plan)
+    pts, rows = distinct_samples(alpha.chart, plan, variables_of(alpha))
     top = wedge(alpha, exterior_derivative(alpha))
     vals = form_evaluate_scalar(top, pts)
-    return never_vanishing_report("contact_3d", vals, pts, tol)
+    return never_vanishing_report("contact_3d", vals, pts, rows, tol)
 
 
 def check_even_contact(
@@ -436,13 +438,13 @@ def check_even_contact(
         raise DimensionError("even-contact check requires a 4-dimensional chart")
     if beta.degree != 1:
         raise DimensionError("even-contact check requires a 1-form")
-    pts = sample_points(beta.chart, plan)
+    pts, rows = distinct_samples(beta.chart, plan, variables_of(beta))
     vals = form_evaluate_scalar(wedge(beta, exterior_derivative(beta)), pts)
-    return never_vanishing_report("even_contact", vals, pts, tol)
+    return never_vanishing_report("even_contact", vals, pts, rows, tol)
 
 
 def _pair_condition_reports(
-    alpha: KForm, beta: KForm, pts: np.ndarray, tol: Tolerances
+    alpha: KForm, beta: KForm, pts: np.ndarray, rows: np.ndarray, tol: Tolerances
 ) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
     da = exterior_derivative(alpha)
     db = exterior_derivative(beta)
@@ -458,9 +460,9 @@ def _pair_condition_reports(
             initial=0.0,
         )
     )
-    r1 = never_vanishing_report("pair_condition_1", c1, pts, tol)
-    r2 = zero_report("pair_condition_2", c2, pts, tol, factor_scale)
-    r3 = never_vanishing_report("pair_condition_3", c3, pts, tol)
+    r1 = never_vanishing_report("pair_condition_1", c1, pts, rows, tol)
+    r2 = zero_report("pair_condition_2", c2, pts, rows, tol, factor_scale)
+    r3 = never_vanishing_report("pair_condition_3", c3, pts, rows, tol)
     return r1, r2, r3
 
 
@@ -475,10 +477,12 @@ def check_engel_pair(
     ordering satisfies the conditions; the verdict always refers to the
     given order.
     """
-    pts = sample_points(pair.chart, plan)
-    r1, r2, r3 = _pair_condition_reports(pair.alpha, pair.beta, pts, tol)
+    pts, rows = distinct_samples(pair.chart, plan, variables_of(pair.alpha, pair.beta))
+    r1, r2, r3 = _pair_condition_reports(pair.alpha, pair.beta, pts, rows, tol)
     passed = r1.passed and r2.passed and r3.passed
-    swapped = all(r.passed for r in _pair_condition_reports(pair.beta, pair.alpha, pts, tol))
+    swapped = all(
+        r.passed for r in _pair_condition_reports(pair.beta, pair.alpha, pts, rows, tol)
+    )
     failing = [r for r in (r1, r2, r3) if not r.passed]
     return VerificationReport(
         kind="engel_pair",
@@ -507,15 +511,15 @@ def check_engel_frame(
     """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
     if d.chart.dim != 4:
         raise DimensionError("frame check requires a 4-dimensional chart")
-    pts = sample_points(d.chart, plan)
+    pts, rows = distinct_samples(d.chart, plan, variables_of(d.x, d.y))
     xy = lie_bracket(d.x, d.y)
     fields = (d.x, d.y, xy, lie_bracket(d.x, xy), lie_bracket(d.y, xy))
     (ranks3, ratio3), (ranks4, ratio4) = _frame_ranks(fields, pts, tol.rank, (3, 5))
     first = None
     if (idx := _lowest_rank_at(ranks3, 3)) is not None:
-        first = _failure_at(pts, idx, rank_step1=ranks3[idx], sv_ratio=ratio3[idx])
+        first = _failure_at(pts, rows, idx, rank_step1=ranks3[idx], sv_ratio=ratio3[idx])
     elif (idx := _lowest_rank_at(ranks4, 4)) is not None:
-        first = _failure_at(pts, idx, rank_step2=ranks4[idx], sv_ratio=ratio4[idx])
+        first = _failure_at(pts, rows, idx, rank_step2=ranks4[idx], sv_ratio=ratio4[idx])
     return VerificationReport(
         kind="engel_frame",
         passed=first is None,
@@ -542,7 +546,7 @@ def derived_square(
     sample point.
     """
     plan = plan or DEFAULT_PLAN
-    pts = sample_points(d.chart, plan)
+    pts, _ = distinct_samples(d.chart, plan, variables_of(d.x, d.y))
     xy = lie_bracket(d.x, d.y)
     ((ranks, _),) = _frame_ranks((d.x, d.y, xy), pts, tol.rank, (3,))
     if (idx := _lowest_rank_at(ranks, 3)) is not None:
@@ -593,7 +597,7 @@ def annihilator_1form(
             terms.append(((i,), coeff))
     beta = KForm(chart, 1, tuple(terms))
 
-    pts = sample_points(chart, plan)
+    pts, _ = distinct_samples(chart, plan, variables_of(*frame))
     bvals = beta.evaluate_at(pts)
     bnorm = np.linalg.norm(bvals, axis=1)
     if float(np.min(bnorm, initial=np.inf)) <= 0.0:
@@ -628,7 +632,7 @@ def characteristic_vector_field(
     if volume.chart != chart or volume.degree != 4:
         raise ChartMismatchError("volume must be a top form on the same chart")
     plan = plan or DEFAULT_PLAN
-    pts = sample_points(chart, plan)
+    pts, _ = distinct_samples(chart, plan, variables_of(beta, volume))
 
     rho = volume.coeff(tuple(range(4)))
     rho_vals = np.abs(require_finite(ex.evaluate_many(rho, chart.names, pts), pts))
@@ -663,7 +667,7 @@ def check_characteristic(
     """X0 lies in ker(beta) and its flow preserves it: (L_X0 beta)^beta = 0."""
     if x0.chart != beta.chart:
         raise ChartMismatchError("field and form on different charts")
-    pts = sample_points(beta.chart, plan)
+    pts, rows = distinct_samples(beta.chart, plan, variables_of(x0, beta))
     lie = lie_derivative_form(x0, beta)
     wedge_vals = form_evaluate_scalar(wedge(lie, beta), pts)
     beta_norm = form_evaluate_scalar(beta, pts)
@@ -673,6 +677,7 @@ def check_characteristic(
         "lie_derivative_proportional",
         wedge_vals,
         pts,
+        rows,
         tol,
         float(np.max(lie_norm * beta_norm, initial=0.0)),
     )
@@ -683,6 +688,7 @@ def check_characteristic(
         "field_in_kernel",
         pair_vals,
         pts,
+        rows,
         tol,
         float(np.max(beta_norm * x_norm, initial=0.0)),
     )
@@ -703,9 +709,10 @@ def twisting_condition_ranks(
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Pointwise rank of (X0, V, [X0, V]); 3 everywhere is the twisting test."""
+    """Rank of (X0, V, [X0, V]) at each point of the plan that differs in the
+    coordinates X0 and V read; 3 everywhere is the twisting test."""
     if x0.chart != v.chart:
         raise ChartMismatchError("fields on different charts")
-    pts = sample_points(x0.chart, plan)
+    pts, _ = distinct_samples(x0.chart, plan, variables_of(x0, v))
     ((ranks, _),) = _frame_ranks((x0, v, lie_bracket(x0, v)), pts, tol.rank, (3,))
     return ranks

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import chart_from_box
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -83,6 +85,44 @@ def test_random_points_are_the_random_rows_of_sample_points(box3, t3):
     rng = np.random.default_rng(3)
     lo, hi = np.array([-1.0] * 3), np.array([1.0] * 3)
     np.testing.assert_array_equal(ch.random_points(box3, 7, 3), lo + (hi - lo) * rng.random((7, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=st.lists(st.integers(2, 5), min_size=3, max_size=4),
+    random=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+    read=st.lists(st.booleans(), min_size=4, max_size=4),
+    periodic=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_distinct_samples_represent_every_sample_row(grid, random, seed, read, periodic):
+    names = "xyzw"[: len(grid)]
+    chart = chart_from_box(
+        {n: (-1.0, 2.0) for n in names},
+        periodic=[n for n, p in zip(names, periodic) if p],
+    )
+    plan = SamplePlan(grid=tuple(grid), random=random, seed=seed)
+    full = sample_points(chart, plan)
+    subset = [n for n, r in zip(names, read) if r]
+    points, rows = ch.distinct_samples(chart, plan, subset)
+    assert np.all(np.diff(rows) > 0)
+    np.testing.assert_array_equal(points, full[rows])
+    # each sample row i has a row rows[j] <= i with equal read coordinates
+    cols = [chart.index(n) for n in subset]
+    same = (full[:, None, cols] == points[None, :, cols]).all(axis=2)
+    earlier = rows[None, :] <= np.arange(len(full))[:, None]
+    assert (same & earlier).any(axis=1).all()
+    every_point, every_row = ch.distinct_samples(chart, plan, chart.names)
+    np.testing.assert_array_equal(every_row, np.arange(len(full)))
+    np.testing.assert_array_equal(every_point, full)
+
+
+def test_distinct_samples_keep_the_first_grid_value_and_every_random_row(box4):
+    plan = SamplePlan(grid=(2, 3, 4, 5), random=3, seed=1)
+    points, rows = ch.distinct_samples(box4, plan, {"y", "w"})
+    assert rows.tolist() == [20 * j + k for j in range(3) for k in range(5)] + [120, 121, 122]
+    assert np.all(points[:15, [0, 2]] == -1.0)
+    np.testing.assert_array_equal(points[15:], ch.random_points(box4, 3, 1))
 
 
 def test_periodic_sampling_half_open(t3):

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
 from engelcalc.charts import (
+    GeometryError,
     SamplePlan,
     coordinate_field,
     parse_one_form,
@@ -12,6 +15,8 @@ from engelcalc.charts import (
     volume_form,
     wedge,
 )
+from engelcalc.extension import ExtensionSpec, verify_extension_identities
+from engelcalc.prolongation import ContactFrame
 from engelcalc.structures import (
     DimensionError,
     Distribution2,
@@ -350,3 +355,130 @@ def test_twisting_condition_matches_engel_verdict(box4, std_kernel_frame, std_fr
     xf = coordinate_field(pe1.chart, pe1.chart.fiber)
     ranks = twisting_condition_ranks(xf, pe1.twist_field, PLAN)
     assert np.all(ranks == 3) and check_engel_frame(pe1.distribution, PLAN).passed
+
+
+# ---------------------------------------------------------------------------
+# checks sample only the points that differ in the coordinates they read
+
+
+def _full_sample(chart, plan, names):
+    pts = sample_points(chart, plan)
+    return pts, np.arange(len(pts))
+
+
+def _outcome(run):
+    try:
+        out = run()
+    except GeometryError as err:
+        return f"{type(err).__name__}: {err}"
+    if isinstance(out, np.ndarray):  # twisting-condition ranks
+        return int(np.min(out)), bool(np.all(out == 3))
+    return out
+
+
+def _field(chart, *components):
+    return vector_field(chart, list(components))
+
+
+GRID5 = SamplePlan(grid=5, random=30, seed=4)
+
+# Each case fails (or raises) at a sample row whose read coordinates first
+# appear away from row 0, so its sample index is a row number of the full
+# sample, not a position among the distinct points.
+DISTINCT_CASES = {
+    "contact, z read": lambda b3, b4: check_contact_3d(
+        parse_one_form(b3, "dy - z*z*dx"), SamplePlan(grid=7, random=0, seed=0)
+    ),
+    "contact, x read": lambda b3, b4: check_contact_3d(
+        parse_one_form(b3, "dz - x*x*dy"), SamplePlan(grid=7, random=20, seed=0)
+    ),
+    "even contact": lambda b3, b4: check_even_contact(
+        parse_one_form(b4, "dy - x*x*dz"), GRID5
+    ),
+    "engel pair": lambda b3, b4: check_engel_pair(
+        EngelPair(parse_one_form(b4, "dz - w*dx"), parse_one_form(b4, "dy - z*z*dx")),
+        GRID5,
+    ),
+    "engel frame": lambda b3, b4: check_engel_frame(
+        Distribution2(b4, _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0")),
+        GRID5,
+    ),
+    "plane rank": lambda b3, b4: Distribution2(
+        b4, _field(b4, "1", "0", "0", "0"), _field(b4, "1", "z", "0", "0")
+    ).validate_rank(GRID5),
+    "derived square": lambda b3, b4: derived_square(
+        Distribution2(b4, _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0")),
+        GRID5,
+    ),
+    "annihilator": lambda b3, b4: annihilator_1form(
+        (_field(b4, "1", "0", "0", "0"), _field(b4, "0", "1", "0", "0"), _field(b4, "0", "0", "x", "0")),
+        GRID5,
+    ),
+    "characteristic field": lambda b3, b4: characteristic_vector_field(
+        parse_one_form(b4, "dy - z*dx"), volume_form(b4, b4.parse("x")), GRID5
+    ),
+    "characteristic": lambda b3, b4: check_characteristic(
+        coordinate_field(b4, "w"), parse_one_form(b4, "dy + (1 - z*z)*dw"), GRID5
+    ),
+    "twisting ranks": lambda b3, b4: twisting_condition_ranks(
+        _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0"), GRID5
+    ),
+    "contact frame": lambda b3, b4: ContactFrame(
+        b3, coordinate_field(b3, "z"), _field(b3, "x*z", "1", "0")
+    ).validate(GRID5),
+    "angle minimum": lambda b3, b4: ExtensionSpec(
+        ContactFrame(b3, coordinate_field(b3, "z"), _field(b3, "1", "z", "0")),
+        0,
+        g=b3.parse("1/x"),
+    ).angle_expression(GRID5),
+    "extension identities": lambda b3, b4: verify_extension_identities(
+        ExtensionSpec(
+            ContactFrame(b3, coordinate_field(b3, "z"), _field(b3, "1", "z", "0")),
+            1,
+            g=b3.parse("1 + x*x/4"),
+        ),
+        GRID5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
+def test_checks_on_distinct_points_match_the_full_sample(case, box3, box4, monkeypatch):
+    from engelcalc import extension, prolongation, structures
+
+    run = functools.partial(DISTINCT_CASES[case], box3, box4)
+    distinct = _outcome(run)
+    for module in (structures, prolongation, extension):
+        monkeypatch.setattr(module, "distinct_samples", _full_sample)
+    assert _outcome(run) == distinct
+
+
+@pytest.mark.parametrize(
+    "text, index, point",
+    [("dy - z*z*dx", 3, [-1.0, -1.0, 0.0]), ("dz - x*x*dy", 147, [0.0, -1.0, -1.0])],
+)
+def test_contact_failure_names_its_row_of_the_full_sample(box3, text, index, point):
+    rep = check_contact_3d(parse_one_form(box3, text), SamplePlan(grid=7, random=20, seed=0))
+    assert not rep.passed
+    assert rep.first_failure["sample_index"] == index
+    assert rep.first_failure["point"] == point
+    assert sample_points(box3, SamplePlan(grid=7)).tolist()[index] == point
+
+
+def test_all_deficient_stack_is_probed_not_gram_ranked_whole(monkeypatch):
+    from engelcalc import structures
+
+    rng = np.random.default_rng(2)
+    mats = rng.standard_normal((1000, 4, 3))
+    mats[:, :, 2] = mats[:, :, 0] + mats[:, :, 1]
+    seen = []
+    gram_ratios = structures._gram_ratios
+
+    def counting(stack):
+        seen.append(len(stack))
+        return gram_ratios(stack)
+
+    monkeypatch.setattr(structures, "_gram_ratios", counting)
+    ranks, _ = structures.matrix_ranks(mats, 1e-7)
+    assert np.all(ranks == 2)
+    assert sum(seen) <= 16
