@@ -6,12 +6,13 @@ and ``sin``/``cos``/``exp``.  Integer-only exponents keep differentiation
 closed over the node set.  Trees are immutable and hashable, so they can be
 shared freely between concurrent evaluators.
 
-Nodes are interned: within one run, equal trees are one object, each
-node's hash is computed once, and ``simplify``, differentiation, the
-linear form behind ``simplify`` and ``to_text`` remember their results per
-node.  These tables are emptied by :func:`clear_tables`, which
-``runner.run_tasks`` calls when it returns, and each is emptied on its
-own when it reaches ``_TABLE_CAP`` entries.
+Nodes are interned: equal trees are one object, each node's hash is
+computed once, and ``simplify``, differentiation, the linear form behind
+``simplify``, ``free_variables`` and ``to_text`` remember their results
+per node.  A result depends on the tree alone, so these tables live for
+the process and serve every later run that builds the same trees; each is
+emptied on its own when it reaches ``_TABLE_CAP`` entries, the size that
+also bounds the ``compile_program`` cache.
 
 Simplification is a normalizing rewrite (constant folding, flattening of
 sums and products with canonical term ordering, like-term collection, and
@@ -52,7 +53,6 @@ __all__ = [
     "EvaluationError",
     "as_expr",
     "is_zero",
-    "clear_tables",
     "parse_scalar_expr",
     "partial_derivative",
     "evaluate",
@@ -96,22 +96,26 @@ class EvaluationError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# run tables: the intern table and the memo tables of the symbolic passes
+# process tables: the intern table and the memo tables of the symbolic passes
 
-# Entries per table.  A table that reaches the cap is emptied before its
-# next entry, so a caller that never ends a run stays bounded; one run of
-# any bundled manifest fills the largest table to about 230 entries.
-# Threads share the tables; a race costs a repeated computation or a
-# second copy of an equal node, never a wrong result, because stored
-# values are never changed and equal nodes compare equal by their keys.
-_TABLE_CAP = 1 << 14
+# Entries per table, and the size of the compile_program cache.  The tables
+# live for the process, so a long-lived caller (a library user, a notebook
+# sweeping plans or seeds) reuses the symbolic work of earlier runs on the
+# same manifest; a table that reaches the cap is emptied before its next
+# entry, so memory stays bounded however many distinct trees pass through.
+# All 15 bundled manifests under every command intern about 2,050 nodes and
+# compile about 115 programs, so they fit.  Threads share the tables; a race
+# costs a repeated computation or a second copy of an equal node, never a
+# wrong result, because stored values are never changed and equal nodes
+# compare equal by their keys.
+_TABLE_CAP = 1 << 12
 
 _interned: dict = {}  # node key -> node
 _simplified: dict = {}  # node -> simplify(node)
 _derivatives: dict = {}  # (node, variable name) -> unsimplified derivative
 _linear: dict = {}  # node -> _Lin, never mutated once stored
 _formatted: dict = {}  # node -> (text, precedence level)
-_TABLES = (_interned, _simplified, _derivatives, _linear, _formatted)
+_free: dict = {}  # node -> frozenset of its variable names
 
 
 def _remember(table: dict, key, value) -> None:
@@ -120,25 +124,17 @@ def _remember(table: dict, key, value) -> None:
     table[key] = value
 
 
-def clear_tables() -> None:
-    """Empty the intern and memo tables; ``runner.run_tasks`` calls this
-    when it returns, so the tables live for one run."""
-    for table in _TABLES:
-        table.clear()
-
-
 class ScalarExpr:
     """Base class for expression nodes; construct via the subclasses.
 
     Nodes are immutable and hash-consed: while the intern table holds a
     node, constructing an equal one returns it, so equal trees built in
-    one run are one object and compare by identity.  Each node keeps its
-    key, ``(class, *fields)`` with a constant's value as ``float.hex`` so
-    that ``0.0`` and ``-0.0`` stay apart, and the hash of that key, taken
-    once from the children's cached hashes.  Nodes from outside the
-    table's lifetime (the module constants, the keys ``compile_program``
-    caches across runs) compare equal to fresh equal trees through their
-    keys.
+    any run of the process are one object and compare by identity.  Each
+    node keeps its key, ``(class, *fields)`` with a constant's value as
+    ``float.hex`` so that ``0.0`` and ``-0.0`` stay apart, and the hash of
+    that key, taken once from the children's cached hashes.  Nodes built
+    before the intern table last reached its cap compare equal to fresh
+    equal trees through their keys.
     """
 
     __slots__ = ("_key", "_hash")
@@ -298,11 +294,13 @@ def children(e: ScalarExpr) -> tuple[ScalarExpr, ...]:
 
 
 def free_variables(e: ScalarExpr) -> frozenset[str]:
-    if isinstance(e, Variable):
-        return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for c in children(e):
-        out = out | free_variables(c)
+    out = _free.get(e)
+    if out is None:
+        if isinstance(e, Variable):
+            out = frozenset((e.name,))
+        else:
+            out = frozenset().union(*map(free_variables, children(e)))
+        _remember(_free, e, out)
     return out
 
 
@@ -976,7 +974,7 @@ def _emit(
     raise ExprError(f"unknown node type {type(e).__name__}")
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=_TABLE_CAP)
 def compile_program(e: ScalarExpr, var_order: tuple[str, ...]) -> Program:
     """Flatten to a postfix stack program over the given variable order."""
     index = {name: i for i, name in enumerate(var_order)}

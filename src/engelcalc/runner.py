@@ -196,37 +196,35 @@ def run_tasks(
 
     Task-level failures are recorded in the report (exit code 1); only
     I/O and parse problems escape as exceptions (exit code 2).  The
-    expression intern and memo tables are emptied on the way out.
+    expression intern and memo tables outlive the run, so a later run on
+    the same manifest reuses its symbolic work.
     """
     started = time.perf_counter()
     records: list[TaskRecord] = []
-    try:
-        kinds = COMMAND_TASK_KINDS[command]
-        for task in manifest.tasks:
-            if task.kind not in kinds:
-                continue
-            decl = manifest.structures[task.options["target"]]
-            try:
-                if task.kind == "verify":
-                    record = _verify_task(manifest, decl, fd_step)
-                elif task.kind == "invariant":
-                    record = _invariant_task(manifest, decl, task)
-                elif task.kind == "identities":
-                    record = _identities_task(manifest, decl)
-                else:
-                    record = _construct_task(manifest, decl, task, out_path)
-            except (GeometryError, CheckError, ex.ExprError) as err:
-                record = TaskRecord(
-                    task_id=task.task_id,
-                    kind=task.kind,
-                    target=task.options["target"],
-                    status="error",
-                    error=str(err),
-                )
-            record.task_id = task.task_id
-            records.append(record)
-    finally:
-        ex.clear_tables()
+    kinds = COMMAND_TASK_KINDS[command]
+    for task in manifest.tasks:
+        if task.kind not in kinds:
+            continue
+        decl = manifest.structures[task.options["target"]]
+        try:
+            if task.kind == "verify":
+                record = _verify_task(manifest, decl, fd_step)
+            elif task.kind == "invariant":
+                record = _invariant_task(manifest, decl, task)
+            elif task.kind == "identities":
+                record = _identities_task(manifest, decl)
+            else:
+                record = _construct_task(manifest, decl, task, out_path)
+        except (GeometryError, CheckError, ex.ExprError) as err:
+            record = TaskRecord(
+                task_id=task.task_id,
+                kind=task.kind,
+                target=task.options["target"],
+                status="error",
+                error=str(err),
+            )
+        record.task_id = task.task_id
+        records.append(record)
     duration = int(round((time.perf_counter() - started) * 1000))
     return RunReport(
         version=__version__,

@@ -14,8 +14,9 @@ and names a failing row by its index in the full sample:
   :func:`matrix_ranks` certifies most matrices full rank from the extreme
   eigenvalues of their small Gram matrix: closed-form estimates, each
   proved to a relative ``_GRAM_DELTA`` by unpivoted Cholesky tests of the
-  shifted Gram.  Uncertified matrices and those inside a guard band go to
-  the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
+  shifted Gram.  Uncertified matrices, those inside a guard band and
+  stacks too short to repay the Gram pass go to the exact SVD, so ranks
+  and reported ratios equal the SVD's.  Every rank
   check (plane fields, Engel frames, derived squares, contact frames, the
   twisting condition) takes one path: :func:`_frame_ranks` evaluates the
   frame once into a component-major buffer and ranks its leading fields.
@@ -180,6 +181,13 @@ _GRAM_BAND = 1e-4
 # goes straight to the SVD, so an all-deficient stack costs one SVD plus 1/64
 # of a Gram pass.
 _GRAM_PROBE = 64
+# Stacks of fewer rows go straight to the SVD: the Gram path costs about 120 us
+# even on 2 rows and overtakes the SVD only at about 96-112 rows.  Measured
+# on component-major (n, dim, k) stacks of full-rank random matrices, 2-CPU
+# x86-64 VM, microseconds for matrix_ranks / _svd_ranks at 64 and 128 rows:
+# (3, 2) 121/79 and 143/221, (3, 3) 212/133 and 376/411, (4, 3) 352/230 and
+# 366/424, (4, 5) 501/312 and 541/636.
+_GRAM_MIN_ROWS = 96
 # Rows per Gram block: the block's four shifted Grams stay near 2 MB, so
 # ranking a large stack needs little more memory than the SVD does.
 _GRAM_CHUNK = 4096
@@ -302,8 +310,11 @@ def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray
     within the band of the smallest fast-path ratio, is ranked by the SVD.  So
     the ranks, the minimum ratio and the ratio of every deficient matrix equal
     the SVD's bit for bit; the ratios of the other full-rank matrices carry
-    the Gram path's relative error of under 2e-6.
+    the Gram path's relative error of under 2e-6.  A stack shorter than
+    ``_GRAM_MIN_ROWS`` is ranked by the SVD alone.
     """
+    if len(mats) < _GRAM_MIN_ROWS:
+        return _svd_ranks(mats, ratio)
     cut = max(_GRAM_FLOOR, ratio) * (1.0 + _GRAM_BAND)
     g = _gram_ratios(mats[::_GRAM_PROBE])
     if 2 * np.count_nonzero(g < cut) > len(g):

@@ -8,6 +8,26 @@ from engelcalc import expr as ex
 from engelcalc.prolongation import ContactFrame
 
 
+# The expression module's process-lifetime tables: the intern table and the
+# memo tables of the symbolic passes.
+EXPR_TABLES = (
+    ex._interned, ex._simplified, ex._derivatives, ex._linear, ex._formatted, ex._free
+)
+
+
+def empty_expr_tables() -> None:
+    for table in EXPR_TABLES:
+        table.clear()
+    ex.compile_program.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_tables():
+    """Start every test from empty expression tables, so no result depends
+    on which tests ran before."""
+    empty_expr_tables()
+
+
 def chart_from_box(bounds, periodic=(), fiber=None) -> ch.Chart:
     """Chart with one axis per ``name: (lo, hi)`` entry, in insertion order."""
     per = set(periodic)

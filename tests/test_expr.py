@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import empty_expr_tables
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -338,7 +339,7 @@ def test_simplify_same_with_warm_and_cleared_tables(e):
         simplify(sub)
         partial_derivative(sub, "x")
     warm = simplify(e)
-    ex.clear_tables()
+    empty_expr_tables()
     cold = simplify(e)
     assert cold == warm
     assert to_text(cold) == to_text(warm)
@@ -363,7 +364,8 @@ def test_equal_trees_built_apart_share_hash_and_equality():
     a = parse_scalar_expr(text, VARS)
     assert parse_scalar_expr(text, VARS) is a
     program = ex.compile_program(a, VARS)
-    ex.clear_tables()
+    for i in range(ex._TABLE_CAP):  # the intern table reaches its cap and empties
+        Variable(f"v{i}")
     b = parse_scalar_expr(text, VARS)
     assert b is not a
     assert b == a and hash(b) == hash(a)
@@ -380,8 +382,6 @@ def test_nodes_are_immutable_and_unpickle_to_the_interned_node():
 
 
 def test_tables_stay_within_their_cap():
-    ex.clear_tables()
     for i in range(ex._TABLE_CAP + 10):
         Variable(f"v{i}")
     assert 0 < len(ex._interned) <= ex._TABLE_CAP
-    ex.clear_tables()

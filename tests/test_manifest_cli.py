@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import EXPR_TABLES
 
 from engelcalc import expr as ex
 from engelcalc.cli import build_parser, main
@@ -393,15 +394,28 @@ def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):
 # runner
 
 
-def test_run_tasks_empties_the_expression_tables():
-    manifest = parse_manifest((MANIFESTS / "prolonged-n2.manifest").read_text())
-    assert any(ex._TABLES)
-    run_tasks(manifest, command="verify")
-    assert not any(ex._TABLES)
-    ex.simplify(ex.parse_scalar_expr("x*(x + 1)", ("x",)))
-    with pytest.raises(KeyError):
-        run_tasks(manifest, command="nosuch")
-    assert not any(ex._TABLES)
+_BUNDLED_COORD = re.compile(r"\b(d?)([xyzw])\b")
+
+
+def test_run_tasks_keeps_the_tables_under_their_cap():
+    # every run renames the coordinates, so no tree repeats across runs and
+    # the tables fill with nodes no later run asks for
+    texts = {p.stem: p.read_text() for p in sorted(MANIFESTS.glob("*.manifest"))}
+    statuses = {
+        name: [t.status for t in run_tasks(parse_manifest(text), command="verify").tasks]
+        for name, text in texts.items()
+    }
+    names = sorted(texts)
+    for i in range(200):
+        name = names[i % len(names)]
+        fresh = _BUNDLED_COORD.sub(rf"\1\2_{i}", texts[name])
+        report = run_tasks(parse_manifest(fresh), command="verify")
+        assert [t.status for t in report.tasks] == statuses[name]
+    assert (ex.Variable, "x_0") not in ex._interned  # the intern table wrapped
+    assert all(len(table) <= ex._TABLE_CAP for table in EXPR_TABLES)
+    cache = ex.compile_program.cache_info()
+    assert cache.maxsize == ex._TABLE_CAP
+    assert cache.currsize <= ex._TABLE_CAP
 
 
 def test_cli_parser_is_built_once():

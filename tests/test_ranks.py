@@ -37,6 +37,18 @@ def svd_reference(mats, ratio):
 
 
 def assert_matches_svd(mats, ratio=TOL):
+    """matrix_ranks agrees with the SVD; a stack short enough to go straight
+    to the SVD is ranked a second time with the Gram path forced on it, so
+    that path stays tested on short stacks too."""
+    ranks = _assert_ranks_match_svd(mats, ratio)
+    if len(mats) < structures._GRAM_MIN_ROWS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_GRAM_MIN_ROWS", 0)
+            _assert_ranks_match_svd(mats, ratio)
+    return ranks
+
+
+def _assert_ranks_match_svd(mats, ratio):
     ranks, ratios = structures.matrix_ranks(mats, ratio)
     ref_ranks, ref_ratios = svd_reference(mats, ratio)
     np.testing.assert_array_equal(ranks, ref_ranks)
@@ -72,6 +84,17 @@ def ratio_rows(rng, shape, last):
 def test_random_stacks(shape, n):
     rng = np.random.default_rng(n)
     assert_matches_svd(rng.standard_normal((n, *shape)))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_short_stacks_skip_the_gram_path(monkeypatch, shape):
+    rng = np.random.default_rng(13)
+    mats = rng.standard_normal((10, *shape))
+    monkeypatch.setattr(structures, "_gram_ratios", lambda m: pytest.fail("Gram path taken"))
+    ranks, ratios = structures.matrix_ranks(mats, TOL)
+    ref_ranks, ref_ratios = svd_reference(mats, TOL)
+    np.testing.assert_array_equal(ranks, ref_ranks)
+    np.testing.assert_array_equal(ratios, ref_ratios)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
