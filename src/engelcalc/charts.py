@@ -125,6 +125,8 @@ class SamplePlan:
             raise GeometryError("grid resolutions must be >= 2")
         if self.random < 0:
             raise GeometryError("random count must be >= 0")
+        if self.seed < 0:
+            raise GeometryError("seed must be >= 0")
 
     def resolutions(self, dim: int) -> tuple[int, ...]:
         if isinstance(self.grid, tuple):

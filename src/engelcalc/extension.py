@@ -37,7 +37,6 @@ from .expr import ScalarExpr, simplify
 from .invariants import BoundaryConventionWarning
 from .prolongation import ContactFrame
 from .structures import (
-    DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
     Distribution2,
     Tolerances,
@@ -73,6 +72,18 @@ def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
             f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
         )
     return gmin
+
+
+def _warn_if_min_is_pi(gmin: float) -> bool:
+    """Warn when the normalized angle's minimum sits on pi; say whether it does."""
+    boundary = abs(gmin - math.pi) <= 1e-9
+    if boundary:
+        warnings.warn(
+            "normalized angle function attains pi at its minimum",
+            BoundaryConventionWarning,
+            stacklevel=3,
+        )
+    return boundary
 
 
 def _normalization_shift(min_raw: float) -> int:
@@ -121,15 +132,7 @@ def legendrian_angle_function(
     shift = _normalization_shift(float(np.min(values)))
     values = values + shift * math.pi
 
-    gmin = float(np.min(values))
-    boundary = abs(gmin - math.pi) <= 1e-9
-    if boundary:
-        warnings.warn(
-            "normalized angle function attains pi at its minimum",
-            BoundaryConventionWarning,
-            stacklevel=2,
-        )
-
+    boundary = _warn_if_min_is_pi(float(np.min(values)))
     symbolic = _symbolic_angle(a, b, shift, values, pts, chart.names)
     return AngleFunction(points=pts, table=values, symbolic=symbolic, boundary_warning=boundary)
 
@@ -170,17 +173,10 @@ class ExtensionSpec:
             raise GeometryError("provide exactly one of f1 or g")
 
     def angle_expression(
-        self, plan: SamplePlan | None = None, tol: Tolerances = DEFAULT_TOLERANCES
+        self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> ScalarExpr:
-        plan = plan or DEFAULT_PLAN
         if self.g is not None:
-            gmin = _angle_min(self.g, self.frame.chart, plan)
-            if abs(gmin - math.pi) <= 1e-9:
-                warnings.warn(
-                    "normalized angle function attains pi at its minimum",
-                    BoundaryConventionWarning,
-                    stacklevel=2,
-                )
+            _warn_if_min_is_pi(_angle_min(self.g, self.frame.chart, plan))
             return simplify(self.g)
         fn = legendrian_angle_function(self.frame, self.f1, plan, tol)
         if fn.symbolic is None:
@@ -220,12 +216,11 @@ def _twisted_generator(spec: ExtensionSpec, g: ScalarExpr) -> Distribution2:
 
 def extend(
     spec: ExtensionSpec,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
     verify: bool = True,
 ) -> Distribution2:
     """Build the interval extension; optionally verify the frame condition."""
-    plan = plan or DEFAULT_PLAN
     g = spec.angle_expression(plan, tol)
     dist = _twisted_generator(spec, g)
     if verify:
@@ -235,7 +230,7 @@ def extend(
 
 def verify_extension_identities(
     spec: ExtensionSpec,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Check the two bracket identities of the construction at samples.
@@ -248,7 +243,6 @@ def verify_extension_identities(
     the latter holding exactly when h is constant along the contact plane
     (true for the constant-angle fixtures this operation targets).
     """
-    plan = plan or DEFAULT_PLAN
     g = spec.angle_expression(plan, tol)
     dist = _twisted_generator(spec, g)
     chart4 = dist.chart
@@ -288,7 +282,7 @@ def verify_extension_identities(
 
 def extend_family(
     specs: list[ExtensionSpec],
-    plan: SamplePlan | None = None,
+    plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[int, ...]:
     """Verify a family of extensions; return each slice's minimal twisting number.
@@ -298,7 +292,6 @@ def extend_family(
     """
     from .invariants import minimal_twisting_number, minimal_twisting_plan
 
-    plan = plan or DEFAULT_PLAN
     if not specs:
         raise GeometryError("family grid is empty")
     for s, (a, b) in enumerate(zip(specs, specs[1:])):

@@ -33,7 +33,7 @@ from .prolongation import (
     development_profile,
     fiber_characteristic_annihilator,
 )
-from .structures import DEFAULT_PLAN, DEFAULT_TOLERANCES, Distribution2, Tolerances
+from .structures import DEFAULT_TOLERANCES, Distribution2, Tolerances
 
 INTEGER_TOLERANCE = 1e-6
 
@@ -92,6 +92,12 @@ class LegendrianLineField:
         return table
 
 
+def _projective_distance(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Distance in [0, pi/2] between the lines at angles a1 and a2."""
+    d = np.abs(a1 - a2) % math.pi
+    return np.minimum(d, math.pi - d)
+
+
 def line_angle_distance(
     l1: LegendrianLineField,
     l2: LegendrianLineField,
@@ -104,10 +110,7 @@ def line_angle_distance(
     pts = sample_points(l1.chart, plan)
     t1 = l1.tabulate(pts, tol)
     t2 = l2.tabulate(pts, tol)
-    a1 = np.arctan2(t1[:, 1], t1[:, 0])
-    a2 = np.arctan2(t2[:, 1], t2[:, 0])
-    d = np.abs(a1 - a2) % math.pi
-    d = np.minimum(d, math.pi - d)
+    d = _projective_distance(np.arctan2(t1[:, 1], t1[:, 0]), np.arctan2(t2[:, 1], t2[:, 0]))
     return float(np.max(d, initial=0.0))
 
 
@@ -238,11 +241,10 @@ def _check_coefficients_match(
     line: LegendrianLineField,
     tol: Tolerances,
 ) -> None:
-    base_pts = sample_points(line.chart, DEFAULT_PLAN)[:8]
+    base_pts = sample_points(line.chart, CHARACTERISTIC_PLAN)[:8]
     table = line.tabulate(base_pts, tol)
     raw = _raw_angles(d, frame, base_pts, np.array([float(t)]), tol)[:, 0]
-    diff = np.abs(np.arctan2(table[:, 1], table[:, 0]) - raw) % math.pi
-    diff = np.minimum(diff, math.pi - diff)
+    diff = _projective_distance(np.arctan2(table[:, 1], table[:, 0]), raw)
     off = np.flatnonzero(diff > 1e-8)
     if off.size:
         raise GeometryError(

@@ -24,15 +24,16 @@ parser accepts is listed here::
     form alpha = dy - z*dx
 
     [structure NAME]
-    kind = contact | even_contact       # form = FORM
-         | engel_pair                   # alpha = FORM, beta = FORM
-         | engel_frame                  # fields = FIELD FIELD
-         | contact_frame                # v0 = FIELD, v1 = FIELD
-         | prolongation                 # frame = CONTACT_FRAME, n = 2
-         | extension                    # frame, n, and g = EXPR
-                                        #   or f1 = EXPR EXPR
-         | extension_family             # frame, g = EXPR EXPR ...,
-                                        #   n = 0 1 ... (equal lengths)
+    kind = contact | even_contact   # form = FORM
+         | engel_pair               # alpha = FORM, beta = FORM
+         | engel_frame              # fields = FIELD FIELD
+         | contact_frame            # v0 = FIELD, v1 = FIELD
+         | prolongation             # frame = CONTACT_FRAME, n = INT
+         | extension                # frame = CONTACT_FRAME, n = INT, and
+                                    #   g = EXPR or f1 = EXPR EXPR
+         | extension_family         # frame = CONTACT_FRAME,
+                                    #   g = EXPR EXPR ..., n = INT INT ...
+                                    #   (lists of equal length)
 
     [task ID]
     kind = verify | invariant | identities | construct
@@ -42,7 +43,9 @@ parser accepts is listed here::
     base_points = 10        # twisting_number only; 1..256, default 10
     out = PATH              # construct only; overrides --out
 
-A structure or task accepts only the keys its kind uses.  Every referenced
+FORM, FIELD and EXPR name [define] entries of that type, CONTACT_FRAME
+names a structure of kind contact_frame, and INT is an integer.  A
+structure or task accepts only the keys its kind uses.  Every referenced
 name must be defined before use; validation errors carry the offending line
 number.
 """
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import expr as ex
 from .charts import (
@@ -119,19 +123,6 @@ class Manifest:
         if tol_zero is not None:
             tol = replace(tol, zero=tol_zero)
         return replace(self, sampling=plan, tolerances=tol)
-
-
-_STRUCTURE_KINDS = {
-    "contact",
-    "even_contact",
-    "engel_pair",
-    "engel_frame",
-    "contact_frame",
-    "prolongation",
-    "extension",
-    "extension_family",
-}
-_TASK_KINDS = {"verify", "invariant", "identities", "construct"}
 
 
 def _strip(line: str) -> str:
@@ -283,24 +274,22 @@ def _parse_int(value: str, what: str, lineno: int) -> int:
         raise ManifestError(f"{what} must be an integer, got {value!r}", lineno) from None
 
 
-def _parse_sampling(entries, base: SamplePlan) -> SamplePlan:
-    grid, random, seed = base.grid, base.random, base.seed
+def _parse_sampling(entries, plan: SamplePlan) -> SamplePlan:
     for key, value, lineno in entries:
         if key == "grid":
             parts = [_parse_int(p, "grid", lineno) for p in value.split()]
             if not parts:
                 raise ManifestError("grid needs at least one resolution", lineno)
-            grid = parts[0] if len(parts) == 1 else tuple(parts)
-        elif key == "random":
-            random = _parse_int(value, "random", lineno)
-        elif key == "seed":
-            seed = _parse_int(value, "seed", lineno)
+            parsed = parts[0] if len(parts) == 1 else tuple(parts)
+        elif key in ("random", "seed"):
+            parsed = _parse_int(value, key, lineno)
         else:
             raise ManifestError(f"unknown sampling entry '{key}'", lineno)
-    try:
-        return SamplePlan(grid=grid, random=random, seed=seed)
-    except GeometryError as err:
-        raise ManifestError(str(err), entries[0][2] if entries else 1) from err
+        try:
+            plan = replace(plan, **{key: parsed})
+        except GeometryError as err:
+            raise ManifestError(str(err), lineno) from None
+    return plan
 
 
 def _parse_tolerances(entries, base: Tolerances) -> Tolerances:
@@ -345,31 +334,6 @@ def _parse_definitions(chart: Chart, entries, definitions: dict) -> None:
             raise ManifestError(str(err), lineno) from err
 
 
-def _lookup(definitions: dict, name: str, want: type, lineno: int):
-    if name not in definitions:
-        raise ManifestError(f"undefined name '{name}'", lineno)
-    obj = definitions[name]
-    if not isinstance(obj, want):
-        raise ManifestError(
-            f"'{name}' is a {type(obj).__name__}, expected {want.__name__}", lineno
-        )
-    return obj
-
-
-_REQUIRED_KEYS = {
-    "contact": {"form"},
-    "even_contact": {"form"},
-    "engel_pair": {"alpha", "beta"},
-    "engel_frame": {"fields"},
-    "contact_frame": {"v0", "v1"},
-    "prolongation": {"frame", "n"},
-    "extension": {"frame", "n"},
-    "extension_family": {"frame", "g", "n"},
-}
-
-# Keys a structure kind accepts beyond its required ones.
-_OPTIONAL_KEYS = {"extension": {"g", "f1"}}
-
 # Largest twisting_number base_points: 256 base points times the 513 fiber
 # values of the twisting grid use half of the row budget of one development
 # pass (prolongation.MAX_PROFILE_POINTS).
@@ -383,16 +347,63 @@ _TASK_KEYS = {
     "construct": {"target", "out"},
 }
 
-_DIMENSION_OF_KIND = {
-    "contact": 3,
-    "even_contact": 4,
-    "engel_pair": 4,
-    "engel_frame": 4,
-    "contact_frame": 3,
-    "prolongation": 3,
-    "extension": 3,
-    "extension_family": 3,
+# The count of an entry that takes one or more names.
+_SOME = 0
+_COUNT_WORDS = {1: "one", 2: "two", _SOME: "one or more"}
+
+
+class _Kind(NamedTuple):
+    """Chart dimension of a structure kind and, per entry, what its names
+    refer to (a definition type, the kind of a structure, or int) and how
+    many it takes (1, 2 or ``_SOME``).  Every entry is required except those
+    in ``one_of``, of which exactly one is given; the ``_SOME`` lists of one
+    structure have equal length."""
+
+    dim: int
+    entries: dict[str, tuple[type | str, int]]
+    one_of: tuple[str, ...] = ()
+
+
+_FRAME = ("contact_frame", 1)
+
+_STRUCTURES = {
+    "contact": _Kind(3, {"form": (KForm, 1)}),
+    "even_contact": _Kind(4, {"form": (KForm, 1)}),
+    "engel_pair": _Kind(4, {"alpha": (KForm, 1), "beta": (KForm, 1)}),
+    "engel_frame": _Kind(4, {"fields": (VectorField, 2)}),
+    "contact_frame": _Kind(3, {"v0": (VectorField, 1), "v1": (VectorField, 1)}),
+    "prolongation": _Kind(3, {"frame": _FRAME, "n": (int, 1)}),
+    "extension": _Kind(
+        3,
+        {"frame": _FRAME, "n": (int, 1), "g": (ScalarExpr, 1), "f1": (ScalarExpr, 2)},
+        one_of=("g", "f1"),
+    ),
+    "extension_family": _Kind(
+        3, {"frame": _FRAME, "g": (ScalarExpr, _SOME), "n": (int, _SOME)}
+    ),
 }
+
+
+def _check_name(key: str, name: str, ref, definitions: dict, structures: dict, lineno: int):
+    if ref is int:
+        try:
+            int(name)
+        except ValueError:
+            raise ManifestError(f"'{key}' must be integers, got {name!r}", lineno) from None
+    elif isinstance(ref, str):
+        if name not in structures:
+            raise ManifestError(f"undefined structure '{name}'", lineno)
+        if structures[name].kind != ref:
+            raise ManifestError(
+                f"'{name}' is a {structures[name].kind}, expected {ref}", lineno
+            )
+    elif name not in definitions:
+        raise ManifestError(f"undefined name '{name}'", lineno)
+    elif not isinstance(definitions[name], ref):
+        raise ManifestError(
+            f"'{name}' is a {type(definitions[name]).__name__}, expected {ref.__name__}",
+            lineno,
+        )
 
 
 def _parse_structure(
@@ -408,75 +419,47 @@ def _parse_structure(
     for key, value, lineno in entries:
         if key == "kind":
             kind = value
-            if kind not in _STRUCTURE_KINDS:
+            if kind not in _STRUCTURES:
                 raise ManifestError(f"unknown structure kind '{kind}'", lineno)
         else:
             options[key] = (value, lineno)
     if kind is None:
         raise ManifestError(f"structure '{name}' has no kind", header_line)
-    missing = _REQUIRED_KEYS[kind] - set(options)
+    spec = _STRUCTURES[kind]
+    missing = set(spec.entries) - set(spec.one_of) - set(options)
     if missing:
         raise ManifestError(
             f"structure '{name}' ({kind}) is missing {sorted(missing)}", header_line
         )
-    if chart.dim != _DIMENSION_OF_KIND[kind]:
+    if chart.dim != spec.dim:
         raise ManifestError(
-            f"structure kind '{kind}' needs a {_DIMENSION_OF_KIND[kind]}-dimensional"
+            f"structure kind '{kind}' needs a {spec.dim}-dimensional"
             f" chart, this manifest's chart has dimension {chart.dim}",
             header_line,
         )
 
     # validate references and value shapes now so errors carry line numbers
-    allowed = _REQUIRED_KEYS[kind] | _OPTIONAL_KEYS.get(kind, set())
     for key, (value, lineno) in options.items():
-        if key not in allowed:
+        if key not in spec.entries:
             raise ManifestError(f"unknown structure entry '{key}' for kind '{kind}'", lineno)
-        if key in ("form", "alpha", "beta"):
-            _lookup(definitions, value, KForm, lineno)
-        elif key in ("v0", "v1"):
-            _lookup(definitions, value, VectorField, lineno)
-        elif key == "fields":
-            names = value.split()
-            if len(names) != 2:
-                raise ManifestError("'fields' needs exactly two names", lineno)
-            for fname in names:
-                _lookup(definitions, fname, VectorField, lineno)
-        elif key == "frame":
-            if value not in structures:
-                raise ManifestError(f"undefined structure '{value}'", lineno)
-            if structures[value].kind != "contact_frame":
-                raise ManifestError(
-                    f"'{value}' is a {structures[value].kind}, expected contact_frame",
-                    lineno,
-                )
-        elif key == "g":
-            for gname in value.split():
-                _lookup(definitions, gname, ScalarExpr, lineno)
-        elif key == "f1":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ManifestError("'f1' needs two expression names", lineno)
-            for ename in parts:
-                _lookup(definitions, ename, ScalarExpr, lineno)
-        else:  # n
-            for part in value.split():
-                try:
-                    int(part)
-                except ValueError:
-                    raise ManifestError(f"'n' must be integers, got {part!r}", lineno)
-            if kind != "extension_family" and len(value.split()) != 1:
-                raise ManifestError(f"'n' must be one integer, got {value!r}", lineno)
-    if kind == "extension" and ("g" in options) == ("f1" in options):
-        raise ManifestError(
-            f"extension '{name}' needs exactly one of 'g' or 'f1'", header_line
-        )
-    if kind == "extension_family":
-        gs = options["g"][0].split()
-        ns = options["n"][0].split()
-        if len(gs) != len(ns):
+        ref, count = spec.entries[key]
+        names = value.split()
+        if not names or (count != _SOME and len(names) != count):
+            noun = ("integer" if ref is int else "name") + ("" if count == 1 else "s")
             raise ManifestError(
-                "'g' and 'n' lists must have equal length", header_line
+                f"'{key}' must be {_COUNT_WORDS[count]} {noun}, got {value!r}", lineno
             )
+        for part in names:
+            _check_name(key, part, ref, definitions, structures, lineno)
+    if spec.one_of and sum(key in options for key in spec.one_of) != 1:
+        either = " or ".join(f"'{key}'" for key in spec.one_of)
+        raise ManifestError(f"{kind} '{name}' needs exactly one of {either}", header_line)
+    lists = [key for key, (_, count) in spec.entries.items() if count == _SOME]
+    if len({len(options[key][0].split()) for key in lists}) > 1:
+        raise ManifestError(
+            " and ".join(f"'{key}'" for key in lists) + " lists must have equal length",
+            header_line,
+        )
     flat = {k: v for k, (v, _) in options.items()}
     return StructureDecl(name=name, kind=kind, options=flat, line=header_line)
 
@@ -488,7 +471,7 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
     for key, value, lineno in entries:
         if key == "kind":
             kind = value
-            if kind not in _TASK_KINDS:
+            if kind not in _TASK_KEYS:
                 raise ManifestError(f"unknown task kind '{kind}'", lineno)
             continue
         if key == "target":
@@ -526,49 +509,40 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
 # materialization
 
 
-def resolve_contact_frame(manifest: Manifest, decl: StructureDecl):
-    from .prolongation import ContactFrame
-
-    v0 = manifest.definitions[decl.options["v0"]]
-    v1 = manifest.definitions[decl.options["v1"]]
-    return ContactFrame(manifest.chart, v0, v1)
-
-
-def _frame_of(manifest: Manifest, decl: StructureDecl):
-    return resolve_contact_frame(manifest, manifest.structures[decl.options["frame"]])
+def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
+    """What the names of one entry refer to: one object for an entry that
+    takes one name, else a tuple of them."""
+    ref, count = _STRUCTURES[decl.kind].entries[key]
+    names = decl.options[key].split()
+    if ref is int:
+        values = [int(n) for n in names]
+    elif isinstance(ref, str):
+        values = [materialize(manifest, manifest.structures[n]) for n in names]
+    else:
+        values = [manifest.definitions[n] for n in names]
+    return values[0] if count == 1 else tuple(values)
 
 
 def materialize(manifest: Manifest, decl: StructureDecl):
     """Build the runtime object for a structure declaration."""
     from .extension import ExtensionSpec
-    from .prolongation import prolong
+    from .prolongation import ContactFrame, prolong
 
-    defs = manifest.definitions
+    args = {key: _resolve(manifest, decl, key) for key in decl.options}
     if decl.kind in ("contact", "even_contact"):
-        return defs[decl.options["form"]]
+        return args["form"]
     if decl.kind == "engel_pair":
-        return EngelPair(defs[decl.options["alpha"]], defs[decl.options["beta"]])
+        return EngelPair(args["alpha"], args["beta"])
     if decl.kind == "engel_frame":
-        f1, f2 = decl.options["fields"].split()
-        return Distribution2(manifest.chart, defs[f1], defs[f2])
+        return Distribution2(manifest.chart, *args["fields"])
     if decl.kind == "contact_frame":
-        return resolve_contact_frame(manifest, decl)
+        return ContactFrame(manifest.chart, args["v0"], args["v1"])
     if decl.kind == "prolongation":
-        frame = _frame_of(manifest, decl)
-        n = int(decl.options["n"])
-        return prolong(frame, n, manifest.sampling, manifest.tolerances, verify=False)
+        return prolong(args["frame"], args["n"])
     if decl.kind == "extension":
-        frame = _frame_of(manifest, decl)
-        n = int(decl.options["n"])
-        if "g" in decl.options:
-            return ExtensionSpec(frame=frame, n=n, g=defs[decl.options["g"]])
-        a, b = decl.options["f1"].split()
-        return ExtensionSpec(frame=frame, n=n, f1=(defs[a], defs[b]))
+        return ExtensionSpec(**args)  # frame, n, and g or f1
     if decl.kind == "extension_family":
-        frame = _frame_of(manifest, decl)
-        gs = decl.options["g"].split()
-        ns = decl.options["n"].split()
-        return [ExtensionSpec(frame=frame, n=int(n), g=defs[g]) for g, n in zip(gs, ns)]
+        return [ExtensionSpec(args["frame"], n, g=g) for g, n in zip(args["g"], args["n"])]
     raise ManifestError(f"cannot materialize kind '{decl.kind}'", decl.line)
 
 

@@ -36,7 +36,6 @@ from .charts import (
 )
 from .expr import ScalarExpr, simplify, substitute
 from .structures import (
-    DEFAULT_PLAN,
     DEFAULT_TOLERANCES,
     Distribution2,
     Tolerances,
@@ -75,10 +74,9 @@ class ContactFrame:
             raise ChartMismatchError("frame fields must live on the frame chart")
 
     def validate(
-        self, plan: SamplePlan | None = None, tol: Tolerances = DEFAULT_TOLERANCES
+        self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> VerificationReport:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
-        plan = plan or DEFAULT_PLAN
         pts, _ = distinct_samples(self.chart, plan, variables_of(self.v0, self.v1))
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
         (ranks2, ratio2), (ranks3, ratio3) = _frame_ranks(fields, pts, tol.rank, (2, 3))
@@ -129,23 +127,18 @@ class ProlongedEngel:
         )
 
 
-def prolong(
-    frame: ContactFrame,
-    n: int,
-    plan: SamplePlan | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    fiber_name: str = "theta",
-    verify: bool = True,
-) -> ProlongedEngel:
+def prolong(frame: ContactFrame, n: int) -> ProlongedEngel:
     """n-fold fiberwise prolongation of a framed contact structure.
 
     Returns the frame {d/dtheta, cos(n*theta/2)*V0 + sin(n*theta/2)*V1} on
-    the product chart with theta periodic of period 2*pi.
+    the product chart with theta periodic of period 2*pi (the fiber is
+    named theta, with underscores appended while that is a base
+    coordinate).  The frame is not validated here; verify tasks check the
+    result.
     """
     if not isinstance(n, int) or n < 1:
         raise GeometryError("covering index must be a positive integer")
-    if verify:
-        frame.validate(plan, tol).require("contact frame validation")
+    fiber_name = "theta"
     while fiber_name in frame.chart.names:
         fiber_name = fiber_name + "_"
     chart4 = product_chart(frame.chart, fiber_name, 0.0, TWO_PI, periodic=True)
@@ -176,7 +169,7 @@ def fiber_characteristic_annihilator(
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     frame3 = derived_square(d, plan, tol)
-    beta = annihilator_1form(frame3, plan, tol)
+    beta = annihilator_1form(frame3, plan)
     check_characteristic(coordinate_field(chart, chart.fiber), beta, plan, tol).require(
         "fiber-direction characteristic check"
     )
@@ -186,7 +179,7 @@ def fiber_characteristic_annihilator(
 def deprolong(
     d: Distribution2,
     section_value: float,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> KForm:
     """Contact form induced on the cross section {fiber = section_value}.
@@ -195,7 +188,6 @@ def deprolong(
     that the characteristic direction is the fiber, substitutes the fiber
     coordinate, and verifies the result is contact on the base chart.
     """
-    plan = plan or DEFAULT_PLAN
     beta = fiber_characteristic_annihilator(d, plan, tol)
     chart = d.chart
     base = base_chart_of(chart)

@@ -80,7 +80,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-DEFAULT_PLAN = SamplePlan(grid=3, random=16, seed=0)
 
 
 class CheckError(GeometryError):
@@ -548,7 +547,7 @@ def check_engel_frame(
 
 def derived_square(
     d: Distribution2,
-    plan: SamplePlan | None = None,
+    plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[VectorField, VectorField, VectorField]:
     """Frame (X, Y, [X, Y]) of the bracket-extended distribution.
@@ -556,7 +555,6 @@ def derived_square(
     Raises :class:`RankDeficiencyError` if the three fields drop rank at a
     sample point.
     """
-    plan = plan or DEFAULT_PLAN
     pts, _ = distinct_samples(d.chart, plan, variables_of(d.x, d.y))
     xy = lie_bracket(d.x, d.y)
     ((ranks, _),) = _frame_ranks((d.x, d.y, xy), pts, tol.rank, (3,))
@@ -568,11 +566,7 @@ def derived_square(
     return (d.x, d.y, xy)
 
 
-def annihilator_1form(
-    frame: Sequence[VectorField],
-    plan: SamplePlan | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> KForm:
+def annihilator_1form(frame: Sequence[VectorField], plan: SamplePlan) -> KForm:
     """Symbolic 1-form annihilating a rank-3 frame on a 4-chart.
 
     Component i is the signed 3x3 minor of the 4x3 component matrix with
@@ -587,7 +581,6 @@ def annihilator_1form(
     for f in frame[1:]:
         if f.chart != chart:
             raise ChartMismatchError("frame fields on different charts")
-    plan = plan or DEFAULT_PLAN
     cols = [f.components for f in frame]
 
     def det3(rows: list[int]) -> ScalarExpr:
@@ -625,12 +618,7 @@ def annihilator_1form(
     return beta
 
 
-def characteristic_vector_field(
-    beta: KForm,
-    volume: KForm,
-    plan: SamplePlan | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VectorField:
+def characteristic_vector_field(beta: KForm, volume: KForm, plan: SamplePlan) -> VectorField:
     """Solve X . volume = beta ^ d(beta) symbolically on a 4-chart.
 
     With volume = rho dx0^dx1^dx2^dx3 and beta ^ d(beta) = sum c_J dx^J,
@@ -642,7 +630,6 @@ def characteristic_vector_field(
         raise DimensionError("characteristic field needs a 1-form on a 4-chart")
     if volume.chart != chart or volume.degree != 4:
         raise ChartMismatchError("volume must be a top form on the same chart")
-    plan = plan or DEFAULT_PLAN
     pts, _ = distinct_samples(chart, plan, variables_of(beta, volume))
 
     rho = volume.coeff(tuple(range(4)))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,15 @@ def cold_tables():
     """Start every test from empty expression tables, so no result depends
     on which tests ran before."""
     empty_expr_tables()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(data: str | bytes):
+    """``json.loads`` that rejects NaN and Infinity, which JSON lacks."""
+    return json.loads(data, parse_constant=_reject_constant)
 
 
 def chart_from_box(bounds, periodic=(), fiber=None) -> ch.Chart:

@@ -103,7 +103,7 @@ def test_criterion_1_standard_structures(box4, std_pair_forms, std_kernel_frame)
 
 def test_criterion_2_characteristic_field(box4):
     beta = parse_one_form(box4, "dy - z*dx")
-    x0 = characteristic_vector_field(beta, volume_form(box4))
+    x0 = characteristic_vector_field(beta, volume_form(box4), ACCEPTANCE_PLAN)
     exact = tuple(ex.simplify(c) for c in x0.components)
     ok = exact == (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE)
     rep = check_characteristic(x0, beta, ACCEPTANCE_PLAN)
@@ -221,6 +221,7 @@ def _fixture_field_pairs(std_frame, t3_frame, std_kernel_frame, box4):
     pairs.append((pe.chart, pe.fiber_field, pe.twist_field))
     dist = extend(
         ExtensionSpec(frame=std_frame, n=0, g=ex.Constant(math.pi / 2)),
+        CHECK_PLAN,
         verify=False,
     )
     pairs.append((dist.chart, dist.x, dist.y))

@@ -1,13 +1,17 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
-from conftest import EXPR_TABLES
+from conftest import EXPR_TABLES, strict_json
 
 from engelcalc import expr as ex
+from engelcalc import manifest as manifest_module
+from engelcalc.charts import KForm, VectorField
 from engelcalc.cli import build_parser, main
-from engelcalc.manifest import Manifest, ManifestError, parse_manifest
+from engelcalc.expr import ScalarExpr
+from engelcalc.manifest import _SOME, _STRUCTURES, Manifest, ManifestError, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
 
@@ -104,6 +108,7 @@ def test_unknown_reference_in_task():
         (("[define]", "[tolerances]\nrank = soft\n\n[define]"), "number"),
         (("kind = verify", "kind = verify\nexpect = maybe"), "integer"),
         (("dz - w*dx", "dz - 1e400*dx"), "'1e400' is not finite"),
+        (("[define]", "[sampling]\nseed = -3\n\n[define]"), "line 10: seed must be >= 0"),
     ],
 )
 def test_hostile_inputs_are_manifest_errors(mutation, message):
@@ -132,6 +137,7 @@ def test_cli_never_tracebacks_on_bad_values(tmp_path):
         (["--fd-step=inf"], "", "--fd-step must be finite and > 0, got inf"),
         (["--fd-step=0"], "", "--fd-step must be finite and > 0, got 0.0"),
         (["--fd-step=-1"], "", r"--fd-step must be finite and > 0, got -1\.0"),
+        (["--seed", "-1"], "", "seed must be >= 0"),
     ],
 )
 def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, section, message):
@@ -329,6 +335,101 @@ def test_frame_reference_must_be_a_contact_frame():
         parse_manifest(text)
 
 
+# placeholder of each reference type in the module docstring's format
+_PLACEHOLDERS = {KForm: "FORM", VectorField: "FIELD", ScalarExpr: "EXPR", int: "INT"}
+
+
+def _placeholder(ref, count) -> str:
+    word = _PLACEHOLDERS.get(ref) or ref.upper()
+    return f"{word} {word} ..." if count == _SOME else " ".join([word] * count)
+
+
+def test_manifest_docstring_lists_every_kind_and_entry():
+    doc = manifest_module.__doc__
+    block = doc[doc.index("[structure NAME]") : doc.index("[task ID]")]
+    # "kind = a | b  # entries": kinds on one line share the entries after them
+    parts = re.split(r"(?:kind =|\|) (\w+)", block)[1:]
+    documented, pending = {}, []
+    for kind, stretch in zip(parts[::2], parts[1::2]):
+        pending.append(kind)
+        if stretch.strip():
+            entries = re.findall(r"(\w+) = ([A-Z_]+(?: [A-Z_]+)*(?: \.\.\.)?)", stretch)
+            documented.update({k: dict(entries) for k in pending})
+            pending = []
+    assert documented == {
+        kind: {key: _placeholder(ref, count) for key, (ref, count) in spec.entries.items()}
+        for kind, spec in _STRUCTURES.items()
+    }
+
+
+def _declaration(kind: str, key: str) -> tuple[str, int]:
+    """A manifest text declaring a structure of this kind with this entry,
+    and the line number of that entry."""
+    texts = [p.read_text(encoding="utf-8") for p in sorted(MANIFESTS.glob("*.manifest"))]
+    for text in texts + [F1_EXTENSION, TWO_SLICE_FAMILY]:
+        for decl in parse_manifest(text).structures.values():
+            if decl.kind == kind and key in decl.options:
+                lines = text.splitlines()
+                for lineno in range(decl.line + 1, len(lines) + 1):
+                    if lines[lineno - 1].split("=")[0].strip() == key:
+                        return text, lineno
+    raise AssertionError(f"no test manifest declares a {kind} with '{key}'")
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [
+        (kind, key)
+        for kind, spec in _STRUCTURES.items()
+        for key, (_, count) in spec.entries.items()
+        if count != _SOME
+    ],
+)
+def test_one_extra_name_in_a_fixed_count_entry_is_a_manifest_error(tmp_path, capsys, kind, key):
+    ref, count = _STRUCTURES[kind].entries[key]
+    text, lineno = _declaration(kind, key)
+    lines = text.splitlines()
+    value = lines[lineno - 1].split("=", 1)[1].strip()
+    value = f"{value} {value.split()[0]}"
+    lines[lineno - 1] = f"{key} = {value}"
+    text = "\n".join(lines) + "\n"
+    noun = ("integer" if ref is int else "name") + ("s" if count > 1 else "")
+    message = f"line {lineno}: '{key}' must be {'one' if count == 1 else 'two'} {noun}, got {value!r}"
+    with pytest.raises(ManifestError) as err:
+        parse_manifest(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.manifest"
+    path.write_text(text)
+    for command in ("verify", "invariant"):
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture,old,new,message",
+    [
+        ("extension-n1", "g = g_half", "", "line 25: extension 'ext' needs exactly one of 'g' or 'f1'"),
+        (
+            "extension-n1",
+            "g = g_half",
+            "g = g_half\nf1 = g_half g_half",
+            "line 25: extension 'ext' needs exactly one of 'g' or 'f1'",
+        ),
+        ("neg-family-jump", "n = 0 2 3", "n = 0 2", "line 25: 'g' and 'n' lists must have equal length"),
+        ("neg-family-jump", "n = 0 2 3", "n =", "line 29: 'n' must be one or more integers, got ''"),
+        ("neg-family-jump", "n = 0 2 3", "n = 0 2 x", "line 29: 'n' must be integers, got 'x'"),
+    ],
+)
+def test_cross_entry_rules_are_manifest_errors(tmp_path, capsys, fixture, old, new, message):
+    text = (MANIFESTS / f"{fixture}.manifest").read_text(encoding="utf-8")
+    assert text.count(old + "\n") == 1
+    path = tmp_path / "bad.manifest"
+    path.write_text(text.replace(old + "\n", new + "\n"))
+    for command in ("verify", "invariant"):
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 ENGEL_FRAME_1_OVER_X = """
 [chart]
 coords = x y z w
@@ -372,6 +473,21 @@ def test_non_finite_samples_are_task_errors(tmp_path, text, first_error):
     assert main(["verify", str(path), *flags]) == 1
     errors = [t["error"] for t in json.loads(out.read_text())["tasks"] if t["status"] == "error"]
     assert errors[0] == first_error
+
+
+def test_non_finite_fd_oracle_is_a_task_error(tmp_path):
+    # the step overflows the stencil; the oracle's values are not finite
+    out = tmp_path / "r.json"
+    flags = ["--fd-step", "1e308", "--report", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(MANIFESTS / "standard-engel-r4.manifest"), *flags]) == 1
+    tasks = strict_json(out.read_text())["tasks"]
+    assert [(t["id"], t["status"], t.get("error")) for t in tasks] == [
+        ("pair", "pass", None),
+        ("even_contact", "pass", None),
+        ("frame", "error", "non-finite value at sample point [-1.0, -1.0, -1.0, -1.0]"),
+    ]
 
 
 def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):

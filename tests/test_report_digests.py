@@ -5,7 +5,8 @@ the JSON report that ``cli.main`` writes with ``--report``, with the
 values of ``duration_ms`` and ``output_path`` masked.  Each construct run
 that writes an ``--out`` manifest adds that file's digest.  The plans are
 each manifest's own and ``--samples-grid 8 --samples-random 300 --seed 5``.
-A digest that changes means report bytes changed.
+A digest that changes means report bytes changed.  Every report must also
+be strict JSON: no ``NaN`` or ``Infinity``.
 
 Regenerate, only when a change to report bytes is intended, with
 
@@ -20,6 +21,8 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+
+from conftest import strict_json
 
 from engelcalc.cli import main
 
@@ -57,6 +60,7 @@ def report_digests(workdir: Path, reverse: bool = False) -> dict[str, str]:
                 built.unlink(missing_ok=True)
                 main(argv)
                 data = report.read_bytes()
+                strict_json(data)
                 for pattern, mask in _MASKS:
                     data = pattern.sub(mask, data)
                 out[key] = _sha256(data)

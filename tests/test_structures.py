@@ -253,13 +253,13 @@ def test_annihilator_prolonged_has_no_fiber_term(std_frame):
 
 def test_characteristic_field_standard(box4):
     beta = parse_one_form(box4, "dy - z*dx")
-    x0 = characteristic_vector_field(beta, volume_form(box4))
+    x0 = characteristic_vector_field(beta, volume_form(box4), PLAN)
     assert [ex.to_text(c) for c in x0.components] == ["0", "0", "0", "1"]
 
 
 def test_characteristic_field_second_form_fixed_by_contraction(box4):
     beta = parse_one_form(box4, "dz - w*dx")
-    x0 = characteristic_vector_field(beta, volume_form(box4))
+    x0 = characteristic_vector_field(beta, volume_form(box4), PLAN)
     # sign pinned by the defining contraction identity, verified internally
     assert [ex.to_text(c) for c in x0.components] == ["0", "1", "0", "0"]
     lhs = ch.interior_product(x0, volume_form(box4))
@@ -270,8 +270,8 @@ def test_characteristic_field_second_form_fixed_by_contraction(box4):
 
 def test_characteristic_field_scales_inversely_with_volume(box4):
     beta = parse_one_form(box4, "dy - z*dx")
-    x0 = characteristic_vector_field(beta, volume_form(box4))
-    x0_half = characteristic_vector_field(beta, volume_form(box4, 2.0))
+    x0 = characteristic_vector_field(beta, volume_form(box4), PLAN)
+    x0_half = characteristic_vector_field(beta, volume_form(box4, 2.0), PLAN)
     pts = sample_points(box4, SamplePlan(grid=2, random=10, seed=0))
     np.testing.assert_allclose(
         x0_half.evaluate_at(pts), 0.5 * x0.evaluate_at(pts), atol=1e-14
@@ -318,7 +318,7 @@ def test_engel_chain_frame_to_characteristic(
         assert check_engel_frame(d, PLAN).passed
         beta = annihilator_1form(derived_square(d, PLAN), PLAN)
         assert check_even_contact(beta, PLAN).passed
-        x0 = characteristic_vector_field(beta, volume_form(d.chart))
+        x0 = characteristic_vector_field(beta, volume_form(d.chart), PLAN)
         assert check_characteristic(x0, beta, PLAN).passed
 
 
