@@ -50,7 +50,6 @@ from .structures import (
 )
 from .prolongation import (
     ContactFrame,
-    ProlongedEngel,
     prolong,
     deprolong,
     development_profile,

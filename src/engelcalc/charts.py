@@ -352,8 +352,6 @@ class KForm:
                 cols.append(np.zeros(points.shape[0]))
             else:
                 cols.append(ex.evaluate_many(c, self.chart.names, points))
-        if not cols:
-            return np.zeros((points.shape[0], 0))
         return require_finite(np.stack(cols, axis=1), points)
 
     def scaled_by(self, factor) -> "KForm":
@@ -386,10 +384,7 @@ def volume_form(chart: Chart, density=1.0) -> KForm:
 
 def form_evaluate_scalar(form: KForm, points: np.ndarray) -> np.ndarray:
     """Pointwise 2-norm of the coefficient vector."""
-    vals = form.evaluate_at(points)
-    if vals.shape[1] == 0:
-        return np.zeros(points.shape[0])
-    return np.linalg.norm(vals, axis=1)
+    return np.linalg.norm(form.evaluate_at(points), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,20 @@ from .charts import (
     GeometryError,
     SamplePlan,
     VectorField,
-    coordinate_field,
     distinct_samples,
     lie_bracket,
     lift_to_product,
-    product_chart,
     require_finite,
     sample_points,
     variables_of,
 )
 from .expr import ScalarExpr, simplify
-from .invariants import BoundaryConventionWarning
-from .prolongation import ContactFrame
+from .invariants import (
+    BoundaryConventionWarning,
+    minimal_twisting_number,
+    minimal_twisting_plan,
+)
+from .prolongation import ContactFrame, rotate_along_fiber
 from .structures import (
     DEFAULT_TOLERANCES,
     Distribution2,
@@ -190,27 +192,9 @@ FIBER_NAME = "t"
 
 
 def _twisted_generator(spec: ExtensionSpec, g: ScalarExpr) -> Distribution2:
-    frame = spec.frame
-    fiber = FIBER_NAME
-    while fiber in frame.chart.names:
-        fiber = fiber + "_"
-    chart4 = product_chart(frame.chart, fiber, 0.0, 1.0, periodic=False)
-    total = simplify(
-        ex.Multiply(
-            ex.Variable(fiber),
-            ex.Add(g, ex.Multiply(ex.Constant(spec.n), ex.PI)),
-        )
-    )
-    a = ex.Cos(total)
-    b = ex.Sin(total)
-    v = lift_to_product(frame.v0, chart4).scaled_by(a) + lift_to_product(
-        frame.v1, chart4
-    ).scaled_by(b)
-    return Distribution2(
-        chart4,
-        coordinate_field(chart4, fiber),
-        v,
-        legendrian_coefficients=(a, b),
+    h = ex.Add(g, ex.Multiply(ex.Constant(spec.n), ex.PI))
+    return rotate_along_fiber(
+        spec.frame, FIBER_NAME, 0.0, 1.0, False, lambda t: simplify(ex.Multiply(t, h))
     )
 
 
@@ -218,14 +202,9 @@ def extend(
     spec: ExtensionSpec,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    verify: bool = True,
 ) -> Distribution2:
-    """Build the interval extension; optionally verify the frame condition."""
-    g = spec.angle_expression(plan, tol)
-    dist = _twisted_generator(spec, g)
-    if verify:
-        check_engel_frame(dist, plan, tol).require("extension frame check")
-    return dist
+    """Build the interval extension; verify tasks check the frame."""
+    return _twisted_generator(spec, spec.angle_expression(plan, tol))
 
 
 def verify_extension_identities(
@@ -290,8 +269,6 @@ def extend_family(
     Slice i sits at s = i.  The twist count may change by at most one
     between adjacent slices; every slice is verified individually.
     """
-    from .invariants import minimal_twisting_number, minimal_twisting_plan
-
     if not specs:
         raise GeometryError("family grid is empty")
     for s, (a, b) in enumerate(zip(specs, specs[1:])):
@@ -303,7 +280,8 @@ def extend_family(
     base_plan = minimal_twisting_plan(plan.seed)
     mtw = []
     for spec in specs:
-        dist = extend(spec, plan, tol, verify=True)
+        dist = extend(spec, plan, tol)
+        check_engel_frame(dist, plan, tol).require("extension frame check")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryConventionWarning)
             mtw.append(minimal_twisting_number(dist, spec.frame, base_plan, tol))

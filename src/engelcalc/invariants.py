@@ -120,6 +120,29 @@ def minimal_twisting_plan(seed: int) -> SamplePlan:
     return replace(CHARACTERISTIC_PLAN, seed=seed)
 
 
+def _fiber_rotation(
+    d: Distribution2, frame: ContactFrame, base, periodic: bool, steps: int, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base points (given, or a plan sampled on the base chart) and the
+    induced line's rotation in radians from one end of the fiber to the
+    other over each, on ``steps`` fiber steps.  The fiber must be the
+    characteristic direction, and periodic or an interval as requested."""
+    chart = d.chart
+    if chart.fiber is None:
+        raise GeometryError("distribution chart has no fiber coordinate")
+    axis = chart.axis(chart.fiber)
+    if periodic and not axis.periodic:
+        raise GeometryError("twisting number needs a periodic fiber")
+    if axis.periodic and not periodic:
+        raise GeometryError("minimal twisting number needs an interval fiber")
+    fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
+    if isinstance(base, SamplePlan):
+        base = sample_points(base_chart_of(chart), base)
+    hi = axis.lo + axis.period if periodic else axis.hi
+    _, angles = development_profile(d, frame, base, np.linspace(axis.lo, hi, steps + 1), tol)
+    return base, angles[:, -1] - angles[:, 0]
+
+
 def twisting_number(
     d: Distribution2,
     frame: ContactFrame,
@@ -134,15 +157,8 @@ def twisting_number(
     base_points = np.asarray(base_points, dtype=float)
     if base_points.size == 0:
         raise GeometryError("need at least one base point")
-    if d.chart.fiber is None:
-        raise GeometryError("distribution chart has no fiber coordinate")
-    fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
-    axis = d.chart.axis(d.chart.fiber)
-    if not axis.periodic:
-        raise GeometryError("twisting number needs a periodic fiber")
-    grid = np.linspace(axis.lo, axis.lo + axis.period, TWISTING_STEPS + 1)
-    _, angles = development_profile(d, frame, base_points, grid, tol)
-    totals = (angles[:, -1] - angles[:, 0]) / math.pi
+    _, rotation = _fiber_rotation(d, frame, base_points, True, TWISTING_STEPS, tol)
+    totals = rotation / math.pi
     nearest = np.round(totals)
     off = np.flatnonzero(np.abs(totals - nearest) > INTEGER_TOLERANCE)
     if off.size:
@@ -170,17 +186,7 @@ def minimal_twisting_number(
     start normalizes to zero.  A rotation within ``INTEGER_TOLERANCE`` of
     a multiple of pi emits :class:`BoundaryConventionWarning`.
     """
-    chart = d.chart
-    if chart.fiber is None:
-        raise GeometryError("distribution chart has no fiber coordinate")
-    axis = chart.axis(chart.fiber)
-    if axis.periodic:
-        raise GeometryError("minimal twisting number needs an interval fiber")
-    fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
-    base_pts = sample_points(base_chart_of(chart), plan)
-    grid = np.linspace(axis.lo, axis.hi, MINIMAL_TWISTING_STEPS + 1)
-    _, angles = development_profile(d, frame, base_pts, grid, tol)
-    phi = angles[:, -1] - angles[:, 0]
+    base_pts, phi = _fiber_rotation(d, frame, plan, False, MINIMAL_TWISTING_STEPS, tol)
     negative = np.flatnonzero(phi < -INTEGER_TOLERANCE)
     if negative.size:
         raise GeometryError(
@@ -209,8 +215,8 @@ def induced_legendrian_line(
     """Line field cut out on the section {fiber = t}, in frame coefficients.
 
     Symbolic when the distribution carries construction coefficients
-    (checked against the frame at a few points); otherwise a pointwise
-    evaluator backed by least squares against (V0, V1).
+    (checked against the frame at every point of ``CHARACTERISTIC_PLAN``);
+    otherwise a pointwise evaluator backed by least squares against (V0, V1).
     """
     chart = d.chart
     if chart.fiber is None:
@@ -241,7 +247,7 @@ def _check_coefficients_match(
     line: LegendrianLineField,
     tol: Tolerances,
 ) -> None:
-    base_pts = sample_points(line.chart, CHARACTERISTIC_PLAN)[:8]
+    base_pts = sample_points(line.chart, CHARACTERISTIC_PLAN)
     table = line.tabulate(base_pts, tol)
     raw = _raw_angles(d, frame, base_pts, np.array([float(t)]), tol)[:, 0]
     diff = _projective_distance(np.arctan2(table[:, 1], table[:, 0]), raw)

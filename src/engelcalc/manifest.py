@@ -45,9 +45,10 @@ parser accepts is listed here::
 
 FORM, FIELD and EXPR name [define] entries of that type, CONTACT_FRAME
 names a structure of kind contact_frame, and INT is an integer.  A
-structure or task accepts only the keys its kind uses.  Every referenced
-name must be defined before use; validation errors carry the offending line
-number.
+structure or task accepts only the keys its kind uses, each at most once,
+and a manifest holds at most one [chart], [sampling] and [tolerances] section
+and one section per structure name and task id.  Every referenced name must
+be defined before use; validation errors carry the offending line number.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ from .charts import (
     vector_field,
 )
 from .expr import ScalarExpr
+from .extension import ExtensionSpec
+from .prolongation import ContactFrame, prolong
 from .structures import Distribution2, EngelPair, Tolerances
 
 
@@ -138,10 +141,17 @@ def _const_value(text: str, line: int) -> float:
         raise ManifestError(f"bad constant expression {text!r}: {err}", line) from err
 
 
+# Sections a manifest holds at most once, and sections whose label (a
+# structure name or task id) it holds at most once.
+_SINGLE_SECTIONS = ("chart", "sampling", "tolerances")
+_NAMED_SECTIONS = ("structure", "task")
+
+
 def parse_manifest(text: str) -> Manifest:
     """Parse and validate; raises :class:`ManifestError` at the first defect."""
     sections: list[tuple[str, str, int, list[tuple[str, str, int]]]] = []
     current = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -153,15 +163,25 @@ def parse_manifest(text: str) -> Manifest:
             parts = inner.split(None, 1)
             kind = parts[0]
             label = parts[1].strip() if len(parts) > 1 else ""
+            if kind in _SINGLE_SECTIONS or (kind in _NAMED_SECTIONS and label):
+                once = f"{kind} '{label}'" if kind in _NAMED_SECTIONS else f"[{kind}] section"
+                if once in seen:
+                    raise ManifestError(f"duplicate {once}", lineno)
+                seen.add(once)
             current = (kind, label, lineno, [])
             sections.append(current)
+            keys = set()
             continue
         if current is None:
             raise ManifestError("entry outside any section", lineno)
         if "=" not in line:
             raise ManifestError(f"expected 'key = value', got {line!r}", lineno)
         key, value = line.split("=", 1)
-        current[3].append((key.strip(), value.strip(), lineno))
+        key = key.strip()
+        if key in keys:
+            raise ManifestError(f"repeated key '{key}'", lineno)
+        keys.add(key)
+        current[3].append((key, value.strip(), lineno))
 
     chart = None
     sampling = SamplePlan(grid=4, random=32, seed=0)
@@ -188,8 +208,6 @@ def parse_manifest(text: str) -> Manifest:
                 )
             if not label:
                 raise ManifestError("structure sections need a name", header_line)
-            if label in structures:
-                raise ManifestError(f"duplicate structure '{label}'", header_line)
             decl = _parse_structure(
                 chart, label, entries, definitions, structures, header_line
             )
@@ -221,6 +239,8 @@ def _parse_chart(entries, header_line) -> Chart:
     fiber = None
     for key, value, lineno in entries:
         words = key.split()
+        if len(words) == 2 and words[1] in axes_spec:
+            raise ManifestError(f"second box/periodic entry for '{words[1]}'", lineno)
         if key == "coords":
             coords = value.split()
         elif words[0] == "box" and len(words) == 2:
@@ -525,9 +545,6 @@ def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
 
 def materialize(manifest: Manifest, decl: StructureDecl):
     """Build the runtime object for a structure declaration."""
-    from .extension import ExtensionSpec
-    from .prolongation import ContactFrame, prolong
-
     args = {key: _resolve(manifest, decl, key) for key in decl.options}
     if decl.kind in ("contact", "even_contact"):
         return args["form"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -106,56 +107,42 @@ class ContactFrame:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ProlongedEngel:
-    """Plane field {fiber direction, rotating frame combination} on base x S^1."""
+def rotate_along_fiber(
+    frame: ContactFrame, name: str, lo: float, hi: float, periodic: bool,
+    angle: Callable[[ex.Variable], ScalarExpr],
+) -> Distribution2:
+    """The plane field {d/dfiber, cos(phi)*V0 + sin(phi)*V1} on the product
+    of the frame chart with a fiber [lo, hi], where phi = angle(fiber).
 
-    chart: Chart
-    n: int
-    frame: ContactFrame
-    fiber_field: VectorField
-    twist_field: VectorField
-    coefficients: tuple[ScalarExpr, ScalarExpr]
+    The fiber is called ``name``, with underscores appended while that is
+    a base coordinate.  The pair (cos(phi), sin(phi)) is kept as the
+    distribution's Legendrian coefficients.
+    """
+    while name in frame.chart.names:
+        name = name + "_"
+    chart4 = product_chart(frame.chart, name, lo, hi, periodic=periodic)
+    phi = angle(ex.Variable(name))
+    a, b = ex.Cos(phi), ex.Sin(phi)
+    v0, v1 = (lift_to_product(v, chart4) for v in (frame.v0, frame.v1))
+    twist = v0.scaled_by(a) + v1.scaled_by(b)
+    return Distribution2(
+        chart4, coordinate_field(chart4, name), twist, legendrian_coefficients=(a, b)
+    )
 
-    @property
-    def distribution(self) -> Distribution2:
-        return Distribution2(
-            self.chart,
-            self.fiber_field,
-            self.twist_field,
-            legendrian_coefficients=self.coefficients,
-        )
 
-
-def prolong(frame: ContactFrame, n: int) -> ProlongedEngel:
+def prolong(frame: ContactFrame, n: int) -> Distribution2:
     """n-fold fiberwise prolongation of a framed contact structure.
 
     Returns the frame {d/dtheta, cos(n*theta/2)*V0 + sin(n*theta/2)*V1} on
-    the product chart with theta periodic of period 2*pi (the fiber is
-    named theta, with underscores appended while that is a base
-    coordinate).  The frame is not validated here; verify tasks check the
-    result.
+    the product chart with theta periodic of period 2*pi (see
+    :func:`rotate_along_fiber` for the fiber name).  The frame is not
+    validated here; verify tasks check the result.
     """
     if not isinstance(n, int) or n < 1:
         raise GeometryError("covering index must be a positive integer")
-    fiber_name = "theta"
-    while fiber_name in frame.chart.names:
-        fiber_name = fiber_name + "_"
-    chart4 = product_chart(frame.chart, fiber_name, 0.0, TWO_PI, periodic=True)
-    theta = ex.Variable(fiber_name)
-    half_angle = simplify(ex.Divide(ex.Multiply(ex.Constant(n), theta), ex.Constant(2)))
-    a = ex.Cos(half_angle)
-    b = ex.Sin(half_angle)
-    v0l = lift_to_product(frame.v0, chart4)
-    v1l = lift_to_product(frame.v1, chart4)
-    twist = v0l.scaled_by(a) + v1l.scaled_by(b)
-    return ProlongedEngel(
-        chart=chart4,
-        n=n,
-        frame=frame,
-        fiber_field=coordinate_field(chart4, fiber_name),
-        twist_field=twist,
-        coefficients=(a, b),
+    return rotate_along_fiber(
+        frame, "theta", 0.0, TWO_PI, True,
+        lambda theta: simplify(ex.Divide(ex.Multiply(ex.Constant(n), theta), ex.Constant(2))),
     )
 
 

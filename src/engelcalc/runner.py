@@ -29,7 +29,6 @@ from .invariants import (
     twisting_number,
 )
 from .manifest import Manifest, StructureDecl, TaskDecl, frame_to_manifest_text, materialize
-from .prolongation import ProlongedEngel
 from .report import RunReport, TaskRecord
 from .structures import (
     CheckError,
@@ -81,32 +80,27 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     elif decl.kind == "engel_pair":
         rep = check_engel_pair(obj, plan, tol)
         record.notes.extend(rep.notes)
-    elif decl.kind == "engel_frame":
-        rep = check_engel_frame(obj, plan, tol)
-        record.witnesses["fd_bracket_max_error"] = _fd_cross_check(obj, manifest, fd_step)
     elif decl.kind == "contact_frame":
         rep = obj.validate(plan, tol)
-    elif decl.kind == "prolongation":
-        dist = obj.distribution
+    elif decl.kind in ("engel_frame", "prolongation", "extension"):
+        dist = extend(obj, plan, tol) if decl.kind == "extension" else obj
         rep = check_engel_frame(dist, plan, tol)
-        if rep.witnesses["rank_step1_min"] == 3:
-            # check_engel_frame already ranked (X, Y, [X, Y]) on this plan
-            frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
-        else:
-            frame3 = derived_square(dist, plan, tol)  # raises the rank error
-        char = check_characteristic(
-            coordinate_field(dist.chart, dist.chart.fiber),
-            annihilator_1form(frame3, plan),
-            plan,
-            tol,
-        )
-        record.witnesses.update({"characteristic_" + k: v for k, v in char.witnesses.items()})
-        record.witnesses["fd_bracket_max_error"] = _fd_cross_check(dist, manifest, fd_step)
-        if not char.passed:
-            rep = char
-    elif decl.kind == "extension":
-        dist = extend(obj, plan, tol, verify=False)
-        rep = check_engel_frame(dist, plan, tol)
+        if decl.kind == "prolongation":
+            # a prolongation's characteristic must be its fiber
+            if rep.witnesses["rank_step1_min"] == 3:
+                # check_engel_frame already ranked (X, Y, [X, Y]) on this plan
+                frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
+            else:
+                frame3 = derived_square(dist, plan, tol)  # raises the rank error
+            char = check_characteristic(
+                coordinate_field(dist.chart, dist.chart.fiber),
+                annihilator_1form(frame3, plan),
+                plan,
+                tol,
+            )
+            record.witnesses.update({"characteristic_" + k: v for k, v in char.witnesses.items()})
+            if not char.passed:
+                rep = char
         record.witnesses["fd_bracket_max_error"] = _fd_cross_check(dist, manifest, fd_step)
     elif decl.kind == "extension_family":
         record.status = "pass"
@@ -128,15 +122,16 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
     obj = materialize(manifest, decl)
 
     if name == "twisting_number":
-        if not isinstance(obj, ProlongedEngel):
+        if decl.kind != "prolongation":
             raise GeometryError("twisting_number targets a prolongation structure")
+        frame = materialize(manifest, manifest.structures[decl.options["frame"]])
         count = int(task.options.get("base_points", "10"))
-        base_pts = random_points(obj.frame.chart, count, plan.seed)
-        value = twisting_number(obj.distribution, obj.frame, base_pts, tol)
+        base_pts = random_points(frame.chart, count, plan.seed)
+        value = twisting_number(obj, frame, base_pts, tol)
     elif name == "minimal_twisting_number":
         if not isinstance(obj, ExtensionSpec):
             raise GeometryError("minimal_twisting_number targets an extension structure")
-        dist = extend(obj, plan, tol, verify=False)
+        dist = extend(obj, plan, tol)
         base_plan = minimal_twisting_plan(plan.seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundaryConventionWarning)
@@ -173,10 +168,10 @@ def _construct_task(
 ) -> TaskRecord:
     record = TaskRecord(task_id="", kind="construct", target=decl.name, status="error")
     obj = materialize(manifest, decl)
-    if isinstance(obj, ProlongedEngel):
-        dist = obj.distribution
-    elif isinstance(obj, ExtensionSpec):
-        dist = extend(obj, manifest.sampling, manifest.tolerances, verify=False)
+    if decl.kind == "prolongation":
+        dist = obj
+    elif decl.kind == "extension":
+        dist = extend(obj, manifest.sampling, manifest.tolerances)
     else:
         raise GeometryError("construct tasks target prolongation or extension structures")
     text = frame_to_manifest_text(dist, name=decl.name)

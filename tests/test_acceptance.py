@@ -123,11 +123,11 @@ def test_criterion_3_prolongation_twisting(std_frame, t3_frame):
     for label, frame in (("box", std_frame), ("torus", t3_frame)):
         for n in range(1, 6):
             pe = prolong(frame, n)
-            ok = ok and check_engel_frame(pe.distribution, CHECK_PLAN).passed
+            ok = ok and check_engel_frame(pe, CHECK_PLAN).passed
             base = _random_base(frame.chart, 10, seed=100 + n)
-            ok = ok and twisting_number(pe.distribution, frame, base) == n
+            ok = ok and twisting_number(pe, frame, base) == n
             grid = np.linspace(0.0, 2 * math.pi, 64 * n + 1)
-            t, profiles = development_profile(pe.distribution, frame, base[:3], grid)
+            t, profiles = development_profile(pe, frame, base[:3], grid)
             for angles in profiles:
                 fit = np.polyfit(t, angles, 1)
                 ok = ok and abs(fit[0] - n / 2) <= 1e-8
@@ -150,7 +150,7 @@ def test_criterion_4_deprolong_round_trip(std_frame):
     v1 = std_frame.v1.evaluate_at(pts)
     worst = 0.0
     for section in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
-        alpha = deprolong(pe.distribution, float(section), CHECK_PLAN)
+        alpha = deprolong(pe, float(section), CHECK_PLAN)
         coeffs = alpha.evaluate_at(pts)
         for c, a, b in zip(coeffs, v0, v1):
             worst = max(
@@ -174,7 +174,7 @@ def test_criterion_5_extension(std_frame):
     for n in range(0, 4):
         for g in angles:
             spec = ExtensionSpec(frame=std_frame, n=n, g=ex.Constant(g))
-            dist = extend(spec, CHECK_PLAN, verify=False)
+            dist = extend(spec, CHECK_PLAN)
             ok = ok and check_engel_frame(dist, CHECK_PLAN).passed
             start = induced_legendrian_line(dist, std_frame, 0.0)
             end = induced_legendrian_line(dist, std_frame, 1.0)
@@ -216,14 +216,11 @@ def _fixture_field_pairs(std_frame, t3_frame, std_kernel_frame, box4):
     ]
     for n in (1, 5):
         pe = prolong(std_frame, n)
-        pairs.append((pe.chart, pe.fiber_field, pe.twist_field))
+        pairs.append((pe.chart, pe.x, pe.y))
     pe = prolong(t3_frame, 2)
-    pairs.append((pe.chart, pe.fiber_field, pe.twist_field))
-    dist = extend(
-        ExtensionSpec(frame=std_frame, n=0, g=ex.Constant(math.pi / 2)),
-        CHECK_PLAN,
-        verify=False,
-    )
+    pairs.append((pe.chart, pe.x, pe.y))
+    spec = ExtensionSpec(frame=std_frame, n=0, g=ex.Constant(math.pi / 2))
+    dist = extend(spec, CHECK_PLAN)
     pairs.append((dist.chart, dist.x, dist.y))
     return pairs
 

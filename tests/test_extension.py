@@ -199,7 +199,7 @@ def test_identities_scale_with_twist(std_frame):
     assert rep.passed
     # bracket's frame-coefficient magnitude is the total angle coefficient
     g = math.pi / 2
-    dist = extend(spec, PLAN, verify=False)
+    dist = extend(spec, PLAN)
     u = lie_bracket(dist.x, dist.y)
     pts = sample_points(dist.chart, SamplePlan(grid=3, random=10, seed=1))
     uv = u.evaluate_at(pts)[:, :3]
@@ -226,7 +226,7 @@ def test_identities_nonconstant_angle_correction_in_plane(std_frame):
     assert rep.witnesses["first_bracket_residual"] <= 1e-12
     assert rep.witnesses["second_bracket_residual"] > 1e-3
 
-    dist = extend(spec, PLAN, verify=False)
+    dist = extend(spec, PLAN)
     chart4 = dist.chart
     u = lie_bracket(dist.x, dist.y)
     vu = lie_bracket(dist.y, u)

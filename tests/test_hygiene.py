@@ -1,7 +1,8 @@
-"""Dead-code guard: unused top-level imports, unreferenced private names, and
-public functions, methods and properties that no manifest reaches.
+"""Dead-code guard: unused top-level imports, imports inside functions,
+unreferenced private names, and public functions, methods and properties
+that no manifest reaches.
 
-The first two scans read the package source with the standard-library
+The first three scans read the package source with the standard-library
 ``ast`` module only, so they cost no import of the package itself.  The
 reachability scan runs every bundled manifest through the CLI in a fresh
 interpreter under ``sys.settrace``.
@@ -73,6 +74,21 @@ def test_no_unused_top_level_imports(path):
                 if bound not in used:
                     unused.append(f"line {node.lineno}: {bound}")
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    """Every import sits at module level, where the dependency graph shows."""
+    nested = sorted(
+        {
+            inner.lineno
+            for node in ast.walk(_tree(path))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+    assert not nested, f"{path.name} imports inside functions at lines {nested}"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

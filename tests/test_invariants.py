@@ -16,6 +16,7 @@ from engelcalc.invariants import (
     twisting_number,
 )
 from engelcalc.prolongation import ContactFrame, prolong
+from engelcalc.structures import Distribution2
 
 PLAN = SamplePlan(grid=3, random=10, seed=0)
 MTW_PLAN = SamplePlan(grid=3, random=6, seed=0)
@@ -36,14 +37,14 @@ def _random_base(chart, count, seed):
 def test_twisting_number_of_prolongation(std_frame, n):
     pe = prolong(std_frame, n)
     pts = _random_base(std_frame.chart, 4, seed=n)
-    assert twisting_number(pe.distribution, std_frame, pts) == n
+    assert twisting_number(pe, std_frame, pts) == n
 
 
 def test_twisting_number_orientation_swap(std_frame):
     pe = prolong(std_frame, 1)
     swapped = ContactFrame(std_frame.chart, std_frame.v1, std_frame.v0)
     pts = _random_base(std_frame.chart, 3, seed=4)
-    value = twisting_number(pe.distribution, swapped, pts)
+    value = twisting_number(pe, swapped, pts)
     assert value == -1
     assert abs(value) == 1
 
@@ -51,7 +52,7 @@ def test_twisting_number_orientation_swap(std_frame):
 def test_twisting_number_point_independent(std_frame):
     pe = prolong(std_frame, 2)
     pts = _random_base(std_frame.chart, 10, seed=11)
-    assert twisting_number(pe.distribution, std_frame, pts) == 2
+    assert twisting_number(pe, std_frame, pts) == 2
 
 
 def test_twisting_number_invariant_under_positive_rescaling(std_frame):
@@ -63,19 +64,19 @@ def test_twisting_number_invariant_under_positive_rescaling(std_frame):
         std_frame.v1.scaled_by(chart.parse("2 + sin(y)")),
     )
     pts = _random_base(chart, 5, seed=12)
-    assert twisting_number(pe.distribution, scaled, pts) == 2
+    assert twisting_number(pe, scaled, pts) == 2
 
 
 def test_twisting_number_needs_base_points(std_frame):
     pe = prolong(std_frame, 1)
     with pytest.raises(GeometryError):
-        twisting_number(pe.distribution, std_frame, [])
+        twisting_number(pe, std_frame, [])
 
 
 def test_twisting_number_torus(t3_frame):
     pe = prolong(t3_frame, 2)
     pts = _random_base(t3_frame.chart, 4, seed=13)
-    assert twisting_number(pe.distribution, t3_frame, pts) == 2
+    assert twisting_number(pe, t3_frame, pts) == 2
 
 
 def test_twisting_number_with_mixed_generators(std_frame):
@@ -86,8 +87,8 @@ def test_twisting_number_with_mixed_generators(std_frame):
     pe = prolong(std_frame, 3)
     mixed = Distribution2(
         pe.chart,
-        pe.fiber_field,
-        pe.twist_field + pe.fiber_field.scaled_by(2.0),
+        pe.x,
+        pe.y + pe.x.scaled_by(2.0),
     )
     pts = _random_base(std_frame.chart, 4, seed=14)
     assert twisting_number(mixed, std_frame, pts) == 3
@@ -108,7 +109,7 @@ def test_mtw_constant_angle(std_frame, n):
 @pytest.mark.parametrize("g_text", ["pi/2 + sin(x)/4", "1 + cos(y)/3", "pi/4"])
 def test_mtw_matches_twist_across_angle_choices(std_frame, n, g_text):
     g = std_frame.chart.parse(g_text)
-    dist = extend(ExtensionSpec(frame=std_frame, n=n, g=g), PLAN, verify=False)
+    dist = extend(ExtensionSpec(frame=std_frame, n=n, g=g), PLAN)
     assert minimal_twisting_number(dist, std_frame, MTW_PLAN) == n
 
 
@@ -124,7 +125,7 @@ def test_mtw_boundary_angle_warns(std_frame):
 def test_mtw_rejects_periodic_fiber(std_frame):
     pe = prolong(std_frame, 1)
     with pytest.raises(GeometryError):
-        minimal_twisting_number(pe.distribution, std_frame, MTW_PLAN)
+        minimal_twisting_number(pe, std_frame, MTW_PLAN)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_mtw_rejects_periodic_fiber(std_frame):
 
 def test_induced_line_at_fiber_start(std_frame):
     pe = prolong(std_frame, 2)
-    line = induced_legendrian_line(pe.distribution, std_frame, 0.0)
+    line = induced_legendrian_line(pe, std_frame, 0.0)
     assert line.symbolic
     assert ex.simplify(line.a) == ex.ONE
     assert ex.simplify(line.b) == ex.ZERO
@@ -141,7 +142,7 @@ def test_induced_line_at_fiber_start(std_frame):
 
 def test_induced_line_quarter_fiber(std_frame):
     pe = prolong(std_frame, 2)
-    line = induced_legendrian_line(pe.distribution, std_frame, math.pi / 2)
+    line = induced_legendrian_line(pe, std_frame, math.pi / 2)
     pts = np.zeros((1, 3))
     table = line.tabulate(pts)
     np.testing.assert_allclose(table[0], [math.cos(math.pi / 2), 1.0], atol=1e-12)
@@ -162,14 +163,25 @@ def test_induced_line_extension_ends(std_frame):
 
 
 def test_induced_line_numeric_fallback(std_frame):
-    from engelcalc.structures import Distribution2
-
     pe = prolong(std_frame, 1)
-    bare = Distribution2(pe.chart, pe.fiber_field, pe.twist_field)
+    bare = Distribution2(pe.chart, pe.x, pe.y)
     line = induced_legendrian_line(bare, std_frame, math.pi / 3)
     assert not line.symbolic
-    reference = induced_legendrian_line(pe.distribution, std_frame, math.pi / 3)
+    reference = induced_legendrian_line(pe, std_frame, math.pi / 3)
     assert line_angle_distance(line, reference, PLAN) <= 1e-9
+
+
+def test_stored_coefficients_are_checked_off_the_first_face(std_frame):
+    """Coefficients rotated away from the frame by 0.3*(x + 1) agree with it
+    only on the face x = -1 of the base box, and must still be rejected."""
+    pe = prolong(std_frame, 1)
+    shift = ex.Multiply(ex.Constant(0.3), ex.Add(ex.Variable("x"), ex.ONE))
+    phi = ex.Add(pe.legendrian_coefficients[0].operand, shift)
+    rotated = Distribution2(
+        pe.chart, pe.x, pe.y, legendrian_coefficients=(ex.Cos(phi), ex.Sin(phi))
+    )
+    with pytest.raises(GeometryError, match="stored line-field coefficients disagree"):
+        induced_legendrian_line(rotated, std_frame, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,22 @@ def test_unknown_reference_in_task():
         (("kind = verify", "kind = verify\nexpect = maybe"), "integer"),
         (("dz - w*dx", "dz - 1e400*dx"), "'1e400' is not finite"),
         (("[define]", "[sampling]\nseed = -3\n\n[define]"), "line 10: seed must be >= 0"),
+        (("alpha = alpha", "alpha = alpha\nalpha = beta"), "line 16: repeated key 'alpha'"),
+        (("target = pair", "target = pair\ntarget = pair"), "line 21: repeated key 'target'"),
+        (("[define]", "[sampling]\nrandom = 8\nrandom = 9\n\n[define]"),
+         "line 11: repeated key 'random'"),
+        (("box w = -1 1", "box w = -1 1\nperiodic w = 1"),
+         "line 8: second box/periodic entry for 'w'"),
+        (("[define]", "[chart]\ncoords = x y z w\n\n[define]"),
+         r"line 9: duplicate \[chart\] section"),
+        (("[define]", "[sampling]\ngrid = 3\n\n[sampling]\nseed = 1\n\n[define]"),
+         r"line 12: duplicate \[sampling\] section"),
+        (("[define]", "[tolerances]\nrank = 1e-7\n\n[tolerances]\nzero = 1e-9\n\n[define]"),
+         r"line 12: duplicate \[tolerances\] section"),
+        (("[task check]", "[structure pair]\nkind = engel_pair\n\n[task check]"),
+         "line 18: duplicate structure 'pair'"),
+        (("target = pair", "target = pair\n\n[task check]\nkind = verify\ntarget = pair"),
+         "line 22: duplicate task 'check'"),
     ],
 )
 def test_hostile_inputs_are_manifest_errors(mutation, message):
@@ -121,6 +137,15 @@ def test_cli_never_tracebacks_on_bad_values(tmp_path):
     path = tmp_path / "bad.manifest"
     path.write_text(MINIMAL.replace("box w = -1 1", "box w = 1 -1"))
     assert main(["verify", str(path)]) == 2
+
+
+def test_repeated_key_is_an_input_error(tmp_path, capsys):
+    """A second value for a key is an error, not a silent override."""
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "twice.manifest"
+    path.write_text(text.replace("n = 1\n", "n = 1\nn = 4\n"), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert "line 27: repeated key 'n'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -306,7 +331,7 @@ invariant = minimal_twisting_number
 def test_family_profile_and_invariant_tasks_share_one_base_plan(monkeypatch):
     """``mtw_profile`` of a two-slice family equals the minimal twisting
     number tasks on the same slices, and both sample the same base points."""
-    from engelcalc import invariants, runner
+    from engelcalc import extension, invariants, runner
     from engelcalc.charts import SamplePlan
 
     plans = []
@@ -316,8 +341,9 @@ def test_family_profile_and_invariant_tasks_share_one_base_plan(monkeypatch):
         plans.append(plan)
         return original(d, frame, plan, tol)
 
-    # extend_family imports the function at call time, the runner at load time
+    # extend_family and the runner each bind the function at load time
     monkeypatch.setattr(invariants, "minimal_twisting_number", recording)
+    monkeypatch.setattr(extension, "minimal_twisting_number", recording)
     monkeypatch.setattr(runner, "minimal_twisting_number", recording)
     manifest = parse_manifest(TWO_SLICE_FAMILY)
     (family,) = run_tasks(manifest, "verify").tasks
@@ -325,6 +351,27 @@ def test_family_profile_and_invariant_tasks_share_one_base_plan(monkeypatch):
     assert family.status == "pass"
     assert family.witnesses["mtw_profile"] == values == [1, 2]
     assert plans == [SamplePlan(grid=3, random=8, seed=4)] * 4
+
+
+@pytest.mark.parametrize(
+    "source,base,fiber",
+    [("prolonged-n1", "theta", "theta_"), ("extension-n1", "t", "t_")],
+)
+def test_fiber_name_steps_past_a_base_coordinate(tmp_path, source, base, fiber):
+    """A base coordinate with the fiber's default name pushes the fiber to
+    the next free name, for both constructions."""
+    text = (MANIFESTS / f"{source}.manifest").read_text(encoding="utf-8")
+    manifest = parse_manifest(re.sub(r"\bz\b", base, text))
+    assert manifest.chart.names == ("x", "y", base)
+    assert {task.status for task in run_tasks(manifest, "verify").tasks} == {"pass"}
+    assert {task.status for task in run_tasks(manifest, "invariant").tasks} == {"match"}
+    out = tmp_path / "constructed.manifest"
+    (build,) = run_tasks(manifest, "construct", out_path=str(out)).tasks
+    assert build.status == "done"
+    constructed = parse_manifest(out.read_text(encoding="utf-8"))
+    assert constructed.chart.names == ("x", "y", base, fiber)
+    assert constructed.chart.fiber == fiber
+    assert {task.status for task in run_tasks(constructed, "verify").tasks} == {"pass"}
 
 
 def test_frame_reference_must_be_a_contact_frame():

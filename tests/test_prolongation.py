@@ -58,12 +58,12 @@ def test_prolong_standard_n1(std_frame):
     pe = prolong(std_frame, 1)
     assert pe.chart.dim == 4
     assert pe.chart.axis(pe.chart.fiber).periodic
-    assert check_engel_frame(pe.distribution, PLAN).passed
+    assert check_engel_frame(pe, PLAN).passed
 
 
 def test_prolong_torus_n3(t3_frame):
     pe = prolong(t3_frame, 3)
-    assert check_engel_frame(pe.distribution, PLAN).passed
+    assert check_engel_frame(pe, PLAN).passed
 
 
 def test_prolong_rejects_nonpositive_index(std_frame):
@@ -80,8 +80,8 @@ def test_prolonged_span_is_fiber_periodic(std_frame):
     pts = sample_points(pe.chart, SamplePlan(grid=3, random=10, seed=1))
     shifted = pts.copy()
     shifted[:, 3] += 2 * math.pi
-    a = pe.twist_field.evaluate_at(pts)
-    b = pe.twist_field.evaluate_at(shifted)
+    a = pe.y.evaluate_at(pts)
+    b = pe.y.evaluate_at(shifted)
     np.testing.assert_allclose(a, -b, atol=1e-9)  # sign flip, same line
     for u, v in zip(a, b):
         assert plane_angle_sin(u[:, None], v[:, None]) <= 1e-12
@@ -94,7 +94,7 @@ def test_prolonged_span_is_fiber_periodic(std_frame):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_deprolong_round_trip(std_frame, n):
     pe = prolong(std_frame, n)
-    alpha = deprolong(pe.distribution, 0.0, PLAN)
+    alpha = deprolong(pe, 0.0, PLAN)
     pts = sample_points(std_frame.chart, SamplePlan(grid=3, random=20, seed=5))
     coeffs = alpha.evaluate_at(pts)
     v0 = std_frame.v0.evaluate_at(pts)
@@ -110,7 +110,7 @@ def test_deprolong_section_independence(std_frame):
     pts = sample_points(std_frame.chart, SamplePlan(grid=3, random=10, seed=6))
     normalized = []
     for s in sections:
-        alpha = deprolong(pe.distribution, float(s), PLAN)
+        alpha = deprolong(pe, float(s), PLAN)
         vals = alpha.evaluate_at(pts)
         vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
         normalized.append(vals)
@@ -123,7 +123,7 @@ def test_deprolong_section_independence(std_frame):
 @pytest.mark.parametrize("n", [1, 3])
 def test_deprolong_torus_round_trip(t3_frame, n):
     pe = prolong(t3_frame, n)
-    alpha = deprolong(pe.distribution, 1.0, PLAN)
+    alpha = deprolong(pe, 1.0, PLAN)
     pts = sample_points(t3_frame.chart, SamplePlan(grid=3, random=20, seed=7))
     coeffs = alpha.evaluate_at(pts)
     v0 = t3_frame.v0.evaluate_at(pts)
@@ -169,10 +169,10 @@ def test_development_profile_is_affine_with_half_slope(std_frame, n):
     grid = np.linspace(0.0, 2 * math.pi, 64 * n + 1)
     rng = np.random.default_rng(3)
     base = -1 + 2 * rng.random((4, 3))
-    t, profiles = development_profile(pe.distribution, std_frame, base, grid)
+    t, profiles = development_profile(pe, std_frame, base, grid)
     for p, angles in zip(base, profiles):
         # each row of the stack is the profile of its point alone
-        _, alone = development_profile(pe.distribution, std_frame, p[None, :], grid)
+        _, alone = development_profile(pe, std_frame, p[None, :], grid)
         np.testing.assert_allclose(alone[0], angles, rtol=0, atol=1e-12)
         fit = np.polyfit(t, angles, 1)
         assert fit[0] == pytest.approx(n / 2, abs=1e-9)
@@ -183,7 +183,7 @@ def test_development_profile_is_affine_with_half_slope(std_frame, n):
 def test_development_angle_start_normalized(std_frame):
     pe = prolong(std_frame, 3)
     grid = np.linspace(0.0, 2 * math.pi, 257)
-    _, angles = development_profile(pe.distribution, std_frame, [(0.2, -0.4, 0.8)], grid)
+    _, angles = development_profile(pe, std_frame, [(0.2, -0.4, 0.8)], grid)
     assert 0.0 <= angles[0, 0] < math.pi
 
 
@@ -215,7 +215,7 @@ def test_development_refines_the_shared_grid_for_any_base_point():
         chart, coordinate_field(chart, "z"), vector_field(chart, ["1", "z", "0"])
     )
     spec = ExtensionSpec(frame=frame, n=10, g=chart.parse("pi/2 + x"))
-    dist = extend(spec, PLAN, verify=False)
+    dist = extend(spec, PLAN)
     base = [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
     t, profiles = development_profile(dist, frame, base, np.linspace(0.0, 1.0, 43))
     assert t.size == 85
@@ -263,11 +263,11 @@ def test_development_budget_counts_base_points(std_frame, monkeypatch):
     pe = prolong(std_frame, 20)
     grid = np.linspace(0.0, 2 * math.pi, 65)
     base = -1 + 2 * np.random.default_rng(2).random((32, 3))
-    t, angles = development_profile(pe.distribution, std_frame, base[:1], grid)
+    t, angles = development_profile(pe, std_frame, base[:1], grid)
     assert t.size == 129
     assert angles[0, -1] - angles[0, 0] == pytest.approx(20 * math.pi, abs=1e-9)
     with pytest.raises(prl.RefinementDepthError):
-        development_profile(pe.distribution, std_frame, base, grid)
+        development_profile(pe, std_frame, base, grid)
 
 
 def test_development_rejects_frame_mismatch(std_frame, t3_frame):
@@ -281,6 +281,6 @@ def test_development_rejects_frame_mismatch(std_frame, t3_frame):
     )
     with pytest.raises(ProjectionResidualError, match="relative residual"):
         development_profile(
-            pe.distribution, bad_frame, [(0.3, 0.3, 0.9)], np.linspace(0.0, 2 * math.pi, 257)
+            pe, bad_frame, [(0.3, 0.3, 0.9)], np.linspace(0.0, 2 * math.pi, 257)
         )
 

@@ -313,7 +313,7 @@ def test_prolonged_n3_step2_stack_is_certified_almost_whole(monkeypatch):
     """A certificate that rejects every row stays correct, so count the SVD rows."""
     text = (MANIFESTS / "prolonged-n3.manifest").read_text(encoding="utf-8")
     manifest = parse_manifest(text).with_overrides(grid=16, random=1000)
-    dist = materialize(manifest, manifest.structures["prolonged"]).distribution
+    dist = materialize(manifest, manifest.structures["prolonged"])
     pts = sample_points(dist.chart, manifest.sampling)
     xy = lie_bracket(dist.x, dist.y)
     fields = (dist.x, dist.y, xy, lie_bracket(dist.x, xy), lie_bracket(dist.y, xy))

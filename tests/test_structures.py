@@ -136,7 +136,7 @@ def test_engel_frame_integrable_fails(box4):
 def test_engel_frame_prolonged(std_frame):
     from engelcalc.prolongation import prolong
 
-    d = prolong(std_frame, 2).distribution
+    d = prolong(std_frame, 2)
     assert check_engel_frame(d, PLAN).passed
 
 
@@ -193,7 +193,7 @@ def test_derived_square_prolonged_third_vector(std_frame):
     from engelcalc.prolongation import prolong
 
     pe = prolong(std_frame, 1)
-    _, _, xy = derived_square(pe.distribution, PLAN)
+    _, _, xy = derived_square(pe, PLAN)
     chart = pe.chart
     pts = sample_points(chart, SamplePlan(grid=3, random=10, seed=2))
     got = xy.evaluate_at(pts)
@@ -242,7 +242,7 @@ def test_annihilator_prolonged_has_no_fiber_term(std_frame):
     from engelcalc.prolongation import prolong
 
     pe = prolong(std_frame, 2)
-    beta = annihilator_1form(derived_square(pe.distribution, PLAN), PLAN)
+    beta = annihilator_1form(derived_square(pe, PLAN), PLAN)
     fiber_idx = pe.chart.index(pe.chart.fiber)
     assert ex.simplify(beta.coeff((fiber_idx,))) == ex.ZERO
 
@@ -310,9 +310,9 @@ def test_engel_chain_frame_to_characteristic(
 
     fixtures = [
         Distribution2(box4, *std_kernel_frame),
-        prolong(std_frame, 1).distribution,
-        prolong(std_frame, 3).distribution,
-        prolong(t3_frame, 2).distribution,
+        prolong(std_frame, 1),
+        prolong(std_frame, 3),
+        prolong(t3_frame, 2),
     ]
     for d in fixtures:
         assert check_engel_frame(d, PLAN).passed
@@ -353,8 +353,8 @@ def test_twisting_condition_matches_engel_verdict(box4, std_kernel_frame, std_fr
         assert not np.all(ranks == 3) and not engel
     # prolonged case: characteristic is the fiber direction
     xf = coordinate_field(pe1.chart, pe1.chart.fiber)
-    ranks = twisting_condition_ranks(xf, pe1.twist_field, PLAN)
-    assert np.all(ranks == 3) and check_engel_frame(pe1.distribution, PLAN).passed
+    ranks = twisting_condition_ranks(xf, pe1.y, PLAN)
+    assert np.all(ranks == 3) and check_engel_frame(pe1, PLAN).passed
 
 
 # ---------------------------------------------------------------------------
