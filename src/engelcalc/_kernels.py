@@ -1,26 +1,23 @@
 """Batch evaluation of compiled expression programs.
 
-Expression trees are flattened into postfix stack programs (see
-``engelcalc.expr.compile_program``) and executed here over arrays of
-sample points by a numpy interpreter that loops over program steps with a
-stack of full-length arrays.
+``engelcalc.expr.compile_program`` flattens an expression tree into a
+postfix program of ``(ufunc, argument)`` steps, each written by the node
+kind it came from.  The numpy interpreter here runs those steps over a
+batch of sample points with a stack of full-length arrays:
+
+- ``(None, value)`` pushes a constant (a float) or, for an int, that
+  column of the points;
+- a one-input ufunc, such as ``np.sin`` or ``np.negative``, replaces the
+  top of the stack by its value;
+- a two-input ufunc with argument ``None``, such as ``np.add``, replaces
+  the top two by their combination;
+- a two-input ufunc with a float argument, ``np.power`` and an exponent,
+  replaces the top by its value at the top and the argument.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-OP_CONST = 0
-OP_VAR = 1
-OP_NEG = 2
-OP_ADD = 3
-OP_SUB = 4
-OP_MUL = 5
-OP_DIV = 6
-OP_POWI = 7
-OP_SIN = 8
-OP_COS = 9
-OP_EXP = 10
 
 # perfbench/run.py records both of these on every benchmark run.
 HAVE_NUMBA = False
@@ -31,44 +28,20 @@ def active_backend() -> str:
     return "numpy"
 
 
-def run_program(
-    ops: np.ndarray, iargs: np.ndarray, fargs: np.ndarray, depth: int, points: np.ndarray
-) -> np.ndarray:
-    """Evaluate a stack program at ``points`` (shape ``(n, dim)``)."""
-    n = points.shape[0]
-    stack = np.empty((max(depth, 1), n), dtype=np.float64)
+def run_program(steps: tuple[tuple, ...], depth: int, points: np.ndarray) -> np.ndarray:
+    """Evaluate a step program at ``points`` (shape ``(n, dim)``)."""
+    stack = np.empty((max(depth, 1), points.shape[0]), dtype=np.float64)
     top = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(ops.shape[0]):
-            op = int(ops[k])
-            if op == OP_CONST:
-                stack[top] = fargs[k]
+        for ufunc, arg in steps:
+            if ufunc is None:
+                stack[top] = points[:, arg] if type(arg) is int else arg
                 top += 1
-            elif op == OP_VAR:
-                stack[top] = points[:, iargs[k]]
-                top += 1
-            elif op == OP_NEG:
-                np.negative(stack[top - 1], out=stack[top - 1])
-            elif op == OP_ADD:
-                np.add(stack[top - 2], stack[top - 1], out=stack[top - 2])
+            elif ufunc.nin == 1:
+                ufunc(stack[top - 1], out=stack[top - 1])
+            elif arg is None:
                 top -= 1
-            elif op == OP_SUB:
-                np.subtract(stack[top - 2], stack[top - 1], out=stack[top - 2])
-                top -= 1
-            elif op == OP_MUL:
-                np.multiply(stack[top - 2], stack[top - 1], out=stack[top - 2])
-                top -= 1
-            elif op == OP_DIV:
-                np.divide(stack[top - 2], stack[top - 1], out=stack[top - 2])
-                top -= 1
-            elif op == OP_POWI:
-                np.power(stack[top - 1], float(iargs[k]), out=stack[top - 1])
-            elif op == OP_SIN:
-                np.sin(stack[top - 1], out=stack[top - 1])
-            elif op == OP_COS:
-                np.cos(stack[top - 1], out=stack[top - 1])
-            elif op == OP_EXP:
-                np.exp(stack[top - 1], out=stack[top - 1])
-            else:  # pragma: no cover
-                raise ValueError(f"bad opcode {op}")
+                ufunc(stack[top - 1], stack[top], out=stack[top - 1])
+            else:
+                ufunc(stack[top - 1], arg, out=stack[top - 1])
     return stack[0].copy()

@@ -524,17 +524,9 @@ def interior_product(x: VectorField, form: KForm) -> KForm:
 def lie_derivative_form(x: VectorField, form: KForm) -> KForm:
     """Cartan formula: X . d(form) + d(X . form)."""
     _require_same_chart(x, form)
-    if form.degree == 0:
-        # L_X f = X(f); the contraction term has no degree -1 home
-        f = form.coeff(())
-        acc: ScalarExpr = ex.ZERO
-        for j, name in enumerate(x.chart.names):
-            acc = ex.Add(acc, ex.Multiply(x.components[j], ex.partial_derivative(f, name)))
-        return KForm(x.chart, 0, (((), simplify(acc)),))
-    first = interior_product(x, exterior_derivative(form)) if form.degree < form.chart.dim else KForm(form.chart, form.degree, ())
-    inner = interior_product(x, form)
-    second = exterior_derivative(inner)
-    return first + second
+    return interior_product(x, exterior_derivative(form)) + exterior_derivative(
+        interior_product(x, form)
+    )
 
 
 def pairing(form: KForm, x: VectorField) -> ScalarExpr:

@@ -6,6 +6,16 @@ and ``sin``/``cos``/``exp``.  Integer-only exponents keep differentiation
 closed over the node set.  Trees are immutable and hashable, so they can be
 shared freely between concurrent evaluators.
 
+Each operation's class describes it once: an infix operation its printed
+symbol, precedence level and numpy ufunc, a function its printed name,
+ufunc and scalar fold, negation and powers their ufuncs.  The printer,
+the parser, the constant fold of ``simplify`` and ``compile_program``
+read those descriptions; ``compile_program`` flattens a tree into postfix
+``(ufunc, argument)`` steps, which ``_kernels.run_program`` applies to a
+batch of points.  Differentiation, the linear form behind ``simplify``
+and the scalar reference evaluator ``evaluate`` hold per-kind mathematics
+and stay written out kind by kind.
+
 Nodes are interned: equal trees are one object, each node's hash is
 computed once, and ``simplify``, differentiation, the linear form behind
 ``simplify``, ``free_variables`` and ``to_text`` remember their results
@@ -68,7 +78,13 @@ __all__ = [
 ]
 
 NAMED_CONSTANT_VALUES = {"pi": math.pi}
-FUNCTION_NAMES = ("sin", "cos", "exp")
+
+# precedence levels of printed text, loosest first
+_LEVEL_SUM = 1
+_LEVEL_TERM = 2
+_LEVEL_UNARY = 3
+_LEVEL_POWER = 4
+_LEVEL_ATOM = 5
 
 
 class ExprError(ValueError):
@@ -205,6 +221,7 @@ class Variable(ScalarExpr):
 
 class Negate(ScalarExpr):
     __slots__ = _fields = ("operand",)
+    ufunc = np.negative
 
     def __new__(cls, operand):
         # negation of a literal is a literal, keeping print/parse inverse
@@ -214,6 +231,11 @@ class Negate(ScalarExpr):
 
 
 class _Binary(ScalarExpr):
+    """An infix operation.  Each kind declares its printed ``symbol``, the
+    precedence ``level`` of the result (the left operand sits at that level,
+    the right one a level higher, so these associate left) and the numpy
+    ``ufunc`` that evaluates it."""
+
     __slots__ = _fields = ("left", "right")
 
     def __new__(cls, left, right):
@@ -222,22 +244,27 @@ class _Binary(ScalarExpr):
 
 class Add(_Binary):
     __slots__ = ()
+    symbol, level, ufunc = "+", _LEVEL_SUM, np.add
 
 
 class Subtract(_Binary):
     __slots__ = ()
+    symbol, level, ufunc = "-", _LEVEL_SUM, np.subtract
 
 
 class Multiply(_Binary):
     __slots__ = ()
+    symbol, level, ufunc = "*", _LEVEL_TERM, np.multiply
 
 
 class Divide(_Binary):
     __slots__ = ()
+    symbol, level, ufunc = "/", _LEVEL_TERM, np.divide
 
 
 class IntPower(ScalarExpr):
     __slots__ = _fields = ("base", "exponent")
+    ufunc = np.power  # applied with the exponent as a float
 
     def __new__(cls, base, exponent):
         if not isinstance(exponent, int) or isinstance(exponent, bool):
@@ -246,6 +273,10 @@ class IntPower(ScalarExpr):
 
 
 class _Function(ScalarExpr):
+    """A function call.  Each kind declares its printed ``symbol``, the numpy
+    ``ufunc`` that evaluates it and the scalar ``fold`` that ``simplify``
+    applies to a constant operand."""
+
     __slots__ = _fields = ("operand",)
 
     def __new__(cls, operand):
@@ -254,15 +285,22 @@ class _Function(ScalarExpr):
 
 class Sin(_Function):
     __slots__ = ()
+    symbol, ufunc, fold = "sin", np.sin, math.sin
 
 
 class Cos(_Function):
     __slots__ = ()
+    symbol, ufunc, fold = "cos", np.cos, math.cos
 
 
 class Exp(_Function):
     __slots__ = ()
+    symbol, ufunc, fold = "exp", np.exp, math.exp
 
+
+# the parser's vocabulary, read off the node classes
+_BINARY_BY_SYMBOL = {cls.symbol: cls for cls in (Add, Subtract, Multiply, Divide)}
+_FUNCTION_BY_NAME = {cls.symbol: cls for cls in (Sin, Cos, Exp)}
 
 ZERO = Constant(0.0)
 ONE = Constant(1.0)
@@ -365,13 +403,12 @@ def substitute(e: ScalarExpr, name: str, replacement) -> ScalarExpr:
     rep = as_expr(replacement)
     if isinstance(e, Variable):
         return rep if e.name == name else e
-    if isinstance(e, _Binary):
-        return type(e)(substitute(e.left, name, rep), substitute(e.right, name, rep))
-    if isinstance(e, (Negate, _Function)):
-        return type(e)(substitute(e.operand, name, rep))
-    if isinstance(e, IntPower):
-        return IntPower(substitute(e.base, name, rep), e.exponent)
-    return e
+    if not children(e):
+        return e
+    fields = (getattr(e, field) for field in e._fields)
+    return type(e)(
+        *(substitute(f, name, rep) if isinstance(f, ScalarExpr) else f for f in fields)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +468,6 @@ def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
 # ---------------------------------------------------------------------------
 # pretty printing
 
-_LEVEL_SUM = 1
-_LEVEL_TERM = 2
-_LEVEL_UNARY = 3
-_LEVEL_POWER = 4
-_LEVEL_ATOM = 5
-
 
 def to_text(e: ScalarExpr) -> str:
     """Render with minimal parentheses; re-parsing yields an equal tree."""
@@ -467,38 +498,16 @@ def _format_node(e: ScalarExpr) -> tuple[str, int]:
     if isinstance(e, Constant):
         s = _format_float(e.value)
         return s, (_LEVEL_UNARY if s.startswith("-") else _LEVEL_ATOM)
-    if isinstance(e, NamedConstant):
+    if isinstance(e, (NamedConstant, Variable)):
         return e.name, _LEVEL_ATOM
-    if isinstance(e, Variable):
-        return e.name, _LEVEL_ATOM
-    if isinstance(e, Sin):
-        return f"sin({_fmt(e.operand, _LEVEL_SUM)})", _LEVEL_ATOM
-    if isinstance(e, Cos):
-        return f"cos({_fmt(e.operand, _LEVEL_SUM)})", _LEVEL_ATOM
-    if isinstance(e, Exp):
-        return f"exp({_fmt(e.operand, _LEVEL_SUM)})", _LEVEL_ATOM
+    if isinstance(e, _Function):
+        return f"{e.symbol}({_fmt(e.operand, _LEVEL_SUM)})", _LEVEL_ATOM
     if isinstance(e, Negate):
         return f"-{_fmt(e.operand, _LEVEL_UNARY)}", _LEVEL_UNARY
-    if isinstance(e, Add):
-        return (
-            f"{_fmt(e.left, _LEVEL_SUM)} + {_fmt(e.right, _LEVEL_TERM)}",
-            _LEVEL_SUM,
-        )
-    if isinstance(e, Subtract):
-        return (
-            f"{_fmt(e.left, _LEVEL_SUM)} - {_fmt(e.right, _LEVEL_TERM)}",
-            _LEVEL_SUM,
-        )
-    if isinstance(e, Multiply):
-        return (
-            f"{_fmt(e.left, _LEVEL_TERM)}*{_fmt(e.right, _LEVEL_UNARY)}",
-            _LEVEL_TERM,
-        )
-    if isinstance(e, Divide):
-        return (
-            f"{_fmt(e.left, _LEVEL_TERM)}/{_fmt(e.right, _LEVEL_UNARY)}",
-            _LEVEL_TERM,
-        )
+    if isinstance(e, _Binary):
+        # sums are spaced, products are not
+        op = f" {e.symbol} " if e.level == _LEVEL_SUM else e.symbol
+        return f"{_fmt(e.left, e.level)}{op}{_fmt(e.right, e.level + 1)}", e.level
     if isinstance(e, IntPower):
         return f"{_fmt(e.base, _LEVEL_ATOM)}^{e.exponent}", _LEVEL_POWER
     raise ExprError(f"unknown node type {type(e).__name__}")
@@ -561,33 +570,24 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> ScalarExpr:
-        e = self.parse_sum()
+        e = self.parse_binary()
         kind, value, offset = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
         return e
 
-    def parse_sum(self) -> ScalarExpr:
-        e = self.parse_product()
+    def parse_binary(self, level: int = _LEVEL_SUM) -> ScalarExpr:
+        """Operands at ``level`` joined by the operators of that level."""
+        if level == _LEVEL_UNARY:
+            return self.parse_unary()
+        e = self.parse_binary(level + 1)
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.parse_product()
-                e = Add(e, rhs) if value == "+" else Subtract(e, rhs)
-            else:
+            cls = _BINARY_BY_SYMBOL.get(value) if kind == "op" else None
+            if cls is None or cls.level != level:
                 return e
-
-    def parse_product(self) -> ScalarExpr:
-        e = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                e = Multiply(e, rhs) if value == "*" else Divide(e, rhs)
-            else:
-                return e
+            self.advance()
+            e = cls(e, self.parse_binary(level + 1))
 
     def parse_unary(self) -> ScalarExpr:
         kind, value, _ = self.peek()
@@ -642,18 +642,18 @@ class _Parser:
                 raise ExprSyntaxError(f"numeric literal {value!r} is not finite", offset)
             return Constant(v)
         if kind == "ident":
-            if value in FUNCTION_NAMES:
+            if value in _FUNCTION_BY_NAME:
                 self.expect_op("(")
-                arg = self.parse_sum()
+                arg = self.parse_binary()
                 self.expect_op(")")
-                return {"sin": Sin, "cos": Cos, "exp": Exp}[value](arg)
+                return _FUNCTION_BY_NAME[value](arg)
             if value in NAMED_CONSTANT_VALUES:
                 return NamedConstant(value)
             if value in self.vars:
                 return Variable(value)
             raise UnknownIdentifierError(value, offset)
         if kind == "op" and value == "(":
-            e = self.parse_sum()
+            e = self.parse_binary()
             self.expect_op(")")
             return e
         raise ExprSyntaxError(f"unexpected token {value!r}", offset)
@@ -793,16 +793,21 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
             # u^1 is u; an atom here would rebuild without the power and
             # linearize differently on a second pass
             return base
+        # a power whose value overflows stays unfolded, as a non-finite
+        # sin, cos or exp does
         if _is_const(base):
             if base.const == 0.0 and k < 0:
                 return _atom(IntPower(ZERO, k))
-            return _Lin(float(base.const**k))
-        if k >= 1 and len(base.terms) == 1 and base.const == 0.0:
+            v = _finite_power(base.const, k)
+            if v is not None:
+                return _Lin(v)
+        elif k >= 1 and len(base.terms) == 1 and base.const == 0.0:
+            # a single product: (c*u*v)^k is c^k*u^k*v^k (exponents are positive)
             ((key, coef),) = base.terms.items()
-            if all(exp > 0 for _, exp in key):
-                newkey = tuple((b, exp * k) for b, exp in key)
-                return _Lin(0.0, {newkey: float(coef**k)})
-        if k >= 2 and base.nterms() ** k <= _EXPAND_CAP:
+            v = _finite_power(coef, k)
+            if v is not None:
+                return _Lin(0.0, {tuple((b, exp * k) for b, exp in key): v})
+        elif k >= 2 and base.nterms() ** k <= _EXPAND_CAP:
             out = base
             for _ in range(k - 1):
                 out = _lin_mul(out, base)
@@ -812,15 +817,23 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
     if isinstance(e, _Function):
         inner = _simplify(e.operand)
         if isinstance(inner, Constant):
-            fn = {Sin: math.sin, Cos: math.cos, Exp: math.exp}[type(e)]
             try:
-                v = fn(inner.value)
+                v = e.fold(inner.value)
             except (OverflowError, ValueError):  # exp overflows; sin, cos of an infinity
                 v = math.nan
             if math.isfinite(v):
                 return _Lin(v)
         return _atom(type(e)(inner))
     raise ExprError(f"unknown node type {type(e).__name__}")
+
+
+def _finite_power(c: float, k: int) -> float | None:
+    """``c**k``, or None where it is not a finite float."""
+    try:
+        v = float(c**k)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
 
 
 def _pythagorean(lin: _Lin) -> _Lin:
@@ -911,84 +924,40 @@ def _simplify(e: ScalarExpr) -> ScalarExpr:
 
 @dataclass(frozen=True)
 class Program:
-    ops: np.ndarray
-    iargs: np.ndarray  # variable indices and power exponents
-    fargs: np.ndarray  # constant values
+    steps: tuple[tuple, ...]  # postfix (ufunc, argument) pairs; see _kernels
     stack_depth: int
-    var_order: tuple[str, ...]
 
 
-def _emit(
-    e: ScalarExpr, var_index: Mapping[str, int], ops: list, iargs: list, fargs: list
-) -> int:
-    """Append postfix code; returns the stack depth needed by this subtree."""
+def _emit(e: ScalarExpr, var_index: Mapping[str, int], steps: list) -> int:
+    """Append the postfix steps of ``e``; returns the stack depth they need.
+
+    A leaf pushes a constant (a float) or a column of the points (an int);
+    any other node applies its kind's ufunc to its children's values, and
+    an integer power passes its exponent as the ufunc's second argument.
+    """
+    depth = 1
+    for i, child in enumerate(children(e)):
+        # the i-th child's values are computed above the i values before it
+        depth = max(depth, i + _emit(child, var_index, steps))
     if isinstance(e, Constant):
-        ops.append(_kernels.OP_CONST)
-        iargs.append(0)
-        fargs.append(e.value)
-        return 1
-    if isinstance(e, NamedConstant):
-        ops.append(_kernels.OP_CONST)
-        iargs.append(0)
-        fargs.append(NAMED_CONSTANT_VALUES[e.name])
-        return 1
-    if isinstance(e, Variable):
+        steps.append((None, e.value))
+    elif isinstance(e, NamedConstant):
+        steps.append((None, NAMED_CONSTANT_VALUES[e.name]))
+    elif isinstance(e, Variable):
         if e.name not in var_index:
             raise ExprError(f"variable '{e.name}' not in the evaluation order")
-        ops.append(_kernels.OP_VAR)
-        iargs.append(var_index[e.name])
-        fargs.append(0.0)
-        return 1
-    if isinstance(e, _Binary):
-        dl = _emit(e.left, var_index, ops, iargs, fargs)
-        dr = _emit(e.right, var_index, ops, iargs, fargs)
-        op = {
-            Add: _kernels.OP_ADD,
-            Subtract: _kernels.OP_SUB,
-            Multiply: _kernels.OP_MUL,
-            Divide: _kernels.OP_DIV,
-        }[type(e)]
-        ops.append(op)
-        iargs.append(0)
-        fargs.append(0.0)
-        return max(dl, dr + 1)
-    if isinstance(e, Negate):
-        d = _emit(e.operand, var_index, ops, iargs, fargs)
-        ops.append(_kernels.OP_NEG)
-        iargs.append(0)
-        fargs.append(0.0)
-        return d
-    if isinstance(e, IntPower):
-        d = _emit(e.base, var_index, ops, iargs, fargs)
-        ops.append(_kernels.OP_POWI)
-        iargs.append(e.exponent)
-        fargs.append(0.0)
-        return d
-    if isinstance(e, _Function):
-        d = _emit(e.operand, var_index, ops, iargs, fargs)
-        op = {Sin: _kernels.OP_SIN, Cos: _kernels.OP_COS, Exp: _kernels.OP_EXP}[type(e)]
-        ops.append(op)
-        iargs.append(0)
-        fargs.append(0.0)
-        return d
-    raise ExprError(f"unknown node type {type(e).__name__}")
+        steps.append((None, var_index[e.name]))
+    else:
+        steps.append((e.ufunc, float(e.exponent) if isinstance(e, IntPower) else None))
+    return depth
 
 
 @lru_cache(maxsize=_TABLE_CAP)
 def compile_program(e: ScalarExpr, var_order: tuple[str, ...]) -> Program:
-    """Flatten to a postfix stack program over the given variable order."""
-    index = {name: i for i, name in enumerate(var_order)}
-    ops: list[int] = []
-    iargs: list[int] = []
-    fargs: list[float] = []
-    depth = _emit(e, index, ops, iargs, fargs)
-    return Program(
-        ops=np.asarray(ops, dtype=np.int64),
-        iargs=np.asarray(iargs, dtype=np.int64),
-        fargs=np.asarray(fargs, dtype=np.float64),
-        stack_depth=depth,
-        var_order=var_order,
-    )
+    """Flatten to a postfix step program over the given variable order."""
+    steps: list[tuple] = []
+    depth = _emit(e, {name: i for i, name in enumerate(var_order)}, steps)
+    return Program(steps=tuple(steps), stack_depth=depth)
 
 
 def evaluate_many(
@@ -1003,4 +972,4 @@ def evaluate_many(
             f"points must have shape (n, {len(var_order)}), got {pts.shape}"
         )
     prog = compile_program(e, tuple(var_order))
-    return _kernels.run_program(prog.ops, prog.iargs, prog.fargs, prog.stack_depth, pts)
+    return _kernels.run_program(prog.steps, prog.stack_depth, pts)

@@ -40,7 +40,6 @@ from .structures import (
     check_engel_frame,
     check_engel_pair,
     check_even_contact,
-    derived_square,
 )
 
 COMMAND_TASK_KINDS = {
@@ -85,13 +84,11 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     elif decl.kind in ("engel_frame", "prolongation", "extension"):
         dist = extend(obj, plan, tol) if decl.kind == "extension" else obj
         rep = check_engel_frame(dist, plan, tol)
-        if decl.kind == "prolongation":
-            # a prolongation's characteristic must be its fiber
-            if rep.witnesses["rank_step1_min"] == 3:
-                # check_engel_frame already ranked (X, Y, [X, Y]) on this plan
-                frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
-            else:
-                frame3 = derived_square(dist, plan, tol)  # raises the rank error
+        if decl.kind == "prolongation" and rep.witnesses["rank_step1_min"] == 3:
+            # a prolongation's characteristic must be its fiber.  The check
+            # needs (X, Y, [X, Y]) of full rank, as check_engel_frame found it
+            # on this plan; a frame deficient there has already failed.
+            frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
             char = check_characteristic(
                 coordinate_field(dist.chart, dist.chart.fiber),
                 annihilator_1form(frame3, plan),

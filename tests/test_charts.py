@@ -325,6 +325,16 @@ def test_lie_derivative_commutes_with_d_on_scalars(box3):
     assert lhs.terms == rhs.terms == (((1,), ex.ONE),)
 
 
+def test_lie_derivative_needs_a_form_of_middle_degree(box3):
+    x = coordinate_field(box3, "x")
+    function = ch.KForm(box3, 0, (((), box3.parse("x*y")),))
+    with pytest.raises(DimensionError, match="interior product"):
+        lie_derivative_form(x, function)
+    volume = ch.KForm(box3, 3, (((0, 1, 2), ex.ONE),))
+    with pytest.raises(DimensionError, match="exterior derivative"):
+        lie_derivative_form(x, volume)
+
+
 def test_lie_derivative_leibniz_rescaling(box4):
     """L_{fX} w - f*L_X w = df ^ (X . w), checked numerically."""
     f = box4.parse("1 + x^2/4")

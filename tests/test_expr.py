@@ -13,6 +13,7 @@ from engelcalc.expr import (
     Cos,
     Divide,
     EvaluationError,
+    Exp,
     ExprSyntaxError,
     IntPower,
     Multiply,
@@ -257,7 +258,8 @@ def _expr_strategy():
             children.map(Negate),
             children.map(Sin),
             children.map(Cos),
-            st.tuples(children, st.integers(min_value=0, max_value=3)).map(
+            children.map(Exp),
+            st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
                 lambda p: IntPower(*p)
             ),
         )
@@ -343,6 +345,20 @@ def test_simplify_same_with_warm_and_cleared_tables(e):
     cold = simplify(e)
     assert cold == warm
     assert to_text(cold) == to_text(warm)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        IntPower(Constant(3.48e-296), -2),
+        IntPower(Constant(10.0), 400),
+        IntPower(Multiply(Constant(1e300), Variable("x")), 2),
+    ],
+    ids=to_text,
+)
+def test_a_power_that_overflows_stays_unfolded(e):
+    assert simplify(e) == e
+    assert evaluate(e, {"x": 1.0}) == np.inf
 
 
 def test_signed_zero_constants_are_distinct_nodes():

@@ -49,20 +49,11 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def _exported(tree: ast.Module) -> bool:
-    """A module that defines ``__all__`` re-exports what it imports."""
-    return any(
-        isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for node in tree.body
-    )
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
+    if path.name == "__init__.py":
+        return  # the package's imports are its re-exports
     tree = _tree(path)
-    if _exported(tree):
-        return
     used = _used_names(tree)
     unused = []
     for node in tree.body:

@@ -509,8 +509,15 @@ target = f
             .replace("field V1 = 0; 0; 1", "field V1 = 1e200*1e200; z; 0"),
             "non-finite value at sample point [0.0, 0.0, 0.0]",
         ),
+        (
+            # simplify leaves 10^400 unfolded rather than raising OverflowError
+            (MANIFESTS / "prolonged-n1.manifest")
+            .read_text(encoding="utf-8")
+            .replace("field V1 = 1; z; 0", "field V1 = 1; z + 10^400*0; 0"),
+            "non-finite value at sample point [-1.0, -1.0, -1.0]",
+        ),
     ],
-    ids=["engel-frame-1/x", "contact-frame-1e200*1e200"],
+    ids=["engel-frame-1/x", "contact-frame-1e200*1e200", "contact-frame-10^400*0"],
 )
 def test_non_finite_samples_are_task_errors(tmp_path, text, first_error):
     path = tmp_path / "m.manifest"
@@ -551,6 +558,21 @@ def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):
         ("verify_prolonged", "error"),
     ]
     assert all(t["error"].startswith("non-finite value at sample point") for t in tasks)
+
+
+def test_degenerate_prolongation_fails_like_the_engel_frame(tmp_path):
+    # V1 = 2*d/dz is parallel to V0: (X, Y, [X, Y]) has rank 2 everywhere
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "m.manifest"
+    path.write_text(text.replace("field V1 = 1; z; 0", "field V1 = 0; 0; 2"))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--report", str(out)]) == 1
+    prolonged = json.loads(out.read_text())["tasks"][1]
+    assert (prolonged["id"], prolonged["status"]) == ("verify_prolonged", "fail")
+    witnesses = prolonged["witnesses"]
+    assert witnesses["rank_step1_max"] == 2
+    assert witnesses["first_failure"]["sample_index"] == 0
+    assert not any(key.startswith("characteristic_") for key in witnesses)
 
 
 # ---------------------------------------------------------------------------

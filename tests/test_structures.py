@@ -133,6 +133,19 @@ def test_engel_frame_integrable_fails(box4):
     assert rep.witnesses["rank_step1_max"] == 2
 
 
+def test_engel_frame_fails_at_the_second_step(box4):
+    # (X, Y, [X, Y]) spans d/dw, d/dx and d/dz everywhere, but the second
+    # brackets stay in that span: [X, [X, Y]] = -Y/4 and [Y, [X, Y]] = 0
+    x = coordinate_field(box4, "w")
+    y = vector_field(box4, ["sin(w/2)", "0", "cos(w/2)", "0"])
+    rep = check_engel_frame(Distribution2(box4, x, y), PLAN)
+    assert not rep.passed
+    assert rep.witnesses["rank_step1_min"] == 3
+    assert rep.witnesses["rank_step2_max"] == 3
+    assert rep.first_failure["sample_index"] == 0
+    assert rep.first_failure["rank_step2"] == 3
+
+
 def test_engel_frame_prolonged(std_frame):
     from engelcalc.prolongation import prolong
 
