@@ -64,7 +64,6 @@ from .invariants import (
 )
 from .extension import (
     ExtensionSpec,
-    legendrian_angle_function,
     extend,
     verify_extension_identities,
     extend_family,

@@ -705,11 +705,18 @@ def _term_add(terms: dict, key: tuple, coef: float) -> None:
         terms[key] = new
 
 
-def _lin_combine(a: _Lin, b: _Lin, sign: float) -> _Lin:
+def _lin_combine(a: _Lin, b: _Lin, sign: float) -> _Lin | None:
+    """a + sign*b, or None where a coefficient overflows."""
     terms = dict(a.terms)
     for key, coef in b.terms.items():
         _term_add(terms, key, sign * coef)
-    return _Lin(a.const + sign * b.const, terms)
+    const = a.const + sign * b.const
+    if not math.isfinite(const):
+        return None
+    for key in b.terms:  # only the coefficients of b's terms changed
+        if not math.isfinite(terms.get(key, 0.0)):
+            return None
+    return _Lin(const, terms)
 
 
 def _lin_scale(a: _Lin, c: float) -> _Lin:
@@ -727,10 +734,16 @@ def _merge_factor_lists(fa: tuple, fb: tuple) -> tuple:
     return tuple(items)
 
 
-def _lin_mul(a: _Lin, b: _Lin) -> _Lin:
+def _lin_mul(a: _Lin, b: _Lin) -> _Lin | None:
+    """The expanded product, or None where it would pass the expansion cap,
+    fold away a factor whose value may not be finite, or overflow."""
     if a.nterms() * b.nterms() > _EXPAND_CAP:
-        # keep the product atomic rather than blowing up the expansion
-        return _atom(Multiply(_rebuild(a), _rebuild(b)))
+        return None
+    if _is_zero(a) or _is_zero(b):
+        # 0*u is 0 only where u is finite; the product keeps the sign of a zero
+        if _has_constant_factor(a) or _has_constant_factor(b):
+            return None
+        return _Lin(a.const * b.const)
     out = _Lin()
     out.const = a.const * b.const
     if a.const != 0.0:
@@ -742,7 +755,35 @@ def _lin_mul(a: _Lin, b: _Lin) -> _Lin:
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
             _term_add(out.terms, _merge_factor_lists(ka, kb), ca * cb)
-    return out
+    return out if _finite(out) else None
+
+
+def _lin_quotient(num: _Lin, den: _Lin) -> _Lin | None:
+    """num/den expanded where den is a nonzero constant or num is 0, or None
+    where the quotient keeps its operands."""
+    # collapse sin^2 + cos^2 first, as _rebuild would on a second pass
+    den = _pythagorean(den)
+    if _is_const(den) and den.const != 0.0:
+        out = _lin_scale(num, 1.0 / den.const)
+        return out if _finite(out) else None
+    if _is_zero(num) and not _is_const(den) and not _has_constant_factor(den):
+        # 0/den is 0 wherever den is finite and nonzero; 0/0 stays nan
+        return _Lin()
+    return None
+
+
+def _finite(lin: _Lin) -> bool:
+    return math.isfinite(lin.const) and all(map(math.isfinite, lin.terms.values()))
+
+
+def _has_constant_factor(lin: _Lin) -> bool:
+    """Whether a term has a variable-free factor other than a named constant
+    (pi), such as 10^400 or 0/0, whose value need not be finite."""
+    for key in lin.terms:
+        for base, _ in key:
+            if type(base) not in (Variable, NamedConstant) and not free_variables(base):
+                return True
+    return False
 
 
 def _atom(e: ScalarExpr) -> _Lin:
@@ -751,6 +792,10 @@ def _atom(e: ScalarExpr) -> _Lin:
 
 def _is_const(lin: _Lin) -> bool:
     return not lin.terms
+
+
+def _is_zero(lin: _Lin) -> bool:
+    return not lin.terms and lin.const == 0.0
 
 
 def _linearize(e: ScalarExpr) -> _Lin:
@@ -768,22 +813,21 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
         return _atom(e)
     if isinstance(e, Negate):
         return _lin_scale(_linearize(e.operand), -1.0)
-    if isinstance(e, Add):
-        return _lin_combine(_linearize(e.left), _linearize(e.right), 1.0)
-    if isinstance(e, Subtract):
-        return _lin_combine(_linearize(e.left), _linearize(e.right), -1.0)
-    if isinstance(e, Multiply):
-        return _lin_mul(_linearize(e.left), _linearize(e.right))
-    if isinstance(e, Divide):
-        num = _linearize(e.left)
-        # collapse sin^2 + cos^2 first, as _rebuild would on a second pass
-        den = _pythagorean(_linearize(e.right))
-        if _is_const(den) and den.const != 0.0:
-            return _lin_scale(num, 1.0 / den.const)
-        if _is_const(num) and num.const == 0.0 and not _is_const(den):
-            # 0/den is 0 wherever den is nonzero; 0/0 stays nan
-            return _Lin()
-        return _atom(Divide(_simplify(e.left), _simplify(e.right)))
+    if isinstance(e, _Binary):
+        left, right = _linearize(e.left), _linearize(e.right)
+        if isinstance(e, Add):
+            lin = _lin_combine(left, right, 1.0)
+        elif isinstance(e, Subtract):
+            lin = _lin_combine(left, right, -1.0)
+        elif isinstance(e, Multiply):
+            lin = _lin_mul(left, right)
+        else:
+            lin = _lin_quotient(left, right)
+        if lin is not None:
+            return lin
+        # past the expansion cap, with a coefficient that overflows, or a
+        # fold of 0 that could hide a non-finite operand: keep the operands
+        return _atom(type(e)(_simplify(e.left), _simplify(e.right)))
     if isinstance(e, IntPower):
         base = _linearize(e.base)
         k = e.exponent
@@ -811,7 +855,10 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
             out = base
             for _ in range(k - 1):
                 out = _lin_mul(out, base)
-            return out
+                if out is None:
+                    break
+            else:
+                return out
         inner = _simplify(e.base)
         return _Lin(0.0, {((inner, k) if k > 0 else (IntPower(inner, k), 1),): 1.0})
     if isinstance(e, _Function):

@@ -28,7 +28,6 @@ from .charts import (
     lie_bracket,
     lift_to_product,
     require_finite,
-    sample_points,
     variables_of,
 )
 from .expr import ScalarExpr, simplify
@@ -47,114 +46,24 @@ from .structures import (
 )
 
 
-class ContinuityError(GeometryError):
-    pass
-
-
-@dataclass(frozen=True)
-class AngleFunction:
-    """Continuous angle of a coefficient pair, normalized so min lies in (0, pi].
-
-    ``table`` holds the per-sample-point values; ``symbolic`` is set when
-    the pair admits a closed-form angle.
-    """
-
-    points: np.ndarray
-    table: np.ndarray
-    symbolic: ScalarExpr | None
-    boundary_warning: bool
-
-
-def _angle_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
-    """min g over the sample set, checked to satisfy 0 < min g <= pi."""
+def _sample_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
+    """min g over the samples; a non-finite value is an error naming its point."""
     pts, _ = distinct_samples(chart, plan, variables_of(g))
-    gmin = float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
-    if not 0.0 < gmin <= math.pi + 1e-12:
-        raise GeometryError(
-            f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
-        )
-    return gmin
+    return float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
 
 
-def _warn_if_min_is_pi(gmin: float) -> bool:
-    """Warn when the normalized angle's minimum sits on pi; say whether it does."""
-    boundary = abs(gmin - math.pi) <= 1e-9
-    if boundary:
-        warnings.warn(
-            "normalized angle function attains pi at its minimum",
-            BoundaryConventionWarning,
-            stacklevel=3,
-        )
-    return boundary
+def _pair_angle(f1: tuple[ScalarExpr, ScalarExpr]) -> ScalarExpr:
+    """Closed-form u with V0*cos(u) + V1*sin(u) generating the pair a*V0 + b*V1.
 
-
-def _normalization_shift(min_raw: float) -> int:
-    # unique k with min_raw + k*pi in (0, pi]
-    return int(math.floor(1.0 - min_raw / math.pi + 1e-12))
-
-
-def legendrian_angle_function(
-    frame: ContactFrame,
-    f1: tuple[ScalarExpr, ScalarExpr],
-    plan: SamplePlan,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> AngleFunction:
-    """Angle g with V0*cos(g) + V1*sin(g) generating the pair a*V0 + b*V1.
-
-    The raw angle is taken mod pi on the sample grid, unwrapped axis by
-    axis (adjacent grid values must differ by less than pi/2), and shifted
-    by the unique multiple of pi putting the minimum into (0, pi].  For a
-    (cos(u), sin(u)) pair or a constant pair the angle is also returned
-    symbolically.
+    The pair is (cos(u), sin(u)) or a nonzero constant pair; any other pair
+    has no angle in closed form.
     """
     a, b = f1
-    chart = frame.chart
-    res = plan.resolutions(chart.dim)
-    grid_plan = SamplePlan(grid=plan.grid, random=0, seed=plan.seed)
-    pts = sample_points(chart, grid_plan)
-    av = require_finite(ex.evaluate_many(a, chart.names, pts), pts)
-    bv = require_finite(ex.evaluate_many(b, chart.names, pts), pts)
-    if np.min(av * av + bv * bv, initial=np.inf) < tol.nonzero_norm:
-        raise GeometryError("coefficient pair vanishes at a sample point")
-
-    raw = np.arctan2(bv, av) % math.pi
-    cube = raw.reshape(res)
-    for axis in range(cube.ndim):
-        cube = np.unwrap(cube, axis=axis, period=math.pi)
-    for axis in range(cube.ndim):
-        jumps = np.abs(np.diff(cube, axis=axis))
-        # mod-pi unwrapping caps apparent increments at pi/2; demand half
-        # of that so genuine aliasing cannot hide at the boundary
-        if jumps.size and float(np.max(jumps)) >= math.pi / 4.0:
-            raise ContinuityError(
-                "adjacent grid samples differ too much in angle;"
-                " the input is undersampled or discontinuous"
-            )
-    values = cube.reshape(-1)
-    shift = _normalization_shift(float(np.min(values)))
-    values = values + shift * math.pi
-
-    boundary = _warn_if_min_is_pi(float(np.min(values)))
-    symbolic = _symbolic_angle(a, b, shift, values, pts, chart.names)
-    return AngleFunction(points=pts, table=values, symbolic=symbolic, boundary_warning=boundary)
-
-
-def _symbolic_angle(a, b, shift, values, pts, names) -> ScalarExpr | None:
-    candidate: ScalarExpr | None = None
     if isinstance(a, ex.Cos) and isinstance(b, ex.Sin) and a.operand == b.operand:
-        candidate = a.operand
-    elif isinstance(a, ex.Constant) and isinstance(b, ex.Constant):
-        candidate = ex.Constant(math.atan2(b.value, a.value))
-    if candidate is None:
-        return None
-    sym = simplify(
-        ex.Add(candidate, ex.Multiply(ex.Constant(shift), ex.PI)) if shift else candidate
-    )
-    check = ex.evaluate_many(sym, names, pts)
-    if np.max(np.abs(check - values), initial=0.0) > 1e-9:
-        # closed form disagrees with the unwrapped table (wrong branch)
-        return None
-    return sym
+        return a.operand
+    if isinstance(a, ex.Constant) and isinstance(b, ex.Constant) and (a.value or b.value):
+        return ex.Constant(math.atan2(b.value, a.value))
+    raise GeometryError("target line field has no closed-form angle; supply g directly")
 
 
 @dataclass(frozen=True)
@@ -174,18 +83,32 @@ class ExtensionSpec:
         if (self.f1 is None) == (self.g is None):
             raise GeometryError("provide exactly one of f1 or g")
 
-    def angle_expression(
-        self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> ScalarExpr:
-        if self.g is not None:
-            _warn_if_min_is_pi(_angle_min(self.g, self.frame.chart, plan))
-            return simplify(self.g)
-        fn = legendrian_angle_function(self.frame, self.f1, plan, tol)
-        if fn.symbolic is None:
+    def angle_expression(self, plan: SamplePlan) -> ScalarExpr:
+        """The angle g of the target line, with min g over the samples in (0, pi].
+
+        A coefficient pair's angle is shifted by the multiple of pi that
+        puts its minimum there.
+        """
+        chart = self.frame.chart
+        g = self.g
+        if g is None:
+            g = _pair_angle(self.f1)
+            # the largest k with min g + k*pi within the bound checked below
+            shift = math.floor((math.pi + 1e-12 - _sample_min(g, chart, plan)) / math.pi)
+            if shift:
+                g = ex.Add(g, ex.Multiply(ex.Constant(shift), ex.PI))
+        gmin = _sample_min(g, chart, plan)
+        if not 0.0 < gmin <= math.pi + 1e-12:
             raise GeometryError(
-                "target line field has no closed-form angle; supply g directly"
+                f"angle function must satisfy 0 < min g <= pi, got min {gmin}"
             )
-        return fn.symbolic
+        if abs(gmin - math.pi) <= 1e-9:
+            warnings.warn(
+                "normalized angle function attains pi at its minimum",
+                BoundaryConventionWarning,
+                stacklevel=2,
+            )
+        return simplify(g)
 
 
 FIBER_NAME = "t"
@@ -198,20 +121,12 @@ def _twisted_generator(spec: ExtensionSpec, g: ScalarExpr) -> Distribution2:
     )
 
 
-def extend(
-    spec: ExtensionSpec,
-    plan: SamplePlan,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Distribution2:
+def extend(spec: ExtensionSpec, plan: SamplePlan) -> Distribution2:
     """Build the interval extension; verify tasks check the frame."""
-    return _twisted_generator(spec, spec.angle_expression(plan, tol))
+    return _twisted_generator(spec, spec.angle_expression(plan))
 
 
-def verify_extension_identities(
-    spec: ExtensionSpec,
-    plan: SamplePlan,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VerificationReport:
+def verify_extension_identities(spec: ExtensionSpec, plan: SamplePlan) -> VerificationReport:
     """Check the two bracket identities of the construction at samples.
 
     With h = g + n*pi and V = V0*cos(t*h) + V1*sin(t*h):
@@ -222,7 +137,7 @@ def verify_extension_identities(
     the latter holding exactly when h is constant along the contact plane
     (true for the constant-angle fixtures this operation targets).
     """
-    g = spec.angle_expression(plan, tol)
+    g = spec.angle_expression(plan)
     dist = _twisted_generator(spec, g)
     chart4 = dist.chart
     fiber = chart4.fiber
@@ -280,7 +195,7 @@ def extend_family(
     base_plan = minimal_twisting_plan(plan.seed)
     mtw = []
     for spec in specs:
-        dist = extend(spec, plan, tol)
+        dist = extend(spec, plan)
         check_engel_frame(dist, plan, tol).require("extension frame check")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryConventionWarning)

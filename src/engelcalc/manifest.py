@@ -49,6 +49,11 @@ structure or task accepts only the keys its kind uses, each at most once,
 and a manifest holds at most one [chart], [sampling] and [tolerances] section
 and one section per structure name and task id.  Every referenced name must
 be defined before use; validation errors carry the offending line number.
+
+An extension's ``f1 = a b`` names the target line a*V0 + b*V1.  Its tasks
+accept a pair whose angle has a closed form: a and b are cos(u) and sin(u)
+of one expression u, or two number literals, not both 0.  Any other pair
+makes them errors that ask for g.
 """
 
 from __future__ import annotations

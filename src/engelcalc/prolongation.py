@@ -41,6 +41,7 @@ from .structures import (
     Distribution2,
     Tolerances,
     VerificationReport,
+    _failure_at,
     _frame_ranks,
     _lowest_rank_at,
     annihilator_1form,
@@ -78,18 +79,16 @@ class ContactFrame:
         self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> VerificationReport:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
-        pts, _ = distinct_samples(self.chart, plan, variables_of(self.v0, self.v1))
+        pts, rows = distinct_samples(self.chart, plan, variables_of(self.v0, self.v1))
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
         (ranks2, ratio2), (ranks3, ratio3) = _frame_ranks(fields, pts, tol.rank, (2, 3))
         # first point where either rank is short: the lowest of a 0/1 "rank"
         idx = _lowest_rank_at((ranks2 == 2) & (ranks3 == 3), True)
         first = None
         if idx is not None:
-            first = {
-                "point": [float(v) for v in pts[idx]],
-                "rank_plane": int(ranks2[idx]),
-                "rank_with_bracket": int(ranks3[idx]),
-            }
+            first = _failure_at(
+                pts, rows, idx, rank_plane=ranks2[idx], rank_with_bracket=ranks3[idx]
+            )
         return VerificationReport(
             kind="contact_frame",
             passed=idx is None,

@@ -82,7 +82,7 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
     elif decl.kind == "contact_frame":
         rep = obj.validate(plan, tol)
     elif decl.kind in ("engel_frame", "prolongation", "extension"):
-        dist = extend(obj, plan, tol) if decl.kind == "extension" else obj
+        dist = extend(obj, plan) if decl.kind == "extension" else obj
         rep = check_engel_frame(dist, plan, tol)
         if decl.kind == "prolongation" and rep.witnesses["rank_step1_min"] == 3:
             # a prolongation's characteristic must be its fiber.  The check
@@ -128,7 +128,7 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
     elif name == "minimal_twisting_number":
         if not isinstance(obj, ExtensionSpec):
             raise GeometryError("minimal_twisting_number targets an extension structure")
-        dist = extend(obj, plan, tol)
+        dist = extend(obj, plan)
         base_plan = minimal_twisting_plan(plan.seed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundaryConventionWarning)
@@ -154,7 +154,7 @@ def _identities_task(manifest: Manifest, decl: StructureDecl) -> TaskRecord:
     obj = materialize(manifest, decl)
     if not isinstance(obj, ExtensionSpec):
         raise GeometryError("identities tasks target extension structures")
-    rep = verify_extension_identities(obj, manifest.sampling, manifest.tolerances)
+    rep = verify_extension_identities(obj, manifest.sampling)
     record.status = "pass" if rep.passed else "fail"
     record.witnesses.update(_report_witnesses(rep))
     return record
@@ -168,7 +168,7 @@ def _construct_task(
     if decl.kind == "prolongation":
         dist = obj
     elif decl.kind == "extension":
-        dist = extend(obj, manifest.sampling, manifest.tolerances)
+        dist = extend(obj, manifest.sampling)
     else:
         raise GeometryError("construct tasks target prolongation or extension structures")
     text = frame_to_manifest_text(dist, name=decl.name)

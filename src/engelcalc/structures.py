@@ -113,10 +113,11 @@ class VerificationReport:
 
 
 def _failure_at(points: np.ndarray, rows: np.ndarray, idx: int, **values) -> dict:
+    """The first failure's point and row; ranks stay ints, other values floats."""
     return {
         "point": [float(v) for v in points[idx]],
         "sample_index": int(rows[idx]),
-        **{k: float(v) for k, v in values.items()},
+        **{k: int(v) if isinstance(v, np.integer) else float(v) for k, v in values.items()},
     }
 
 

@@ -361,6 +361,28 @@ def test_a_power_that_overflows_stays_unfolded(e):
     assert evaluate(e, {"x": 1.0}) == np.inf
 
 
+@pytest.mark.parametrize(
+    "text", ["(1e200*x)*(1e200*y)", "(1e200*x + y)^2", "x/1e-320", "1e308*x + 1e308*x"]
+)
+def test_a_coefficient_that_overflows_keeps_its_operands(text):
+    s = simplify(parse_scalar_expr(text, VARS))
+    assert parse_scalar_expr(to_text(s), VARS) == s
+    assert simplify(s) == s
+    assert evaluate(s, {"x": 1.0, "y": 1.0}) == np.inf
+
+
+@pytest.mark.parametrize("text", ["z + 10^400*0", "(0/0)*0", "0*exp(1000)*x", "0/(0/0)"])
+def test_zero_times_a_non_finite_constant_stays_unfolded(text):
+    s = simplify(parse_scalar_expr(text, VARS))
+    assert simplify(s) == s
+    values = ex.evaluate_many(s, VARS, np.zeros((1, len(VARS))))
+    assert np.isnan(values).all()
+
+
+def test_zero_times_pi_folds():
+    assert simplify(Multiply(Constant(0.0), ex.PI)) == Constant(0.0)
+
+
 def test_signed_zero_constants_are_distinct_nodes():
     pos, neg = Constant(0.0), Constant(-0.0)
     assert pos is not neg

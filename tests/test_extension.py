@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from conftest import kernel_plane_basis, plane_angle_sin
 
 from engelcalc import charts as ch
@@ -17,7 +20,6 @@ from engelcalc.extension import (
     ExtensionSpec,
     extend,
     extend_family,
-    legendrian_angle_function,
     verify_extension_identities,
 )
 from engelcalc.invariants import (
@@ -40,42 +42,87 @@ MTW_PLAN = SamplePlan(grid=3, random=6, seed=0)
 # angle function
 
 
+def _angle_of_pair(frame, pair, plan=PLAN):
+    return ExtensionSpec(frame=frame, n=0, f1=pair).angle_expression(plan)
+
+
 def test_angle_function_quarter_turn(std_frame):
-    fn = legendrian_angle_function(std_frame, (ex.ZERO, ex.ONE), PLAN)
-    assert fn.symbolic is not None
-    assert ex.evaluate(fn.symbolic, {}) == pytest.approx(math.pi / 2)
-    np.testing.assert_allclose(fn.table, math.pi / 2)
+    g = _angle_of_pair(std_frame, (ex.ZERO, ex.ONE))
+    assert ex.evaluate(g, {}) == pytest.approx(math.pi / 2)
 
 
 def test_angle_function_same_line_normalizes_to_pi(std_frame):
     with pytest.warns(BoundaryConventionWarning):
-        fn = legendrian_angle_function(std_frame, (ex.ONE, ex.ZERO), PLAN)
-    np.testing.assert_allclose(fn.table, math.pi)
-    assert fn.boundary_warning
+        g = _angle_of_pair(std_frame, (ex.ONE, ex.ZERO))
+    assert g == ex.PI
 
 
 def test_angle_function_recovers_linear_phase(std_frame):
     chart = std_frame.chart
     u = chart.parse("x/4 + 1")
-    fn = legendrian_angle_function(std_frame, (ex.Cos(u), ex.Sin(u)), PLAN)
-    assert fn.symbolic == ex.simplify(u)
-    assert 0.0 < np.min(fn.table) <= math.pi
-    assert np.min(fn.table) == pytest.approx(0.75)
+    g = _angle_of_pair(std_frame, (ex.Cos(u), ex.Sin(u)))
+    assert g == ex.simplify(u)
+    values = ex.evaluate_many(g, chart.names, sample_points(chart, PLAN))
+    assert np.min(values) == pytest.approx(0.75)
 
 
 def test_angle_function_rejects_vanishing_pair(std_frame):
     x = ex.Variable("x")
-    with pytest.raises(GeometryError):
-        legendrian_angle_function(std_frame, (x, x), PLAN)
+    with pytest.raises(GeometryError, match="no closed-form angle"):
+        _angle_of_pair(std_frame, (x, x))
 
 
-def test_angle_function_detects_undersampling(std_frame):
-    # phase sweeps ~16 radians across the box: adjacent samples alias
+@pytest.mark.parametrize("pair", ["0 0", "x 1", "cos(x) sin(y)"])
+def test_angle_function_rejects_a_pair_without_closed_form(std_frame, pair):
+    a, b = (std_frame.chart.parse(text) for text in pair.split())
+    with pytest.raises(GeometryError, match="no closed-form angle"):
+        _angle_of_pair(std_frame, (a, b))
+
+
+def test_angle_function_shifts_a_fast_phase_by_its_multiple_of_pi(std_frame):
+    # the phase sweeps 16 radians across the box; min 8*x + 2 = -6 moves up
+    # by 2*pi into (0, pi], however coarse the grid
     u = std_frame.chart.parse("8*x + 2")
-    with pytest.raises(GeometryError):
-        legendrian_angle_function(
-            std_frame, (ex.Cos(u), ex.Sin(u)), SamplePlan(grid=3, random=0, seed=0)
+    g = _angle_of_pair(std_frame, (ex.Cos(u), ex.Sin(u)), SamplePlan(grid=3, random=0, seed=0))
+    assert ex.to_text(g) == "2*pi + 8*x + 2"
+
+
+_COEF = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    linear=st.booleans(),
+    coefs=st.tuples(_COEF, _COEF, _COEF),
+    grid=st.integers(2, 5),
+    random=st.integers(0, 10),
+    seed=st.integers(0, 3),
+)
+def test_pair_angle_is_its_phase_up_to_pi(std_frame, linear, coefs, grid, random, seed):
+    """For u linear in x, y and for nonzero constant pairs, g - u is a
+    multiple of pi at every sample and min g lies in (0, pi]."""
+    chart = std_frame.chart
+    c0, c1, c2 = coefs
+    if linear:
+        u = ex.Add(
+            ex.Add(ex.Multiply(ex.Constant(c0), ex.Variable("x")),
+                   ex.Multiply(ex.Constant(c1), ex.Variable("y"))),
+            ex.Constant(c2),
         )
+        pair = (ex.Cos(u), ex.Sin(u))
+    else:
+        assume(c0 or c1)
+        u = ex.Constant(math.atan2(c1, c0))
+        pair = (ex.Constant(c0), ex.Constant(c1))
+    plan = SamplePlan(grid=grid, random=random, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryConventionWarning)
+        g = _angle_of_pair(std_frame, pair, plan)
+    pts = sample_points(chart, plan)
+    gv = ex.evaluate_many(g, chart.names, pts)
+    turns = (gv - ex.evaluate_many(u, chart.names, pts)) / math.pi
+    np.testing.assert_allclose(turns, np.round(turns), atol=1e-9)
+    assert 0.0 < np.min(gv) <= math.pi + 1e-12
 
 
 # ---------------------------------------------------------------------------

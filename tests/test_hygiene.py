@@ -1,8 +1,8 @@
 """Dead-code guard: unused top-level imports, imports inside functions,
-unreferenced private names, and public functions, methods and properties
-that no manifest reaches.
+unread parameters, unreferenced private names, and public functions,
+methods and properties that no manifest reaches.
 
-The first three scans read the package source with the standard-library
+The first four scans read the package source with the standard-library
 ``ast`` module only, so they cost no import of the package itself.  The
 reachability scan runs every bundled manifest through the CLI in a fresh
 interpreter under ``sys.settrace``.
@@ -82,6 +82,38 @@ def test_no_function_level_imports(path):
     assert not nested, f"{path.name} imports inside functions at lines {nested}"
 
 
+def _unread_parameters(tree: ast.Module):
+    """(line, function, parameter) for each parameter its function never reads.
+
+    ``self``, ``cls``, ``_``-prefixed names and dunder methods are exempt:
+    ``ScalarExpr.__setattr__`` and ``__delattr__`` exist only to raise.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            inner.id
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+        }
+        for param in params:
+            if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                continue
+            if param.arg not in read:
+                yield param.lineno, node.name, param.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = [f"line {line}: {fn}({name})" for line, fn, name in _unread_parameters(_tree(path))]
+    assert not unread, f"{path.name} has parameters their functions never read: {unread}"
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     defined: dict[str, int] = {}
     for node in tree.body:
@@ -129,9 +161,6 @@ def test_every_private_module_name_is_referenced():
 UNREACHED_BY_FIXTURES = {
     # entry point of the installed ``engelcalc`` script; tests call cli.main
     "cli.entry",
-    # reached from input through an ``extension`` declared with ``f1 = a b``
-    # (tests/test_manifest_cli.py::test_extension_from_a_coefficient_pair)
-    "extension.legendrian_angle_function",
     # recorded on every run of perfbench/run.py
     "_kernels.active_backend",
     # inputs of the normal-form task planned in ROADMAP item 1

@@ -271,6 +271,33 @@ def test_extension_from_a_coefficient_pair(tmp_path):
     assert reports == {"verify_ext": "pass", "mtw": "match"}
 
 
+def _run_f1(tmp_path, pair: str) -> dict:
+    fa, fb = pair.split()
+    text = F1_EXTENSION.replace("cos(x/4 + 1)", fa).replace("sin(x/4 + 1)", fb)
+    path = tmp_path / "f1.manifest"
+    path.write_text(text)
+    tasks = {}
+    for command in ("verify", "invariant"):
+        out = tmp_path / f"{command}.json"
+        main([command, str(path), "--report", str(out)])
+        tasks.update((t["id"], t) for t in json.loads(out.read_text())["tasks"])
+    return tasks
+
+
+@pytest.mark.parametrize("pair", ["cos(x) sin(x)", "cos(x+4) sin(x+4)", "1 -1"])
+def test_extension_from_any_closed_form_pair(tmp_path, pair):
+    # the phase need not be sampled finely, nor the pair be a quarter turn
+    tasks = _run_f1(tmp_path, pair)
+    assert {k: t["status"] for k, t in tasks.items()} == {"verify_ext": "pass", "mtw": "match"}
+    assert tasks["mtw"]["witnesses"]["value"] == 1
+
+
+def test_extension_from_a_pair_without_closed_form_is_a_task_error(tmp_path):
+    tasks = _run_f1(tmp_path, "x 1")
+    assert {k: t["status"] for k, t in tasks.items()} == {"verify_ext": "error", "mtw": "error"}
+    assert all("no closed-form angle" in t["error"] for t in tasks.values())
+
+
 TWO_SLICE_FAMILY = """
 [chart]
 coords = x y z
@@ -560,6 +587,22 @@ def test_zero_over_zero_field_is_an_error_in_every_task(tmp_path):
     assert all(t["error"].startswith("non-finite value at sample point") for t in tasks)
 
 
+@pytest.mark.parametrize("component", ["z + 10^400*0", "(0/0)*0"])
+def test_zero_times_a_non_finite_constant_is_an_error_in_every_task(tmp_path, component):
+    # simplify must not fold u*0 to 0 where u is a non-finite constant
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "m.manifest"
+    path.write_text(text.replace("field V1 = 1; z; 0", f"field V1 = 1; {component}; 0"))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--report", str(out)]) == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [(t["id"], t["status"]) for t in tasks] == [
+        ("verify_frame", "error"),
+        ("verify_prolonged", "error"),
+    ]
+    assert all(t["error"].startswith("non-finite value at sample point") for t in tasks)
+
+
 def test_degenerate_prolongation_fails_like_the_engel_frame(tmp_path):
     # V1 = 2*d/dz is parallel to V0: (X, Y, [X, Y]) has rank 2 everywhere
     text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
@@ -567,11 +610,19 @@ def test_degenerate_prolongation_fails_like_the_engel_frame(tmp_path):
     path.write_text(text.replace("field V1 = 1; z; 0", "field V1 = 0; 0; 2"))
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--report", str(out)]) == 1
-    prolonged = json.loads(out.read_text())["tasks"][1]
+    frame, prolonged = json.loads(out.read_text())["tasks"]
+    # both first failures carry their sample row, and ranks print as ints
+    assert frame["witnesses"]["first_failure"] == {
+        "point": [-1.0, -1.0, -1.0],
+        "sample_index": 0,
+        "rank_plane": 1,
+        "rank_with_bracket": 1,
+    }
     assert (prolonged["id"], prolonged["status"]) == ("verify_prolonged", "fail")
     witnesses = prolonged["witnesses"]
     assert witnesses["rank_step1_max"] == 2
     assert witnesses["first_failure"]["sample_index"] == 0
+    assert type(witnesses["first_failure"]["rank_step1"]) is int
     assert not any(key.startswith("characteristic_") for key in witnesses)
 
 
