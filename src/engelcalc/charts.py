@@ -4,13 +4,17 @@ Charts model trivialized products (boxes in R^3/R^4, tori, cylinders):
 named coordinates with a sampling interval each, and optional periodicity.
 Forms are stored sparsely over strictly increasing index tuples; all sign
 bookkeeping happens in ``wedge``/``interior_product``.
+
+The builders emit no zero terms: brackets, contractions, pairings, scalings
+and sums leave out (and brackets do not differentiate) the terms of a
+component that simplifies to 0; the other terms keep their order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,20 +60,18 @@ class CoordinateAxis:
 class Chart:
     axes: tuple[CoordinateAxis, ...]
     fiber: str | None = None
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)  # set once
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
-        names = [a.name for a in self.axes]
+        names = tuple(a.name for a in self.axes)
         if len(set(names)) != len(names):
-            raise GeometryError(f"coordinate names must be distinct: {names}")
+            raise GeometryError(f"coordinate names must be distinct: {list(names)}")
         if not 3 <= len(names) <= 4:
             raise DimensionError(f"chart dimension must be 3 or 4, got {len(names)}")
         if self.fiber is not None and self.fiber not in names:
             raise GeometryError(f"fiber '{self.fiber}' is not a coordinate")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.axes)
+        object.__setattr__(self, "names", names)
 
     @property
     def dim(self) -> int:
@@ -220,6 +222,10 @@ def require_finite(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     return values
 
 
+def _nonzero(c: ScalarExpr) -> bool:
+    return not ex.is_zero(simplify(c))
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 
@@ -251,16 +257,15 @@ class VectorField:
 
     def scaled_by(self, factor) -> "VectorField":
         f = as_expr(factor)
-        return VectorField(
-            self.chart, tuple(simplify(ex.Multiply(f, c)) for c in self.components)
-        )
+        comps = (simplify(ex.Multiply(f, c)) if _nonzero(c) else ex.ZERO for c in self.components)
+        return VectorField(self.chart, tuple(comps))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _require_same_chart(self, other)
         return VectorField(
             self.chart,
             tuple(
-                simplify(ex.Add(a, b))
+                simplify(b if not _nonzero(a) else a if not _nonzero(b) else ex.Add(a, b))
                 for a, b in zip(self.components, other.components)
             ),
         )
@@ -392,20 +397,29 @@ def form_evaluate_scalar(form: KForm, points: np.ndarray) -> np.ndarray:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """[X, Y]^i = sum_j X^j d_j Y^i - Y^j d_j X^i, simplified."""
+    """[X, Y]^i = sum_j X^j d_j Y^i - Y^j d_j X^i, simplified; a term with
+    a zero factor X^j or Y^j is left out without differentiating."""
     _require_same_chart(x, y)
     names = x.chart.names
+    x_live, y_live = ([_nonzero(c) for c in f.components] for f in (x, y))
+
+    def term(f: VectorField, live: list, j: int, b: ScalarExpr) -> ScalarExpr | None:
+        """f^j * d_j b, or None where it is 0."""
+        if not live[j]:
+            return None
+        d = ex.partial_derivative(b, names[j])
+        return None if ex.is_zero(d) else ex.Multiply(f.components[j], d)
+
     comps = []
     for i in range(x.chart.dim):
         acc: ScalarExpr = ex.ZERO
-        for j, nj in enumerate(names):
-            acc = ex.Add(
-                acc,
-                ex.Subtract(
-                    ex.Multiply(x.components[j], ex.partial_derivative(y.components[i], nj)),
-                    ex.Multiply(y.components[j], ex.partial_derivative(x.components[i], nj)),
-                ),
-            )
+        for j in range(x.chart.dim):
+            p = term(x, x_live, j, y.components[i])
+            q = term(y, y_live, j, x.components[i])
+            if q is not None:
+                p = ex.Negate(q) if p is None else ex.Subtract(p, q)
+            if p is not None:
+                acc = ex.Add(acc, p)
         comps.append(simplify(acc))
     return VectorField(x.chart, tuple(comps))
 
@@ -511,6 +525,8 @@ def interior_product(x: VectorField, form: KForm) -> KForm:
     acc: dict[tuple[int, ...], ScalarExpr] = {}
     for key, coeff in form.terms:
         for pos, i in enumerate(key):
+            if not _nonzero(x.components[i]):
+                continue
             rest = key[:pos] + key[pos + 1 :]
             term = ex.Multiply(x.components[i], coeff)
             if pos % 2 == 1:
@@ -536,7 +552,8 @@ def pairing(form: KForm, x: VectorField) -> ScalarExpr:
     _require_same_chart(form, x)
     acc: ScalarExpr = ex.ZERO
     for (i,), c in form.terms:
-        acc = ex.Add(acc, ex.Multiply(c, x.components[i]))
+        if _nonzero(x.components[i]):
+            acc = ex.Add(acc, ex.Multiply(c, x.components[i]))
     return simplify(acc)
 
 

@@ -16,6 +16,10 @@ batch of points.  Differentiation, the linear form behind ``simplify``
 and the scalar reference evaluator ``evaluate`` hold per-kind mathematics
 and stay written out kind by kind.
 
+Differentiation builds no zero terms: the derivative of a subtree that
+does not read the variable is ``ZERO`` at once, and the sum, product and
+quotient rules leave out the term of an operand whose derivative is 0.
+
 Nodes are interned: equal trees are one object, each node's hash is
 computed once, and ``simplify``, differentiation, the linear form behind
 ``simplify``, ``free_variables`` and ``to_text`` remember their results
@@ -421,6 +425,8 @@ def partial_derivative(e: ScalarExpr, v: str) -> ScalarExpr:
 
 
 def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
+    if v not in free_variables(e):
+        return ZERO
     key = (e, v)
     d = _derivatives.get(key)
     if d is None:
@@ -430,25 +436,26 @@ def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
 
 
 def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
-    if isinstance(e, (Constant, NamedConstant)):
-        return ZERO
+    """The derivative of ``e``, which reads ``v``."""
     if isinstance(e, Variable):
-        return ONE if e.name == v else ZERO
+        return ONE
     if isinstance(e, Negate):
         return Negate(_diff(e.operand, v))
-    if isinstance(e, Add):
-        return Add(_diff(e.left, v), _diff(e.right, v))
-    if isinstance(e, Subtract):
-        return Subtract(_diff(e.left, v), _diff(e.right, v))
-    if isinstance(e, Multiply):
-        return Add(
-            Multiply(_diff(e.left, v), e.right), Multiply(e.left, _diff(e.right, v))
-        )
-    if isinstance(e, Divide):
-        num = Subtract(
-            Multiply(_diff(e.left, v), e.right), Multiply(e.left, _diff(e.right, v))
-        )
-        return Divide(num, IntPower(e.right, 2))
+    if isinstance(e, _Binary):
+        # sum, product and quotient rules; an operand whose derivative is 0
+        # leaves its term out
+        dl, dr = _diff(e.left, v), _diff(e.right, v)
+        if isinstance(e, (Multiply, Divide)):
+            dl = dl if is_zero(dl) else Multiply(dl, e.right)
+            dr = dr if is_zero(dr) else Multiply(e.left, dr)
+        rule = Add if isinstance(e, (Add, Multiply)) else Subtract
+        if is_zero(dl):
+            num = dr if is_zero(dr) or rule is Add else Negate(dr)
+        else:
+            num = dl if is_zero(dr) else rule(dl, dr)
+        if isinstance(e, Divide) and not is_zero(num):
+            return Divide(num, IntPower(e.right, 2))
+        return num
     if isinstance(e, IntPower):
         if e.exponent == 0:
             return ZERO

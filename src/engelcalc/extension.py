@@ -55,12 +55,16 @@ def _sample_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
 def _pair_angle(f1: tuple[ScalarExpr, ScalarExpr]) -> ScalarExpr:
     """Closed-form u with V0*cos(u) + V1*sin(u) generating the pair a*V0 + b*V1.
 
-    The pair is (cos(u), sin(u)) or a nonzero constant pair; any other pair
-    has no angle in closed form.
+    The pair is (cos(u), sin(u)), as written or once simplified, with
+    operands that simplify alike, or a pair that simplifies to constants
+    not both 0; any other pair has no angle in closed form.  The pair as
+    written comes first, so cos(c), sin(c) with c constant keeps u = c.
     """
-    a, b = f1
-    if isinstance(a, ex.Cos) and isinstance(b, ex.Sin) and a.operand == b.operand:
-        return a.operand
+    a, b = simplify(f1[0]), simplify(f1[1])
+    for p, q in (f1, (a, b)):
+        if isinstance(p, ex.Cos) and isinstance(q, ex.Sin):
+            if simplify(p.operand) == simplify(q.operand):
+                return p.operand
     if isinstance(a, ex.Constant) and isinstance(b, ex.Constant) and (a.value or b.value):
         return ex.Constant(math.atan2(b.value, a.value))
     raise GeometryError("target line field has no closed-form angle; supply g directly")

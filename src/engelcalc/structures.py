@@ -582,16 +582,26 @@ def annihilator_1form(frame: Sequence[VectorField], plan: SamplePlan) -> KForm:
     for f in frame[1:]:
         if f.chart != chart:
             raise ChartMismatchError("frame fields on different charts")
-    cols = [f.components for f in frame]
+    # None stands for a zero entry, and products with a zero factor are left out
+    cols = [[None if ex.is_zero(simplify(c)) else c for c in f.components] for f in frame]
+
+    def mul(p, q):
+        return None if p is None or q is None else ex.Multiply(p, q)
+
+    def sub(p, q):
+        if q is None:
+            return p
+        return ex.Negate(q) if p is None else ex.Subtract(p, q)
 
     def det3(rows: list[int]) -> ScalarExpr:
         a = [[cols[c][r] for c in range(3)] for r in rows]
-        def mul(p, q):
-            return ex.Multiply(p, q)
-        t1 = mul(a[0][0], ex.Subtract(mul(a[1][1], a[2][2]), mul(a[1][2], a[2][1])))
-        t2 = mul(a[0][1], ex.Subtract(mul(a[1][0], a[2][2]), mul(a[1][2], a[2][0])))
-        t3 = mul(a[0][2], ex.Subtract(mul(a[1][0], a[2][1]), mul(a[1][1], a[2][0])))
-        return ex.Add(ex.Subtract(t1, t2), t3)
+        t1 = mul(a[0][0], sub(mul(a[1][1], a[2][2]), mul(a[1][2], a[2][1])))
+        t2 = mul(a[0][1], sub(mul(a[1][0], a[2][2]), mul(a[1][2], a[2][0])))
+        t3 = mul(a[0][2], sub(mul(a[1][0], a[2][1]), mul(a[1][1], a[2][0])))
+        minor = sub(t1, t2)
+        if t3 is not None:
+            minor = t3 if minor is None else ex.Add(minor, t3)
+        return ex.ZERO if minor is None else minor
 
     terms = []
     for i in range(4):

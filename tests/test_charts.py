@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -205,6 +206,67 @@ def test_fd_bracket_second_order_convergence(t3):
         errs[h] = float(np.max(np.abs(fd - exact)))
     assert errs[1e-3] <= 1e-5
     assert 3.5 <= errs[1e-3] / errs[5e-4] <= 4.5
+
+
+def _bracket_component():
+    leaves = st.one_of(
+        st.sampled_from([ex.Variable(n) for n in "xyzw"]),
+        st.floats(-2.0, 2.0, allow_nan=False).map(ex.Constant),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda p: ex.Add(*p)),
+            st.tuples(children, children).map(lambda p: ex.Subtract(*p)),
+            st.tuples(children, children).map(lambda p: ex.Multiply(*p)),
+            st.tuples(children, st.integers(0, 3)).map(lambda p: ex.IntPower(*p)),
+            children.map(ex.Negate),
+            children.map(ex.Sin),
+            children.map(ex.Cos),
+            children.map(ex.Exp),
+        )
+
+    # zero components, such as a coordinate field or a lifted field has
+    return st.one_of(st.just(ex.ZERO), st.recursive(leaves, extend, max_leaves=6))
+
+
+_BRACKET_FIELD = st.tuples(*[_bracket_component()] * 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(xs=_BRACKET_FIELD, ys=_BRACKET_FIELD)
+def test_bracket_of_random_fields_agrees_with_finite_differences(box4, xs, ys):
+    x, y = ch.VectorField(box4, xs), ch.VectorField(box4, ys)
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (8, 4))
+    with np.errstate(all="ignore"):
+        try:
+            sym = lie_bracket(x, y).evaluate_at(pts)
+            coarse, fine = (fd_lie_bracket(x, y, pts, h) for h in (2e-4, 1e-4))
+        except GeometryError:  # a field or the bracket overflows near the points
+            return
+    # the fine step's error is about a third of the two steps' difference
+    tol = 1e-6 * (1.0 + np.abs(sym)) + np.abs(coarse - fine)
+    assert np.all(np.abs(fine - sym) <= tol)
+
+
+def test_bracket_with_the_fiber_field_differentiates_only_paired_components(box4, monkeypatch):
+    calls = collections.Counter()
+    derivative = ex.partial_derivative
+
+    def counted(e, name):
+        calls[e, name] += 1
+        return derivative(e, name)
+
+    monkeypatch.setattr(ex, "partial_derivative", counted)
+    fiber = coordinate_field(box4, "w")
+    y = vector_field(box4, ["y*cos(w)", "0", "x + sin(w)", "0"])
+    bracket = lie_bracket(fiber, y)
+    assert [ex.to_text(c) for c in bracket.components] == ["-(sin(w)*y)", "0", "cos(w)", "0"]
+    # X^j is nonzero on w alone, so each Y^i is differentiated along w only;
+    # Y^j is nonzero on x and z, so each X^i along those two only
+    expected = [(c, "w") for c in y.components]
+    expected += [(c, n) for c in fiber.components for n in ("x", "z")]
+    assert calls == collections.Counter(expected)
 
 
 def test_jacobi_identity(box3):

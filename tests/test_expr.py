@@ -1,7 +1,9 @@
+import operator
 import pickle
 
 import numpy as np
 import pytest
+import sympy
 from conftest import empty_expr_tables
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -319,6 +321,80 @@ def test_derivative_matches_central_differences_second_order():
         assert max(errs) <= 100.0 * h**2
     ratio = max(errors[1e-3]) / max(errors[5e-4])
     assert 3.5 <= ratio <= 4.5
+
+
+# ---------------------------------------------------------------------------
+# differentiation builds no zero terms, and keeps the mathematics
+
+_SYMPY_BINARY = {
+    Add: operator.add,
+    Subtract: operator.sub,
+    Multiply: operator.mul,
+    Divide: operator.truediv,
+}
+
+
+def _to_sympy(e):
+    if isinstance(e, Constant):  # exact, so that sympy folds no float
+        return sympy.Rational(e.value)
+    if isinstance(e, NamedConstant):
+        return sympy.pi
+    if isinstance(e, Variable):
+        return sympy.Symbol(e.name)
+    if isinstance(e, Negate):
+        return -_to_sympy(e.operand)
+    if isinstance(e, IntPower):
+        return _to_sympy(e.base) ** e.exponent
+    if type(e) in _SYMPY_BINARY:
+        return _SYMPY_BINARY[type(e)](_to_sympy(e.left), _to_sympy(e.right))
+    return getattr(sympy, e.symbol)(_to_sympy(e.operand))
+
+
+_DIFF_POINTS = np.random.default_rng(3).uniform(-1.0, 1.0, (6, len(VARS)))
+
+
+@given(_expr_strategy(), st.sampled_from(VARS))
+@example(Multiply(Sin(Constant(2.0)), Variable("x")), "x")
+@example(Divide(Add(NamedConstant("pi"), Variable("y")), Exp(Variable("x"))), "x")
+@example(Sin(Negate(Exp(Divide(Constant(-1.2062782090804127), Variable("x"))))), "x")
+@settings(max_examples=150, deadline=None)
+def test_partial_derivative_agrees_with_sympy(e, v):
+    ours = partial_derivative(e, v)
+    if v not in free_variables(e):
+        assert ex.is_zero(ours)
+    theirs = sympy.diff(_to_sympy(e), sympy.Symbol(v))
+    if theirs.has(sympy.zoo, sympy.nan):  # a division by the constant 0
+        return
+    theirs_at = sympy.lambdify([sympy.Symbol(n) for n in VARS], theirs, "numpy")
+    with np.errstate(all="ignore"):
+        got = ex.evaluate_many(ours, VARS, _DIFF_POINTS)
+        try:
+            want, nudged = (
+                np.broadcast_to(np.asarray(theirs_at(*pts.T), dtype=float), got.shape)
+                for pts in (_DIFF_POINTS, _DIFF_POINTS * (1 + 1e-12))
+            )
+        except OverflowError:  # an exact constant too large for a float
+            return
+        # compare where both are finite and the derivative is well
+        # conditioned: a relative nudge of 1e-12 moves it by at most 1e-9
+        scale = 1.0 + np.abs(want)
+        keep = np.isfinite(got) & np.isfinite(want) & (np.abs(nudged - want) <= 1e-9 * scale)
+        assert np.all(np.abs(got - want)[keep] <= 1e-7 * scale[keep])
+
+
+def test_derivative_of_a_variable_free_subtree_builds_no_node():
+    e = Multiply(Sin(Constant(2.0)), Add(NamedConstant("pi"), Exp(Constant(0.5))))
+    before = dict(ex._interned)
+    assert ex._diff(e, "x") is ex.ZERO
+    assert ex._interned == before
+
+
+def test_product_and_quotient_rules_build_no_zero_terms():
+    x, c = Variable("x"), Cos(Constant(3.0))
+    for e in (Multiply(x, c), Multiply(c, x), Divide(x, c), Divide(c, x)):
+        ex._diff(e, "x")
+    built = [node for node in ex._interned.values() if isinstance(node, ex._Binary)]
+    assert not any(ex.is_zero(node.left) or ex.is_zero(node.right) for node in built)
 
 
 # ---------------------------------------------------------------------------

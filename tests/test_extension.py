@@ -18,6 +18,7 @@ from engelcalc.charts import (
 )
 from engelcalc.extension import (
     ExtensionSpec,
+    _pair_angle,
     extend,
     extend_family,
     verify_extension_identities,
@@ -77,6 +78,18 @@ def test_angle_function_rejects_a_pair_without_closed_form(std_frame, pair):
     a, b = (std_frame.chart.parse(text) for text in pair.split())
     with pytest.raises(GeometryError, match="no closed-form angle"):
         _angle_of_pair(std_frame, (a, b))
+
+
+def test_pair_angle_keeps_a_constant_phase_as_written():
+    # cos(4) and sin(4) simplify to constants whose atan2 is 4 - 2*pi
+    c = ex.Constant(4.0)
+    assert _pair_angle((ex.Cos(c), ex.Sin(c))) is c
+
+
+def test_pair_angle_compares_simplified_operands(std_frame):
+    parse = std_frame.chart.parse
+    assert _pair_angle((parse("cos(x + 1)"), parse("sin(1 + x)"))) == parse("x + 1")
+    assert _pair_angle((parse("2"), parse("1/2"))) == ex.Constant(math.atan2(0.5, 2.0))
 
 
 def test_angle_function_shifts_a_fast_phase_by_its_multiple_of_pi(std_frame):

@@ -292,6 +292,23 @@ def test_extension_from_any_closed_form_pair(tmp_path, pair):
     assert tasks["mtw"]["witnesses"]["value"] == 1
 
 
+@pytest.mark.parametrize(
+    "pair,as_matched",
+    [
+        ("cos(x+1) sin(1+x)", "cos(x+1) sin(x+1)"),
+        ("cos(2*x) sin(x*2)", "cos(2*x) sin(2*x)"),
+        ("2 1/2", "2 0.5"),
+    ],
+)
+def test_extension_from_a_pair_that_is_closed_form_once_simplified(tmp_path, pair, as_matched):
+    # the operands, or the constants, are compared in simplified form, and
+    # the tasks report what the pair written in matching form reports
+    tasks = _run_f1(tmp_path, pair)
+    assert tasks["verify_ext"]["status"] == "pass"
+    assert tasks["mtw"]["status"] != "error"
+    assert tasks == _run_f1(tmp_path, as_matched)
+
+
 def test_extension_from_a_pair_without_closed_form_is_a_task_error(tmp_path):
     tasks = _run_f1(tmp_path, "x 1")
     assert {k: t["status"] for k, t in tasks.items()} == {"verify_ext": "error", "mtw": "error"}
