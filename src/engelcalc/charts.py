@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,6 +62,7 @@ class Chart:
     axes: tuple[CoordinateAxis, ...]
     fiber: str | None = None
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)  # set once
+    name_set: frozenset[str] = field(init=False, repr=False, compare=False)  # set once
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -72,6 +74,7 @@ class Chart:
         if self.fiber is not None and self.fiber not in names:
             raise GeometryError(f"fiber '{self.fiber}' is not a coordinate")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "name_set", frozenset(names))
 
     @property
     def dim(self) -> int:
@@ -140,8 +143,29 @@ class SamplePlan:
         return (self.grid,) * dim
 
 
+# Rows one sample set may hold: 2^19 * 40 bytes (four coordinates and a
+# row number) = 20 MiB on a 4-chart.
+MAX_SAMPLE_ROWS = 1 << 19
+
+# Rows the sample cache holds in all: 2^14 * 40 bytes = 640 KiB of arrays.
+# Each set also keeps about 1.4 KB of key, array headers and chart axes
+# alive (tracemalloc, 4-axis charts), so 2^14 one-row sets on distinct
+# charts, the worst case, hold about 23 MB.
+SAMPLE_CACHE_ROWS = 1 << 14
+
+# (chart axes, plan, read axes) -> read-only (points, rows), least recently
+# used first, and the rows it holds.  Sample sets are input data, the same
+# for every run of the process.
+_samples: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_sample_rows = 0
+
+
 def sample_points(chart: Chart, plan: SamplePlan) -> np.ndarray:
-    """Ordered sample array of shape (n, dim): grid rows first, then random."""
+    """Ordered sample array of shape (n, dim): grid rows first, then random.
+
+    The array is shared by every caller with the same chart and plan, and
+    is read-only.
+    """
     return distinct_samples(chart, plan, chart.names)[0]
 
 
@@ -158,32 +182,69 @@ def distinct_samples(
     the first index of an argmin or argmax over values that depend only on
     those coordinates agree with the full sample, once mapped through the
     row numbers.
+
+    Both arrays are read-only and cached for the process, up to
+    ``SAMPLE_CACHE_ROWS`` rows in all.  A set of more than
+    ``MAX_SAMPLE_ROWS`` rows is a :class:`GeometryError`, raised before
+    anything is allocated.
     """
+    global _sample_rows
+    read = tuple(n in names for n in chart.names)
+    key = (chart.axes, plan, read)
+    found = _samples.get(key)
+    if found is not None:
+        _samples.move_to_end(key)
+        return found
+    found = _samples[key] = _build_samples(chart, plan, read)
+    _sample_rows += len(found[1])
+    while _sample_rows > SAMPLE_CACHE_ROWS:
+        _sample_rows -= len(_samples.popitem(last=False)[1][1])
+    return found
+
+
+def _build_samples(
+    chart: Chart, plan: SamplePlan, read: tuple[bool, ...]
+) -> tuple[np.ndarray, np.ndarray]:
     res = plan.resolutions(chart.dim)
-    lines = []
-    for axis, r in zip(chart.axes, res):
-        if axis.periodic:
-            line = axis.lo + axis.period * np.arange(r) / r
-        else:
-            line = np.linspace(axis.lo, axis.hi, r)
-        lines.append(line if axis.name in names else line[:1])
-    shape = tuple(map(len, lines))
+    shape = tuple(r if along else 1 for r, along in zip(res, read))
     count = math.prod(shape)
+    if count + plan.random > MAX_SAMPLE_ROWS:
+        raise GeometryError(
+            f"{plan} needs {count + plan.random} sample rows,"
+            f" more than the {MAX_SAMPLE_ROWS} a sample set may hold"
+        )
+    total = math.prod(res) + plan.random
+    if total > np.iinfo(np.intp).max:
+        raise GeometryError(
+            f"{plan} has {total} sample rows on a {chart.dim}-chart, too many to number"
+        )
     pts = np.empty((count + plan.random, chart.dim))
     rows = np.zeros(count + plan.random, dtype=np.intp)
     grid = pts[:count].reshape(shape + (chart.dim,))
     grid_rows = rows[:count].reshape(shape)
     stride = 1  # of axis i in the full grid
     for i in reversed(range(chart.dim)):
+        # an unread axis keeps its first grid value, lo + 0 * step, which a
+        # 2-point line gives bit for bit at any resolution
+        line = _grid_line(chart.axes[i], res[i] if read[i] else 2)[: shape[i]]
         along = [1] * chart.dim
         along[i] = -1
-        grid[..., i] = lines[i].reshape(along)
+        grid[..., i] = line.reshape(along)
         grid_rows += stride * np.arange(shape[i]).reshape(along)
         stride *= res[i]
     if plan.random > 0:
         pts[count:] = random_points(chart, plan.random, plan.seed)
         rows[count:] = stride + np.arange(plan.random)
+    pts.flags.writeable = False
+    rows.flags.writeable = False
     return pts, rows
+
+
+def _grid_line(axis: CoordinateAxis, r: int) -> np.ndarray:
+    """The r grid values of an axis: inclusive, or one half-open period."""
+    if axis.periodic:
+        return axis.lo + axis.period * np.arange(r) / r
+    return np.linspace(axis.lo, axis.hi, r)
 
 
 def variables_of(*items) -> frozenset[str]:
@@ -242,11 +303,10 @@ class VectorField:
             raise GeometryError(
                 f"field needs {self.chart.dim} components, got {len(comps)}"
             )
-        allowed = set(self.chart.names)
-        for c in comps:
-            extra = ex.free_variables(c) - allowed
-            if extra:
-                raise GeometryError(f"component uses unknown variables {sorted(extra)}")
+        allowed = self.chart.name_set
+        if not frozenset().union(*map(ex.free_variables, comps)) <= allowed:
+            extra = next(v - allowed for v in map(ex.free_variables, comps) if not v <= allowed)
+            raise GeometryError(f"component uses unknown variables {sorted(extra)}")
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         cols = [

@@ -23,8 +23,10 @@ from .charts import (
     GeometryError,
     SamplePlan,
     base_chart_of,
+    distinct_samples,
     require_finite,
     sample_points,
+    variables_of,
 )
 from .expr import ScalarExpr, simplify, substitute
 from .prolongation import (
@@ -123,10 +125,11 @@ def minimal_twisting_plan(seed: int) -> SamplePlan:
 def _fiber_rotation(
     d: Distribution2, frame: ContactFrame, base, periodic: bool, steps: int, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Base points (given, or a plan sampled on the base chart) and the
-    induced line's rotation in radians from one end of the fiber to the
-    other over each, on ``steps`` fiber steps.  The fiber must be the
-    characteristic direction, and periodic or an interval as requested."""
+    """Base points (given, or the distinct samples of a plan on the base
+    chart) and the induced line's rotation in radians from one end of the
+    fiber to the other over each, on ``steps`` fiber steps.  The fiber must
+    be the characteristic direction, and periodic or an interval as
+    requested."""
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
@@ -137,7 +140,10 @@ def _fiber_rotation(
         raise GeometryError("minimal twisting number needs an interval fiber")
     fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
     if isinstance(base, SamplePlan):
-        base = sample_points(base_chart_of(chart), base)
+        # sample rows that agree in every coordinate the fields read develop
+        # alike; the first of each stands for the rest
+        read = variables_of(d.x, d.y, frame.v0, frame.v1)
+        base, _ = distinct_samples(base_chart_of(chart), base, read)
     hi = axis.lo + axis.period if periodic else axis.hi
     _, angles = development_profile(d, frame, base, np.linspace(axis.lo, hi, steps + 1), tol)
     return base, angles[:, -1] - angles[:, 0]

@@ -41,6 +41,7 @@ from .structures import (
     Distribution2,
     Tolerances,
     VerificationReport,
+    _evaluate_rows,
     _failure_at,
     _frame_ranks,
     _lowest_rank_at,
@@ -207,7 +208,10 @@ def _raw_angles(
     tol: Tolerances,
 ) -> np.ndarray:
     """(m, s) angles mod pi of the fiber-free generator against (V0, V1), at
-    m base points times s fiber values, evaluated in one pass."""
+    m base points times s fiber values, evaluated in one pass.
+
+    X and Y are evaluated component-major into (dim, m*s) buffers with the
+    fiber component last, so each component is a contiguous row."""
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
@@ -220,18 +224,19 @@ def _raw_angles(
     pts[:, :, fiber_idx] = fiber_values
     pts = pts.reshape(m * s, chart.dim)
 
-    xv = d.x.evaluate_at(pts)
-    yv = d.y.evaluate_at(pts)
-    xf = xv[:, fiber_idx]
-    yf = yv[:, fiber_idx]
+    xv, yv = (np.empty((chart.dim, m * s)) for _ in range(2))
+    _evaluate_rows(d.x, pts, (*base_idx, fiber_idx), xv)
+    _evaluate_rows(d.y, pts, (*base_idx, fiber_idx), yv)
+    xf, yf = xv[-1], yv[-1]
     # eliminate the fiber component against the more fiber-like generator
     use_x = np.abs(xf) >= np.abs(yf)
     pivot = np.where(use_x, xf, yf)
     if np.any(pivot == 0.0):
         raise GeometryError("frame has no generator transverse to the base")
     ratio = np.where(use_x, yf, xf) / pivot
-    w = np.where(use_x[:, None], yv - ratio[:, None] * xv, xv - ratio[:, None] * yv)
-    wb = w[:, base_idx].reshape(m, s, len(base_idx)).transpose(0, 2, 1)
+    xb, yb = xv[:-1], yv[:-1]
+    w = np.where(use_x, yb - ratio * xb, xb - ratio * yb)
+    wb = w.reshape(len(base_idx), m, s).transpose(1, 0, 2)
 
     basis = frame.basis_at(base_points)
     coeffs = np.linalg.pinv(basis) @ wb
@@ -246,11 +251,6 @@ def _raw_angles(
             f" > {tol.projection:.1e}"
         )
     return np.arctan2(coeffs[:, 1], coeffs[:, 0]) % math.pi
-
-
-def _unwrap(raw: np.ndarray) -> np.ndarray:
-    steps = np.cumsum(_wrap_half_pi(np.diff(raw, axis=1)), axis=1)
-    return raw[:, :1] + np.concatenate([np.zeros((len(raw), 1)), steps], axis=1)
 
 
 # Rows (base points x fiber values) one development pass may evaluate.
@@ -290,10 +290,14 @@ def development_profile(
         if len(base_points) * t.size > MAX_PROFILE_POINTS:
             break
         raw = _raw_angles(d, frame, base_points, t, tol)
-        deltas = np.abs(_wrap_half_pi(np.diff(raw, axis=1)))
-        bad = np.flatnonzero(np.any(deltas >= math.pi / 4.0, axis=0))
+        steps = _wrap_half_pi(np.diff(raw, axis=1))
+        bad = np.flatnonzero(np.any(np.abs(steps) >= math.pi / 4.0, axis=0))
         if bad.size == 0:
-            return t, _unwrap(raw)
+            angles = np.empty_like(raw)
+            angles[:, 0] = raw[:, 0]
+            np.cumsum(steps, axis=1, out=angles[:, 1:])
+            angles[:, 1:] += raw[:, :1]
+            return t, angles
         t = np.sort(np.concatenate([t, (t[bad] + t[bad + 1]) / 2.0]))
     raise RefinementDepthError(
         "development refinement exceeded the resolution budget;"

@@ -340,12 +340,21 @@ def _frame_ranks(
     buffer, so each matrix entry is a contiguous (n,) vector; its leading
     fields are ranked through the (n, dim, k) transposed view.
     """
-    buf = np.empty((len(fields), len(fields[0].components), len(pts)))
+    dim = len(fields[0].components)
+    buf = np.empty((len(fields), dim, len(pts)))
     for f, rows in zip(fields, buf):
-        for c, row in zip(f.components, rows):
-            row[:] = ex.evaluate_many(c, f.chart.names, pts)
-        require_finite(rows.T, pts)
+        _evaluate_rows(f, pts, range(dim), rows)
     return [matrix_ranks(buf[:k].transpose(2, 1, 0), ratio) for k in sizes]
+
+
+def _evaluate_rows(
+    field: VectorField, pts: np.ndarray, order: Sequence[int], out: np.ndarray
+) -> None:
+    """Write component ``order[k]`` of the field at every point into the
+    contiguous row ``out[k]``, then check the whole block is finite."""
+    for i, row in zip(order, out):
+        row[:] = ex.evaluate_many(field.components[i], field.chart.names, pts)
+    require_finite(out.T, pts)
 
 
 def _lowest_rank_at(ranks: np.ndarray, full: int) -> int | None:

@@ -126,6 +126,60 @@ def test_distinct_samples_keep_the_first_grid_value_and_every_random_row(box4):
     np.testing.assert_array_equal(points[15:], ch.random_points(box4, 3, 1))
 
 
+def _empty_sample_cache(monkeypatch):
+    monkeypatch.setattr(ch, "_samples", collections.OrderedDict())
+    monkeypatch.setattr(ch, "_sample_rows", 0)
+
+
+def test_equal_sample_keys_share_one_read_only_set(box4, monkeypatch):
+    _empty_sample_cache(monkeypatch)
+    plan = SamplePlan(grid=3, random=4, seed=2)
+    points, rows = ch.distinct_samples(box4, plan, ("x", "z"))
+    # only the chart's own read names form the key: a superset shares it
+    again = ch.distinct_samples(box4, plan, {"z", "x", "theta", "u"})
+    assert again[0] is points and again[1] is rows
+    assert ch.distinct_samples(box4, plan, ("x",))[0] is not points
+    full = sample_points(box4, plan)
+    assert sample_points(box4, SamplePlan(grid=3, random=4, seed=2)) is full
+    for array in (points, rows, full):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_the_sample_cache_evicts_beyond_its_row_bound(box4, monkeypatch):
+    _empty_sample_cache(monkeypatch)
+    monkeypatch.setattr(ch, "SAMPLE_CACHE_ROWS", 40)
+    first = ch.distinct_samples(box4, SamplePlan(grid=4, random=0), ("x", "y"))  # 16 rows
+    second = ch.distinct_samples(box4, SamplePlan(grid=5, random=0), ("x", "y"))  # 25 rows
+    assert second[0] is ch.distinct_samples(box4, SamplePlan(grid=5, random=0), ("x", "y"))[0]
+    assert list(ch._samples.values()) == [second]
+    rebuilt = ch.distinct_samples(box4, SamplePlan(grid=4, random=0), ("x", "y"))
+    assert rebuilt[0] is not first[0]
+    np.testing.assert_array_equal(rebuilt[0], first[0])
+    assert ch._sample_rows == sum(len(rows) for _, rows in ch._samples.values()) == 16
+    # a set larger than the bound is built but not kept
+    big = ch.distinct_samples(box4, SamplePlan(grid=7, random=0), ("x", "y"))  # 49 rows
+    assert big[0] is not ch.distinct_samples(box4, SamplePlan(grid=7, random=0), ("x", "y"))[0]
+    assert (len(ch._samples), ch._sample_rows) == (0, 0)
+
+
+def test_an_oversized_sample_set_is_refused_before_it_is_built(box4):
+    # 24^4 grid rows and 1000 random rows fit the budget
+    points, _ = ch.distinct_samples(box4, SamplePlan(grid=24, random=1000), box4.names)
+    assert points.shape == (24**4 + 1000, 4)
+    with pytest.raises(GeometryError, match=r"grid=100000.* needs 10000000000 sample rows"):
+        ch.distinct_samples(box4, SamplePlan(grid=100000), ("x", "y"))
+    with pytest.raises(GeometryError, match=r"random=10000000000.* needs 10000000016 sample rows"):
+        sample_points(box4, SamplePlan(grid=2, random=10**10))
+    # one read axis fits, but the full sample's rows cannot be numbered
+    with pytest.raises(GeometryError, match="too many to number"):
+        ch.distinct_samples(box4, SamplePlan(grid=60000, random=1), ("x",))
+    # an unread axis takes its first grid value at any resolution
+    points, rows = ch.distinct_samples(box4, SamplePlan(grid=(3, 10**12, 3, 3)), ("x",))
+    np.testing.assert_array_equal(points[:, 1:], -1.0)
+    assert rows.tolist() == [0, 9 * 10**12, 18 * 10**12]
+
+
 def test_periodic_sampling_half_open(t3):
     pts = sample_points(t3, SamplePlan(grid=4, random=50, seed=1))
     assert np.all(pts >= 0.0)

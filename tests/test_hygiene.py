@@ -114,6 +114,65 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters their functions never read: {unread}"
 
 
+def _decorator_name(node: ast.expr) -> str | None:
+    """``cache`` for ``@cache`` and ``@functools.cache``, and so on."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _unbounded(decorator: ast.expr) -> bool:
+    """``functools.cache``, or ``lru_cache`` with ``maxsize=None``."""
+    name = _decorator_name(decorator)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(decorator, ast.Call):
+        return False
+    sizes = [*decorator.args[:1], *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _unbounded_caches(tree: ast.Module):
+    """(line, function) for each function of arguments under an unbounded cache."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        takes = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if any(takes) and any(map(_unbounded, node.decorator_list)):
+            yield node.lineno, node.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_cache_on_a_function_with_arguments(path):
+    """A cache that outlives a run is bounded: an unbounded one may only
+    memoize a function of no arguments, such as ``cli.build_parser``."""
+    unbounded = [f"line {line}: {fn}" for line, fn in _unbounded_caches(_tree(path))]
+    assert not unbounded, f"{path.name} caches functions of arguments without a bound: {unbounded}"
+
+
+def test_the_unbounded_cache_scan_sees_every_spelling():
+    source = """
+@functools.cache
+def a(x): ...
+@cache
+def b(*xs): ...
+@lru_cache(maxsize=None)
+def c(x): ...
+@functools.lru_cache(None)
+def d(*, x): ...
+@functools.cache
+def parser(): ...
+@lru_cache(maxsize=64)
+def e(x): ...
+@lru_cache
+def f(x): ...
+"""
+    assert [fn for _, fn in _unbounded_caches(ast.parse(source))] == ["a", "b", "c", "d"]
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     defined: dict[str, int] = {}
     for node in tree.body:

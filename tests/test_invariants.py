@@ -1,10 +1,13 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
+from engelcalc import invariants as inv
 from engelcalc.charts import GeometryError, SamplePlan
 from engelcalc.extension import ExtensionSpec, extend
 from engelcalc.invariants import (
@@ -15,8 +18,11 @@ from engelcalc.invariants import (
     minimal_twisting_number,
     twisting_number,
 )
-from engelcalc.prolongation import ContactFrame, prolong
-from engelcalc.structures import Distribution2
+from engelcalc.manifest import materialize, parse_manifest
+from engelcalc.prolongation import ContactFrame, prolong, rotate_along_fiber
+from engelcalc.structures import DEFAULT_TOLERANCES, Distribution2
+
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 
 PLAN = SamplePlan(grid=3, random=10, seed=0)
 MTW_PLAN = SamplePlan(grid=3, random=6, seed=0)
@@ -126,6 +132,74 @@ def test_mtw_rejects_periodic_fiber(std_frame):
     pe = prolong(std_frame, 1)
     with pytest.raises(GeometryError):
         minimal_twisting_number(pe, std_frame, MTW_PLAN)
+
+
+def _develop_every_sample_row(monkeypatch):
+    """Make plan-sampled base points every row of ``sample_points``: the
+    full-sample reference that the distinct base points must match."""
+    monkeypatch.setattr(
+        inv, "distinct_samples", lambda chart, plan, names: (ch.sample_points(chart, plan), None)
+    )
+
+
+def _mtw_rotation(dist, frame, plan):
+    return inv._fiber_rotation(
+        dist, frame, plan, False, inv.MINIMAL_TWISTING_STEPS, DEFAULT_TOLERANCES
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_mtw_over_distinct_base_points_equals_the_full_sample(n, monkeypatch):
+    manifest = parse_manifest((MANIFESTS / f"extension-n{n}.manifest").read_text())
+    spec = materialize(manifest, manifest.structures["ext"])
+    dist = extend(spec, manifest.sampling)
+    plan = inv.minimal_twisting_plan(manifest.sampling.seed)
+
+    def measure():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = minimal_twisting_number(dist, spec.frame, plan)
+        return value, [str(w.message) for w in caught], _mtw_rotation(dist, spec.frame, plan)
+
+    value, notes, (base, phi) = measure()
+    _develop_every_sample_row(monkeypatch)
+    full_value, full_notes, (full_base, full_phi) = measure()
+    assert (value, notes) == (full_value, full_notes) and value == n
+    # the frame reads z: 3 grid values of z and 8 random rows, not 27 + 8
+    assert (len(base), len(full_base)) == (11, 35)
+    _, rows = ch.distinct_samples(spec.frame.chart, plan, {"z"})
+    np.testing.assert_array_equal(base, full_base[rows])
+    np.testing.assert_array_equal(phi, full_phi[rows])
+    assert phi.min() == full_phi.min()
+
+
+def test_a_frame_reading_every_base_coordinate_merges_no_base_point(std_frame):
+    chart = std_frame.chart
+    frame = ContactFrame(
+        chart,
+        std_frame.v0.scaled_by(chart.parse("2 + x")),
+        std_frame.v1.scaled_by(chart.parse("2 + y")),
+    )
+    dist = extend(ExtensionSpec(frame=frame, n=1, g=ex.Constant(math.pi / 2)), PLAN)
+    base, _ = _mtw_rotation(dist, frame, MTW_PLAN)
+    np.testing.assert_array_equal(base, ch.sample_points(chart, MTW_PLAN))
+    assert minimal_twisting_number(dist, frame, MTW_PLAN) == 1
+
+
+def test_negative_rotation_names_the_point_of_the_full_sample(std_frame, monkeypatch):
+    # the line turns back along every fiber over z > 1/2, first at the
+    # third sample row (-1, -1, 1)
+    falling = rotate_along_fiber(
+        std_frame, "t", 0.0, 1.0, False,
+        lambda t: ex.Multiply(t, std_frame.chart.parse("1/2 - z")),
+    )
+    with pytest.raises(GeometryError, match="negative rotation") as distinct:
+        minimal_twisting_number(falling, std_frame, MTW_PLAN)
+    _develop_every_sample_row(monkeypatch)
+    with pytest.raises(GeometryError, match="negative rotation") as full:
+        minimal_twisting_number(falling, std_frame, MTW_PLAN)
+    assert str(distinct.value) == str(full.value)
+    assert "at base point [-1.0, -1.0, 1.0];" in str(full.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -754,6 +758,65 @@ def test_cli_negative_fixtures_fail():
     for name in ("neg-integrable", "neg-swapped-pair", "neg-family-jump"):
         code = main(["verify", str(MANIFESTS / f"{name}.manifest"), "--report", "/dev/null"])
         assert code == 1, name
+
+
+# Address-space cap of the CLI runs below: a plan that slipped past the
+# sample-row budget would fail to allocate here rather than fill the machine.
+_CLI_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CLI_ADDRESS_SPACE, _CLI_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "fixture, flags, errors",
+    [
+        (
+            "prolonged-n2",
+            ["--samples-grid", "100000"],
+            {"verify_prolonged": "SamplePlan(grid=100000, random=60, seed=0) needs"
+             " 10000000060 sample rows, more than the 524288 a sample set may hold"},
+        ),
+        (
+            "standard-contact-r3",
+            ["--samples-random", "10000000000"],
+            dict.fromkeys(
+                ("contact", "frame"),
+                "SamplePlan(grid=6, random=10000000000, seed=0) needs 10000000006"
+                " sample rows, more than the 524288 a sample set may hold",
+            ),
+        ),
+        (
+            # the even-contact form reads one coordinate: 60200 rows fit, but
+            # the full sample's 60000^4 + 200 rows cannot be numbered
+            "standard-engel-r4",
+            ["--samples-grid", "60000"],
+            {
+                "pair": "SamplePlan(grid=60000, random=200, seed=0) needs 3600000200"
+                " sample rows, more than the 524288 a sample set may hold",
+                "even_contact": "SamplePlan(grid=60000, random=200, seed=0) has"
+                " 12960000000000000200 sample rows on a 4-chart, too many to number",
+                "frame": "SamplePlan(grid=60000, random=200, seed=0) needs 3600000200"
+                " sample rows, more than the 524288 a sample set may hold",
+            },
+        ),
+    ],
+    ids=["grid", "random", "row-numbers"],
+)
+def test_an_oversized_plan_is_a_task_error(tmp_path, fixture, flags, errors):
+    report = tmp_path / "r.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["verify", str(MANIFESTS / f"{fixture}.manifest"), "--report", str(report), *flags]
+    run = subprocess.run(
+        [sys.executable, "-c", f"import sys; from engelcalc.cli import main; sys.exit(main({argv!r}))"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert (run.returncode, run.stderr) == (1, "")
+    tasks = strict_json(report.read_text())["tasks"]
+    assert {t["id"]: t["error"] for t in tasks if t["status"] == "error"} == errors
 
 
 def test_manifest_overrides():
