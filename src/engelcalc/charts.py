@@ -8,6 +8,10 @@ bookkeeping happens in ``wedge``/``interior_product``.
 The builders emit no zero terms: brackets, contractions, pairings, scalings
 and sums leave out (and brackets do not differentiate) the terms of a
 component that simplifies to 0; the other terms keep their order.
+
+Brackets, exterior derivatives, wedges and contractions are pure functions
+of frozen, hashable operands, so each remembers its last ``MEMO_SIZE``
+results for the process.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -176,7 +181,8 @@ def distinct_samples(
     coordinates ``names`` needs, and their row numbers there.
 
     The points are the grid over the axes in ``names``, every other axis at
-    its first grid value, then every random row.  The row numbers are
+    its first grid value, then every random row; when ``names`` holds no
+    coordinate, row 0 alone stands for every row.  The row numbers are
     strictly increasing, and each sample row has one of these rows at or
     before it with the same coordinates in ``names``.  So min, max, all and
     the first index of an argmin or argmax over values that depend only on
@@ -218,8 +224,10 @@ def _build_samples(
         raise GeometryError(
             f"{plan} has {total} sample rows on a {chart.dim}-chart, too many to number"
         )
-    pts = np.empty((count + plan.random, chart.dim))
-    rows = np.zeros(count + plan.random, dtype=np.intp)
+    # values that read no coordinate are one constant: row 0 stands for all
+    extra = plan.random if any(read) else 0
+    pts = np.empty((count + extra, chart.dim))
+    rows = np.zeros(count + extra, dtype=np.intp)
     grid = pts[:count].reshape(shape + (chart.dim,))
     grid_rows = rows[:count].reshape(shape)
     stride = 1  # of axis i in the full grid
@@ -232,9 +240,9 @@ def _build_samples(
         grid[..., i] = line.reshape(along)
         grid_rows += stride * np.arange(shape[i]).reshape(along)
         stride *= res[i]
-    if plan.random > 0:
-        pts[count:] = random_points(chart, plan.random, plan.seed)
-        rows[count:] = stride + np.arange(plan.random)
+    if extra > 0:
+        pts[count:] = random_points(chart, extra, plan.seed)
+        rows[count:] = stride + np.arange(extra)
     pts.flags.writeable = False
     rows.flags.writeable = False
     return pts, rows
@@ -455,7 +463,16 @@ def form_evaluate_scalar(form: KForm, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exterior calculus
 
+# Results each memo of a pure symbolic constructor keeps for the process:
+# the four below, manifest.parse_manifest and prolongation.prolong.  Their
+# keys and results are immutable, so a hit hands every caller one shared
+# object.  None of them warns, so a hit drops no note from a report, and an
+# exception is never stored.  The 15 bundled manifests under every command
+# need 15 parses and 92 entries across the other five memos.
+MEMO_SIZE = 1 << 7
 
+
+@lru_cache(maxsize=MEMO_SIZE)
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y]^i = sum_j X^j d_j Y^i - Y^j d_j X^i, simplified; a term with
     a zero factor X^j or Y^j is left out without differentiating."""
@@ -520,6 +537,7 @@ def _insertion_sign(i: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]
     return (-1) ** pos, key[:pos] + (i,) + key[pos:]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def exterior_derivative(form: KForm) -> KForm:
     if form.degree >= form.chart.dim:
         raise DimensionError("exterior derivative would exceed the chart dimension")
@@ -557,6 +575,7 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int,
     return sign, tuple(merged)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def wedge(a: KForm, b: KForm) -> KForm:
     _require_same_chart(a, b)
     if a.degree + b.degree > a.chart.dim:
@@ -577,6 +596,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def interior_product(x: VectorField, form: KForm) -> KForm:
     """Contraction in the first slot."""
     _require_same_chart(x, form)

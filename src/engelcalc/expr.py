@@ -19,6 +19,9 @@ and stay written out kind by kind.
 Differentiation builds no zero terms: the derivative of a subtree that
 does not read the variable is ``ZERO`` at once, and the sum, product and
 quotient rules leave out the term of an operand whose derivative is 0.
+The one exception is a summand that reads no variable and is not finite,
+such as ``0/0``: it keeps the term ``0*summand``, so the derivative of a
+sum that is nowhere finite is not finite either.
 
 Nodes are interned: equal trees are one object, each node's hash is
 computed once, and ``simplify``, differentiation, the linear form behind
@@ -435,6 +438,14 @@ def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
     return d
 
 
+_NO_VARIABLES = np.empty((1, 0))
+
+
+def _not_finite(e: ScalarExpr) -> bool:
+    """Whether a tree that reads no variable evaluates to inf or nan."""
+    return not np.isfinite(evaluate_many(e, (), _NO_VARIABLES)[0])
+
+
 def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
     """The derivative of ``e``, which reads ``v``."""
     if isinstance(e, Variable):
@@ -448,6 +459,13 @@ def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
         if isinstance(e, (Multiply, Divide)):
             dl = dl if is_zero(dl) else Multiply(dl, e.right)
             dr = dr if is_zero(dr) else Multiply(e.left, dr)
+        else:
+            # but a summand such as 0/0 that reads no variable and is not
+            # finite stays as 0 times itself
+            dl, dr = (
+                Multiply(ZERO, side) if not free_variables(side) and _not_finite(side) else d
+                for d, side in ((dl, e.left), (dr, e.right))
+            )
         rule = Add if isinstance(e, (Add, Multiply)) else Subtract
         if is_zero(dl):
             num = dr if is_zero(dr) or rule is Add else Negate(dr)

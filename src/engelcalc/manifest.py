@@ -59,11 +59,16 @@ makes them errors that ask for g.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import expr as ex
 from .charts import (
+    MEMO_SIZE,
     Chart,
     CoordinateAxis,
     GeometryError,
@@ -89,7 +94,7 @@ class ManifestError(ValueError):
 class StructureDecl:
     name: str
     kind: str
-    options: dict[str, str]
+    options: Mapping[str, str]
     line: int
 
 
@@ -97,15 +102,15 @@ class StructureDecl:
 class TaskDecl:
     task_id: str
     kind: str
-    options: dict[str, str]
+    options: Mapping[str, str]
     line: int
 
 
 @dataclass(frozen=True)
 class Manifest:
     chart: Chart
-    definitions: dict[str, object]
-    structures: dict[str, StructureDecl]
+    definitions: Mapping[str, object]
+    structures: Mapping[str, StructureDecl]
     tasks: tuple[TaskDecl, ...]
     sampling: SamplePlan
     tolerances: Tolerances
@@ -139,7 +144,17 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+# A finite decimal literal, optionally negated, as most box bounds are,
+# reads as the parser would read it; anything else, an overflowing literal
+# included, takes the parser and its errors.
+_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _const_value(text: str, line: int) -> float:
+    if _DECIMAL.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return value
     try:
         return ex.evaluate(ex.parse_scalar_expr(text, ()), {})
     except ex.ExprError as err:
@@ -152,8 +167,15 @@ _SINGLE_SECTIONS = ("chart", "sampling", "tolerances")
 _NAMED_SECTIONS = ("structure", "task")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def parse_manifest(text: str) -> Manifest:
-    """Parse and validate; raises :class:`ManifestError` at the first defect."""
+    """Parse and validate; raises :class:`ManifestError` at the first defect.
+
+    The last ``MEMO_SIZE`` parses are remembered for the process, keyed by
+    the text, and every caller of one text shares its :class:`Manifest`.
+    Its mappings are read-only.  A text that fails is parsed again, and
+    fails again, on every call.
+    """
     sections: list[tuple[str, str, int, list[tuple[str, str, int]]]] = []
     current = None
     seen = set()
@@ -229,8 +251,8 @@ def parse_manifest(text: str) -> Manifest:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Manifest(
         chart=chart,
-        definitions=definitions,
-        structures=structures,
+        definitions=MappingProxyType(definitions),
+        structures=MappingProxyType(structures),
         tasks=tuple(tasks),
         sampling=sampling,
         tolerances=tolerances,
@@ -486,7 +508,9 @@ def _parse_structure(
             header_line,
         )
     flat = {k: v for k, (v, _) in options.items()}
-    return StructureDecl(name=name, kind=kind, options=flat, line=header_line)
+    return StructureDecl(
+        name=name, kind=kind, options=MappingProxyType(flat), line=header_line
+    )
 
 
 def _parse_task(label: str, entries, structures: dict, header_line: int) -> TaskDecl:
@@ -527,7 +551,9 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
         raise ManifestError(f"task '{label}' has no target", header_line)
     if kind == "invariant" and "invariant" not in options:
         raise ManifestError(f"invariant task '{label}' names no invariant", header_line)
-    return TaskDecl(task_id=label, kind=kind, options=options, line=header_line)
+    return TaskDecl(
+        task_id=label, kind=kind, options=MappingProxyType(options), line=header_line
+    )
 
 
 # ---------------------------------------------------------------------------

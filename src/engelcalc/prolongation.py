@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import expr as ex
 from .charts import (
+    MEMO_SIZE,
     Chart,
     ChartMismatchError,
     DimensionError,
@@ -130,13 +132,16 @@ def rotate_along_fiber(
     )
 
 
+# typed, so that a cached prolong(frame, 1) does not answer prolong(frame, 1.0)
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def prolong(frame: ContactFrame, n: int) -> Distribution2:
     """n-fold fiberwise prolongation of a framed contact structure.
 
     Returns the frame {d/dtheta, cos(n*theta/2)*V0 + sin(n*theta/2)*V1} on
     the product chart with theta periodic of period 2*pi (see
     :func:`rotate_along_fiber` for the fiber name).  The frame is not
-    validated here; verify tasks check the result.
+    validated here; verify tasks check the result.  The last ``MEMO_SIZE``
+    results are remembered for the process and shared by equal calls.
     """
     if not isinstance(n, int) or n < 1:
         raise GeometryError("covering index must be a positive integer")

@@ -191,10 +191,10 @@ _GRAM_MIN_ROWS = 96
 # Rows per Gram block: the block's four shifted Grams stay near 2 MB, so
 # ranking a large stack needs little more memory than the SVD does.
 _GRAM_CHUNK = 4096
-# Row t of the certificate tests sign_t * G - shift_t * ends[end_t] * I, where
-# ends = (lambda_min, lambda_max): the estimates are certified when the four
-# matrices are positive definite exactly where _GRAM_EXPECT says.
-_GRAM_SIGN = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+# Row t of the certificate tests G - shift_t * ends[end_t] * I for t = 0, 1
+# and -G - shift_t * ends[end_t] * I for t = 2, 3, where ends = (lambda_min,
+# lambda_max): the estimates are certified when the four matrices are
+# positive definite exactly where _GRAM_EXPECT says.
 _GRAM_SHIFT = np.array(
     [[1.0 - _GRAM_DELTA], [1.0 + _GRAM_DELTA], [-1.0 - _GRAM_DELTA], [-1.0 + _GRAM_DELTA]]
 )
@@ -268,8 +268,12 @@ def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
     when the first matrix is positive definite and the second is not, and
     likewise for lambda_max.  Non-finite estimates fail.
     """
-    k = G.shape[0]
-    A = G[:, :, None, :] * _GRAM_SIGN
+    k, _, n = G.shape
+    # G twice and -G twice, each copy written contiguously
+    A = np.empty((k, k, 4, n))
+    A[:, :, 0] = A[:, :, 1] = G
+    np.negative(G, out=A[:, :, 2])
+    A[:, :, 3] = A[:, :, 2]
     pivots = np.einsum("iitn->itn", A)
     pivots -= _GRAM_SHIFT * ends[_GRAM_END]
     for j in range(k - 1):

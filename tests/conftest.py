@@ -6,6 +6,7 @@ import pytest
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
+from engelcalc import manifest, prolongation
 from engelcalc.prolongation import ContactFrame
 
 
@@ -13,6 +14,18 @@ from engelcalc.prolongation import ContactFrame
 # memo tables of the symbolic passes.
 EXPR_TABLES = (
     ex._interned, ex._simplified, ex._derivatives, ex._linear, ex._formatted, ex._free
+)
+
+
+# The process-lifetime memos of the pure symbolic constructors, all bounded
+# by charts.MEMO_SIZE.
+MEMOS = (
+    manifest.parse_manifest,
+    ch.lie_bracket,
+    ch.exterior_derivative,
+    ch.wedge,
+    ch.interior_product,
+    prolongation.prolong,
 )
 
 
@@ -24,9 +37,11 @@ def empty_expr_tables() -> None:
 
 @pytest.fixture(autouse=True)
 def cold_tables():
-    """Start every test from empty expression tables, so no result depends
-    on which tests ran before."""
+    """Start every test from empty expression tables and memos, so no
+    result depends on which tests ran before."""
     empty_expr_tables()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def _reject_constant(name: str):

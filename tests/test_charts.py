@@ -126,6 +126,20 @@ def test_distinct_samples_keep_the_first_grid_value_and_every_random_row(box4):
     np.testing.assert_array_equal(points[15:], ch.random_points(box4, 3, 1))
 
 
+def test_a_constant_frame_has_one_sample_row(box4):
+    # values that read no coordinate are the same at every row: row 0 stands for all
+    plan = SamplePlan(grid=4, random=1000, seed=3)
+    frame = (vector_field(box4, ["1", "0", "2*pi", "0"]), coordinate_field(box4, "w"))
+    points, rows = ch.distinct_samples(box4, plan, ch.variables_of(*frame))
+    assert rows.tolist() == [0]
+    np.testing.assert_array_equal(points, sample_points(box4, plan)[:1])
+    # the plan as given still bounds the set and numbers its rows
+    with pytest.raises(GeometryError, match=r"random=10000000000.* needs 10000000001 sample rows"):
+        ch.distinct_samples(box4, SamplePlan(grid=2, random=10**10), ())
+    with pytest.raises(GeometryError, match="too many to number"):
+        ch.distinct_samples(box4, SamplePlan(grid=60000, random=1), ())
+
+
 def _empty_sample_cache(monkeypatch):
     monkeypatch.setattr(ch, "_samples", collections.OrderedDict())
     monkeypatch.setattr(ch, "_sample_rows", 0)

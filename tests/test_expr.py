@@ -357,6 +357,7 @@ _DIFF_POINTS = np.random.default_rng(3).uniform(-1.0, 1.0, (6, len(VARS)))
 @example(Multiply(Sin(Constant(2.0)), Variable("x")), "x")
 @example(Divide(Add(NamedConstant("pi"), Variable("y")), Exp(Variable("x"))), "x")
 @example(Sin(Negate(Exp(Divide(Constant(-1.2062782090804127), Variable("x"))))), "x")
+@example(Add(Variable("x"), Divide(Constant(0.0), Constant(0.0))), "x")
 @settings(max_examples=150, deadline=None)
 def test_partial_derivative_agrees_with_sympy(e, v):
     ours = partial_derivative(e, v)
@@ -453,6 +454,18 @@ def test_zero_times_a_non_finite_constant_stays_unfolded(text):
     assert simplify(s) == s
     values = ex.evaluate_many(s, VARS, np.zeros((1, len(VARS))))
     assert np.isnan(values).all()
+
+
+@pytest.mark.parametrize(
+    "text,finite", [("x + 0/0", False), ("10^400 - x", False), ("x - exp(1000)", False),
+                    ("x + 2", True), ("x + y/0", True)],
+)
+def test_a_summand_that_is_not_finite_keeps_the_derivative_not_finite(text, finite):
+    # d/dx of x + 0/0 is 0/0-tainted like the sum, not 1; a summand that
+    # reads a variable other than x still differentiates to 0
+    d = partial_derivative(parse_scalar_expr(text, VARS), "x")
+    values = ex.evaluate_many(d, VARS, np.ones((1, len(VARS))))
+    assert np.isfinite(values).all() == finite
 
 
 def test_zero_times_pi_folds():

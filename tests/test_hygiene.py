@@ -173,6 +173,57 @@ def f(x): ...
     assert [fn for _, fn in _unbounded_caches(ast.parse(source))] == ["a", "b", "c", "d"]
 
 
+def _named_constant(node: ast.expr) -> bool:
+    """``CAP``, ``_CAP`` or ``module.CAP``: an upper-case name, not a literal."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+    return isinstance(node, (ast.Name, ast.Attribute)) and name.lstrip("_").isupper()
+
+
+def _literal_cache_sizes(tree: ast.Module):
+    """(line, source) for each ``lru_cache`` whose maxsize is not a named
+    constant, the bare decorator (a default of 128) included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if _decorator_name(decorator) == "lru_cache" and not isinstance(decorator, ast.Call):
+                    yield decorator.lineno, ast.unparse(decorator)
+        elif isinstance(node, ast.Call) and _decorator_name(node) == "lru_cache":
+            sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+            if len(sizes) != 1 or not _named_constant(sizes[0]):
+                yield node.lineno, ast.unparse(node)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_lru_cache_takes_its_size_from_a_named_constant(path):
+    """One constant sizes the caches that share a purpose, so their bound
+    is set, documented and tested in one place."""
+    literal = [f"line {line}: {text}" for line, text in _literal_cache_sizes(_tree(path))]
+    assert not literal, f"{path.name} sizes caches with literals: {literal}"
+
+
+def test_the_cache_size_scan_sees_every_spelling():
+    source = """
+@lru_cache
+def a(x): ...
+@functools.lru_cache(maxsize=64)
+def b(x): ...
+@lru_cache(256, typed=True)
+def c(x): ...
+@lru_cache(maxsize=None)
+def d(x): ...
+@lru_cache()
+def e(x): ...
+f = lru_cache(maxsize=2 * CAP)(len)
+@lru_cache(maxsize=CAP)
+def g(x): ...
+@functools.lru_cache(maxsize=_TABLE_CAP, typed=True)
+def h(x): ...
+@lru_cache(charts.MEMO_SIZE)
+def i(x): ...
+"""
+    assert [line for line, _ in _literal_cache_sizes(ast.parse(source))] == [2, 4, 6, 8, 10, 12]
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     defined: dict[str, int] = {}
     for node in tree.body:

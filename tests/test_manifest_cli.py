@@ -8,11 +8,11 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import EXPR_TABLES, strict_json
+from conftest import EXPR_TABLES, MEMOS, strict_json
 
 from engelcalc import expr as ex
 from engelcalc import manifest as manifest_module
-from engelcalc.charts import KForm, VectorField
+from engelcalc.charts import MEMO_SIZE, KForm, VectorField
 from engelcalc.cli import build_parser, main
 from engelcalc.expr import ScalarExpr
 from engelcalc.manifest import _SOME, _STRUCTURES, Manifest, ManifestError, parse_manifest
@@ -135,6 +135,47 @@ def test_hostile_inputs_are_manifest_errors(mutation, message):
     old, new = mutation
     with pytest.raises(ManifestError, match=message):
         parse_manifest(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-1", "0", "-0", "007", "1.5", "-0.1", "2.5E+3", "1e-400", "1e308", "-1.7976931348623157e308",
+     "1e400", "-1e400", "nan", "inf", "-inf", "pi/2", "2*pi", "--1", "+1", "1.", ".5", "1_0"],
+)
+def test_box_bounds_read_plain_numbers_as_the_parser_does(text):
+    try:
+        expected = ex.evaluate(ex.parse_scalar_expr(text, ()), {})
+    except ex.ExprError as err:
+        message = f"line 7: bad constant expression {text!r}: {err}"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            manifest_module._const_value(text, 7)
+    else:
+        assert manifest_module._const_value(text, 7).hex() == expected.hex()
+
+
+def test_a_parse_is_shared_and_read_only():
+    m = parse_manifest(MINIMAL)
+    assert parse_manifest(MINIMAL) is m
+    mappings = {
+        "alpha": m.definitions,
+        "pair": m.structures,
+        "beta": m.structures["pair"].options,
+        "target": m.tasks[0].options,
+    }
+    for key, mapping in mappings.items():
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert parse_manifest(MINIMAL).structures["pair"].options["beta"] == "beta"
+
+
+def test_a_bad_text_fails_on_every_parse():
+    bad = MINIMAL.replace("target = pair", "target = nothing")
+    for _ in range(2):
+        with pytest.raises(ManifestError, match="undefined structure 'nothing'"):
+            parse_manifest(bad)
+    assert parse_manifest.cache_info().currsize == 0
 
 
 def test_cli_never_tracebacks_on_bad_values(tmp_path):
@@ -673,6 +714,7 @@ def test_run_tasks_keeps_the_tables_under_their_cap():
     cache = ex.compile_program.cache_info()
     assert cache.maxsize == ex._TABLE_CAP
     assert cache.currsize <= ex._TABLE_CAP
+    assert all(memo.cache_info().currsize <= MEMO_SIZE for memo in MEMOS)
 
 
 def test_cli_parser_is_built_once():

@@ -1,0 +1,78 @@
+"""The process-lifetime memos of the pure symbolic constructors: each is
+bounded by ``charts.MEMO_SIZE``, shares its results, and stores no
+exception."""
+
+from __future__ import annotations
+
+import pytest
+from conftest import MEMOS
+
+from engelcalc import charts as ch
+from engelcalc.charts import ChartMismatchError, GeometryError, KForm, MEMO_SIZE
+from engelcalc.manifest import parse_manifest
+from engelcalc.prolongation import ContactFrame, prolong
+
+TEXT = """
+[chart]
+coords = x y z
+box x = 0 1
+box y = 0 1
+box z = 0 {}
+"""
+
+
+def _one_form(chart, i: int, coeff: str, index: int = 0) -> KForm:
+    return KForm(chart, 1, (((index,), chart.parse(coeff.format(i))),))
+
+
+# The i-th of many distinct inputs of each memo, in the order of MEMOS.
+DISTINCT_INPUTS = (
+    lambda i, box3, frame: (TEXT.format(i + 1),),
+    lambda i, box3, frame: (
+        ch.vector_field(box3, [f"{i}*y", "0", "0"]),
+        ch.coordinate_field(box3, "y"),
+    ),
+    lambda i, box3, frame: (_one_form(box3, i, "{}*y"),),
+    lambda i, box3, frame: (_one_form(box3, i, "{}*y"), _one_form(box3, i, "1", 2)),
+    lambda i, box3, frame: (
+        ch.vector_field(box3, [str(i), "0", "0"]),
+        KForm(box3, 2, (((0, 1), box3.parse("z")),)),
+    ),
+    lambda i, box3, frame: (frame, i + 1),
+)
+
+
+@pytest.mark.parametrize(
+    "memo,inputs", list(zip(MEMOS, DISTINCT_INPUTS)), ids=[m.__name__ for m in MEMOS]
+)
+def test_each_memo_stays_within_its_bound(memo, inputs, box3, std_frame):
+    calls = [inputs(i, box3, std_frame) for i in range(MEMO_SIZE + 8)]
+    results = [memo(*args) for args in calls]
+    info = memo.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (MEMO_SIZE, MEMO_SIZE, MEMO_SIZE + 8)
+    assert memo(*calls[-1]) is results[-1]
+    assert memo.cache_info().hits == 1
+    # the least recently used inputs were dropped, and build an equal result again
+    again = memo(*calls[0])
+    assert again == results[0] and memo.cache_info().misses == MEMO_SIZE + 9
+
+
+def test_a_memo_stores_no_exception(box3, box4, std_frame):
+    x = ch.coordinate_field(box3, "x")
+    for _ in range(2):
+        with pytest.raises(ChartMismatchError):
+            ch.lie_bracket(x, ch.coordinate_field(box4, "x"))
+    assert ch.lie_bracket.cache_info().currsize == 0
+    # prolong is keyed by type too: a stored n = 1 does not answer n = 1.0
+    prolong(std_frame, 1)
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="positive integer"):
+            prolong(std_frame, 1.0)
+
+
+def test_equal_inputs_share_one_result(std_frame):
+    text = TEXT.format(2)
+    copy = "".join([text[:9], text[9:]])
+    assert copy is not text and parse_manifest(copy) is parse_manifest(text)
+    frame = ContactFrame(std_frame.chart, std_frame.v0, std_frame.v1)
+    assert frame is not std_frame and prolong(frame, 3) is prolong(std_frame, 3)

@@ -22,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conftest import strict_json
+from conftest import MEMOS, strict_json
 
 from engelcalc.cli import main
 
@@ -77,11 +77,17 @@ def test_reports_match_their_digests(tmp_path):
 
 
 def test_reports_match_their_digests_on_warm_tables(tmp_path):
-    # the expression tables outlive a run: a second pass, in the other
-    # order, meets every tree the first pass built
+    # the expression tables and the symbolic memos outlive a run: a second
+    # pass, in the other order, meets every tree the first pass built and
+    # takes every parse, bracket, form and prolongation from the memos
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert report_digests(tmp_path) == expected
+    cold = [memo.cache_info() for memo in MEMOS]
     assert report_digests(tmp_path, reverse=True) == expected
+    warm = [memo.cache_info() for memo in MEMOS]
+    assert [(w.misses - c.misses, w.hits > c.hits) for c, w in zip(cold, warm)] == [
+        (0, True)
+    ] * len(MEMOS)
 
 
 if __name__ == "__main__":
