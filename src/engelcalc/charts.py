@@ -464,11 +464,13 @@ def form_evaluate_scalar(form: KForm, points: np.ndarray) -> np.ndarray:
 # exterior calculus
 
 # Results each memo of a pure symbolic constructor keeps for the process:
-# the four below, manifest.parse_manifest and prolongation.prolong.  Their
-# keys and results are immutable, so a hit hands every caller one shared
-# object.  None of them warns, so a hit drops no note from a report, and an
-# exception is never stored.  The 15 bundled manifests under every command
-# need 15 parses and 92 entries across the other five memos.
+# the four below, manifest.parse_manifest, prolongation.prolong and
+# prolongation.fiber_characteristic_annihilator (a constructor whose check
+# is reported nowhere).  Their keys and results are immutable, so a hit
+# hands every caller one shared object.  None of them warns, so a hit drops
+# no note from a report, and an exception is never stored.  The 15 bundled
+# manifests under every command need 15 parses and 101 entries across the
+# other six memos.
 MEMO_SIZE = 1 << 7
 
 

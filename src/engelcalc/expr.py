@@ -127,10 +127,10 @@ class EvaluationError(ExprError):
 # same manifest; a table that reaches the cap is emptied before its next
 # entry, so memory stays bounded however many distinct trees pass through.
 # All 15 bundled manifests under every command intern about 2,050 nodes and
-# compile about 115 programs, so they fit.  Threads share the tables; a race
-# costs a repeated computation or a second copy of an equal node, never a
-# wrong result, because stored values are never changed and equal nodes
-# compare equal by their keys.
+# compile about 100 programs (constants are filled in, not compiled), so
+# they fit.  Threads share the tables; a race costs a repeated computation
+# or a second copy of an equal node, never a wrong result, because stored
+# values are never changed and equal nodes compare equal by their keys.
 _TABLE_CAP = 1 << 12
 
 _interned: dict = {}  # node key -> node
@@ -1037,11 +1037,16 @@ def evaluate_many(
     var_order: tuple[str, ...],
     points: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate at every row of ``points`` (columns follow ``var_order``)."""
+    """Evaluate at every row of ``points`` (columns follow ``var_order``).
+
+    A constant is filled in, not compiled and run; either way the result is
+    a new array."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != len(var_order):
         raise ExprError(
             f"points must have shape (n, {len(var_order)}), got {pts.shape}"
         )
+    if isinstance(e, Constant):
+        return np.full(pts.shape[0], e.value)
     prog = compile_program(e, tuple(var_order))
     return _kernels.run_program(prog.steps, prog.stack_depth, pts)

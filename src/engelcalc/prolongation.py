@@ -151,12 +151,19 @@ def prolong(frame: ContactFrame, n: int) -> Distribution2:
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def fiber_characteristic_annihilator(
     d: Distribution2, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> KForm:
     """Annihilator of the bracket-extended frame, verified to single out the
     fiber direction: the fiber field must satisfy the characteristic
-    conditions against it (which includes having no fiber component)."""
+    conditions against it (which includes having no fiber component).
+
+    The last ``MEMO_SIZE`` verified forms are remembered for the process,
+    keyed by (d, plan, tol), and shared by equal calls.  The check's
+    witnesses are reported nowhere, so a hit changes no report; a failed
+    check is never stored and raises again on every call.
+    """
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")

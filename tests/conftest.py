@@ -26,6 +26,7 @@ MEMOS = (
     ch.wedge,
     ch.interior_product,
     prolongation.prolong,
+    prolongation.fiber_characteristic_annihilator,
 )
 
 

@@ -8,6 +8,7 @@ from conftest import empty_expr_tables
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engelcalc import _kernels
 from engelcalc import expr as ex
 from engelcalc.expr import (
     Add,
@@ -16,6 +17,7 @@ from engelcalc.expr import (
     Divide,
     EvaluationError,
     Exp,
+    ExprError,
     ExprSyntaxError,
     IntPower,
     Multiply,
@@ -131,6 +133,28 @@ def test_evaluate_division_by_zero_reports_path():
 def test_evaluate_unbound_variable():
     with pytest.raises(EvaluationError, match="unbound variable 'y'"):
         evaluate(parse_scalar_expr("x + y", {"x", "y"}), {"x": 1.0})
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.5, np.inf, np.nan])
+def test_a_constant_is_filled_in_as_its_program_would_evaluate(value):
+    c = Constant(value)
+    pts = np.arange(12.0).reshape(4, 3)
+    program = ex.compile_program(c, ("x", "y", "z"))
+    ex.compile_program.cache_clear()
+    got = ex.evaluate_many(c, ("x", "y", "z"), pts)
+    assert ex.compile_program.cache_info().misses == 0
+    assert got.tobytes() == _kernels.run_program(program.steps, program.stack_depth, pts).tobytes()
+    # every call returns a new array its caller may write to
+    again = ex.evaluate_many(c, ("x", "y", "z"), pts)
+    assert again is not got and got.flags.writeable
+    got[0] = 7.0
+    assert again.tobytes() == ex.evaluate_many(c, ("x", "y", "z"), pts).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (1, 4, 3)])
+def test_a_constant_still_checks_the_shape_of_its_points(shape):
+    with pytest.raises(ExprError, match=r"points must have shape \(n, 3\)"):
+        ex.evaluate_many(Constant(1.5), ("x", "y", "z"), np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------

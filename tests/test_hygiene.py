@@ -1,6 +1,7 @@
 """Dead-code guard: unused top-level imports, imports inside functions,
 unread parameters, unreferenced private names, and public functions,
-methods and properties that no manifest reaches.
+methods and properties that no manifest reaches; and a registration
+guard: every process-lifetime memo is emptied before each test.
 
 The first four scans read the package source with the standard-library
 ``ast`` module only, so they cost no import of the package itself.  The
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import MEMOS
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "engelcalc"
@@ -123,6 +125,11 @@ def _decorator_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _maxsize(call: ast.Call) -> list[ast.expr]:
+    """The maxsize arguments of an ``lru_cache(...)`` call, positional or named."""
+    return [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")]
+
+
 def _unbounded(decorator: ast.expr) -> bool:
     """``functools.cache``, or ``lru_cache`` with ``maxsize=None``."""
     name = _decorator_name(decorator)
@@ -130,7 +137,7 @@ def _unbounded(decorator: ast.expr) -> bool:
         return True
     if name != "lru_cache" or not isinstance(decorator, ast.Call):
         return False
-    sizes = [*decorator.args[:1], *(k.value for k in decorator.keywords if k.arg == "maxsize")]
+    sizes = _maxsize(decorator)
     return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
 
 
@@ -188,7 +195,7 @@ def _literal_cache_sizes(tree: ast.Module):
                 if _decorator_name(decorator) == "lru_cache" and not isinstance(decorator, ast.Call):
                     yield decorator.lineno, ast.unparse(decorator)
         elif isinstance(node, ast.Call) and _decorator_name(node) == "lru_cache":
-            sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+            sizes = _maxsize(node)
             if len(sizes) != 1 or not _named_constant(sizes[0]):
                 yield node.lineno, ast.unparse(node)
 
@@ -222,6 +229,45 @@ def h(x): ...
 def i(x): ...
 """
     assert [line for line, _ in _literal_cache_sizes(ast.parse(source))] == [2, 4, 6, 8, 10, 12]
+
+
+def _memo_sized(tree: ast.Module):
+    """Names of the functions under an ``lru_cache`` sized by ``MEMO_SIZE``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            if _decorator_name(decorator) != "lru_cache" or not isinstance(decorator, ast.Call):
+                continue
+            if any(_decorator_name(size) == "MEMO_SIZE" for size in _maxsize(decorator)):
+                yield node.name
+
+
+def test_every_memo_is_emptied_before_each_test():
+    """A memo missing from ``conftest.MEMOS`` outlives the ``cold_tables``
+    fixture, so one test's result could depend on the tests before it."""
+    declared = {
+        f"engelcalc.{path.stem}.{fn}" for path in MODULES for fn in _memo_sized(_tree(path))
+    }
+    assert declared == {f"{memo.__module__}.{memo.__qualname__}" for memo in MEMOS}
+
+
+def test_the_memo_scan_sees_every_spelling():
+    source = """
+@lru_cache(maxsize=MEMO_SIZE)
+def a(x): ...
+@functools.lru_cache(MEMO_SIZE, typed=True)
+def b(x): ...
+@lru_cache(maxsize=charts.MEMO_SIZE)
+def c(x): ...
+@lru_cache(maxsize=_TABLE_CAP)
+def d(x): ...
+@lru_cache
+def e(x): ...
+@functools.cache
+def f(): ...
+"""
+    assert list(_memo_sized(ast.parse(source))) == ["a", "b", "c"]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:

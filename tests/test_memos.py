@@ -10,7 +10,8 @@ from conftest import MEMOS
 from engelcalc import charts as ch
 from engelcalc.charts import ChartMismatchError, GeometryError, KForm, MEMO_SIZE
 from engelcalc.manifest import parse_manifest
-from engelcalc.prolongation import ContactFrame, prolong
+from engelcalc.prolongation import ContactFrame, fiber_characteristic_annihilator, prolong
+from engelcalc.structures import CheckError, Distribution2
 
 TEXT = """
 [chart]
@@ -39,6 +40,7 @@ DISTINCT_INPUTS = (
         KForm(box3, 2, (((0, 1), box3.parse("z")),)),
     ),
     lambda i, box3, frame: (frame, i + 1),
+    lambda i, box3, frame: (prolong(frame, 1), ch.SamplePlan(grid=2, random=1, seed=i)),
 )
 
 
@@ -68,6 +70,16 @@ def test_a_memo_stores_no_exception(box3, box4, std_frame):
     for _ in range(2):
         with pytest.raises(GeometryError, match="positive integer"):
             prolong(std_frame, 1.0)
+    # the standard Engel frame's characteristic is d/dw, not its fiber x
+    chart = ch.Chart(box4.axes, fiber="x")
+    d = Distribution2(
+        chart, ch.coordinate_field(chart, "w"), ch.vector_field(chart, ["1", "z", "w", "0"])
+    )
+    plan = ch.SamplePlan(grid=2, random=4, seed=0)
+    for _ in range(2):
+        with pytest.raises(CheckError, match="fiber-direction characteristic check failed"):
+            fiber_characteristic_annihilator(d, plan)
+    assert fiber_characteristic_annihilator.cache_info().currsize == 0
 
 
 def test_equal_inputs_share_one_result(std_frame):
@@ -76,3 +88,10 @@ def test_equal_inputs_share_one_result(std_frame):
     assert copy is not text and parse_manifest(copy) is parse_manifest(text)
     frame = ContactFrame(std_frame.chart, std_frame.v0, std_frame.v1)
     assert frame is not std_frame and prolong(frame, 3) is prolong(std_frame, 3)
+    d = prolong(std_frame, 3)
+    copy = Distribution2(d.chart, d.x, d.y, d.legendrian_coefficients)
+    plans = [ch.SamplePlan(grid=2, random=4, seed=0) for _ in range(2)]
+    assert copy is not d and plans[0] is not plans[1]
+    beta = fiber_characteristic_annihilator(d, plans[0])
+    assert fiber_characteristic_annihilator(copy, plans[1]) is beta
+
