@@ -12,11 +12,14 @@ and names a failing row by its index in the full sample:
   scale derived from the factors entering the expression (at least 1);
 * rank checks count singular values at ratio ``tol.rank`` to the largest.
   :func:`matrix_ranks` certifies most matrices full rank from the extreme
-  eigenvalues of their small Gram matrix: closed-form estimates, each
-  proved to a relative ``_GRAM_DELTA`` by unpivoted Cholesky tests of the
-  shifted Gram.  Uncertified matrices, those inside a guard band and
-  stacks too short to repay the Gram pass go to the exact SVD, so ranks
-  and reported ratios equal the SVD's.  Every rank
+  eigenvalues of their small Gram matrix, in one pass over the stack:
+  closed-form estimates, each proved to a relative ``_GRAM_DELTA`` by
+  unpivoted Cholesky tests of the shifted Gram.  The estimates route the
+  stack first: one where most of them fall below the cut (an all-deficient
+  stack, say) skips the proof and is ranked by one SVD, at the cost of the
+  SVD plus the estimate half of the pass.  Uncertified matrices, those
+  inside a guard band and stacks too short to repay the Gram pass go to
+  the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
   check (plane fields, Engel frames, derived squares, contact frames, the
   twisting condition) takes one path: :func:`_frame_ranks` evaluates the
   frame once into a component-major buffer and ranks its leading fields.
@@ -177,18 +180,22 @@ _GRAM_DELTA = 1e-6
 # Guard band, relative, around the rank cut and the smallest fast-path ratio:
 # 50 times the worst error above, so rows inside it take the exact SVD.
 _GRAM_BAND = 1e-4
-# One row in 64 of a stack is ranked first; a stack mostly deficient there
-# goes straight to the SVD, so an all-deficient stack costs one SVD plus 1/64
-# of a Gram pass.
-_GRAM_PROBE = 64
-# Stacks of fewer rows go straight to the SVD: the Gram path costs about 120 us
-# even on 2 rows and overtakes the SVD only at about 96-112 rows.  Measured
-# on component-major (n, dim, k) stacks of full-rank random matrices, 2-CPU
-# x86-64 VM, microseconds for matrix_ranks / _svd_ranks at 64 and 128 rows:
-# (3, 2) 121/79 and 143/221, (3, 3) 212/133 and 376/411, (4, 3) 352/230 and
-# 366/424, (4, 5) 501/312 and 541/636.
-_GRAM_MIN_ROWS = 96
-# Rows per Gram block: the block's four shifted Grams stay near 2 MB, so
+# Stacks of fewer rows go straight to the SVD.  Timed hot with timeit, the
+# Gram path overtakes the SVD at 50-70 rows: microseconds for the Gram path /
+# _svd_ranks on component-major (n, dim, k) stacks of full-rank random
+# matrices, 2-CPU x86-64 VM,
+#   rows       32       48       64        96        128
+#   (3, 2)   74/42    74/53    70/64     70/86     72/107
+#   (3, 3)   95/58    97/80    97/102    97/138   101/185
+#   (4, 3)   92/63    93/84    91/105    91/150   100/197
+#   (4, 5)  117/81   123/113  117/151   131/204   144/286
+# Inside a request its hundred numpy calls run cold, at 170-270 us per stack
+# however short, so the warm fixture mix ranks its 64- to 106-row stacks
+# faster by the SVD and its 225-row stacks faster by the Gram path (median
+# per call, Gram / SVD: (3, 3) at 106 rows 268/145, (4, 5) at 76 rows 205/190,
+# (4, 5) at 225 rows 253/394).
+_GRAM_MIN_ROWS = 128
+# Rows per Gram block: the block's certificate array stays under 2 MB, so
 # ranking a large stack needs little more memory than the SVD does.
 _GRAM_CHUNK = 4096
 # Row t of the certificate tests G - shift_t * ends[end_t] * I for t = 0, 1
@@ -221,18 +228,24 @@ def _extreme_eigenvalues(G: np.ndarray) -> np.ndarray:
     A formula divides 0 by 0 only on a multiple of the identity, where fmax
     and fmin clamp the nan into a term that is then multiplied by 0.  For
     other k the estimates are wrong, and :func:`_certified` rejects them.
+
+    G is shifted in place while the power sums are taken, and then given back
+    its own diagonal, so no second (k, k, n) array is made.
     """
     k = G.shape[0]
     if k == 2:
         mean = 0.5 * (G[0, 0] + G[1, 1])
         return mean + _PLUS_MINUS * np.hypot(0.5 * (G[0, 0] - G[1, 1]), G[0, 1])
-    # B = G - q I has trace 0 and power sums t_j = tr(B^j).
-    q = np.einsum("iin->n", G) / k
-    B = G.copy()
-    np.einsum("iin->in", B)[...] -= q
-    B2 = np.einsum("ijn,jkn->ikn", B, B)
+    # B = G - q I, formed in G itself, has trace 0 and power sums t_j = tr(B^j).
+    diagonal = np.einsum("iin->in", G)
+    kept = diagonal.copy()
+    q = kept.sum(axis=0) / k
+    diagonal -= q
+    B = G
+    B2 = np.einsum("ijn,kjn->ikn", B, B)  # B B^T: B is symmetric, and this sum is faster
     t2 = np.einsum("iin->n", B2)
     t3 = np.einsum("ijn,ijn->n", B2, B)
+    diagonal[...] = kept  # G again, bit for bit
     if k == 3:
         # eigenvalues q + 2p cos(phi + 2 pi j / 3), with 6 p^2 = t2 and
         # cos(3 phi) = det(B) / (2 p^3) = t3 / (6 p^3) = t3 / (t2 p)
@@ -263,45 +276,65 @@ def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Rows whose lambda_min and lambda_max lie within _GRAM_DELTA of ends.
 
     G - lambda_min (1 -+ delta) I and lambda_max (1 +- delta) I - G go through
-    one unpivoted LDL^T together, column by column over the whole stack; the
-    pivots end on the diagonal.  lambda_min lies between its two shifts exactly
-    when the first matrix is positive definite and the second is not, and
-    likewise for lambda_max.  Non-finite estimates fail.
+    one unpivoted LDL^T together, row by row over the whole stack; the pivots
+    end on the diagonal.  lambda_min lies between its two shifts exactly when
+    the first matrix is positive definite and the second is not, and likewise
+    for lambda_max.  Non-finite estimates fail.
+
+    The LDL^T reads one triangle, so one array holds what it works on: the
+    diagonal and the strict upper triangle of G twice and of -G twice, each
+    copy written contiguously, then room for one row of multipliers.
     """
     k, _, n = G.shape
-    # G twice and -G twice, each copy written contiguously
-    A = np.empty((k, k, 4, n))
-    A[:, :, 0] = A[:, :, 1] = G
-    np.negative(G, out=A[:, :, 2])
-    A[:, :, 3] = A[:, :, 2]
-    pivots = np.einsum("iitn->itn", A)
-    pivots -= _GRAM_SHIFT * ends[_GRAM_END]
+    p = k * (k - 1) // 2
+    A = np.empty((k + p + k - 1, 4, n))
+    on_diagonal = [i * (k + 1) for i in range(k)]
+    above_diagonal = [i * k + j for i in range(k) for j in range(i + 1, k)]
+    A[: k + p, 0] = A[: k + p, 1] = G.reshape(k * k, n)[on_diagonal + above_diagonal]
+    np.negative(A[: k + p, 0], out=A[: k + p, 2])
+    A[: k + p, 3] = A[: k + p, 2]
+    diag, off, multipliers = A[:k], A[k : k + p], A[k + p :]
+    diag -= _GRAM_SHIFT * ends[_GRAM_END]
+    # row i of the strict upper triangle starts at entry start[i] of off
+    start = [i * k - i * (i + 1) // 2 for i in range(k)]
     for j in range(k - 1):
-        below = A[j + 1 :, j] / A[j, j]
-        for i in range(j + 1, k):  # the lower triangle of row i
-            A[i, j + 1 : i + 1] -= below[i - j - 1] * A[j + 1 : i + 1, j]
-    positive_definite = (pivots > 0.0).all(axis=0)
+        row = off[start[j] : start[j + 1]]  # entries (j, j + 1:)
+        scaled = np.divide(row, diag[j], out=multipliers[: k - 1 - j])
+        for i in range(j + 1, k - 1):  # entries (i, i + 1:)
+            off[start[i] : start[i + 1]] -= row[i - j - 1] * scaled[i - j :]
+        row *= scaled  # row j is not read again
+        diag[j + 1 :] -= row
+    positive_definite = (diag > 0.0).all(axis=0)
     return (positive_definite == _GRAM_EXPECT).all(axis=0)
 
 
-def _gram_ratios(mats: np.ndarray) -> np.ndarray:
+def _scaled_gram(m: np.ndarray) -> np.ndarray:
+    """The (k, k, n) Gram stack of a (k, other, n) stack of matrices, each
+    scaled by its largest |entry| first so that the Gram cannot overflow."""
+    m = np.multiply(m, 1.0 / np.abs(m).max(axis=(0, 1)), order="C")
+    return np.einsum("ain,bin->abn", m, m)
+
+
+def _gram_ratios(mats: np.ndarray, cut: float) -> np.ndarray:
     """Certified sqrt(lambda_min / lambda_max) of each matrix's small Gram matrix.
 
-    Each matrix is first scaled by its largest |entry|, so the Gram cannot
-    overflow.  Rows whose closed-form spectrum fails its certificate, and
-    zero and non-finite matrices, get 0.
+    One pass per block of rows: the closed-form ends of each scaled Gram's
+    spectrum give an estimated ratio.  A block where more than half the
+    estimates fall below ``cut`` is left at 0 and never certified, since the
+    SVD must rank those rows anyway.  Otherwise rows whose estimates fail the
+    certificate, and zero and non-finite matrices, get 0.
     """
-    cols = mats.transpose(2, 1, 0)  # (k, dim, n): entry (i, j) of every matrix
-    k, dim = cols.shape[:2]
-    gram = "ain,bin->abn" if dim > k else "ain,ajn->ijn"
+    rows, cols = mats.shape[1:]
+    # (k, other, n) with k = min(rows, cols), so the Gram sums over axis 1
+    kxn = mats.transpose(2, 1, 0) if rows > cols else mats.transpose(1, 2, 0)
     g = np.zeros(len(mats))
     with np.errstate(all="ignore"):
         for lo in range(0, len(mats), _GRAM_CHUNK):
-            m = cols[:, :, lo : lo + _GRAM_CHUNK]
-            m = m * (1.0 / np.abs(m).max(axis=(0, 1)))
-            G = np.einsum(gram, m, m)
+            G = _scaled_gram(kxn[:, :, lo : lo + _GRAM_CHUNK])
             ends = _extreme_eigenvalues(G)
-            np.sqrt(ends[0] / ends[1], out=g[lo : lo + _GRAM_CHUNK], where=_certified(G, ends))
+            estimate = np.sqrt(ends[0] / ends[1])
+            if 2 * np.count_nonzero(estimate >= cut) >= len(estimate):
+                g[lo : lo + _GRAM_CHUNK] = np.where(_certified(G, ends), estimate, 0.0)
     return g
 
 
@@ -314,24 +347,26 @@ def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray
     within the band of the smallest fast-path ratio, is ranked by the SVD.  So
     the ranks, the minimum ratio and the ratio of every deficient matrix equal
     the SVD's bit for bit; the ratios of the other full-rank matrices carry
-    the Gram path's relative error of under 2e-6.  A stack shorter than
-    ``_GRAM_MIN_ROWS`` is ranked by the SVD alone.
+    the Gram path's relative error of under 2e-6.
+
+    The Gram path makes one pass over the stack and routes each block of
+    rows on its closed-form estimates before certifying them.  A stack shorter
+    than ``_GRAM_MIN_ROWS`` is ranked by the SVD alone, and so is a stack none
+    of whose rows is certified above the cut: an all-deficient stack costs one
+    SVD plus the estimate half of a Gram pass, and never reaches the
+    certificate.
     """
     if len(mats) < _GRAM_MIN_ROWS:
         return _svd_ranks(mats, ratio)
     cut = max(_GRAM_FLOOR, ratio) * (1.0 + _GRAM_BAND)
-    g = _gram_ratios(mats[::_GRAM_PROBE])
-    if 2 * np.count_nonzero(g < cut) > len(g):
-        return _svd_ranks(mats, ratio)
-    g = _gram_ratios(mats)
+    g = _gram_ratios(mats, cut)
     fast = g >= cut
-    exact = ~fast
-    if fast.any():
-        exact |= g <= np.min(g[fast]) * (1.0 + _GRAM_BAND)
+    if not fast.any():
+        return _svd_ranks(mats, ratio)
+    exact = ~fast | (g <= np.min(g[fast]) * (1.0 + _GRAM_BAND))
     ranks = np.full(len(mats), min(mats.shape[1:]))
     rows = np.flatnonzero(exact)
-    if rows.size:
-        ranks[rows], g[rows] = _svd_ranks(mats[rows], ratio)
+    ranks[rows], g[rows] = _svd_ranks(mats[rows], ratio)
     return ranks, g
 
 

@@ -178,6 +178,44 @@ def test_mixed_stacks_on_both_sides_of_the_routing(
 
 
 @pytest.mark.parametrize("shape", SHAPES)
+def test_a_stack_longer_than_one_gram_block(shape):
+    """The smallest full-rank ratio and the one deficient row both sit in the
+    second block of rows, which is routed and certified on its own."""
+    rng = np.random.default_rng(14)
+    lo = structures._GRAM_CHUNK
+    lasts = rng.uniform(0.05, 0.5, lo + 300)
+    smallest, deficient = lo + 100, lo + 200
+    lasts[smallest], lasts[deficient] = 0.01, 1e-9
+    mats = component_major(with_singular_values(rng, shape, ratio_rows(rng, shape, lasts)))
+    ranks = assert_matches_svd(mats)
+    assert np.flatnonzero(ranks < min(shape)).tolist() == [deficient]
+    ratios = structures.matrix_ranks(mats, TOL)[1]
+    assert ratios[smallest] == svd_reference(mats[smallest : smallest + 1], TOL)[1][0]
+    assert np.min(np.delete(ratios, deficient)) == ratios[smallest]
+
+
+@st.composite
+def half_deficient_stacks(draw):
+    """96-400 rows, a share of about one half of them rank deficient."""
+    shape = draw(st.sampled_from(SHAPES))
+    n = draw(st.integers(96, 400))
+    share = draw(st.floats(0.3, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    deficient = rng.random(n) < share
+    lasts = np.where(deficient, 10.0 ** rng.uniform(-12.0, -8.0, n), rng.uniform(1e-3, 0.5, n))
+    return with_singular_values(rng, shape, ratio_rows(rng, shape, lasts)), deficient
+
+
+@given(half_deficient_stacks(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacks_about_half_deficient_match_the_svd(stack, as_view):
+    """Routing on the estimates, either way, leaves every result the SVD's."""
+    mats, deficient = stack
+    ranks = assert_matches_svd(component_major(mats) if as_view else mats)
+    np.testing.assert_array_equal(ranks < min(mats.shape[1:]), deficient)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_large_rank_ratio(shape):
     rng = np.random.default_rng(6)
     lasts = np.concatenate([rng.uniform(0.3, 0.7, 300), [0.5, 0.5 * (1 + 1e-5)]])

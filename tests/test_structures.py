@@ -478,20 +478,21 @@ def test_contact_failure_names_its_row_of_the_full_sample(box3, text, index, poi
     assert sample_points(box3, SamplePlan(grid=7)).tolist()[index] == point
 
 
-def test_all_deficient_stack_is_probed_not_gram_ranked_whole(monkeypatch):
+def test_all_deficient_stack_is_ranked_by_one_svd_and_never_certified(monkeypatch):
     from engelcalc import structures
 
     rng = np.random.default_rng(2)
     mats = rng.standard_normal((1000, 4, 3))
     mats[:, :, 2] = mats[:, :, 0] + mats[:, :, 1]
-    seen = []
-    gram_ratios = structures._gram_ratios
+    ranked = []
+    svd_ranks = structures._svd_ranks
 
-    def counting(stack):
-        seen.append(len(stack))
-        return gram_ratios(stack)
+    def counting(stack, ratio):
+        ranked.append(len(stack))
+        return svd_ranks(stack, ratio)
 
-    monkeypatch.setattr(structures, "_gram_ratios", counting)
+    monkeypatch.setattr(structures, "_svd_ranks", counting)
+    monkeypatch.setattr(structures, "_certified", lambda G, ends: pytest.fail("certified"))
     ranks, _ = structures.matrix_ranks(mats, 1e-7)
     assert np.all(ranks == 2)
-    assert sum(seen) <= 16
+    assert ranked == [1000]
