@@ -68,6 +68,8 @@ class Chart:
     fiber: str | None = None
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)  # set once
     name_set: frozenset[str] = field(init=False, repr=False, compare=False)  # set once
+    # each axis's (lo, hi, periodic): all that sampling reads, names aside
+    box: tuple[tuple[float, float, bool], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -80,6 +82,7 @@ class Chart:
             raise GeometryError(f"fiber '{self.fiber}' is not a coordinate")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "name_set", frozenset(names))
+        object.__setattr__(self, "box", tuple((a.lo, a.hi, a.periodic) for a in self.axes))
 
     @property
     def dim(self) -> int:
@@ -153,14 +156,16 @@ class SamplePlan:
 MAX_SAMPLE_ROWS = 1 << 19
 
 # Rows the sample cache holds in all: 2^14 * 40 bytes = 640 KiB of arrays.
-# Each set also keeps about 1.4 KB of key, array headers and chart axes
-# alive (tracemalloc, 4-axis charts), so 2^14 one-row sets on distinct
-# charts, the worst case, hold about 23 MB.
+# Each set also keeps about 1.0 KB of key (the box's bounds) and array
+# headers alive (tracemalloc, 4-axis charts), so 2^14 one-row sets on
+# distinct boxes, the worst case, hold about 17 MB.
 SAMPLE_CACHE_ROWS = 1 << 14
 
-# (chart axes, plan, read axes) -> read-only (points, rows), least recently
+# (chart box, plan, read axes) -> read-only (points, rows), least recently
 # used first, and the rows it holds.  Sample sets are input data, the same
-# for every run of the process.
+# for every run of the process.  The key holds each axis's (lo, hi,
+# periodic) and not its name, since the points depend on nothing else: a
+# chart with renamed coordinates or fiber shares the sets of the original.
 _samples: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _sample_rows = 0
 
@@ -168,8 +173,8 @@ _sample_rows = 0
 def sample_points(chart: Chart, plan: SamplePlan) -> np.ndarray:
     """Ordered sample array of shape (n, dim): grid rows first, then random.
 
-    The array is shared by every caller with the same chart and plan, and
-    is read-only.
+    The array is shared by every caller with the same box and plan, whatever
+    the coordinates are named, and is read-only.
     """
     return distinct_samples(chart, plan, chart.names)[0]
 
@@ -196,7 +201,7 @@ def distinct_samples(
     """
     global _sample_rows
     read = tuple(n in names for n in chart.names)
-    key = (chart.axes, plan, read)
+    key = (chart.box, plan, read)
     found = _samples.get(key)
     if found is not None:
         _samples.move_to_end(key)
@@ -312,9 +317,10 @@ class VectorField:
                 f"field needs {self.chart.dim} components, got {len(comps)}"
             )
         allowed = self.chart.name_set
-        if not frozenset().union(*map(ex.free_variables, comps)) <= allowed:
-            extra = next(v - allowed for v in map(ex.free_variables, comps) if not v <= allowed)
-            raise GeometryError(f"component uses unknown variables {sorted(extra)}")
+        for c in comps:
+            used = ex.free_variables(c)
+            if not used <= allowed:
+                raise GeometryError(f"component uses unknown variables {sorted(used - allowed)}")
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         cols = [

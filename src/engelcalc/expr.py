@@ -133,7 +133,7 @@ class EvaluationError(ExprError):
 # values are never changed and equal nodes compare equal by their keys.
 _TABLE_CAP = 1 << 12
 
-_interned: dict = {}  # node key -> node
+_interned: dict = {}  # node key, or (class, id(left), id(right)) of an infix node -> node
 _simplified: dict = {}  # node -> simplify(node)
 _derivatives: dict = {}  # (node, variable name) -> unsimplified derivative
 _linear: dict = {}  # node -> _Lin, never mutated once stored
@@ -152,12 +152,15 @@ class ScalarExpr:
 
     Nodes are immutable and hash-consed: while the intern table holds a
     node, constructing an equal one returns it, so equal trees built in
-    any run of the process are one object and compare by identity.  Each
-    node keeps its key, ``(class, *fields)`` with a constant's value as
-    ``float.hex`` so that ``0.0`` and ``-0.0`` stay apart, and the hash of
-    that key, taken once from the children's cached hashes.  Nodes built
-    before the intern table last reached its cap compare equal to fresh
-    equal trees through their keys.
+    any run of the process are one object and compare by identity.  An
+    infix node is looked up by its operands' identity: built from equal
+    operands that are other objects (one made before the table last
+    reached its cap, say), it is a second node.  Each node keeps its key,
+    ``(class, *fields)`` with a constant's value as ``float.hex`` so that
+    ``0.0`` and ``-0.0`` stay apart, and the hash of that key, taken once
+    from the children's cached hashes.  Nodes built before the intern
+    table last reached its cap compare equal to fresh equal trees through
+    their keys.
     """
 
     __slots__ = ("_key", "_hash")
@@ -187,10 +190,12 @@ class ScalarExpr:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-def _node(key: tuple, *fields) -> ScalarExpr:
+def _node(key: tuple, *fields, ident: tuple | None = None) -> ScalarExpr:
     """The interned node of ``key`` (its class first), built from ``fields``
-    if the table does not hold it."""
-    node = _interned.get(key)
+    if the table does not hold it under ``ident`` (by default the key)."""
+    if ident is None:
+        ident = key
+    node = _interned.get(ident)
     if node is None:
         cls = key[0]
         node = object.__new__(cls)
@@ -198,7 +203,7 @@ def _node(key: tuple, *fields) -> ScalarExpr:
             object.__setattr__(node, name, value)
         object.__setattr__(node, "_key", key)
         object.__setattr__(node, "_hash", hash(key))
-        _remember(_interned, key, node)
+        _remember(_interned, ident, node)
     return node
 
 
@@ -246,7 +251,10 @@ class _Binary(ScalarExpr):
     __slots__ = _fields = ("left", "right")
 
     def __new__(cls, left, right):
-        return _node((cls, left, right), left, right)
+        # looked up by its operands' identity, which hashes no subtree: the
+        # stored node holds both operands, so neither id is reused while
+        # the entry lives
+        return _node((cls, left, right), left, right, ident=(cls, id(left), id(right)))
 
 
 class Add(_Binary):
@@ -910,7 +918,9 @@ def _finite_power(c: float, k: int) -> float | None:
 
 def _pythagorean(lin: _Lin) -> _Lin:
     """Collapse matching ``c*sin(u)^2`` + ``c*cos(u)^2`` term pairs into a
-    new ``_Lin``."""
+    new ``_Lin``; ``lin`` itself when no term has a ``sin(u)^2`` factor."""
+    if not any(exp == 2 and isinstance(base, Sin) for key in lin.terms for base, exp in key):
+        return lin
     lin = _Lin(lin.const, dict(lin.terms))
     changed = True
     while changed:

@@ -276,6 +276,8 @@ def _parse_chart(entries, header_line) -> Chart:
                 raise ManifestError("box needs 'lo hi'", lineno)
             lo = _const_value(bounds[0], lineno)
             hi = _const_value(bounds[1], lineno)
+            if not math.isfinite(hi - lo):
+                raise ManifestError(f"box of '{words[1]}' is too wide: hi - lo overflows", lineno)
             axes_spec[words[1]] = (lo, hi, False)
         elif words[0] == "periodic" and len(words) == 2:
             period = _const_value(value, lineno)

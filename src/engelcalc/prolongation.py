@@ -47,6 +47,7 @@ from .structures import (
     _failure_at,
     _frame_ranks,
     _lowest_rank_at,
+    _scratch,
     annihilator_1form,
     check_characteristic,
     check_contact_3d,
@@ -231,12 +232,12 @@ def _raw_angles(
     base_idx = [i for i in range(chart.dim) if i != fiber_idx]
 
     m, s = base_points.shape[0], fiber_values.size
-    pts = np.empty((m, s, chart.dim))
+    pts = _scratch((m, s, chart.dim))
     pts[:, :, base_idx] = base_points[:, None, :]
     pts[:, :, fiber_idx] = fiber_values
     pts = pts.reshape(m * s, chart.dim)
 
-    xv, yv = (np.empty((chart.dim, m * s)) for _ in range(2))
+    xv, yv = _scratch((2, chart.dim, m * s), "frame")
     _evaluate_rows(d.x, pts, (*base_idx, fiber_idx), xv)
     _evaluate_rows(d.y, pts, (*base_idx, fiber_idx), yv)
     xf, yf = xv[-1], yv[-1]

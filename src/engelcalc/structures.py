@@ -23,10 +23,23 @@ and names a failing row by its index in the full sample:
   check (plane fields, Engel frames, derived squares, contact frames, the
   twisting condition) takes one path: :func:`_frame_ranks` evaluates the
   frame once into a component-major buffer and ranks its leading fields.
+
+The rank layer's large arrays (the evaluated frame, each Gram block's Gram
+stack, and its scaled copy, B^2 and certificate), and the development's
+points and evaluated generators, live in a workspace of three buffers per
+thread (``threading.local``, :func:`_scratch`), written in place and reused
+from call to call, so a warm process neither allocates them nor faults
+their pages in again.  A buffer grows to the largest array asked of it, up
+to ``_WORKSPACE_BYTES`` (1.7 MB, a full block's certificate); a larger
+array is allocated afresh.  Each thread has its own buffers, so threads may
+rank at once, and no array that :func:`matrix_ranks` or :func:`_frame_ranks`
+returns shares memory with them.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -207,8 +220,30 @@ _GRAM_SHIFT = np.array(
 )
 _GRAM_END = [0, 0, 1, 1]
 _GRAM_EXPECT = np.array([[True], [False], [True], [False]])
+# A workspace buffer's largest size: a full block's certificate at four
+# columns, (4 + 6 + 3, 4, _GRAM_CHUNK) floats or 1.7 MB, the largest array of
+# a Gram pass.  The slots are "frame" (the frame _frame_ranks evaluates, or a
+# development's generators), "gram" (a block's Gram stack) and "temporary"
+# (a block's scaled copy, then B^2, then its certificate; a development's
+# points), whose arrays never live at once.
+_WORKSPACE_BYTES = 8 * 13 * 4 * _GRAM_CHUNK
+_workspace = threading.local()
 _PLUS_MINUS = np.array([[-1.0], [1.0]])
 _THIRD_TURN = np.array([[2.0 * np.pi / 3.0], [0.0]])
+
+
+def _scratch(shape: tuple[int, ...], slot: str = "temporary") -> np.ndarray:
+    """An uninitialised C-contiguous float array of ``shape`` in this thread's
+    ``slot`` buffer, valid until the thread next asks that slot; a fresh array
+    when it needs more than ``_WORKSPACE_BYTES``."""
+    size = math.prod(shape)
+    if 8 * size > _WORKSPACE_BYTES:
+        return np.empty(shape)
+    buf = getattr(_workspace, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_workspace, slot, buf)
+    return buf[:size].reshape(shape)
 
 
 def _svd_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +277,8 @@ def _extreme_eigenvalues(G: np.ndarray) -> np.ndarray:
     q = kept.sum(axis=0) / k
     diagonal -= q
     B = G
-    B2 = np.einsum("ijn,kjn->ikn", B, B)  # B B^T: B is symmetric, and this sum is faster
+    # B B^T: B is symmetric, and this sum is faster
+    B2 = np.einsum("ijn,kjn->ikn", B, B, out=_scratch(B.shape))
     t2 = np.einsum("iin->n", B2)
     t3 = np.einsum("ijn,ijn->n", B2, B)
     diagonal[...] = kept  # G again, bit for bit
@@ -272,6 +308,18 @@ def _extreme_eigenvalues(G: np.ndarray) -> np.ndarray:
     return q + _PLUS_MINUS * (half_s + np.sqrt(np.fmax(w - _PLUS_MINUS * h, 0.0)))
 
 
+def _triangle(k: int) -> tuple[np.ndarray, list[int]]:
+    """The flat indices of a k x k matrix's diagonal, then of its strict upper
+    triangle row by row, and where row i of that triangle starts among them."""
+    on_diagonal = [i * (k + 1) for i in range(k)]
+    above_diagonal = [i * k + j for i in range(k) for j in range(i + 1, k)]
+    return np.array(on_diagonal + above_diagonal), [i * k - i * (i + 1) // 2 for i in range(k)]
+
+
+# the certificate's index tables for the sizes the closed forms handle
+_TRIANGLES = {k: _triangle(k) for k in (2, 3, 4)}
+
+
 def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Rows whose lambda_min and lambda_max lie within _GRAM_DELTA of ends.
 
@@ -287,16 +335,13 @@ def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """
     k, _, n = G.shape
     p = k * (k - 1) // 2
-    A = np.empty((k + p + k - 1, 4, n))
-    on_diagonal = [i * (k + 1) for i in range(k)]
-    above_diagonal = [i * k + j for i in range(k) for j in range(i + 1, k)]
-    A[: k + p, 0] = A[: k + p, 1] = G.reshape(k * k, n)[on_diagonal + above_diagonal]
+    A = _scratch((k + p + k - 1, 4, n))
+    entries, start = _TRIANGLES.get(k) or _triangle(k)
+    A[: k + p, 0] = A[: k + p, 1] = G.reshape(k * k, n)[entries]
     np.negative(A[: k + p, 0], out=A[: k + p, 2])
     A[: k + p, 3] = A[: k + p, 2]
     diag, off, multipliers = A[:k], A[k : k + p], A[k + p :]
     diag -= _GRAM_SHIFT * ends[_GRAM_END]
-    # row i of the strict upper triangle starts at entry start[i] of off
-    start = [i * k - i * (i + 1) // 2 for i in range(k)]
     for j in range(k - 1):
         row = off[start[j] : start[j + 1]]  # entries (j, j + 1:)
         scaled = np.divide(row, diag[j], out=multipliers[: k - 1 - j])
@@ -310,9 +355,17 @@ def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def _scaled_gram(m: np.ndarray) -> np.ndarray:
     """The (k, k, n) Gram stack of a (k, other, n) stack of matrices, each
-    scaled by its largest |entry| first so that the Gram cannot overflow."""
-    m = np.multiply(m, 1.0 / np.abs(m).max(axis=(0, 1)), order="C")
-    return np.einsum("ain,bin->abn", m, m)
+    scaled by its largest |entry| first so that the Gram cannot overflow.
+    The stack returned is the thread's "gram" workspace buffer."""
+    k, _, n = m.shape
+    # each matrix's largest |entry|, read in memory order: a max is exact in
+    # any order, so it may run over the first two axes swapped
+    swapped = m.transpose(1, 0, 2)
+    a = swapped if swapped.flags.c_contiguous else m
+    scale = 1.0 / np.abs(a, out=_scratch(a.shape)).max(axis=(0, 1))
+    scaled = _scratch(m.shape)
+    np.multiply(m, scale, out=scaled)
+    return np.einsum("ain,bin->abn", scaled, scaled, out=_scratch((k, k, n), "gram"))
 
 
 def _gram_ratios(mats: np.ndarray, cut: float) -> np.ndarray:
@@ -380,7 +433,7 @@ def _frame_ranks(
     fields are ranked through the (n, dim, k) transposed view.
     """
     dim = len(fields[0].components)
-    buf = np.empty((len(fields), dim, len(pts)))
+    buf = _scratch((len(fields), dim, len(pts)), "frame")
     for f, rows in zip(fields, buf):
         _evaluate_rows(f, pts, range(dim), rows)
     return [matrix_ranks(buf[:k].transpose(2, 1, 0), ratio) for k in sizes]

@@ -158,6 +158,19 @@ def test_equal_sample_keys_share_one_read_only_set(box4, monkeypatch):
     for array in (points, rows, full):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    # the key is the box, not the names: renamed coordinates and a fiber share it
+    box = {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "w": (-1, 1)}
+    renamed = chart_from_box(dict(zip("abct", box.values())), fiber="t")
+    assert ch.distinct_samples(renamed, plan, ("a", "c"))[0] is points
+    assert sample_points(renamed, plan) is full
+    # a different lo, hi or periodicity on any axis is another set
+    for other in (
+        chart_from_box(box | {"w": (-2, 1)}),
+        chart_from_box(box | {"y": (-1, 2)}),
+        chart_from_box(box, periodic=("z",)),
+    ):
+        assert sample_points(other, plan) is not full
+        assert not np.array_equal(sample_points(other, plan), full)
 
 
 def test_the_sample_cache_evicts_beyond_its_row_bound(box4, monkeypatch):

@@ -193,6 +193,17 @@ def test_repeated_key_is_an_input_error(tmp_path, capsys):
     assert "line 27: repeated key 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "invariant"])
+def test_a_box_whose_width_overflows_is_an_input_error(tmp_path, capsys, command):
+    """No frame of prolonged-n1 reads x, so samples with an infinite step
+    along x would pass every task."""
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "wide.manifest"
+    path.write_text(text.replace("box x = -1 1\n", "box x = -1e308 1e308\n"), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "line 5: box of 'x' is too wide: hi - lo overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags,section,message",
     [

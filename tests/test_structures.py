@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +497,92 @@ def test_all_deficient_stack_is_ranked_by_one_svd_and_never_certified(monkeypatc
     ranks, _ = structures.matrix_ranks(mats, 1e-7)
     assert np.all(ranks == 2)
     assert ranked == [1000]
+
+
+# ---------------------------------------------------------------------------
+# the rank layer's per-thread workspace
+
+
+def _rank_stacks():
+    """Stacks that take the Gram path: certified rows, band rows for the SVD,
+    and one stack longer than a Gram block."""
+    from engelcalc import structures
+
+    rng = np.random.default_rng(4)
+    stacks = []
+    for shape, n in (((4, 2), 300), ((4, 3), 1256), ((4, 5), structures._GRAM_CHUNK + 700)):
+        mats = rng.standard_normal((n, *shape))
+        mats[::9, :, -1] = mats[::9, :, 0]  # deficient rows go to the SVD
+        stacks.append(mats)
+    return stacks
+
+
+def test_no_returned_rank_array_shares_the_workspace(box4):
+    from engelcalc import structures
+
+    fields = [coordinate_field(box4, "x"), vector_field(box4, ["1", "z", "w", "0"])]
+    ((frame_ranks, frame_ratios),) = structures._frame_ranks(
+        fields, sample_points(box4, SamplePlan(grid=6)), 1e-7, (2,)
+    )
+    for mats in _rank_stacks():
+        cut = structures._GRAM_FLOOR * (1.0 + structures._GRAM_BAND)
+        returned = (
+            *structures.matrix_ranks(mats, 1e-7),
+            structures._gram_ratios(mats, cut),
+            frame_ranks,
+            frame_ratios,
+        )
+        for slot in ("frame", "gram", "temporary"):
+            workspace = getattr(structures._workspace, slot)
+            assert workspace.nbytes <= structures._WORKSPACE_BYTES
+            for array in returned:
+                assert not np.shares_memory(array, workspace)
+
+
+def test_threads_ranking_at_once_match_the_serial_ranks():
+    import sys
+    import threading
+
+    from engelcalc import structures
+
+    stacks = _rank_stacks() * 2  # more threads than cores, each on its own stack
+    serial = [structures.matrix_ranks(mats, 1e-7) for mats in stacks]
+    start = threading.Barrier(len(stacks))
+    found = [None] * len(stacks)
+
+    def rank(i):
+        start.wait()
+        found[i] = [structures.matrix_ranks(stacks[i], 1e-7) for _ in range(10)]
+
+    threads = [threading.Thread(target=rank, args=(i,)) for i in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (ranks, ratios), runs in zip(serial, found):
+        for got_ranks, got_ratios in runs:
+            assert got_ranks.tobytes() == ranks.tobytes()
+            assert got_ratios.tobytes() == ratios.tobytes()
+
+
+def test_warm_scaled_verify_passes_fault_in_almost_no_memory(tmp_path):
+    """The rank layer's temporaries are reused, not handed back to the
+    system and faulted in again on every call (about 2,300 minor faults a
+    pass when they were)."""
+    resource = pytest.importorskip("resource")
+    from engelcalc.cli import main
+
+    manifest = Path(__file__).resolve().parents[1] / "manifests" / "prolonged-n2.manifest"
+    argv = ["verify", str(manifest), "--report", str(tmp_path / "report.json"),
+            "--samples-grid", "16", "--samples-random", "1000"]
+    assert main(argv) == 0  # warm-up: compiles programs and builds the sample sets
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
