@@ -461,11 +461,6 @@ def volume_form(chart: Chart, density=1.0) -> KForm:
     return KForm(chart, chart.dim, (((key), as_expr(density)),))
 
 
-def form_evaluate_scalar(form: KForm, points: np.ndarray) -> np.ndarray:
-    """Pointwise 2-norm of the coefficient vector."""
-    return np.linalg.norm(form.evaluate_at(points), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # exterior calculus
 

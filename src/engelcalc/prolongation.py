@@ -31,22 +31,19 @@ from .charts import (
     VectorField,
     base_chart_of,
     coordinate_field,
-    distinct_samples,
     lie_bracket,
     lift_to_product,
     product_chart,
-    variables_of,
 )
 from .expr import ScalarExpr, simplify, substitute
 from .structures import (
     DEFAULT_TOLERANCES,
+    Condition,
     Distribution2,
     Tolerances,
     VerificationReport,
     _evaluate_rows,
-    _failure_at,
-    _frame_ranks,
-    _lowest_rank_at,
+    _judge,
     _scratch,
     annihilator_1form,
     check_characteristic,
@@ -83,24 +80,21 @@ class ContactFrame:
         self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> VerificationReport:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
-        pts, rows = distinct_samples(self.chart, plan, variables_of(self.v0, self.v1))
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
-        (ranks2, ratio2), (ranks3, ratio3) = _frame_ranks(fields, pts, tol.rank, (2, 3))
-        # first point where either rank is short: the lowest of a 0/1 "rank"
-        idx = _lowest_rank_at((ranks2 == 2) & (ranks3 == 3), True)
-        first = None
-        if idx is not None:
-            first = _failure_at(
-                pts, rows, idx, rank_plane=ranks2[idx], rank_with_bracket=ranks3[idx]
-            )
+        plane, bracket = _judge(
+            "contact_frame", (self.v0, self.v1), plan, tol,
+            Condition(fields, "rank", "rank_plane", rank=2),
+            Condition(fields, "rank", "rank_with_bracket", rank=3),
+            joint=True,
+        )
         return VerificationReport(
             kind="contact_frame",
-            passed=idx is None,
+            passed=plane.passed and bracket.passed,
             witnesses={
-                "min_sv_ratio_plane": float(np.min(ratio2)),
-                "min_sv_ratio_bracket": float(np.min(ratio3)),
+                "min_sv_ratio_plane": plane.witnesses["min_sv_ratio"],
+                "min_sv_ratio_bracket": bracket.witnesses["min_sv_ratio"],
             },
-            first_failure=first,
+            first_failure=plane.first_failure or bracket.first_failure,
         )
 
     def basis_at(self, base_points: np.ndarray) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Verification of contact, even-contact, and Engel structures.
 
-All checks sample a chart with a :class:`~engelcalc.charts.SamplePlan` and
-report witnesses and the first failing sample point under explicit
-tolerances.  A check evaluates only the sample rows that differ in the
-coordinates its inputs read (:func:`~engelcalc.charts.distinct_samples`)
-and names a failing row by its index in the full sample:
+Every check is a list of :class:`Condition` objects judged by one
+:func:`_judge` call under explicit tolerances.  It samples only the rows
+that differ in the coordinates the check's inputs read
+(:func:`~engelcalc.charts.distinct_samples`), and a failure names the first
+row of the condition's worst value by its index in the full sample:
 
-* never-vanishing checks compare the pointwise coefficient norm against
-  ``tol.never_vanishing`` times its maximum over the box;
-* identically-zero checks compare the max against ``tol.zero`` times a
-  scale derived from the factors entering the expression (at least 1);
-* rank checks count singular values at ratio ``tol.rank`` to the largest.
+* ``nonvanishing``: the pointwise norm against ``tol.never_vanishing`` times
+  its maximum over the box; the least norm is worst;
+* ``zero``: the largest norm against ``tol.zero`` times the largest product
+  of the norms of the ``scale`` items, at least 1; the largest is worst;
+* ``rank(k)``: the first k fields of a frame reach rank min(k, dim); the
+  lowest rank is worst, but ``joint`` conditions fail together at the first
+  row where any falls short, naming every rank there.
+  Ranks count singular values at ratio ``tol.rank`` to the largest.
   :func:`matrix_ranks` certifies most matrices full rank from the extreme
   eigenvalues of their small Gram matrix, in one pass over the stack:
   closed-form estimates, each proved to a relative ``_GRAM_DELTA`` by
@@ -20,9 +23,9 @@ and names a failing row by its index in the full sample:
   SVD plus the estimate half of the pass.  Uncertified matrices, those
   inside a guard band and stacks too short to repay the Gram pass go to
   the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
-  check (plane fields, Engel frames, derived squares, contact frames, the
-  twisting condition) takes one path: :func:`_frame_ranks` evaluates the
-  frame once into a component-major buffer and ranks its leading fields.
+  test (the conditions and the twisting condition) takes one path:
+  :func:`_frame_ranks` evaluates the frame once into a component-major
+  buffer and ranks its leading fields.
 
 The rank layer's large arrays (the evaluated frame, each Gram block's Gram
 stack, and its scaled copy, B^2 and certificate), and the development's
@@ -56,7 +59,6 @@ from .charts import (
     VectorField,
     distinct_samples,
     exterior_derivative,
-    form_evaluate_scalar,
     interior_product,
     lie_bracket,
     lie_derivative_form,
@@ -126,57 +128,6 @@ class VerificationReport:
                 self,
             )
         return self
-
-
-def _failure_at(points: np.ndarray, rows: np.ndarray, idx: int, **values) -> dict:
-    """The first failure's point and row; ranks stay ints, other values floats."""
-    return {
-        "point": [float(v) for v in points[idx]],
-        "sample_index": int(rows[idx]),
-        **{k: int(v) if isinstance(v, np.integer) else float(v) for k, v in values.items()},
-    }
-
-
-def never_vanishing_report(
-    kind: str, values: np.ndarray, points: np.ndarray, rows: np.ndarray, tol: Tolerances
-) -> VerificationReport:
-    vmax = float(np.max(values, initial=0.0))
-    vmin = float(np.min(values)) if values.size else 0.0
-    rel = vmin / vmax if vmax > 0 else 0.0
-    passed = vmax > 0 and rel >= tol.never_vanishing
-    first = None
-    if not passed and values.size:
-        idx = int(np.argmin(values))
-        first = _failure_at(points, rows, idx, value=values[idx])
-    return VerificationReport(
-        kind=kind,
-        passed=passed,
-        witnesses={"min_abs": vmin, "max_abs": vmax, "min_over_max": rel},
-        first_failure=first,
-    )
-
-
-def zero_report(
-    kind: str,
-    values: np.ndarray,
-    points: np.ndarray,
-    rows: np.ndarray,
-    tol: Tolerances,
-    scale: float,
-) -> VerificationReport:
-    scale = max(1.0, float(scale))
-    vmax = float(np.max(values, initial=0.0))
-    passed = vmax <= tol.zero * scale
-    first = None
-    if not passed and values.size:
-        idx = int(np.argmax(values))
-        first = _failure_at(points, rows, idx, value=values[idx])
-    return VerificationReport(
-        kind=kind,
-        passed=passed,
-        witnesses={"max_abs": vmax, "scale": scale, "max_rel": vmax / scale},
-        first_failure=first,
-    )
 
 
 # The Gram path's error budget.  Each matrix is scaled by its largest |entry|,
@@ -449,13 +400,6 @@ def _evaluate_rows(
     require_finite(out.T, pts)
 
 
-def _lowest_rank_at(ranks: np.ndarray, full: int) -> int | None:
-    """Index of the first matrix of lowest rank, or None when every rank is full."""
-    if np.all(ranks == full):
-        return None
-    return int(np.argmin(ranks))
-
-
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -484,22 +428,8 @@ class Distribution2:
         return (self.x, self.y)
 
     def validate_rank(self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-        pts, rows = distinct_samples(self.chart, plan, variables_of(*self.frame))
-        ((ranks, ratios),) = _frame_ranks(self.frame, pts, tol.rank, (2,))
-        idx = _lowest_rank_at(ranks, 2)
-        first = None
-        if idx is not None:
-            first = _failure_at(pts, rows, idx, rank=ranks[idx], sv_ratio=ratios[idx])
-        return VerificationReport(
-            kind="distribution_rank2",
-            passed=idx is None,
-            witnesses={
-                "min_sv_ratio": float(np.min(ratios)),
-                "rank_min": int(np.min(ranks)),
-                "rank_max": int(np.max(ranks)),
-            },
-            first_failure=first,
-        )
+        rank2 = Condition(self.frame, "rank", "rank", rank=2)
+        return _judge("distribution_rank2", self.frame, plan, tol, rank2)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,13 +445,97 @@ class EngelPair:
         if self.alpha.chart.dim != 4:
             raise DimensionError("pairs live on 4-dimensional charts")
 
-    @property
-    def chart(self) -> Chart:
-        return self.alpha.chart
-
 
 # ---------------------------------------------------------------------------
 # structure checks
+
+
+@dataclass(frozen=True, slots=True)
+class Condition:
+    """One pointwise test of a check: a form, field or scalar ``witness``
+    that is ``"nonvanishing"`` or ``"zero"``, or a frame whose first ``rank``
+    fields reach full ``"rank"``.  ``name`` keys its value in a failure."""
+
+    witness: object
+    predicate: str
+    name: str = "value"
+    scale: tuple = ()
+    rank: int = 0
+
+
+def _norms(item, chart: Chart, pts: np.ndarray) -> np.ndarray:
+    """Pointwise norm of a form's or field's components, or |scalar|."""
+    if isinstance(item, (KForm, VectorField)):
+        return np.linalg.norm(item.evaluate_at(pts), axis=1)
+    return np.abs(require_finite(ex.evaluate_many(item, chart.names, pts), pts))
+
+
+def _judge(
+    kind: str,
+    inputs: Sequence,
+    plan: SamplePlan,
+    tol: Tolerances,
+    *conditions: Condition,
+    joint: bool = False,
+) -> list[VerificationReport]:
+    """One report of ``kind`` per condition (see the module docstring).
+
+    Each item is evaluated once, keyed by identity: witnesses, then scales,
+    in the order given; each frame is ranked once for all its sizes."""
+    chart = inputs[0].chart
+    pts, rows = distinct_samples(chart, plan, variables_of(*inputs))
+    values = {}
+    for c in conditions:
+        if id(c.witness) in values:
+            continue
+        if c.predicate == "rank":
+            sizes = [d.rank for d in conditions if d.witness is c.witness]
+            values[id(c.witness)] = dict(zip(sizes, _frame_ranks(c.witness, pts, tol.rank, sizes)))
+        else:
+            values[id(c.witness)] = _norms(c.witness, chart, pts)
+    for c in conditions:
+        for item in c.scale:
+            if id(item) not in values:
+                values[id(item)] = _norms(item, chart, pts)
+
+    reports = []
+    for c in conditions:
+        if c.predicate == "rank":
+            v, ratios = values[id(c.witness)][c.rank]
+            low = int(v.min())
+            passed = low == min(c.rank, chart.dim)
+            # no rank exceeds the full rank, so a passing frame's highest is its lowest
+            high = low if passed else int(v.max())
+            witnesses = {"min_sv_ratio": float(ratios.min()), "rank_min": low, "rank_max": high}
+            named = ((c.name, v), ("sv_ratio", ratios))
+        else:
+            v = values[id(c.witness)]
+            vmax = float(v.max())
+            named = ((c.name, v),)
+            if c.predicate == "zero":
+                product = 1.0
+                for item in c.scale:  # in the order given, so the rounding is fixed
+                    product = values[id(item)] * product
+                scale = max(1.0, float(np.maximum.reduce(product, axis=None)))
+                passed = vmax <= tol.zero * scale
+                witnesses = {"max_abs": vmax, "scale": scale, "max_rel": vmax / scale}
+            else:
+                vmin = float(v.min())
+                rel = vmin / vmax if vmax > 0 else 0.0
+                passed = vmax > 0 and rel >= tol.never_vanishing
+                witnesses = {"min_abs": vmin, "max_abs": vmax, "min_over_max": rel}
+        first = None
+        if not passed:
+            if joint:  # the first row where any rank falls short, naming every rank
+                named = [(d.name, values[id(d.witness)][d.rank][0]) for d in conditions]
+                full = [r == min(d.rank, chart.dim) for d, (_, r) in zip(conditions, named)]
+                idx = int(np.logical_and.reduce(full).argmin())
+            else:
+                idx = int(v.argmax() if c.predicate == "zero" else v.argmin())
+            first = {"point": pts[idx].tolist(), "sample_index": int(rows[idx])}
+            first.update((name, a[idx].item()) for name, a in named)
+        reports.append(VerificationReport(kind, passed, witnesses, first))
+    return reports
 
 
 def check_contact_3d(
@@ -534,10 +548,8 @@ def check_contact_3d(
         raise DimensionError("contact check requires a 3-dimensional chart")
     if alpha.degree != 1:
         raise DimensionError("contact check requires a 1-form")
-    pts, rows = distinct_samples(alpha.chart, plan, variables_of(alpha))
-    top = wedge(alpha, exterior_derivative(alpha))
-    vals = form_evaluate_scalar(top, pts)
-    return never_vanishing_report("contact_3d", vals, pts, rows, tol)
+    top = Condition(wedge(alpha, exterior_derivative(alpha)), "nonvanishing")
+    return _judge("contact_3d", (alpha,), plan, tol, top)[0]
 
 
 def check_even_contact(
@@ -550,32 +562,8 @@ def check_even_contact(
         raise DimensionError("even-contact check requires a 4-dimensional chart")
     if beta.degree != 1:
         raise DimensionError("even-contact check requires a 1-form")
-    pts, rows = distinct_samples(beta.chart, plan, variables_of(beta))
-    vals = form_evaluate_scalar(wedge(beta, exterior_derivative(beta)), pts)
-    return never_vanishing_report("even_contact", vals, pts, rows, tol)
-
-
-def _pair_condition_reports(
-    alpha: KForm, beta: KForm, pts: np.ndarray, rows: np.ndarray, tol: Tolerances
-) -> tuple[VerificationReport, VerificationReport, VerificationReport]:
-    da = exterior_derivative(alpha)
-    db = exterior_derivative(beta)
-    ab = wedge(alpha, beta)
-    c1 = form_evaluate_scalar(wedge(ab, da), pts)
-    c2 = form_evaluate_scalar(wedge(ab, db), pts)
-    c3 = form_evaluate_scalar(wedge(beta, db), pts)
-    factor_scale = float(
-        np.max(
-            form_evaluate_scalar(alpha, pts)
-            * form_evaluate_scalar(beta, pts)
-            * form_evaluate_scalar(db, pts),
-            initial=0.0,
-        )
-    )
-    r1 = never_vanishing_report("pair_condition_1", c1, pts, rows, tol)
-    r2 = zero_report("pair_condition_2", c2, pts, rows, tol, factor_scale)
-    r3 = never_vanishing_report("pair_condition_3", c3, pts, rows, tol)
-    return r1, r2, r3
+    top = Condition(wedge(beta, exterior_derivative(beta)), "nonvanishing")
+    return _judge("even_contact", (beta,), plan, tol, top)[0]
 
 
 def check_engel_pair(
@@ -589,13 +577,20 @@ def check_engel_pair(
     ordering satisfies the conditions; the verdict always refers to the
     given order.
     """
-    pts, rows = distinct_samples(pair.chart, plan, variables_of(pair.alpha, pair.beta))
-    r1, r2, r3 = _pair_condition_reports(pair.alpha, pair.beta, pts, rows, tol)
-    passed = r1.passed and r2.passed and r3.passed
-    swapped = all(
-        r.passed for r in _pair_condition_reports(pair.beta, pair.alpha, pts, rows, tol)
+    alpha, beta = pair.alpha, pair.beta
+    da, db = exterior_derivative(alpha), exterior_derivative(beta)
+    ab, ba = wedge(alpha, beta), wedge(beta, alpha)
+    r1, r2, r3, *swapped = _judge(
+        "engel_pair", (alpha, beta), plan, tol,
+        Condition(wedge(ab, da), "nonvanishing"),
+        Condition(wedge(ab, db), "zero", scale=(alpha, beta, db)),
+        Condition(wedge(beta, db), "nonvanishing"),
+        # the same three in the swapped order (beta, alpha)
+        Condition(wedge(ba, db), "nonvanishing"),
+        Condition(wedge(ba, da), "zero", scale=(beta, alpha, da)),
+        Condition(wedge(alpha, da), "nonvanishing"),
     )
-    failing = [r for r in (r1, r2, r3) if not r.passed]
+    passed = r1.passed and r2.passed and r3.passed
     return VerificationReport(
         kind="engel_pair",
         passed=passed,
@@ -607,10 +602,10 @@ def check_engel_pair(
             "condition3_min_abs": r3.witnesses["min_abs"],
             "condition3_min_over_max": r3.witnesses["min_over_max"],
         },
-        first_failure=failing[0].first_failure if failing else None,
+        first_failure=r1.first_failure or r2.first_failure or r3.first_failure,
         notes=(
             f"given order (alpha, beta): {'pass' if passed else 'fail'}",
-            f"swapped order (beta, alpha): {'pass' if swapped else 'fail'}",
+            f"swapped order (beta, alpha): {'pass' if all(r.passed for r in swapped) else 'fail'}",
         ),
     )
 
@@ -623,27 +618,25 @@ def check_engel_frame(
     """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
     if d.chart.dim != 4:
         raise DimensionError("frame check requires a 4-dimensional chart")
-    pts, rows = distinct_samples(d.chart, plan, variables_of(d.x, d.y))
     xy = lie_bracket(d.x, d.y)
     fields = (d.x, d.y, xy, lie_bracket(d.x, xy), lie_bracket(d.y, xy))
-    (ranks3, ratio3), (ranks4, ratio4) = _frame_ranks(fields, pts, tol.rank, (3, 5))
-    first = None
-    if (idx := _lowest_rank_at(ranks3, 3)) is not None:
-        first = _failure_at(pts, rows, idx, rank_step1=ranks3[idx], sv_ratio=ratio3[idx])
-    elif (idx := _lowest_rank_at(ranks4, 4)) is not None:
-        first = _failure_at(pts, rows, idx, rank_step2=ranks4[idx], sv_ratio=ratio4[idx])
+    step1, step2 = _judge(
+        "engel_frame", (d.x, d.y), plan, tol,
+        Condition(fields, "rank", "rank_step1", rank=3),
+        Condition(fields, "rank", "rank_step2", rank=5),
+    )
     return VerificationReport(
         kind="engel_frame",
-        passed=first is None,
+        passed=step1.passed and step2.passed,
         witnesses={
-            "rank_step1_min": int(np.min(ranks3)),
-            "rank_step1_max": int(np.max(ranks3)),
-            "rank_step2_min": int(np.min(ranks4)),
-            "rank_step2_max": int(np.max(ranks4)),
-            "min_sv_ratio_step1": float(np.min(ratio3)),
-            "min_sv_ratio_step2": float(np.min(ratio4)),
+            "rank_step1_min": step1.witnesses["rank_min"],
+            "rank_step1_max": step1.witnesses["rank_max"],
+            "rank_step2_min": step2.witnesses["rank_min"],
+            "rank_step2_max": step2.witnesses["rank_max"],
+            "min_sv_ratio_step1": step1.witnesses["min_sv_ratio"],
+            "min_sv_ratio_step2": step2.witnesses["min_sv_ratio"],
         },
-        first_failure=first,
+        first_failure=step1.first_failure or step2.first_failure,
     )
 
 
@@ -657,15 +650,15 @@ def derived_square(
     Raises :class:`RankDeficiencyError` if the three fields drop rank at a
     sample point.
     """
-    pts, _ = distinct_samples(d.chart, plan, variables_of(d.x, d.y))
-    xy = lie_bracket(d.x, d.y)
-    ((ranks, _),) = _frame_ranks((d.x, d.y, xy), pts, tol.rank, (3,))
-    if (idx := _lowest_rank_at(ranks, 3)) is not None:
+    square = (d.x, d.y, lie_bracket(d.x, d.y))
+    rank3 = Condition(square, "rank", "rank", rank=3)
+    (rep,) = _judge("derived_square", (d.x, d.y), plan, tol, rank3)
+    if not rep.passed:
         raise RankDeficiencyError(
-            f"derived distribution has rank {int(ranks[idx])} at sample point"
-            f" {pts[idx].tolist()}"
+            f"derived distribution has rank {rep.first_failure['rank']} at sample point"
+            f" {rep.first_failure['point']}"
         )
-    return (d.x, d.y, xy)
+    return square
 
 
 def annihilator_1form(frame: Sequence[VectorField], plan: SamplePlan) -> KForm:
@@ -745,7 +738,7 @@ def characteristic_vector_field(beta: KForm, volume: KForm, plan: SamplePlan) ->
     pts, _ = distinct_samples(chart, plan, variables_of(beta, volume))
 
     rho = volume.coeff(tuple(range(4)))
-    rho_vals = np.abs(require_finite(ex.evaluate_many(rho, chart.names, pts), pts))
+    rho_vals = _norms(rho, chart, pts)
     if float(np.min(rho_vals, initial=np.inf)) <= 0.0:
         idx = int(np.argmin(rho_vals))
         raise CheckError(f"volume form vanishes at sample point {pts[idx].tolist()}")
@@ -761,8 +754,8 @@ def characteristic_vector_field(beta: KForm, volume: KForm, plan: SamplePlan) ->
 
     lhs = interior_product(x0, volume)
     diff = lhs - bdb
-    residual = form_evaluate_scalar(diff, pts)
-    scale = max(1.0, float(np.max(form_evaluate_scalar(bdb, pts), initial=0.0)))
+    residual = _norms(diff, chart, pts)
+    scale = max(1.0, float(np.max(_norms(bdb, chart, pts), initial=0.0)))
     if np.max(residual, initial=0.0) > 1e-10 * scale:
         raise CheckError("contraction identity violated for the computed field")
     return x0
@@ -777,39 +770,20 @@ def check_characteristic(
     """X0 lies in ker(beta) and its flow preserves it: (L_X0 beta)^beta = 0."""
     if x0.chart != beta.chart:
         raise ChartMismatchError("field and form on different charts")
-    pts, rows = distinct_samples(beta.chart, plan, variables_of(x0, beta))
     lie = lie_derivative_form(x0, beta)
-    wedge_vals = form_evaluate_scalar(wedge(lie, beta), pts)
-    beta_norm = form_evaluate_scalar(beta, pts)
-    lie_norm = form_evaluate_scalar(lie, pts)
-    x_norm = np.linalg.norm(x0.evaluate_at(pts), axis=1)
-    r_wedge = zero_report(
-        "lie_derivative_proportional",
-        wedge_vals,
-        pts,
-        rows,
-        tol,
-        float(np.max(lie_norm * beta_norm, initial=0.0)),
-    )
-    pair_vals = np.abs(
-        require_finite(ex.evaluate_many(pairing(beta, x0), beta.chart.names, pts), pts)
-    )
-    r_pair = zero_report(
-        "field_in_kernel",
-        pair_vals,
-        pts,
-        rows,
-        tol,
-        float(np.max(beta_norm * x_norm, initial=0.0)),
+    proportional, in_kernel = _judge(
+        "characteristic", (x0, beta), plan, tol,
+        Condition(wedge(lie, beta), "zero", scale=(lie, beta)),
+        Condition(pairing(beta, x0), "zero", scale=(beta, x0)),
     )
     return VerificationReport(
         kind="characteristic",
-        passed=r_wedge.passed and r_pair.passed,
+        passed=proportional.passed and in_kernel.passed,
         witnesses={
-            "lie_wedge_max": r_wedge.witnesses["max_abs"],
-            "kernel_pairing_max": r_pair.witnesses["max_abs"],
+            "lie_wedge_max": proportional.witnesses["max_abs"],
+            "kernel_pairing_max": in_kernel.witnesses["max_abs"],
         },
-        first_failure=(r_wedge.first_failure or r_pair.first_failure),
+        first_failure=proportional.first_failure or in_kernel.first_failure,
     )
 
 

@@ -1,10 +1,12 @@
 """Dead-code guard: unused top-level imports, imports inside functions,
 unread parameters, unreferenced private names, and public functions,
-methods and properties that no manifest reaches; and a registration
-guard: every process-lifetime memo is emptied before each test.
+methods and properties that no manifest reaches; a registration guard:
+every process-lifetime memo is emptied before each test; and a design
+guard: verdicts sample, rank and name failures only through the condition
+engine, ``structures._judge``.
 
-The first four scans read the package source with the standard-library
-``ast`` module only, so they cost no import of the package itself.  The
+Every scan but one reads the package source with the standard-library
+``ast`` module only, so it costs no import of the package itself.  The
 reachability scan runs every bundled manifest through the CLI in a fresh
 interpreter under ``sys.settrace``.
 """
@@ -310,6 +312,82 @@ def test_every_private_module_name_is_referenced():
         if private not in referenced
     ]
     assert not dead, f"private names no source file references: {dead}"
+
+
+def _functions_using(tree: ast.Module, name: str):
+    """Each top-level function and method ("fn", "Class.fn") whose body,
+    nested functions included, calls ``name`` (plain or as an attribute) or
+    holds the string ``name``."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(fn):
+                called = inner.func if isinstance(inner, ast.Call) else None
+                if (
+                    isinstance(called, ast.Name) and called.id == name
+                    or isinstance(called, ast.Attribute) and called.attr == name
+                    or isinstance(inner, ast.Constant) and inner.value == name
+                ):
+                    yield fn.name if fn is node else f"{node.name}.{fn.name}"
+                    break
+
+
+def _package_functions_using(name: str) -> set[str]:
+    return {f"{path.stem}.{fn}" for path in MODULES for fn in _functions_using(_tree(path), name)}
+
+
+# The functions that sample a chart themselves, and why each may.  A verdict
+# is a list of structures.Condition judged by structures._judge, so a new
+# check that samples on its own fails here.
+SAMPLERS = {
+    # the condition engine: every verdict of structures and prolongation
+    "structures._judge",
+    # constructors whose numeric self-check raises on a literal threshold
+    "structures.annihilator_1form",
+    "structures.characteristic_vector_field",
+    # returns the ranks themselves, not a verdict
+    "structures.twisting_condition_ranks",
+    # the sampled minimum of an extension's angle function, a construction input
+    "extension._sample_min",
+    # residuals of the extension identities, reported as measurements
+    "extension.verify_extension_identities",
+    # base points of the development behind both twisting numbers
+    "invariants._fiber_rotation",
+    # the full sample, which every distinct sample set stands for
+    "charts.sample_points",
+}
+
+
+def test_only_the_condition_engine_and_named_constructors_sample():
+    assert _package_functions_using("distinct_samples") == SAMPLERS
+
+
+def test_verdicts_rank_and_name_failures_only_through_the_engine():
+    assert _package_functions_using("_frame_ranks") == {
+        "structures._judge", "structures.twisting_condition_ranks"
+    }
+    assert _package_functions_using("sample_index") == {"structures._judge"}
+
+
+def test_the_sampler_scan_sees_every_spelling():
+    source = """
+def a(chart, plan):
+    return distinct_samples(chart, plan, ())
+def b(chart, plan):
+    return ch.distinct_samples(chart, plan, ())
+class C:
+    def c(self, plan):
+        def inner():
+            return distinct_samples(self.chart, plan, ())
+        return inner()
+    def d(self):
+        return {"point": 0, "distinct_samples": 1}
+def e(distinct_samples):
+    return distinct_samples
+"""
+    assert list(_functions_using(ast.parse(source), "distinct_samples")) == ["a", "b", "C.c", "C.d"]
 
 
 # Public top-level functions, and public methods and properties of public

@@ -1,4 +1,5 @@
 import functools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,25 @@ def test_engel_pair_auto_orient_reports_both(std_pair_forms):
     assert not rep.passed
     assert any("swapped order (beta, alpha): pass" in n for n in rep.notes)
     assert any("given order (alpha, beta): fail" in n for n in rep.notes)
+
+
+def test_the_engel_pair_evaluates_each_form_once(std_pair_forms, monkeypatch):
+    # the given and the swapped order share alpha and beta, which scale
+    # condition 2 in both orders; equal forms built apart (the zero 4-forms
+    # of both orders' condition 2, say) may each be evaluated
+    alpha, beta = std_pair_forms
+    calls = []
+    original = ch.KForm.evaluate_at
+
+    def counting(self, points):
+        calls.append(self)
+        return original(self, points)
+
+    monkeypatch.setattr(ch.KForm, "evaluate_at", counting)
+    check_engel_pair(EngelPair(alpha, beta), PLAN)
+    assert [f for f in calls if f is alpha] == [alpha]
+    assert [f for f in calls if f is beta] == [beta]
+    assert len(set(map(id, calls))) == len(calls) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +478,12 @@ DISTINCT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
 def test_checks_on_distinct_points_match_the_full_sample(case, box3, box4, monkeypatch):
-    from engelcalc import extension, prolongation, structures
+    from engelcalc import extension, structures
 
     run = functools.partial(DISTINCT_CASES[case], box3, box4)
     distinct = _outcome(run)
-    for module in (structures, prolongation, extension):
+    # the contact frame samples through structures._judge
+    for module in (structures, extension):
         monkeypatch.setattr(module, "distinct_samples", _full_sample)
     assert _outcome(run) == distinct
 
@@ -477,6 +498,35 @@ def test_contact_failure_names_its_row_of_the_full_sample(box3, text, index, poi
     assert rep.first_failure["sample_index"] == index
     assert rep.first_failure["point"] == point
     assert sample_points(box3, SamplePlan(grid=7)).tolist()[index] == point
+
+
+# ---------------------------------------------------------------------------
+# which row a failing check names
+
+GRID5_ONLY = SamplePlan(grid=5, random=0)
+
+
+def test_a_rank_check_fails_at_the_first_row_of_its_lowest_rank(box4):
+    # X = d/dz, Y = x d/dx + (z^2/2) d/dy: (X, Y, [X, Y]) first falls short
+    # at row 10 (x = -1, z = 0, rank 2), and is lowest at row 260 (x = z = 0,
+    # where Y vanishes: rank 1)
+    d = Distribution2(box4, coordinate_field(box4, "z"), _field(box4, "x", "z*z/2", "0", "0"))
+    rep = check_engel_frame(d, GRID5_ONLY)
+    assert rep.first_failure["sample_index"] == 260
+    assert rep.first_failure["rank_step1"] == 1
+    with pytest.raises(RankDeficiencyError, match=re.escape("rank 1 at sample point [0.0, -1.0, 0.0, -1.0]")):
+        derived_square(d, GRID5_ONLY)
+
+
+def test_a_contact_frame_fails_at_the_first_row_where_either_rank_is_short(box3):
+    # V0 = d/dz, V1 = x d/dx + (z^2/2) d/dy: the bracket is short first at
+    # row 2 (x = -1, z = 0), where the plane still has rank 2; both ranks are
+    # lowest at row 52 (x = z = 0)
+    frame = ContactFrame(box3, coordinate_field(box3, "z"), _field(box3, "x", "z*z/2", "0"))
+    rep = frame.validate(GRID5_ONLY)
+    assert rep.first_failure["sample_index"] == 2
+    assert rep.first_failure["rank_plane"] == 2
+    assert rep.first_failure["rank_with_bracket"] == 2
 
 
 def test_all_deficient_stack_is_ranked_by_one_svd_and_never_certified(monkeypatch):
