@@ -344,6 +344,11 @@ class VectorField:
             ),
         )
 
+    def __sub__(self, other: "VectorField") -> "VectorField":
+        _require_same_chart(self, other)
+        pairs = zip(self.components, other.components)
+        return VectorField(self.chart, tuple(simplify(ex.Subtract(a, b)) for a, b in pairs))
+
 
 def vector_field(chart: Chart, components: Sequence) -> VectorField:
     comps = tuple(
@@ -643,32 +648,25 @@ def pairing(form: KForm, x: VectorField) -> ScalarExpr:
 def parse_one_form(chart: Chart, text: str) -> KForm:
     """Parse 1-form syntax like ``dy - z*dx`` or ``cos(z)*dx - sin(z)*dy``.
 
-    The differentials ``d<coord>`` act as extra identifiers; the expression
-    must be linear in them with no scalar part, which is verified by
-    symbolic cancellation.
+    The differentials ``d<coord>`` act as extra identifiers.  Coefficient i
+    is the derivative in ``d<coord_i>``; the residual e - sum d<coord_i> c_i
+    must cancel, and is a scalar part when it reads no differential.
     """
     dnames = tuple("d" + n for n in chart.names)
     if set(dnames) & set(chart.names):
         raise GeometryError("coordinate names collide with differential names")
     e = ex.parse_scalar_expr(text, set(chart.names) | set(dnames))
-    scalar_part = e
-    for dn in dnames:
-        scalar_part = ex.substitute(scalar_part, dn, 0.0)
-    if not ex.is_zero(simplify(scalar_part)):
-        raise GeometryError(f"form expression {text!r} has a scalar part")
-    coeffs = []
-    for i in range(chart.dim):
-        sub = e
-        for j, dn in enumerate(dnames):
-            sub = ex.substitute(sub, dn, 1.0 if i == j else 0.0)
-        coeffs.append(simplify(sub))
+    coeffs = [ex.partial_derivative(e, dn) for dn in dnames]
     residual = e
     for dn, c in zip(dnames, coeffs):
         residual = ex.Subtract(residual, ex.Multiply(ex.Variable(dn), c))
-    if not ex.is_zero(simplify(residual)):
+    residual = simplify(residual)
+    if variables_of(residual, *coeffs) & set(dnames):
         raise GeometryError(
             f"form expression {text!r} must be linear in the differentials"
         )
+    if not ex.is_zero(residual):
+        raise GeometryError(f"form expression {text!r} has a scalar part")
     terms = tuple(((i,), c) for i, c in enumerate(coeffs) if not ex.is_zero(c))
     return KForm(chart, 1, terms)
 

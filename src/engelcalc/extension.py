@@ -23,7 +23,6 @@ from .charts import (
     Chart,
     GeometryError,
     SamplePlan,
-    VectorField,
     distinct_samples,
     lie_bracket,
     lift_to_product,
@@ -39,9 +38,12 @@ from .invariants import (
 from .prolongation import ContactFrame, rotate_along_fiber
 from .structures import (
     DEFAULT_TOLERANCES,
+    Condition,
     Distribution2,
     Tolerances,
     VerificationReport,
+    _combined,
+    _judge,
     check_engel_frame,
 )
 
@@ -130,7 +132,9 @@ def extend(spec: ExtensionSpec, plan: SamplePlan) -> Distribution2:
     return _twisted_generator(spec, spec.angle_expression(plan))
 
 
-def verify_extension_identities(spec: ExtensionSpec, plan: SamplePlan) -> VerificationReport:
+def verify_extension_identities(
+    spec: ExtensionSpec, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
+) -> VerificationReport:
     """Check the two bracket identities of the construction at samples.
 
     With h = g + n*pi and V = V0*cos(t*h) + V1*sin(t*h):
@@ -139,7 +143,8 @@ def verify_extension_identities(spec: ExtensionSpec, plan: SamplePlan) -> Verifi
       [V, [d/dt, V]] = h * [V0, V1],
 
     the latter holding exactly when h is constant along the contact plane
-    (true for the constant-angle fixtures this operation targets).
+    (true for the constant-angle fixtures this operation targets).  Each
+    residual, a largest pointwise norm, is judged against ``tol.zero``.
     """
     g = spec.angle_expression(plan)
     dist = _twisted_generator(spec, g)
@@ -160,22 +165,15 @@ def verify_extension_identities(spec: ExtensionSpec, plan: SamplePlan) -> Verifi
         lie_bracket(frame.v0, frame.v1), chart4
     ).scaled_by(h)
 
-    fields = (u_actual, u_expected, vu_actual, vu_expected)
-    pts, _ = distinct_samples(chart4, plan, variables_of(*fields))
-
-    def max_diff(f1: VectorField, f2: VectorField) -> float:
-        return float(
-            np.max(np.abs(f1.evaluate_at(pts) - f2.evaluate_at(pts)), initial=0.0)
-        )
-
-    r1 = max_diff(u_actual, u_expected)
-    r2 = max_diff(vu_actual, vu_expected)
-    passed = r1 <= 1e-9 and r2 <= 1e-9
-    return VerificationReport(
-        kind="extension_identities",
-        passed=passed,
-        witnesses={"first_bracket_residual": r1, "second_bracket_residual": r2},
+    first, second = _judge(
+        "extension_identities", (u_actual, u_expected, vu_actual, vu_expected), plan, tol,
+        Condition(u_actual - u_expected, "zero"),
+        Condition(vu_actual - vu_expected, "zero"),
     )
+    return _combined("extension_identities", (first, second), {
+        "first_bracket_residual": first.witnesses["max_abs"],
+        "second_bracket_residual": second.witnesses["max_abs"],
+    })
 
 
 def extend_family(

@@ -257,7 +257,7 @@ def _check_coefficients_match(
     table = line.tabulate(base_pts, tol)
     raw = _raw_angles(d, frame, base_pts, np.array([float(t)]), tol)[:, 0]
     diff = _projective_distance(np.arctan2(table[:, 1], table[:, 0]), raw)
-    off = np.flatnonzero(diff > 1e-8)
+    off = np.flatnonzero(diff > tol.projection)
     if off.size:
         raise GeometryError(
             "stored line-field coefficients disagree with the frame"

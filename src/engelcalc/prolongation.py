@@ -42,6 +42,7 @@ from .structures import (
     Distribution2,
     Tolerances,
     VerificationReport,
+    _combined,
     _evaluate_rows,
     _judge,
     _scratch,
@@ -87,15 +88,10 @@ class ContactFrame:
             Condition(fields, "rank", "rank_with_bracket", rank=3),
             joint=True,
         )
-        return VerificationReport(
-            kind="contact_frame",
-            passed=plane.passed and bracket.passed,
-            witnesses={
-                "min_sv_ratio_plane": plane.witnesses["min_sv_ratio"],
-                "min_sv_ratio_bracket": bracket.witnesses["min_sv_ratio"],
-            },
-            first_failure=plane.first_failure or bracket.first_failure,
-        )
+        return _combined("contact_frame", (plane, bracket), {
+            "min_sv_ratio_plane": plane.witnesses["min_sv_ratio"],
+            "min_sv_ratio_bracket": bracket.witnesses["min_sv_ratio"],
+        })
 
     def basis_at(self, base_points: np.ndarray) -> np.ndarray:
         """(m, 3, 2) stack with V0, V1 as columns at each of m base points."""
@@ -163,7 +159,7 @@ def fiber_characteristic_annihilator(
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     frame3 = derived_square(d, plan, tol)
-    beta = annihilator_1form(frame3, plan)
+    beta = annihilator_1form(frame3, plan, tol)
     check_characteristic(coordinate_field(chart, chart.fiber), beta, plan, tol).require(
         "fiber-direction characteristic check"
     )

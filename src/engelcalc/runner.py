@@ -91,7 +91,7 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
             frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
             char = check_characteristic(
                 coordinate_field(dist.chart, dist.chart.fiber),
-                annihilator_1form(frame3, plan),
+                annihilator_1form(frame3, plan, tol),
                 plan,
                 tol,
             )
@@ -154,7 +154,7 @@ def _identities_task(manifest: Manifest, decl: StructureDecl) -> TaskRecord:
     obj = materialize(manifest, decl)
     if not isinstance(obj, ExtensionSpec):
         raise GeometryError("identities tasks target extension structures")
-    rep = verify_extension_identities(obj, manifest.sampling)
+    rep = verify_extension_identities(obj, manifest.sampling, manifest.tolerances)
     record.status = "pass" if rep.passed else "fail"
     record.witnesses.update(_report_witnesses(rep))
     return record

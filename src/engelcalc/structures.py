@@ -1,8 +1,9 @@
 """Verification of contact, even-contact, and Engel structures.
 
-Every check is a list of :class:`Condition` objects judged by one
-:func:`_judge` call under explicit tolerances.  It samples only the rows
-that differ in the coordinates the check's inputs read
+Every check, and every constructor's numeric self-check, is a list of
+:class:`Condition` objects judged by one :func:`_judge` call under the
+caller's :class:`Tolerances`.  It samples only the rows that differ in the
+coordinates the check's inputs read
 (:func:`~engelcalc.charts.distinct_samples`), and a failure names the first
 row of the condition's worst value by its index in the full sample:
 
@@ -23,9 +24,12 @@ row of the condition's worst value by its index in the full sample:
   SVD plus the estimate half of the pass.  Uncertified matrices, those
   inside a guard band and stacks too short to repay the Gram pass go to
   the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
-  test (the conditions and the twisting condition) takes one path:
-  :func:`_frame_ranks` evaluates the frame once into a component-major
-  buffer and ranks its leading fields.
+  condition takes one path: :func:`_frame_ranks` evaluates the frame once
+  into a component-major buffer and ranks its leading fields.
+
+The constructors' self-checks judge ``zero`` conditions at ``tol.zero``,
+but read a ``nonvanishing`` one (beta, or the volume density) only for an
+exact 0: a rescaled frame's |beta| may span many decades.
 
 The rank layer's large arrays (the evaluated frame, each Gram block's Gram
 stack, and its scaled copy, B^2 and certificate), and the development's
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -88,13 +92,7 @@ class Tolerances:
             raise GeometryError(f"tolerance 'rank' must be < 1, got {self.rank!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "rank": self.rank,
-            "never_vanishing": self.never_vanishing,
-            "zero": self.zero,
-            "projection": self.projection,
-            "nonzero_norm": self.nonzero_norm,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -128,6 +126,15 @@ class VerificationReport:
                 self,
             )
         return self
+
+
+def _combined(
+    kind: str, reports: Sequence[VerificationReport], witnesses: dict, notes: tuple[str, ...] = ()
+) -> VerificationReport:
+    """One report of ``kind`` that passes when all ``reports`` pass and names
+    the first failure among them, in order."""
+    first = next((r.first_failure for r in reports if r.first_failure), None)
+    return VerificationReport(kind, all(r.passed for r in reports), witnesses, first, notes)
 
 
 # The Gram path's error budget.  Each matrix is scaled by its largest |entry|,
@@ -452,9 +459,10 @@ class EngelPair:
 
 @dataclass(frozen=True, slots=True)
 class Condition:
-    """One pointwise test of a check: a form, field or scalar ``witness``
-    that is ``"nonvanishing"`` or ``"zero"``, or a frame whose first ``rank``
-    fields reach full ``"rank"``.  ``name`` keys its value in a failure."""
+    """One pointwise test of a check: a form, field or scalar ``witness``, or
+    a (1-form, field) pair standing for its pairing, that is
+    ``"nonvanishing"`` or ``"zero"``, or a frame whose first ``rank`` fields
+    reach full ``"rank"``.  ``name`` keys its value in a failure."""
 
     witness: object
     predicate: str
@@ -463,11 +471,24 @@ class Condition:
     rank: int = 0
 
 
-def _norms(item, chart: Chart, pts: np.ndarray) -> np.ndarray:
-    """Pointwise norm of a form's or field's components, or |scalar|."""
-    if isinstance(item, (KForm, VectorField)):
-        return np.linalg.norm(item.evaluate_at(pts), axis=1)
-    return np.abs(require_finite(ex.evaluate_many(item, chart.names, pts), pts))
+def _values(item, chart: Chart, pts: np.ndarray, raw: dict) -> np.ndarray:
+    """Values at the points, kept in ``raw`` by identity: a form's or field's
+    components, a scalar's values, or a (1-form, field) pair's pairing."""
+    if id(item) not in raw:
+        if isinstance(item, tuple):
+            form, field = (_values(i, chart, pts, raw) for i in item)
+            raw[id(item)] = np.einsum("nd,nd->n", form, field)
+        elif isinstance(item, (KForm, VectorField)):
+            raw[id(item)] = item.evaluate_at(pts)
+        else:
+            raw[id(item)] = require_finite(ex.evaluate_many(item, chart.names, pts), pts)
+    return raw[id(item)]
+
+
+def _norms(item, chart: Chart, pts: np.ndarray, raw: dict) -> np.ndarray:
+    """Pointwise norm of an item's :func:`_values`: of components, or |value|."""
+    v = _values(item, chart, pts, raw)
+    return np.linalg.norm(v, axis=1) if v.ndim == 2 else np.abs(v)
 
 
 def _judge(
@@ -484,7 +505,7 @@ def _judge(
     in the order given; each frame is ranked once for all its sizes."""
     chart = inputs[0].chart
     pts, rows = distinct_samples(chart, plan, variables_of(*inputs))
-    values = {}
+    values, raw = {}, {}
     for c in conditions:
         if id(c.witness) in values:
             continue
@@ -492,11 +513,11 @@ def _judge(
             sizes = [d.rank for d in conditions if d.witness is c.witness]
             values[id(c.witness)] = dict(zip(sizes, _frame_ranks(c.witness, pts, tol.rank, sizes)))
         else:
-            values[id(c.witness)] = _norms(c.witness, chart, pts)
+            values[id(c.witness)] = _norms(c.witness, chart, pts, raw)
     for c in conditions:
         for item in c.scale:
             if id(item) not in values:
-                values[id(item)] = _norms(item, chart, pts)
+                values[id(item)] = _norms(item, chart, pts, raw)
 
     reports = []
     for c in conditions:
@@ -579,35 +600,31 @@ def check_engel_pair(
     """
     alpha, beta = pair.alpha, pair.beta
     da, db = exterior_derivative(alpha), exterior_derivative(beta)
-    ab, ba = wedge(alpha, beta), wedge(beta, alpha)
+    ab = wedge(alpha, beta)
+    ab_da, ab_db = wedge(ab, da), wedge(ab, db)
     r1, r2, r3, *swapped = _judge(
         "engel_pair", (alpha, beta), plan, tol,
-        Condition(wedge(ab, da), "nonvanishing"),
-        Condition(wedge(ab, db), "zero", scale=(alpha, beta, db)),
+        Condition(ab_da, "nonvanishing"),
+        Condition(ab_db, "zero", scale=(alpha, beta, db)),
         Condition(wedge(beta, db), "nonvanishing"),
-        # the same three in the swapped order (beta, alpha)
-        Condition(wedge(ba, db), "nonvanishing"),
-        Condition(wedge(ba, da), "zero", scale=(beta, alpha, da)),
+        # the swapped order (beta, alpha): beta ^ alpha ^ d(.) = -alpha ^ beta ^ d(.)
+        Condition(ab_db, "nonvanishing"),
+        Condition(ab_da, "zero", scale=(beta, alpha, da)),
         Condition(wedge(alpha, da), "nonvanishing"),
     )
     passed = r1.passed and r2.passed and r3.passed
-    return VerificationReport(
-        kind="engel_pair",
-        passed=passed,
-        witnesses={
-            "condition1_min_abs": r1.witnesses["min_abs"],
-            "condition1_min_over_max": r1.witnesses["min_over_max"],
-            "condition1_max_abs": r1.witnesses["max_abs"],
-            "condition2_max_abs": r2.witnesses["max_abs"],
-            "condition3_min_abs": r3.witnesses["min_abs"],
-            "condition3_min_over_max": r3.witnesses["min_over_max"],
-        },
-        first_failure=r1.first_failure or r2.first_failure or r3.first_failure,
-        notes=(
-            f"given order (alpha, beta): {'pass' if passed else 'fail'}",
-            f"swapped order (beta, alpha): {'pass' if all(r.passed for r in swapped) else 'fail'}",
-        ),
+    notes = (
+        f"given order (alpha, beta): {'pass' if passed else 'fail'}",
+        f"swapped order (beta, alpha): {'pass' if all(r.passed for r in swapped) else 'fail'}",
     )
+    return _combined("engel_pair", (r1, r2, r3), {
+        "condition1_min_abs": r1.witnesses["min_abs"],
+        "condition1_min_over_max": r1.witnesses["min_over_max"],
+        "condition1_max_abs": r1.witnesses["max_abs"],
+        "condition2_max_abs": r2.witnesses["max_abs"],
+        "condition3_min_abs": r3.witnesses["min_abs"],
+        "condition3_min_over_max": r3.witnesses["min_over_max"],
+    }, notes)
 
 
 def check_engel_frame(
@@ -625,19 +642,14 @@ def check_engel_frame(
         Condition(fields, "rank", "rank_step1", rank=3),
         Condition(fields, "rank", "rank_step2", rank=5),
     )
-    return VerificationReport(
-        kind="engel_frame",
-        passed=step1.passed and step2.passed,
-        witnesses={
-            "rank_step1_min": step1.witnesses["rank_min"],
-            "rank_step1_max": step1.witnesses["rank_max"],
-            "rank_step2_min": step2.witnesses["rank_min"],
-            "rank_step2_max": step2.witnesses["rank_max"],
-            "min_sv_ratio_step1": step1.witnesses["min_sv_ratio"],
-            "min_sv_ratio_step2": step2.witnesses["min_sv_ratio"],
-        },
-        first_failure=step1.first_failure or step2.first_failure,
-    )
+    return _combined("engel_frame", (step1, step2), {
+        "rank_step1_min": step1.witnesses["rank_min"],
+        "rank_step1_max": step1.witnesses["rank_max"],
+        "rank_step2_min": step2.witnesses["rank_min"],
+        "rank_step2_max": step2.witnesses["rank_max"],
+        "min_sv_ratio_step1": step1.witnesses["min_sv_ratio"],
+        "min_sv_ratio_step2": step2.witnesses["min_sv_ratio"],
+    })
 
 
 def derived_square(
@@ -661,12 +673,14 @@ def derived_square(
     return square
 
 
-def annihilator_1form(frame: Sequence[VectorField], plan: SamplePlan) -> KForm:
+def annihilator_1form(
+    frame: Sequence[VectorField], plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
+) -> KForm:
     """Symbolic 1-form annihilating a rank-3 frame on a 4-chart.
 
     Component i is the signed 3x3 minor of the 4x3 component matrix with
-    row i removed; the result is verified to annihilate the frame at the
-    sample points.
+    row i removed.  It must not vanish at a sample point, and its pairing
+    with each field must be zero there, relative to |beta| |field|.
     """
     if len(frame) != 3:
         raise GeometryError("annihilator expects exactly three fields")
@@ -706,42 +720,43 @@ def annihilator_1form(frame: Sequence[VectorField], plan: SamplePlan) -> KForm:
             terms.append(((i,), coeff))
     beta = KForm(chart, 1, tuple(terms))
 
-    pts, _ = distinct_samples(chart, plan, variables_of(*frame))
-    bvals = beta.evaluate_at(pts)
-    bnorm = np.linalg.norm(bvals, axis=1)
-    if float(np.min(bnorm, initial=np.inf)) <= 0.0:
-        idx = int(np.argmin(bnorm))
+    nonzero, *annihilated = _judge(
+        "annihilator", frame, plan, tol,
+        Condition(beta, "nonvanishing"),
+        *(Condition((beta, f), "zero", scale=(beta, f)) for f in frame),
+    )
+    if nonzero.witnesses["min_abs"] <= 0.0:
         raise RankDeficiencyError(
-            f"frame drops rank at sample point {pts[idx].tolist()}"
+            f"frame drops rank at sample point {nonzero.first_failure['point']}"
         )
-    for f in frame:
-        fvals = f.evaluate_at(pts)
-        residual = np.abs(np.einsum("nd,nd->n", bvals, fvals))
-        scale = max(1.0, float(np.max(bnorm * np.linalg.norm(fvals, axis=1))))
-        if np.max(residual) > 1e-10 * scale:
-            raise CheckError("annihilator does not annihilate its frame")
+    if not all(r.passed for r in annihilated):
+        raise CheckError("annihilator does not annihilate its frame")
     return beta
 
 
-def characteristic_vector_field(beta: KForm, volume: KForm, plan: SamplePlan) -> VectorField:
+def characteristic_vector_field(
+    beta: KForm, volume: KForm, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
+) -> VectorField:
     """Solve X . volume = beta ^ d(beta) symbolically on a 4-chart.
 
     With volume = rho dx0^dx1^dx2^dx3 and beta ^ d(beta) = sum c_J dx^J,
-    the component on axis i is (-1)^i c_{complement(i)} / rho; the
-    contraction identity is then verified numerically.
+    the component on axis i is (-1)^i c_{complement(i)} / rho.  rho must
+    not be zero at a sample point, and the contraction identity must hold
+    there, relative to |beta ^ d(beta)|.
     """
     chart = beta.chart
     if chart.dim != 4 or beta.degree != 1:
         raise DimensionError("characteristic field needs a 1-form on a 4-chart")
     if volume.chart != chart or volume.degree != 4:
         raise ChartMismatchError("volume must be a top form on the same chart")
-    pts, _ = distinct_samples(chart, plan, variables_of(beta, volume))
 
     rho = volume.coeff(tuple(range(4)))
-    rho_vals = _norms(rho, chart, pts)
-    if float(np.min(rho_vals, initial=np.inf)) <= 0.0:
-        idx = int(np.argmin(rho_vals))
-        raise CheckError(f"volume form vanishes at sample point {pts[idx].tolist()}")
+    # judged before X is built, since X divides by rho
+    (density,) = _judge("volume", (beta, volume), plan, tol, Condition(rho, "nonvanishing"))
+    if density.witnesses["min_abs"] <= 0.0:
+        raise CheckError(
+            f"volume form vanishes at sample point {density.first_failure['point']}"
+        )
 
     bdb = wedge(beta, exterior_derivative(beta))
     comps = []
@@ -752,11 +767,8 @@ def characteristic_vector_field(beta: KForm, volume: KForm, plan: SamplePlan) ->
         comps.append(ex.ZERO if ex.is_zero(c) else simplify(ex.Divide(raw, rho)))
     x0 = VectorField(chart, tuple(comps))
 
-    lhs = interior_product(x0, volume)
-    diff = lhs - bdb
-    residual = _norms(diff, chart, pts)
-    scale = max(1.0, float(np.max(_norms(bdb, chart, pts), initial=0.0)))
-    if np.max(residual, initial=0.0) > 1e-10 * scale:
+    identity = Condition(interior_product(x0, volume) - bdb, "zero", scale=(bdb,))
+    if not _judge("contraction", (beta, volume), plan, tol, identity)[0].passed:
         raise CheckError("contraction identity violated for the computed field")
     return x0
 
@@ -776,27 +788,21 @@ def check_characteristic(
         Condition(wedge(lie, beta), "zero", scale=(lie, beta)),
         Condition(pairing(beta, x0), "zero", scale=(beta, x0)),
     )
-    return VerificationReport(
-        kind="characteristic",
-        passed=proportional.passed and in_kernel.passed,
-        witnesses={
-            "lie_wedge_max": proportional.witnesses["max_abs"],
-            "kernel_pairing_max": in_kernel.witnesses["max_abs"],
-        },
-        first_failure=proportional.first_failure or in_kernel.first_failure,
-    )
+    return _combined("characteristic", (proportional, in_kernel), {
+        "lie_wedge_max": proportional.witnesses["max_abs"],
+        "kernel_pairing_max": in_kernel.witnesses["max_abs"],
+    })
 
 
-def twisting_condition_ranks(
+def check_twisting_condition(
     x0: VectorField,
     v: VectorField,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Rank of (X0, V, [X0, V]) at each point of the plan that differs in the
-    coordinates X0 and V read; 3 everywhere is the twisting test."""
+) -> VerificationReport:
+    """(X0, V, [X0, V]) has rank 3 at every sample point: the twisting test.
+    ``rank_min`` is the lowest rank over the samples."""
     if x0.chart != v.chart:
         raise ChartMismatchError("fields on different charts")
-    pts, _ = distinct_samples(x0.chart, plan, variables_of(x0, v))
-    ((ranks, _),) = _frame_ranks((x0, v, lie_bracket(x0, v)), pts, tol.rank, (3,))
-    return ranks
+    rank3 = Condition((x0, v, lie_bracket(x0, v)), "rank", "rank", rank=3)
+    return _judge("twisting_condition", (x0, v), plan, tol, rank3)[0]

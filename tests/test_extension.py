@@ -32,7 +32,7 @@ from engelcalc.invariants import (
 )
 from engelcalc.prolongation import ContactFrame, deprolong
 from engelcalc.structures import check_characteristic, check_engel_frame
-from engelcalc.structures import annihilator_1form, derived_square
+from engelcalc.structures import Tolerances, annihilator_1form, derived_square
 from engelcalc.charts import coordinate_field
 
 PLAN = SamplePlan(grid=3, random=20, seed=0)
@@ -274,6 +274,17 @@ def test_identities_torus_second_bracket(t3_frame):
     spec = ExtensionSpec(frame=t3_frame, n=1, g=ex.Constant(math.pi / 2))
     rep = verify_extension_identities(spec, PLAN)
     assert rep.passed
+
+
+def test_the_zero_tolerance_governs_the_identities(std_frame):
+    # the second residual of a non-constant angle is about 0.6 in norm
+    g = std_frame.chart.parse("pi/2 + sin(x)/4")
+    spec = ExtensionSpec(frame=std_frame, n=0, g=g)
+    strict = verify_extension_identities(spec, PLAN)
+    loose = verify_extension_identities(spec, PLAN, Tolerances(zero=10.0))
+    assert not strict.passed and strict.first_failure is not None
+    assert loose.passed and loose.first_failure is None
+    assert strict.witnesses == loose.witnesses
 
 
 def test_identities_nonconstant_angle_correction_in_plane(std_frame):

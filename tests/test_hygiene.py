@@ -1,9 +1,10 @@
 """Dead-code guard: unused top-level imports, imports inside functions,
 unread parameters, unreferenced private names, and public functions,
 methods and properties that no manifest reaches; a registration guard:
-every process-lifetime memo is emptied before each test; and a design
-guard: verdicts sample, rank and name failures only through the condition
-engine, ``structures._judge``.
+every process-lifetime memo is emptied before each test; and design
+guards: verdicts and self-checks sample, rank and name failures only
+through the condition engine, ``structures._judge``, and no literal
+tolerance decides a check.
 
 Every scan but one reads the package source with the standard-library
 ``ast`` module only, so it costs no import of the package itself.  The
@@ -338,21 +339,14 @@ def _package_functions_using(name: str) -> set[str]:
     return {f"{path.stem}.{fn}" for path in MODULES for fn in _functions_using(_tree(path), name)}
 
 
-# The functions that sample a chart themselves, and why each may.  A verdict
-# is a list of structures.Condition judged by structures._judge, so a new
-# check that samples on its own fails here.
+# The functions that sample a chart themselves, and why each may.  Every
+# sampled verdict and self-check is a list of structures.Condition judged by
+# structures._judge, so a new check that samples on its own fails here.
 SAMPLERS = {
-    # the condition engine: every verdict of structures and prolongation
+    # the condition engine: every verdict and every constructor's self-check
     "structures._judge",
-    # constructors whose numeric self-check raises on a literal threshold
-    "structures.annihilator_1form",
-    "structures.characteristic_vector_field",
-    # returns the ranks themselves, not a verdict
-    "structures.twisting_condition_ranks",
     # the sampled minimum of an extension's angle function, a construction input
     "extension._sample_min",
-    # residuals of the extension identities, reported as measurements
-    "extension.verify_extension_identities",
     # base points of the development behind both twisting numbers
     "invariants._fiber_rotation",
     # the full sample, which every distinct sample set stands for
@@ -365,9 +359,7 @@ def test_only_the_condition_engine_and_named_constructors_sample():
 
 
 def test_verdicts_rank_and_name_failures_only_through_the_engine():
-    assert _package_functions_using("_frame_ranks") == {
-        "structures._judge", "structures.twisting_condition_ranks"
-    }
+    assert _package_functions_using("_frame_ranks") == {"structures._judge"}
     assert _package_functions_using("sample_index") == {"structures._judge"}
 
 
@@ -390,6 +382,74 @@ def e(distinct_samples):
     assert list(_functions_using(ast.parse(source), "distinct_samples")) == ["a", "b", "C.c", "C.d"]
 
 
+# Modules whose checks read their thresholds from structures.Tolerances.
+DECIDING_MODULES = ("structures", "extension", "prolongation", "invariants")
+_ROUNDINGS = ("floor", "ceil", "round")
+
+# Float literals that are not whole numbers, and so are tolerances rather
+# than exact constants (pi / 4.0, 1.0 + _GRAM_BAND), that a comparison or a
+# rounding in those modules reads, and why each is not a Tolerances field.
+LITERAL_THRESHOLDS = {
+    # the slack of the range 0 < min g <= pi, and of the shift by a multiple
+    # of pi that puts min g there: rounding of a sum with pi, not a tolerance
+    ("extension.ExtensionSpec.angle_expression", 1e-12),
+    # min g on pi only warns (BoundaryConventionWarning); it decides no verdict
+    ("extension.ExtensionSpec.angle_expression", 1e-9),
+    # the floor slack: a rotation a rounding error below a multiple of pi
+    # floors up; the boundary itself is judged against INTEGER_TOLERANCE
+    ("invariants.minimal_twisting_number", 1e-9),
+}
+
+
+def _literal_thresholds(tree: ast.Module, module: str):
+    """("module.fn" or "module.Class.fn", value) for each float literal that
+    is not a whole number inside a comparison or a floor, ceil or round
+    call, at any depth of its operands."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{module}.{fn.name}" if fn is node else f"{module}.{node.name}.{fn.name}"
+            for inner in ast.walk(fn):
+                deciding = isinstance(inner, ast.Compare) or (
+                    isinstance(inner, ast.Call) and _decorator_name(inner.func) in _ROUNDINGS
+                )
+                if deciding:
+                    for leaf in ast.walk(inner):
+                        value = leaf.value if isinstance(leaf, ast.Constant) else None
+                        if isinstance(value, float) and not value.is_integer():
+                            yield name, value
+
+
+def test_no_literal_tolerance_decides_a_check():
+    found = {
+        hit
+        for module in DECIDING_MODULES
+        for hit in _literal_thresholds(_tree(SRC / f"{module}.py"), module)
+    }
+    assert found == LITERAL_THRESHOLDS
+
+
+def test_the_literal_threshold_scan_sees_every_spelling():
+    source = """
+def a(x, tol):
+    return x > 1e-8 or x <= tol.zero * 1.0
+def b(x):
+    return math.floor(x + 1e-9) + round(x / 4.0)
+class C:
+    def c(self, x):
+        if not 0.0 < x <= math.pi + 1e-12:
+            return np.ceil(x - 0.5)
+def d(x):
+    y = x * 1e-9
+    return y > 0
+"""
+    assert sorted(_literal_thresholds(ast.parse(source), "m")) == [
+        ("m.C.c", 1e-12), ("m.C.c", 0.5), ("m.a", 1e-8), ("m.b", 1e-9)
+    ]
+
+
 # Public top-level functions, and public methods and properties of public
 # package classes, that no bundled manifest calls, and why each stays.
 UNREACHED_BY_FIXTURES = {
@@ -399,8 +459,10 @@ UNREACHED_BY_FIXTURES = {
     "_kernels.active_backend",
     # inputs of the normal-form task planned in ROADMAP item 1
     "prolongation.deprolong",
+    # reached only by deprolong and induced_legendrian_line, both listed here
+    "expr.substitute",
     "structures.characteristic_vector_field",
-    "structures.twisting_condition_ranks",
+    "structures.check_twisting_condition",
     "invariants.induced_legendrian_line",
     "invariants.line_angle_distance",
     "charts.one_form_to_text",

@@ -872,6 +872,19 @@ def test_an_oversized_plan_is_a_task_error(tmp_path, fixture, flags, errors):
     assert {t["id"]: t["error"] for t in tasks if t["status"] == "error"} == errors
 
 
+def test_the_zero_tolerance_flag_governs_an_identities_task(tmp_path):
+    text = (MANIFESTS / "extension-n1.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "sine.manifest"
+    path.write_text(text.replace("expr g_half = pi/2\n", "expr g_half = pi/2 + sin(x)/4\n"))
+    status = {}
+    for flags in ([], ["--tol-zero", "10"]):
+        out = tmp_path / "report.json"
+        main(["verify", str(path), "--report", str(out), *flags])
+        tasks = json.loads(out.read_text())["tasks"]
+        status[tuple(flags)] = next(t["status"] for t in tasks if t["id"] == "identities")
+    assert status == {(): "fail", ("--tol-zero", "10"): "pass"}
+
+
 def test_manifest_overrides():
     from engelcalc.charts import SamplePlan
 

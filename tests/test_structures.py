@@ -31,8 +31,8 @@ from engelcalc.structures import (
     check_engel_frame,
     check_engel_pair,
     check_even_contact,
+    check_twisting_condition,
     derived_square,
-    twisting_condition_ranks,
 )
 
 PLAN = SamplePlan(grid=4, random=60, seed=0)
@@ -118,8 +118,9 @@ def test_engel_pair_auto_orient_reports_both(std_pair_forms):
 
 def test_the_engel_pair_evaluates_each_form_once(std_pair_forms, monkeypatch):
     # the given and the swapped order share alpha and beta, which scale
-    # condition 2 in both orders; equal forms built apart (the zero 4-forms
-    # of both orders' condition 2, say) may each be evaluated
+    # condition 2 in both orders, and alpha ^ beta ^ d(alpha) and
+    # alpha ^ beta ^ d(beta), whose norms are those of beta ^ alpha ^ d(.):
+    # four witnesses and four scales
     alpha, beta = std_pair_forms
     calls = []
     original = ch.KForm.evaluate_at
@@ -132,7 +133,7 @@ def test_the_engel_pair_evaluates_each_form_once(std_pair_forms, monkeypatch):
     check_engel_pair(EngelPair(alpha, beta), PLAN)
     assert [f for f in calls if f is alpha] == [alpha]
     assert [f for f in calls if f is beta] == [beta]
-    assert len(set(map(id, calls))) == len(calls) == 10
+    assert len(set(map(id, calls))) == len(calls) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,30 @@ def test_annihilator_prolonged_has_no_fiber_term(std_frame):
     assert ex.simplify(beta.coeff((fiber_idx,))) == ex.ZERO
 
 
+def test_the_annihilator_of_a_frame_rescaled_over_decades_passes(box4, std_kernel_frame):
+    # exp(5x) on both fields puts exp(15x) on |beta|, 13 decades over the
+    # box: only an exact 0 of |beta| is a rank drop, not a small ratio
+    scale = box4.parse("exp(5*x)")
+    d = Distribution2(box4, *(f.scaled_by(scale) for f in std_kernel_frame))
+    beta = annihilator_1form(derived_square(d, PLAN), PLAN)
+    norms = np.linalg.norm(beta.evaluate_at(sample_points(box4, PLAN)), axis=1)
+    assert norms.max() / norms.min() > 1e12
+
+
+def test_a_pairing_witness_pairs_the_evaluated_form_and_field(box4):
+    from engelcalc import structures
+
+    beta = parse_one_form(box4, "dy - z*dx")
+    x = coordinate_field(box4, "x")  # beta(d/dx) = -z
+    paired = structures.Condition((beta, x), "zero", scale=(beta, x))
+    (rep,) = structures._judge("pairing", (beta, x), PLAN, structures.DEFAULT_TOLERANCES, paired)
+    pts = sample_points(box4, PLAN)
+    worst = int(np.argmax(np.abs(pts[:, 2])))
+    assert not rep.passed
+    assert rep.witnesses["max_abs"] == abs(pts[worst, 2])
+    assert rep.first_failure["point"] == pts[worst].tolist()
+
+
 # ---------------------------------------------------------------------------
 # characteristic field
 
@@ -378,17 +403,17 @@ def test_twisting_condition_matches_engel_verdict(box4, std_kernel_frame, std_fr
     positives = [std_kernel_frame[1]]
     negatives = [coordinate_field(box4, "z"), vector_field(box4, ["1", "z", "0", "0"])]
     for v in positives:
-        ranks = twisting_condition_ranks(x0, v, PLAN)
+        rep = check_twisting_condition(x0, v, PLAN)
         engel = check_engel_frame(Distribution2(box4, x0, v), PLAN).passed
-        assert bool(np.all(ranks == 3)) == engel is True
+        assert rep.passed == (rep.witnesses["rank_min"] == 3) == engel is True
     for v in negatives:
-        ranks = twisting_condition_ranks(x0, v, PLAN)
+        rep = check_twisting_condition(x0, v, PLAN)
         engel = check_engel_frame(Distribution2(box4, x0, v), PLAN).passed
-        assert not np.all(ranks == 3) and not engel
+        assert rep.witnesses["rank_min"] < 3 and not rep.passed and not engel
     # prolonged case: characteristic is the fiber direction
     xf = coordinate_field(pe1.chart, pe1.chart.fiber)
-    ranks = twisting_condition_ranks(xf, pe1.y, PLAN)
-    assert np.all(ranks == 3) and check_engel_frame(pe1, PLAN).passed
+    rep = check_twisting_condition(xf, pe1.y, PLAN)
+    assert rep.passed and check_engel_frame(pe1, PLAN).passed
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +430,6 @@ def _outcome(run):
         out = run()
     except GeometryError as err:
         return f"{type(err).__name__}: {err}"
-    if isinstance(out, np.ndarray):  # twisting-condition ranks
-        return int(np.min(out)), bool(np.all(out == 3))
     return out
 
 
@@ -454,7 +477,7 @@ DISTINCT_CASES = {
     "characteristic": lambda b3, b4: check_characteristic(
         coordinate_field(b4, "w"), parse_one_form(b4, "dy + (1 - z*z)*dw"), GRID5
     ),
-    "twisting ranks": lambda b3, b4: twisting_condition_ranks(
+    "twisting ranks": lambda b3, b4: check_twisting_condition(
         _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0"), GRID5
     ),
     "contact frame": lambda b3, b4: ContactFrame(
