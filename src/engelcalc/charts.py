@@ -5,13 +5,14 @@ named coordinates with a sampling interval each, and optional periodicity.
 Forms are stored sparsely over strictly increasing index tuples; all sign
 bookkeeping happens in ``wedge``/``interior_product``.
 
-The builders emit no zero terms: brackets, contractions, pairings, scalings
-and sums leave out (and brackets do not differentiate) the terms of a
-component that simplifies to 0; the other terms keep their order.
+The builders emit no zero terms: brackets, contractions, scalings and sums
+leave out (and brackets do not differentiate) the terms of a component that
+simplifies to 0; the other terms keep their order.
 
-Brackets, exterior derivatives, wedges and contractions are pure functions
-of frozen, hashable operands, so each remembers its last ``MEMO_SIZE``
-results for the process.
+Brackets are pure functions of frozen, hashable operands, so ``lie_bracket``
+remembers its last ``MEMO_SIZE`` results for the process.  Exterior
+derivatives, wedges and contractions are not memoized: the expression
+tables already remember the simplified coefficients they are built from.
 """
 
 from __future__ import annotations
@@ -470,13 +471,13 @@ def volume_form(chart: Chart, density=1.0) -> KForm:
 # exterior calculus
 
 # Results each memo of a pure symbolic constructor keeps for the process:
-# the four below, manifest.parse_manifest, prolongation.prolong and
+# lie_bracket below, manifest.parse_manifest, prolongation.prolong and
 # prolongation.fiber_characteristic_annihilator (a constructor whose check
 # is reported nowhere).  Their keys and results are immutable, so a hit
 # hands every caller one shared object.  None of them warns, so a hit drops
 # no note from a report, and an exception is never stored.  The 15 bundled
-# manifests under every command need 15 parses and 101 entries across the
-# other six memos.
+# manifests under every command need 15 parses and 49 entries across the
+# other three memos.
 MEMO_SIZE = 1 << 7
 
 
@@ -537,15 +538,6 @@ def fd_lie_bracket(
     return np.sum(xv[:, -1, :, None] * dy - yv[:, -1, :, None] * dx, axis=1)
 
 
-def _insertion_sign(i: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Insert index i into a sorted tuple; sign is (-1)^position."""
-    pos = 0
-    while pos < len(key) and key[pos] < i:
-        pos += 1
-    return (-1) ** pos, key[:pos] + (i,) + key[pos:]
-
-
-@lru_cache(maxsize=MEMO_SIZE)
 def exterior_derivative(form: KForm) -> KForm:
     if form.degree >= form.chart.dim:
         raise DimensionError("exterior derivative would exceed the chart dimension")
@@ -558,7 +550,7 @@ def exterior_derivative(form: KForm) -> KForm:
             d = ex.partial_derivative(coeff, names[j])
             if ex.is_zero(d):
                 continue
-            sign, newkey = _insertion_sign(j, key)
+            sign, newkey = _merge_sign((j,), key)
             term = d if sign > 0 else ex.Negate(d)
             acc[newkey] = ex.Add(acc[newkey], term) if newkey in acc else term
     return KForm(
@@ -583,7 +575,6 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int,
     return sign, tuple(merged)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def wedge(a: KForm, b: KForm) -> KForm:
     _require_same_chart(a, b)
     if a.degree + b.degree > a.chart.dim:
@@ -604,7 +595,6 @@ def wedge(a: KForm, b: KForm) -> KForm:
     )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def interior_product(x: VectorField, form: KForm) -> KForm:
     """Contraction in the first slot."""
     _require_same_chart(x, form)
@@ -631,18 +621,6 @@ def lie_derivative_form(x: VectorField, form: KForm) -> KForm:
     return interior_product(x, exterior_derivative(form)) + exterior_derivative(
         interior_product(x, form)
     )
-
-
-def pairing(form: KForm, x: VectorField) -> ScalarExpr:
-    """beta(X) for a 1-form."""
-    if form.degree != 1:
-        raise DimensionError("pairing needs a 1-form")
-    _require_same_chart(form, x)
-    acc: ScalarExpr = ex.ZERO
-    for (i,), c in form.terms:
-        if _nonzero(x.components[i]):
-            acc = ex.Add(acc, ex.Multiply(c, x.components[i]))
-    return simplify(acc)
 
 
 def parse_one_form(chart: Chart, text: str) -> KForm:

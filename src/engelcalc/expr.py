@@ -626,10 +626,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            inner = self.parse_unary()
-            if isinstance(inner, Constant):
-                return Constant(-inner.value)
-            return Negate(inner)
+            return Negate(self.parse_unary())
         return self.parse_power()
 
     def parse_power(self) -> ScalarExpr:

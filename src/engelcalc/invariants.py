@@ -28,7 +28,7 @@ from .charts import (
     sample_points,
     variables_of,
 )
-from .expr import ScalarExpr, simplify, substitute
+from .expr import ScalarExpr
 from .prolongation import (
     ContactFrame,
     _raw_angles,
@@ -220,9 +220,9 @@ def induced_legendrian_line(
 ) -> LegendrianLineField:
     """Line field cut out on the section {fiber = t}, in frame coefficients.
 
-    Symbolic when the distribution carries construction coefficients
-    (checked against the frame at every point of ``CHARACTERISTIC_PLAN``);
-    otherwise a pointwise evaluator backed by least squares against (V0, V1).
+    Read from the frame by the development: at each base point, the
+    fiber-free generator's angle against (V0, V1), by least squares, as
+    (cos, sin) of that angle.
     """
     chart = d.chart
     if chart.fiber is None:
@@ -230,36 +230,9 @@ def induced_legendrian_line(
     base = base_chart_of(chart)
     if base.names != frame.chart.names:
         raise ChartMismatchError("frame does not match the base chart")
-    fiber = chart.fiber
-
-    if d.legendrian_coefficients is not None:
-        a = simplify(substitute(d.legendrian_coefficients[0], fiber, float(t)))
-        b = simplify(substitute(d.legendrian_coefficients[1], fiber, float(t)))
-        line = LegendrianLineField(base, frame, a=a, b=b)
-        _check_coefficients_match(d, frame, t, line, tol)
-        return line
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         raw = _raw_angles(d, frame, points, np.array([float(t)]), tol)[:, 0]
         return np.stack([np.cos(raw), np.sin(raw)], axis=1)
 
     return LegendrianLineField(base, frame, evaluator=evaluator)
-
-
-def _check_coefficients_match(
-    d: Distribution2,
-    frame: ContactFrame,
-    t: float,
-    line: LegendrianLineField,
-    tol: Tolerances,
-) -> None:
-    base_pts = sample_points(line.chart, CHARACTERISTIC_PLAN)
-    table = line.tabulate(base_pts, tol)
-    raw = _raw_angles(d, frame, base_pts, np.array([float(t)]), tol)[:, 0]
-    diff = _projective_distance(np.arctan2(table[:, 1], table[:, 0]), raw)
-    off = np.flatnonzero(diff > tol.projection)
-    if off.size:
-        raise GeometryError(
-            "stored line-field coefficients disagree with the frame"
-            f" (projective angle {diff[off[0]]:.3e} at {base_pts[off[0]].tolist()})"
-        )

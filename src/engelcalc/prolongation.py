@@ -108,19 +108,17 @@ def rotate_along_fiber(
     of the frame chart with a fiber [lo, hi], where phi = angle(fiber).
 
     The fiber is called ``name``, with underscores appended while that is
-    a base coordinate.  The pair (cos(phi), sin(phi)) is kept as the
-    distribution's Legendrian coefficients.
+    a base coordinate.  Only the two fields are kept: the line on an end
+    of the fiber is read back from them by the development, as for any
+    frame.
     """
     while name in frame.chart.names:
         name = name + "_"
     chart4 = product_chart(frame.chart, name, lo, hi, periodic=periodic)
     phi = angle(ex.Variable(name))
-    a, b = ex.Cos(phi), ex.Sin(phi)
     v0, v1 = (lift_to_product(v, chart4) for v in (frame.v0, frame.v1))
-    twist = v0.scaled_by(a) + v1.scaled_by(b)
-    return Distribution2(
-        chart4, coordinate_field(chart4, name), twist, legendrian_coefficients=(a, b)
-    )
+    twist = v0.scaled_by(ex.Cos(phi)) + v1.scaled_by(ex.Sin(phi))
+    return Distribution2(chart4, coordinate_field(chart4, name), twist)
 
 
 # typed, so that a cached prolong(frame, 1) does not answer prolong(frame, 1.0)

@@ -66,7 +66,6 @@ from .charts import (
     interior_product,
     lie_bracket,
     lie_derivative_form,
-    pairing,
     require_finite,
     variables_of,
     wedge,
@@ -413,18 +412,13 @@ def _evaluate_rows(
 
 @dataclass(frozen=True, slots=True)
 class Distribution2:
-    """Rank-2 plane field given by a two-field frame.
-
-    ``legendrian_coefficients`` is optional construction metadata: for
-    product-chart structures built from a contact frame it stores the
-    (a, b) expressions with generator = a*V0 + b*V1, enabling symbolic
-    extraction of the induced line fields.
-    """
+    """Rank-2 plane field given by a two-field frame: its fields and their
+    chart, nothing else, so a frame read back from its serialized text is
+    equal to the one written."""
 
     chart: Chart
     x: VectorField
     y: VectorField
-    legendrian_coefficients: tuple[ScalarExpr, ScalarExpr] | None = None
 
     def __post_init__(self):
         if self.x.chart != self.chart or self.y.chart != self.chart:
@@ -786,7 +780,7 @@ def check_characteristic(
     proportional, in_kernel = _judge(
         "characteristic", (x0, beta), plan, tol,
         Condition(wedge(lie, beta), "zero", scale=(lie, beta)),
-        Condition(pairing(beta, x0), "zero", scale=(beta, x0)),
+        Condition((beta, x0), "zero", scale=(beta, x0)),
     )
     return _combined("characteristic", (proportional, in_kernel), {
         "lie_wedge_max": proportional.witnesses["max_abs"],

@@ -22,9 +22,6 @@ EXPR_TABLES = (
 MEMOS = (
     manifest.parse_manifest,
     ch.lie_bracket,
-    ch.exterior_derivative,
-    ch.wedge,
-    ch.interior_product,
     prolongation.prolong,
     prolongation.fiber_characteristic_annihilator,
 )

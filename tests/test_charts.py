@@ -464,7 +464,7 @@ def test_lie_derivative_commutes_with_d_on_scalars(box3):
     x = coordinate_field(box3, "x")
     dg = exterior_derivative(ch.KForm(box3, 0, (((), g),)))
     lhs = lie_derivative_form(x, dg)
-    rhs = exterior_derivative(ch.KForm(box3, 0, (((), ch.pairing(dg, x)),)))
+    rhs = exterior_derivative(ch.KForm(box3, 0, (((), ch.interior_product(x, dg).coeff(())),)))
     assert lhs.terms == rhs.terms == (((1,), ex.ONE),)
 
 

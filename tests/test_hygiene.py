@@ -457,23 +457,23 @@ UNREACHED_BY_FIXTURES = {
     "cli.entry",
     # recorded on every run of perfbench/run.py
     "_kernels.active_backend",
-    # inputs of the normal-form task planned in ROADMAP item 1
+    # inputs of the normal-form task planned in ROADMAP open item 2
     "prolongation.deprolong",
-    # reached only by deprolong and induced_legendrian_line, both listed here
-    "expr.substitute",
     "structures.characteristic_vector_field",
     "structures.check_twisting_condition",
     "invariants.induced_legendrian_line",
     "invariants.line_angle_distance",
     "charts.one_form_to_text",
     "charts.volume_form",
+    # reached only by deprolong (above), which restricts its form to a section
+    "expr.substitute",
     # looked up by name by perfbench/tracer.py, which wraps it as a check span
     "structures.Distribution2.validate_rank",
     # read only by Distribution2.validate_rank and by tests
     "structures.Distribution2.frame",
     # reached only through KForm.__sub__ in characteristic_vector_field (above)
     "charts.KForm.scaled_by",
-    # line fields of induced_legendrian_line (above), for ROADMAP item 1
+    # line fields of induced_legendrian_line (above), for ROADMAP open item 2
     "invariants.LegendrianLineField.symbolic",
     "invariants.LegendrianLineField.tabulate",
 }

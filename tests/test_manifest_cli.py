@@ -972,3 +972,28 @@ def test_cli_construct_output_reparses(tmp_path):
     report = run_tasks(rebuilt, command="verify")
     assert report.exit_code == 0
     assert report.tasks[0].status == "pass"
+
+
+CONSTRUCTED = [f"prolonged-n{n}" for n in range(1, 6)] + [f"extension-n{n}" for n in range(4)]
+
+
+@pytest.mark.parametrize("name", CONSTRUCTED)
+def test_constructed_frame_reads_back_equal(name):
+    """A plane field is its chart and its two fields: the frame each
+    constructing fixture writes materializes again to an equal frame with
+    its hash, so both share one memoized characteristic check."""
+    from engelcalc.extension import extend
+    from engelcalc.invariants import CHARACTERISTIC_PLAN
+    from engelcalc.manifest import frame_to_manifest_text, materialize
+    from engelcalc.prolongation import fiber_characteristic_annihilator
+
+    m = parse_manifest((MANIFESTS / f"{name}.manifest").read_text(encoding="utf-8"))
+    (decl,) = (s for s in m.structures.values() if s.kind in ("prolongation", "extension"))
+    built = materialize(m, decl)
+    d = built if decl.kind == "prolongation" else extend(built, m.sampling)
+    rebuilt = parse_manifest(frame_to_manifest_text(d, name=decl.name))
+    again = materialize(rebuilt, rebuilt.structures[decl.name])
+    assert again is not d
+    assert again == d and hash(again) == hash(d)
+    beta = fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN)
+    assert fiber_characteristic_annihilator(again, CHARACTERISTIC_PLAN) is beta

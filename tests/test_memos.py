@@ -8,7 +8,7 @@ import pytest
 from conftest import MEMOS
 
 from engelcalc import charts as ch
-from engelcalc.charts import ChartMismatchError, GeometryError, KForm, MEMO_SIZE
+from engelcalc.charts import ChartMismatchError, GeometryError, MEMO_SIZE
 from engelcalc.manifest import parse_manifest
 from engelcalc.prolongation import ContactFrame, fiber_characteristic_annihilator, prolong
 from engelcalc.structures import CheckError, Distribution2
@@ -22,22 +22,12 @@ box z = 0 {}
 """
 
 
-def _one_form(chart, i: int, coeff: str, index: int = 0) -> KForm:
-    return KForm(chart, 1, (((index,), chart.parse(coeff.format(i))),))
-
-
 # The i-th of many distinct inputs of each memo, in the order of MEMOS.
 DISTINCT_INPUTS = (
     lambda i, box3, frame: (TEXT.format(i + 1),),
     lambda i, box3, frame: (
         ch.vector_field(box3, [f"{i}*y", "0", "0"]),
         ch.coordinate_field(box3, "y"),
-    ),
-    lambda i, box3, frame: (_one_form(box3, i, "{}*y"),),
-    lambda i, box3, frame: (_one_form(box3, i, "{}*y"), _one_form(box3, i, "1", 2)),
-    lambda i, box3, frame: (
-        ch.vector_field(box3, [str(i), "0", "0"]),
-        KForm(box3, 2, (((0, 1), box3.parse("z")),)),
     ),
     lambda i, box3, frame: (frame, i + 1),
     lambda i, box3, frame: (prolong(frame, 1), ch.SamplePlan(grid=2, random=1, seed=i)),
@@ -89,7 +79,7 @@ def test_equal_inputs_share_one_result(std_frame):
     frame = ContactFrame(std_frame.chart, std_frame.v0, std_frame.v1)
     assert frame is not std_frame and prolong(frame, 3) is prolong(std_frame, 3)
     d = prolong(std_frame, 3)
-    copy = Distribution2(d.chart, d.x, d.y, d.legendrian_coefficients)
+    copy = Distribution2(d.chart, d.x, d.y)
     plans = [ch.SamplePlan(grid=2, random=4, seed=0) for _ in range(2)]
     assert copy is not d and plans[0] is not plans[1]
     beta = fiber_characteristic_annihilator(d, plans[0])

@@ -79,7 +79,7 @@ def test_reports_match_their_digests(tmp_path):
 def test_reports_match_their_digests_on_warm_tables(tmp_path):
     # the expression tables and the symbolic memos outlive a run: a second
     # pass, in the other order, meets every tree the first pass built and
-    # takes every parse, bracket, form and prolongation from the memos
+    # takes every parse, bracket, prolongation and annihilator from the memos
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert report_digests(tmp_path) == expected
     cold = [memo.cache_info() for memo in MEMOS]
