@@ -324,11 +324,10 @@ class VectorField:
                 raise GeometryError(f"component uses unknown variables {sorted(used - allowed)}")
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        cols = [
-            ex.evaluate_many(c, self.chart.names, points)
-            for c in self.components
-        ]
-        return require_finite(np.stack(cols, axis=1), points)
+        """(n, dim) components at the points: the transpose of one
+        component-major evaluation."""
+        values = ex.evaluate_many(self.components, self.chart.names, points)
+        return require_finite(values.T, points)
 
     def scaled_by(self, factor) -> "VectorField":
         f = as_expr(factor)
@@ -428,16 +427,16 @@ class KForm:
     def all_keys(self) -> tuple[tuple[int, ...], ...]:
         return tuple(itertools.combinations(range(self.chart.dim), self.degree))
 
+    @property
+    def components(self) -> tuple[ScalarExpr, ...]:
+        """Coefficients over the full increasing-key list, 0 where no term is."""
+        return tuple(self.coeff(key) for key in self.all_keys())
+
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Coefficient matrix (n, n_keys) over the full increasing-key list."""
-        cols = []
-        for key in self.all_keys():
-            c = self.coeff(key)
-            if ex.is_zero(c):
-                cols.append(np.zeros(points.shape[0]))
-            else:
-                cols.append(ex.evaluate_many(c, self.chart.names, points))
-        return require_finite(np.stack(cols, axis=1), points)
+        """Coefficient matrix (n, n_keys) over the full increasing-key list:
+        the transpose of one component-major evaluation."""
+        values = ex.evaluate_many(self.components, self.chart.names, points)
+        return require_finite(values.T, points)
 
     def scaled_by(self, factor) -> "KForm":
         f = as_expr(factor)
@@ -514,8 +513,8 @@ def fd_lie_bracket(
     x: VectorField, y: VectorField, points: np.ndarray, h: float
 ) -> np.ndarray:
     """(n, dim) bracket at n points with every partial replaced by a central
-    difference of step h; all 2*dim + 1 stencil rows per point are
-    evaluated in one call.
+    difference of step h; both fields at all 2*dim + 1 stencil rows per
+    point are evaluated in one call.
 
     Independent numeric oracle for :func:`lie_bracket`; second-order in h.
     """
@@ -530,8 +529,12 @@ def fd_lie_bracket(
     stencil[:, 2 * j, j] += h
     stencil[:, 2 * j + 1, j] -= h
     rows = stencil.reshape(-1, dim)
-    xv = x.evaluate_at(rows).reshape(n, 2 * dim + 1, dim)
-    yv = y.evaluate_at(rows).reshape(n, 2 * dim + 1, dim)
+    values = ex.evaluate_many((*x.components, *y.components), x.chart.names, rows)
+    # point-major copies, X's checked first, so the sums below round as they always have
+    xv, yv = (
+        np.ascontiguousarray(require_finite(v.T, rows)).reshape(n, 2 * dim + 1, dim)
+        for v in (values[:dim], values[dim:])
+    )
     # [n, j, i] = d_j of component i
     dx = (xv[:, 0:-1:2] - xv[:, 1::2]) / (2 * h)
     dy = (yv[:, 0:-1:2] - yv[:, 1::2]) / (2 * h)

@@ -10,9 +10,12 @@ Each operation's class describes it once: an infix operation its printed
 symbol, precedence level and numpy ufunc, a function its printed name,
 ufunc and scalar fold, negation and powers their ufuncs.  The printer,
 the parser, the constant fold of ``simplify`` and ``compile_program``
-read those descriptions; ``compile_program`` flattens a tree into postfix
-``(ufunc, argument)`` steps, which ``_kernels.run_program`` applies to a
-batch of points.  Differentiation, the linear form behind ``simplify``
+read those descriptions.  ``compile_program`` turns a tuple of trees into
+one program that computes each distinct node once, in a row found by its
+identity, and ``_kernels.run_program`` runs it over a batch of points,
+writing tree i into row i of the caller's buffer; ``evaluate_many`` is
+the one entry point, and a single tree is its 1-tuple.  Differentiation,
+the linear form behind ``simplify``
 and the scalar reference evaluator ``evaluate`` hold per-kind mathematics
 and stay written out kind by kind.
 
@@ -28,8 +31,8 @@ computed once, and ``simplify``, differentiation, the linear form behind
 ``simplify``, ``free_variables`` and ``to_text`` remember their results
 per node.  A result depends on the tree alone, so these tables live for
 the process and serve every later run that builds the same trees; each is
-emptied on its own when it reaches ``_TABLE_CAP`` entries, the size that
-also bounds the ``compile_program`` cache.
+emptied on its own when it reaches ``_TABLE_CAP`` entries; the
+``compile_program`` cache keeps the last ``_PROGRAM_CAP`` programs.
 
 Simplification is a normalizing rewrite (constant folding, flattening of
 sums and products with canonical term ordering, like-term collection, and
@@ -121,17 +124,22 @@ class EvaluationError(ExprError):
 # ---------------------------------------------------------------------------
 # process tables: the intern table and the memo tables of the symbolic passes
 
-# Entries per table, and the size of the compile_program cache.  The tables
-# live for the process, so a long-lived caller (a library user, a notebook
-# sweeping plans or seeds) reuses the symbolic work of earlier runs on the
-# same manifest; a table that reaches the cap is emptied before its next
-# entry, so memory stays bounded however many distinct trees pass through.
-# All 15 bundled manifests under every command intern about 2,050 nodes and
-# compile about 100 programs (constants are filled in, not compiled), so
-# they fit.  Threads share the tables; a race costs a repeated computation
-# or a second copy of an equal node, never a wrong result, because stored
-# values are never changed and equal nodes compare equal by their keys.
+# Entries per table.  The tables live for the process, so a long-lived
+# caller (a library user, a notebook sweeping plans or seeds) reuses the
+# symbolic work of earlier runs on the same manifest; a table that reaches
+# the cap is emptied before its next entry, so memory stays bounded however
+# many distinct trees pass through.  All 15 bundled manifests under every
+# command intern about 820 nodes, so they fit.  Threads share the tables;
+# a race costs a repeated computation or a second copy of an equal node,
+# never a wrong result, because stored values are never changed and equal
+# nodes compare equal by their keys.
 _TABLE_CAP = 1 << 12
+# Size of the compile_program cache.  A program evaluates every expression
+# of one check, so each entry keeps many trees alive: all 15 bundled
+# manifests under every command compile 71 programs, and a stream of inputs
+# that never repeat fills the cache with no more memory than the 4,096
+# single-expression programs it held before checks were fused.
+_PROGRAM_CAP = 1 << 9
 
 _interned: dict = {}  # node key, or (class, id(left), id(right)) of an infix node -> node
 _simplified: dict = {}  # node -> simplify(node)
@@ -998,62 +1006,104 @@ def _simplify(e: ScalarExpr) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# compiled stack programs for batch evaluation
+# compiled multi-output programs for batch evaluation
 
 
 @dataclass(frozen=True)
 class Program:
-    steps: tuple[tuple, ...]  # postfix (ufunc, argument) pairs; see _kernels
-    stack_depth: int
+    steps: tuple[tuple, ...]  # (ufunc, argument, a, b, destination); see _kernels
+    temporaries: int  # rows the steps use besides the outputs and the columns
 
 
-def _emit(e: ScalarExpr, var_index: Mapping[str, int], steps: list) -> int:
-    """Append the postfix steps of ``e``; returns the stack depth they need.
+def _emit(exprs: tuple[ScalarExpr, ...], var_index: Mapping[str, int]) -> Program:
+    """The steps that compute each distinct node of ``exprs`` once.
 
-    A leaf pushes a constant (a float) or a column of the points (an int);
-    any other node applies its kind's ufunc to its children's values, and
+    The walk finds a node's row by identity.  Output i is computed in row i,
+    and a repeated output is copied from its first row.  Any other node
+    gets a temporary row, free for reuse once its last reader has run.  A
+    leaf fills its row with a constant or copies a column of the points into
+    it; any other node applies its kind's ufunc to its children's rows, and
     an integer power passes its exponent as the ufunc's second argument.
     """
-    depth = 1
-    for i, child in enumerate(children(e)):
-        # the i-th child's values are computed above the i values before it
-        depth = max(depth, i + _emit(child, var_index, steps))
-    if isinstance(e, Constant):
-        steps.append((None, e.value))
-    elif isinstance(e, NamedConstant):
-        steps.append((None, NAMED_CONSTANT_VALUES[e.name]))
-    elif isinstance(e, Variable):
-        if e.name not in var_index:
-            raise ExprError(f"variable '{e.name}' not in the evaluation order")
-        steps.append((None, var_index[e.name]))
-    else:
-        steps.append((e.ufunc, float(e.exponent) if isinstance(e, IntPower) else None))
-    return depth
+    first_temporary = len(exprs) + len(var_index)
+    nodes: list[tuple] = []  # (node, its id, its children's ids), children first
+    unread: dict[int, int] = {}  # id(node) -> reads by the nodes not yet emitted
 
+    def visit(e: ScalarExpr, key: int) -> None:
+        unread[key] = 0
+        kids = []
+        for child in children(e):
+            kid = id(child)
+            if kid not in unread:
+                visit(child, kid)
+            unread[kid] += 1
+            kids.append(kid)
+        nodes.append((e, key, kids))
 
-@lru_cache(maxsize=_TABLE_CAP)
-def compile_program(e: ScalarExpr, var_order: tuple[str, ...]) -> Program:
-    """Flatten to a postfix step program over the given variable order."""
+    row: dict[int, int] = {}
+    for i, e in enumerate(exprs):
+        if id(e) not in unread:
+            visit(e, id(e))
+        row.setdefault(id(e), i)
+    free: list[int] = []
+    temporaries = 0
     steps: list[tuple] = []
-    depth = _emit(e, {name: i for i, name in enumerate(var_order)}, steps)
-    return Program(steps=tuple(steps), stack_depth=depth)
+    for e, key, kids in nodes:
+        args = [row[kid] for kid in kids]
+        for kid, r in zip(kids, args):
+            unread[kid] -= 1
+            if not unread[kid] and r >= first_temporary:
+                free.append(r)
+        dst = row.get(key)
+        if dst is None:
+            if not free:
+                free.append(first_temporary + temporaries)
+                temporaries += 1
+            dst = row[key] = free.pop()
+        if isinstance(e, IntPower):
+            steps.append((e.ufunc, float(e.exponent), args[0], None, dst))
+        elif kids:
+            steps.append((e.ufunc, None, args[0], args[1] if len(args) > 1 else None, dst))
+        elif isinstance(e, Variable):
+            if e.name not in var_index:
+                raise ExprError(f"variable '{e.name}' not in the evaluation order")
+            steps.append((None, None, len(exprs) + var_index[e.name], None, dst))
+        elif isinstance(e, Constant):
+            steps.append((None, e.value, None, None, dst))
+        else:
+            steps.append((None, NAMED_CONSTANT_VALUES[e.name], None, None, dst))
+    for i, e in enumerate(exprs):
+        if row[id(e)] != i:
+            steps.append((None, None, row[id(e)], None, i))
+    return Program(steps=tuple(steps), temporaries=temporaries)
+
+
+@lru_cache(maxsize=_PROGRAM_CAP)
+def compile_program(exprs: tuple[ScalarExpr, ...], var_order: tuple[str, ...]) -> Program:
+    """One program computing every expression over the given variable order."""
+    return _emit(exprs, {name: i for i, name in enumerate(var_order)})
 
 
 def evaluate_many(
-    e: ScalarExpr,
+    exprs: ScalarExpr | tuple[ScalarExpr, ...],
     var_order: tuple[str, ...],
     points: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate at every row of ``points`` (columns follow ``var_order``).
 
-    A constant is filled in, not compiled and run; either way the result is
-    a new array."""
+    A tuple of k expressions runs as one compiled program, which computes
+    every distinct node once, and gives a (k, n) array whose row i holds
+    expression i: ``out`` if given (C-contiguous), else a new array.  A
+    single expression is the 1-tuple, and gives its row."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != len(var_order):
         raise ExprError(
             f"points must have shape (n, {len(var_order)}), got {pts.shape}"
         )
-    if isinstance(e, Constant):
-        return np.full(pts.shape[0], e.value)
-    prog = compile_program(e, tuple(var_order))
-    return _kernels.run_program(prog.steps, prog.stack_depth, pts)
+    single = isinstance(exprs, ScalarExpr)
+    program = compile_program((exprs,) if single else tuple(exprs), tuple(var_order))
+    if out is None:
+        out = np.empty((1 if single else len(exprs), pts.shape[0]))
+    _kernels.run_program(program.steps, program.temporaries, pts, out)
+    return out[0] if single else out

@@ -82,9 +82,7 @@ class LegendrianLineField:
     def tabulate(self, points: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         """(n, 2) coefficient table; raises if the pair degenerates."""
         if self.symbolic:
-            av = ex.evaluate_many(self.a, self.chart.names, points)
-            bv = ex.evaluate_many(self.b, self.chart.names, points)
-            table = np.stack([av, bv], axis=1)
+            table = ex.evaluate_many((self.a, self.b), self.chart.names, points).T
         else:
             table = np.asarray(self.evaluator(points), dtype=float)
         require_finite(table, points)
@@ -222,7 +220,8 @@ def induced_legendrian_line(
 
     Read from the frame by the development: at each base point, the
     fiber-free generator's angle against (V0, V1), by least squares, as
-    (cos, sin) of that angle.
+    (cos, sin) of that angle.  As for the twisting numbers, the fiber must
+    be the characteristic direction.
     """
     chart = d.chart
     if chart.fiber is None:
@@ -230,6 +229,7 @@ def induced_legendrian_line(
     base = base_chart_of(chart)
     if base.names != frame.chart.names:
         raise ChartMismatchError("frame does not match the base chart")
+    fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         raw = _raw_angles(d, frame, points, np.array([float(t)]), tol)[:, 0]

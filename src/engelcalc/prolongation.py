@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
+from ._kernels import scratch
 from .charts import (
     MEMO_SIZE,
     Chart,
@@ -34,6 +35,7 @@ from .charts import (
     lie_bracket,
     lift_to_product,
     product_chart,
+    require_finite,
 )
 from .expr import ScalarExpr, simplify, substitute
 from .structures import (
@@ -43,9 +45,7 @@ from .structures import (
     Tolerances,
     VerificationReport,
     _combined,
-    _evaluate_rows,
     _judge,
-    _scratch,
     annihilator_1form,
     check_characteristic,
     check_contact_3d,
@@ -94,10 +94,12 @@ class ContactFrame:
         })
 
     def basis_at(self, base_points: np.ndarray) -> np.ndarray:
-        """(m, 3, 2) stack with V0, V1 as columns at each of m base points."""
-        return np.stack(
-            [self.v0.evaluate_at(base_points), self.v1.evaluate_at(base_points)], axis=2
-        )
+        """(m, 3, 2) stack with V0, V1 as columns at each of m base points,
+        both evaluated in one call."""
+        comps = (*self.v0.components, *self.v1.components)
+        values = ex.evaluate_many(comps, self.chart.names, base_points)
+        v0, v1 = (require_finite(v.T, base_points) for v in (values[:3], values[3:]))
+        return np.stack([v0, v1], axis=2)
 
 
 def rotate_along_fiber(
@@ -211,8 +213,8 @@ def _raw_angles(
     """(m, s) angles mod pi of the fiber-free generator against (V0, V1), at
     m base points times s fiber values, evaluated in one pass.
 
-    X and Y are evaluated component-major into (dim, m*s) buffers with the
-    fiber component last, so each component is a contiguous row."""
+    X and Y are evaluated together, component-major into (dim, m*s) buffers
+    with the fiber component last, so each component is a contiguous row."""
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
@@ -220,14 +222,17 @@ def _raw_angles(
     base_idx = [i for i in range(chart.dim) if i != fiber_idx]
 
     m, s = base_points.shape[0], fiber_values.size
-    pts = _scratch((m, s, chart.dim))
+    pts = scratch((m, s, chart.dim))
     pts[:, :, base_idx] = base_points[:, None, :]
     pts[:, :, fiber_idx] = fiber_values
     pts = pts.reshape(m * s, chart.dim)
 
-    xv, yv = _scratch((2, chart.dim, m * s), "frame")
-    _evaluate_rows(d.x, pts, (*base_idx, fiber_idx), xv)
-    _evaluate_rows(d.y, pts, (*base_idx, fiber_idx), yv)
+    order = (*base_idx, fiber_idx)
+    comps = tuple(field.components[i] for field in (d.x, d.y) for i in order)
+    block = scratch((2 * chart.dim, m * s), "frame")
+    xv, yv = ex.evaluate_many(comps, chart.names, pts, out=block).reshape(2, chart.dim, m * s)
+    require_finite(xv.T, pts)
+    require_finite(yv.T, pts)
     xf, yf = xv[-1], yv[-1]
     # eliminate the fiber component against the more fiber-like generator
     use_x = np.abs(xf) >= np.abs(yf)

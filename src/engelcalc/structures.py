@@ -24,35 +24,42 @@ row of the condition's worst value by its index in the full sample:
   SVD plus the estimate half of the pass.  Uncertified matrices, those
   inside a guard band and stacks too short to repay the Gram pass go to
   the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
-  condition takes one path: :func:`_frame_ranks` evaluates the frame once
-  into a component-major buffer and ranks its leading fields.
+  condition takes one path: :func:`_frame_ranks` ranks the leading fields
+  of the frame's rows in the evaluation block below.
+
+One :func:`_judge` call evaluates everything its conditions read, every
+frame, witness, scale and pair member, in one ``evaluate_many`` call
+(:func:`_evaluate`): one compiled program that computes each distinct
+subexpression once, writing a component-major block whose rows are each
+item's components.  Non-finite values are still checked item by item, in
+the order the items used to be evaluated one at a time, so an error names
+the point of the first item that has one.  Norms are taken over the
+block's component rows and pairings over point-major copies of the two
+members, which round exactly as the point-major arrays of the items did.
 
 The constructors' self-checks judge ``zero`` conditions at ``tol.zero``,
 but read a ``nonvanishing`` one (beta, or the volume density) only for an
 exact 0: a rescaled frame's |beta| may span many decades.
 
-The rank layer's large arrays (the evaluated frame, each Gram block's Gram
-stack, and its scaled copy, B^2 and certificate), and the development's
-points and evaluated generators, live in a workspace of three buffers per
-thread (``threading.local``, :func:`_scratch`), written in place and reused
-from call to call, so a warm process neither allocates them nor faults
-their pages in again.  A buffer grows to the largest array asked of it, up
-to ``_WORKSPACE_BYTES`` (1.7 MB, a full block's certificate); a larger
-array is allocated afresh.  Each thread has its own buffers, so threads may
-rank at once, and no array that :func:`matrix_ranks` or :func:`_frame_ranks`
-returns shares memory with them.
+The evaluation block and the rank layer's large arrays (each Gram block's
+Gram stack, and its scaled copy, B^2 and certificate) live in the per-thread
+workspace of :mod:`engelcalc._kernels` (:func:`~engelcalc._kernels.scratch`),
+written in place and reused from call to call, so a warm process neither
+allocates them nor faults their pages in again.  Each thread has its own
+buffers, so threads may rank at once, and no array that
+:func:`matrix_ranks` or :func:`_frame_ranks` returns shares memory with
+them.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
+from ._kernels import scratch
 from .charts import (
     Chart,
     ChartMismatchError,
@@ -165,8 +172,10 @@ _GRAM_BAND = 1e-4
 # per call, Gram / SVD: (3, 3) at 106 rows 268/145, (4, 5) at 76 rows 205/190,
 # (4, 5) at 225 rows 253/394).
 _GRAM_MIN_ROWS = 128
-# Rows per Gram block: the block's certificate array stays under 2 MB, so
-# ranking a large stack needs little more memory than the SVD does.
+# Rows per Gram block: the block's certificate array, (4 + 6 + 3, 4, _GRAM_CHUNK)
+# floats at four columns, is the workspace's largest (_kernels.WORKSPACE_BYTES)
+# and stays under 2 MB, so ranking a large stack needs little more memory
+# than the SVD does.
 _GRAM_CHUNK = 4096
 # Row t of the certificate tests G - shift_t * ends[end_t] * I for t = 0, 1
 # and -G - shift_t * ends[end_t] * I for t = 2, 3, where ends = (lambda_min,
@@ -177,30 +186,8 @@ _GRAM_SHIFT = np.array(
 )
 _GRAM_END = [0, 0, 1, 1]
 _GRAM_EXPECT = np.array([[True], [False], [True], [False]])
-# A workspace buffer's largest size: a full block's certificate at four
-# columns, (4 + 6 + 3, 4, _GRAM_CHUNK) floats or 1.7 MB, the largest array of
-# a Gram pass.  The slots are "frame" (the frame _frame_ranks evaluates, or a
-# development's generators), "gram" (a block's Gram stack) and "temporary"
-# (a block's scaled copy, then B^2, then its certificate; a development's
-# points), whose arrays never live at once.
-_WORKSPACE_BYTES = 8 * 13 * 4 * _GRAM_CHUNK
-_workspace = threading.local()
 _PLUS_MINUS = np.array([[-1.0], [1.0]])
 _THIRD_TURN = np.array([[2.0 * np.pi / 3.0], [0.0]])
-
-
-def _scratch(shape: tuple[int, ...], slot: str = "temporary") -> np.ndarray:
-    """An uninitialised C-contiguous float array of ``shape`` in this thread's
-    ``slot`` buffer, valid until the thread next asks that slot; a fresh array
-    when it needs more than ``_WORKSPACE_BYTES``."""
-    size = math.prod(shape)
-    if 8 * size > _WORKSPACE_BYTES:
-        return np.empty(shape)
-    buf = getattr(_workspace, slot, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size)
-        setattr(_workspace, slot, buf)
-    return buf[:size].reshape(shape)
 
 
 def _svd_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +222,7 @@ def _extreme_eigenvalues(G: np.ndarray) -> np.ndarray:
     diagonal -= q
     B = G
     # B B^T: B is symmetric, and this sum is faster
-    B2 = np.einsum("ijn,kjn->ikn", B, B, out=_scratch(B.shape))
+    B2 = np.einsum("ijn,kjn->ikn", B, B, out=scratch(B.shape))
     t2 = np.einsum("iin->n", B2)
     t3 = np.einsum("ijn,ijn->n", B2, B)
     diagonal[...] = kept  # G again, bit for bit
@@ -292,7 +279,7 @@ def _certified(G: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """
     k, _, n = G.shape
     p = k * (k - 1) // 2
-    A = _scratch((k + p + k - 1, 4, n))
+    A = scratch((k + p + k - 1, 4, n))
     entries, start = _TRIANGLES.get(k) or _triangle(k)
     A[: k + p, 0] = A[: k + p, 1] = G.reshape(k * k, n)[entries]
     np.negative(A[: k + p, 0], out=A[: k + p, 2])
@@ -319,10 +306,10 @@ def _scaled_gram(m: np.ndarray) -> np.ndarray:
     # any order, so it may run over the first two axes swapped
     swapped = m.transpose(1, 0, 2)
     a = swapped if swapped.flags.c_contiguous else m
-    scale = 1.0 / np.abs(a, out=_scratch(a.shape)).max(axis=(0, 1))
-    scaled = _scratch(m.shape)
+    scale = 1.0 / np.abs(a, out=scratch(a.shape)).max(axis=(0, 1))
+    scaled = scratch(m.shape)
     np.multiply(m, scale, out=scaled)
-    return np.einsum("ain,bin->abn", scaled, scaled, out=_scratch((k, k, n), "gram"))
+    return np.einsum("ain,bin->abn", scaled, scaled, out=scratch((k, k, n), "gram"))
 
 
 def _gram_ratios(mats: np.ndarray, cut: float) -> np.ndarray:
@@ -381,29 +368,13 @@ def matrix_ranks(mats: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _frame_ranks(
-    fields: Sequence[VectorField], pts: np.ndarray, ratio: float, sizes: Sequence[int]
+    frame: np.ndarray, ratio: float, sizes: Sequence[int]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`matrix_ranks` of the first k fields at each point, for k in sizes.
-
-    The fields are evaluated once into one component-major (len(fields), dim, n)
-    buffer, so each matrix entry is a contiguous (n,) vector; its leading
-    fields are ranked through the (n, dim, k) transposed view.
-    """
-    dim = len(fields[0].components)
-    buf = _scratch((len(fields), dim, len(pts)), "frame")
-    for f, rows in zip(fields, buf):
-        _evaluate_rows(f, pts, range(dim), rows)
-    return [matrix_ranks(buf[:k].transpose(2, 1, 0), ratio) for k in sizes]
-
-
-def _evaluate_rows(
-    field: VectorField, pts: np.ndarray, order: Sequence[int], out: np.ndarray
-) -> None:
-    """Write component ``order[k]`` of the field at every point into the
-    contiguous row ``out[k]``, then check the whole block is finite."""
-    for i, row in zip(order, out):
-        row[:] = ex.evaluate_many(field.components[i], field.chart.names, pts)
-    require_finite(out.T, pts)
+    """:func:`matrix_ranks` of the first k fields at each point, for k in sizes,
+    of a frame evaluated component-major, as a (fields, dim, n) array whose
+    matrix entries are contiguous (n,) rows: its leading fields are ranked
+    through the (n, dim, k) transposed view."""
+    return [matrix_ranks(frame[:k].transpose(2, 1, 0), ratio) for k in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +436,59 @@ class Condition:
     rank: int = 0
 
 
-def _values(item, chart: Chart, pts: np.ndarray, raw: dict) -> np.ndarray:
-    """Values at the points, kept in ``raw`` by identity: a form's or field's
-    components, a scalar's values, or a (1-form, field) pair's pairing."""
-    if id(item) not in raw:
-        if isinstance(item, tuple):
-            form, field = (_values(i, chart, pts, raw) for i in item)
-            raw[id(item)] = np.einsum("nd,nd->n", form, field)
-        elif isinstance(item, (KForm, VectorField)):
-            raw[id(item)] = item.evaluate_at(pts)
+def _components(item) -> tuple[ScalarExpr, ...]:
+    """The expressions an item is evaluated as: a field's or form's
+    components, a scalar itself, or a frame's fields' components in turn."""
+    if isinstance(item, (KForm, VectorField)):
+        return item.components
+    if isinstance(item, tuple):
+        return tuple(c for field in item for c in field.components)
+    return (item,)
+
+
+def _evaluate(
+    conditions: Sequence[Condition], chart: Chart, pts: np.ndarray
+) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """Every item the conditions read, at the points, in one evaluate_many call.
+
+    Returns the component-major block, in the thread's "frame" workspace
+    buffer, and the rows of each item by identity: each frame, and each
+    field, form or scalar, once; a (1-form, field) pair stands for its two
+    members.  A non-finite value is an error naming the first point where
+    the first item has one, in the order the items used to be evaluated
+    one at a time: witnesses (a frame field by field, a pair's form first),
+    then scales.
+    """
+    spans: dict[int, tuple[int, int]] = {}
+    exprs: list[ScalarExpr] = []
+    checks: dict[tuple[int, int], None] = {}  # row ranges, in checking order
+
+    def place(item) -> tuple[int, int]:
+        if id(item) not in spans:
+            comps = _components(item)
+            spans[id(item)] = (len(exprs), len(exprs) + len(comps))
+            exprs.extend(comps)
+        return spans[id(item)]
+
+    for c in conditions:
+        if c.predicate == "rank":
+            start = place(c.witness)[0]
+            for i in range(len(c.witness)):
+                checks[(start + i * chart.dim, start + (i + 1) * chart.dim)] = None
         else:
-            raw[id(item)] = require_finite(ex.evaluate_many(item, chart.names, pts), pts)
-    return raw[id(item)]
+            for item in c.witness if isinstance(c.witness, tuple) else (c.witness,):
+                checks[place(item)] = None
+    for c in conditions:
+        for item in c.scale:
+            checks[place(item)] = None
 
-
-def _norms(item, chart: Chart, pts: np.ndarray, raw: dict) -> np.ndarray:
-    """Pointwise norm of an item's :func:`_values`: of components, or |value|."""
-    v = _values(item, chart, pts, raw)
-    return np.linalg.norm(v, axis=1) if v.ndim == 2 else np.abs(v)
+    block = ex.evaluate_many(
+        tuple(exprs), chart.names, pts, out=scratch((len(exprs), len(pts)), "frame")
+    )
+    if not np.isfinite(block).all():
+        for start, stop in checks:
+            require_finite(block[start:stop].T, pts)
+    return block, spans
 
 
 def _judge(
@@ -495,23 +501,41 @@ def _judge(
 ) -> list[VerificationReport]:
     """One report of ``kind`` per condition (see the module docstring).
 
-    Each item is evaluated once, keyed by identity: witnesses, then scales,
-    in the order given; each frame is ranked once for all its sizes."""
+    Every item is evaluated in one program (:func:`_evaluate`), each frame is
+    ranked once for all its sizes, and each other item's pointwise norm is
+    taken once, keyed by identity: of a field's or form's components, of a
+    scalar, or of a (1-form, field) pair's pairing."""
     chart = inputs[0].chart
     pts, rows = distinct_samples(chart, plan, variables_of(*inputs))
-    values, raw = {}, {}
+    block, spans = _evaluate(conditions, chart, pts)
+
+    def values_of(item) -> np.ndarray:
+        start, stop = spans[id(item)]
+        return block[start:stop]
+
+    def norms(item) -> np.ndarray:
+        if isinstance(item, tuple):
+            # point-major copies, so the pairing rounds as it always has
+            form, field = (np.ascontiguousarray(values_of(i).T) for i in item)
+            return np.abs(np.einsum("nd,nd->n", form, field))
+        if isinstance(item, (KForm, VectorField)):
+            return np.linalg.norm(values_of(item), axis=0)
+        return np.abs(values_of(item)[0])
+
+    values = {}
     for c in conditions:
         if id(c.witness) in values:
             continue
         if c.predicate == "rank":
             sizes = [d.rank for d in conditions if d.witness is c.witness]
-            values[id(c.witness)] = dict(zip(sizes, _frame_ranks(c.witness, pts, tol.rank, sizes)))
+            frame = values_of(c.witness).reshape(len(c.witness), chart.dim, len(pts))
+            values[id(c.witness)] = dict(zip(sizes, _frame_ranks(frame, tol.rank, sizes)))
         else:
-            values[id(c.witness)] = _norms(c.witness, chart, pts, raw)
+            values[id(c.witness)] = norms(c.witness)
     for c in conditions:
         for item in c.scale:
             if id(item) not in values:
-                values[id(item)] = _norms(item, chart, pts, raw)
+                values[id(item)] = norms(item)
 
     reports = []
     for c in conditions:

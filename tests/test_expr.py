@@ -139,11 +139,11 @@ def test_evaluate_unbound_variable():
 def test_a_constant_is_filled_in_as_its_program_would_evaluate(value):
     c = Constant(value)
     pts = np.arange(12.0).reshape(4, 3)
-    program = ex.compile_program(c, ("x", "y", "z"))
-    ex.compile_program.cache_clear()
+    program = ex.compile_program((c,), ("x", "y", "z"))
+    assert len(program.steps) == 1 and program.temporaries == 0  # one fill, in its row
     got = ex.evaluate_many(c, ("x", "y", "z"), pts)
-    assert ex.compile_program.cache_info().misses == 0
-    assert got.tobytes() == _kernels.run_program(program.steps, program.stack_depth, pts).tobytes()
+    ran = _kernels.run_program(program.steps, program.temporaries, pts, np.empty((1, 4)))
+    assert got.tobytes() == ran[0].tobytes() == np.full(4, value).tobytes()
     # every call returns a new array its caller may write to
     again = ex.evaluate_many(c, ("x", "y", "z"), pts)
     assert again is not got and got.flags.writeable
@@ -514,13 +514,13 @@ def test_equal_trees_built_apart_share_hash_and_equality():
     text = "cos(t*(g+pi)) - sin(g)^3/(1 + x^2)"
     a = parse_scalar_expr(text, VARS)
     assert parse_scalar_expr(text, VARS) is a
-    program = ex.compile_program(a, VARS)
+    program = ex.compile_program((a,), VARS)
     for i in range(ex._TABLE_CAP):  # the intern table reaches its cap and empties
         Variable(f"v{i}")
     b = parse_scalar_expr(text, VARS)
     assert b is not a
     assert b == a and hash(b) == hash(a)
-    assert ex.compile_program(b, VARS) is program
+    assert ex.compile_program((b,), VARS) is program
     assert Constant(0.0) == ex.ZERO and hash(Constant(1)) == hash(ex.ONE)
 
 

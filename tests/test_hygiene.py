@@ -358,6 +358,54 @@ def test_only_the_condition_engine_and_named_constructors_sample():
     assert _package_functions_using("distinct_samples") == SAMPLERS
 
 
+# The functions that call expr.evaluate_many, and why each may.  Each makes
+# one call per point set with every expression it needs there, so the one
+# compiled program computes their shared subtrees once; a new loop that
+# evaluates component by component fails here.
+EVALUATORS = {
+    # every item of a condition check: frames, witnesses, scales, pair members
+    "structures._evaluate",
+    # a field's components or a form's coefficients, at the caller's points
+    "charts.VectorField.evaluate_at",
+    "charts.KForm.evaluate_at",
+    # both fields over the whole finite-difference stencil
+    "charts.fd_lie_bracket",
+    # both generators of a plane field, and both fields of its contact
+    # frame at the base points, over one development pass
+    "prolongation._raw_angles",
+    "prolongation.ContactFrame.basis_at",
+    # both coefficients of a symbolic line field
+    "invariants.LegendrianLineField.tabulate",
+    # the one angle function of an extension, a construction input
+    "extension._sample_min",
+    # a variable-free summand, at the empty point, while differentiating
+    "expr._not_finite",
+}
+
+
+def test_every_evaluation_site_makes_one_call_per_point_set():
+    assert _package_functions_using("evaluate_many") == EVALUATORS
+
+
+def test_the_evaluator_scan_sees_every_spelling():
+    source = """
+def a(e, names, pts):
+    return evaluate_many(e, names, pts)
+def b(field, pts):
+    return [ex.evaluate_many(c, field.chart.names, pts) for c in field.components]
+class C:
+    def c(self, pts):
+        def inner(c):
+            return ex.evaluate_many(c, self.chart.names, pts)
+        return [inner(c) for c in self.components]
+    def d(self):
+        return {"evaluate_many": 1}
+def e(evaluate_many):
+    return evaluate_many
+"""
+    assert list(_functions_using(ast.parse(source), "evaluate_many")) == ["a", "b", "C.c", "C.d"]
+
+
 def test_verdicts_rank_and_name_failures_only_through_the_engine():
     assert _package_functions_using("_frame_ranks") == {"structures._judge"}
     assert _package_functions_using("sample_index") == {"structures._judge"}
@@ -473,6 +521,9 @@ UNREACHED_BY_FIXTURES = {
     "structures.Distribution2.frame",
     # reached only through KForm.__sub__ in characteristic_vector_field (above)
     "charts.KForm.scaled_by",
+    # the condition engine evaluates forms through their components; this is
+    # looked up by name by perfbench/tracer.py, and tests evaluate forms with it
+    "charts.KForm.evaluate_at",
     # line fields of induced_legendrian_line (above), for ROADMAP open item 2
     "invariants.LegendrianLineField.symbolic",
     "invariants.LegendrianLineField.tabulate",

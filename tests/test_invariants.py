@@ -100,6 +100,19 @@ def test_twisting_number_with_mixed_generators(std_frame):
     assert twisting_number(mixed, std_frame, pts) == 3
 
 
+def test_every_fibred_datum_refuses_a_fiber_that_is_not_characteristic(std_frame):
+    from engelcalc.structures import CheckError, Distribution2
+
+    pe = prolong(std_frame, 1)
+    z = ex.Variable("z")
+    skew = Distribution2(pe.chart, ch.VectorField(pe.chart, (z, 0, 0, 1)), pe.y)
+    message = "fiber-direction characteristic check failed"
+    with pytest.raises(CheckError, match=message):
+        twisting_number(skew, std_frame, _random_base(std_frame.chart, 4, seed=15))
+    with pytest.raises(CheckError, match=message):
+        induced_legendrian_line(skew, std_frame, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # minimal twisting number
 

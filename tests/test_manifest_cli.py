@@ -723,8 +723,8 @@ def test_run_tasks_keeps_the_tables_under_their_cap():
     assert (ex.Variable, "x_0") not in ex._interned  # the intern table wrapped
     assert all(len(table) <= ex._TABLE_CAP for table in EXPR_TABLES)
     cache = ex.compile_program.cache_info()
-    assert cache.maxsize == ex._TABLE_CAP
-    assert cache.currsize <= ex._TABLE_CAP
+    assert cache.maxsize == ex._PROGRAM_CAP
+    assert cache.currsize <= ex._PROGRAM_CAP
     assert all(memo.cache_info().currsize <= MEMO_SIZE for memo in MEMOS)
 
 

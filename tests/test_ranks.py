@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelcalc import expr as ex
 from engelcalc import structures
 from engelcalc.charts import lie_bracket, sample_points
 from engelcalc.manifest import materialize, parse_manifest
@@ -360,7 +361,9 @@ def test_prolonged_n3_step2_stack_is_certified_almost_whole(monkeypatch):
     monkeypatch.setattr(
         structures, "_svd_ranks", lambda m, r: ranked.append(len(m)) or svd(m, r)
     )
-    ((ranks, _),) = structures._frame_ranks(fields, pts, manifest.tolerances.rank, (5,))
+    comps = tuple(c for f in fields for c in f.components)
+    frame = ex.evaluate_many(comps, dist.chart.names, pts).reshape(5, 4, len(pts))
+    ((ranks, _),) = structures._frame_ranks(frame, manifest.tolerances.rank, (5,))
     assert len(pts) == 66536
     assert np.all(ranks == 4)
     assert sum(ranked) <= 0.02 * len(pts)

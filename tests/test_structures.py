@@ -116,20 +116,28 @@ def test_engel_pair_auto_orient_reports_both(std_pair_forms):
     assert any("given order (alpha, beta): fail" in n for n in rep.notes)
 
 
+def _placed_items(monkeypatch) -> list:
+    """Records each item the condition engine lays out in its evaluation
+    block, once per placement."""
+    from engelcalc import structures
+
+    calls, components = [], structures._components
+
+    def placing(item):
+        calls.append(item)
+        return components(item)
+
+    monkeypatch.setattr(structures, "_components", placing)
+    return calls
+
+
 def test_the_engel_pair_evaluates_each_form_once(std_pair_forms, monkeypatch):
     # the given and the swapped order share alpha and beta, which scale
     # condition 2 in both orders, and alpha ^ beta ^ d(alpha) and
     # alpha ^ beta ^ d(beta), whose norms are those of beta ^ alpha ^ d(.):
     # four witnesses and four scales
     alpha, beta = std_pair_forms
-    calls = []
-    original = ch.KForm.evaluate_at
-
-    def counting(self, points):
-        calls.append(self)
-        return original(self, points)
-
-    monkeypatch.setattr(ch.KForm, "evaluate_at", counting)
+    calls = _placed_items(monkeypatch)
     check_engel_pair(EngelPair(alpha, beta), PLAN)
     assert [f for f in calls if f is alpha] == [alpha]
     assert [f for f in calls if f is beta] == [beta]
@@ -261,16 +269,9 @@ def test_annihilator_coordinate_frame(box4):
 
 def test_annihilator_evaluates_each_field_once(box4, monkeypatch):
     frame = tuple(coordinate_field(box4, n) for n in ("x", "y", "z"))
-    calls = []
-    original = ch.VectorField.evaluate_at
-
-    def counting(self, points):
-        calls.append(self)
-        return original(self, points)
-
-    monkeypatch.setattr(ch.VectorField, "evaluate_at", counting)
+    calls = _placed_items(monkeypatch)
     annihilator_1form(frame, PLAN)
-    assert calls == list(frame)
+    assert [f for f in calls if isinstance(f, ch.VectorField)] == list(frame)
 
 
 def test_annihilator_prolonged_has_no_fiber_term(std_frame):
@@ -573,6 +574,53 @@ def test_all_deficient_stack_is_ranked_by_one_svd_and_never_certified(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# one evaluation program per check
+
+
+def _pole(chart, point) -> ex.ScalarExpr:
+    """1 / |p - point|^2, which is infinite at ``point`` alone."""
+    terms = [
+        ex.IntPower(ex.Subtract(ex.Variable(name), ex.Constant(c)), 2)
+        for name, c in zip(chart.names, point)
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ex.Add(total, term)
+    return ex.Divide(ex.ONE, total)
+
+
+def test_a_non_finite_value_names_the_first_items_point_not_the_first_row(box4):
+    from engelcalc import structures
+    from engelcalc.charts import distinct_samples
+
+    pts, _ = distinct_samples(box4, PLAN, frozenset(box4.names))
+    early, late = pts[5].tolist(), pts[200].tolist()
+    first = ch.VectorField(box4, (_pole(box4, late), 0, 0, 0))
+    second = ch.VectorField(box4, (_pole(box4, early), 0, 0, 0))
+
+    def judge(*fields):
+        conditions = (structures.Condition(f, "nonvanishing") for f in fields)
+        structures._judge("probe", fields, PLAN, structures.DEFAULT_TOLERANCES, *conditions)
+
+    with pytest.raises(GeometryError, match=re.escape(f"non-finite value at sample point {early}")):
+        judge(second)
+    # evaluated in one block with the first item, the second is still checked second
+    with pytest.raises(GeometryError, match=re.escape(f"non-finite value at sample point {late}")):
+        judge(first, second)
+
+
+def test_an_engel_frame_check_compiles_one_program():
+    from engelcalc.manifest import materialize, parse_manifest
+
+    text = (Path(__file__).resolve().parents[1] / "manifests" / "prolonged-n1.manifest").read_text()
+    manifest = parse_manifest(text)
+    dist = materialize(manifest, manifest.structures["prolonged"])
+    ex.compile_program.cache_clear()
+    assert check_engel_frame(dist, manifest.sampling, manifest.tolerances).passed
+    assert ex.compile_program.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
 # the rank layer's per-thread workspace
 
 
@@ -591,11 +639,13 @@ def _rank_stacks():
 
 
 def test_no_returned_rank_array_shares_the_workspace(box4):
-    from engelcalc import structures
+    from engelcalc import _kernels, structures
 
     fields = [coordinate_field(box4, "x"), vector_field(box4, ["1", "z", "w", "0"])]
+    pts = sample_points(box4, SamplePlan(grid=6))
+    frame = ex.evaluate_many((*fields[0].components, *fields[1].components), box4.names, pts)
     ((frame_ranks, frame_ratios),) = structures._frame_ranks(
-        fields, sample_points(box4, SamplePlan(grid=6)), 1e-7, (2,)
+        frame.reshape(2, 4, len(pts)), 1e-7, (2,)
     )
     for mats in _rank_stacks():
         cut = structures._GRAM_FLOOR * (1.0 + structures._GRAM_BAND)
@@ -606,8 +656,8 @@ def test_no_returned_rank_array_shares_the_workspace(box4):
             frame_ratios,
         )
         for slot in ("frame", "gram", "temporary"):
-            workspace = getattr(structures._workspace, slot)
-            assert workspace.nbytes <= structures._WORKSPACE_BYTES
+            workspace = getattr(_kernels._workspace, slot)
+            assert workspace.nbytes <= _kernels.WORKSPACE_BYTES
             for array in returned:
                 assert not np.shares_memory(array, workspace)
 
