@@ -530,7 +530,8 @@ def fd_lie_bracket(
     stencil[:, 2 * j + 1, j] -= h
     rows = stencil.reshape(-1, dim)
     values = ex.evaluate_many((*x.components, *y.components), x.chart.names, rows)
-    # point-major copies, X's checked first, so the sums below round as they always have
+    # X is checked before Y; the sums below run over point-major copies, since
+    # numpy's summation order, and so the rounding, follows the memory layout
     xv, yv = (
         np.ascontiguousarray(require_finite(v.T, rows)).reshape(n, 2 * dim + 1, dim)
         for v in (values[:dim], values[dim:])

@@ -31,11 +31,13 @@ One :func:`_judge` call evaluates everything its conditions read, every
 frame, witness, scale and pair member, in one ``evaluate_many`` call
 (:func:`_evaluate`): one compiled program that computes each distinct
 subexpression once, writing a component-major block whose rows are each
-item's components.  Non-finite values are still checked item by item, in
-the order the items used to be evaluated one at a time, so an error names
-the point of the first item that has one.  Norms are taken over the
-block's component rows and pairings over point-major copies of the two
-members, which round exactly as the point-major arrays of the items did.
+item's components.  Non-finite values are checked item by item, witnesses
+(a frame field by field, a pair's form first) before scales, so an error
+names the point of the first item that has one, whichever row another item
+fails at.  Norms are taken over the block's component rows, which sums the
+components in the same order as a point-major norm, and pairings over
+point-major copies of the two members, whose einsum rounds differently on
+component-major rows.
 
 The constructors' self-checks judge ``zero`` conditions at ``tol.zero``,
 but read a ``nonvanishing`` one (beta, or the volume density) only for an
@@ -455,9 +457,8 @@ def _evaluate(
     buffer, and the rows of each item by identity: each frame, and each
     field, form or scalar, once; a (1-form, field) pair stands for its two
     members.  A non-finite value is an error naming the first point where
-    the first item has one, in the order the items used to be evaluated
-    one at a time: witnesses (a frame field by field, a pair's form first),
-    then scales.
+    the first item has one, in the order witnesses (a frame field by field,
+    a pair's form first), then scales.
     """
     spans: dict[int, tuple[int, int]] = {}
     exprs: list[ScalarExpr] = []
@@ -515,7 +516,7 @@ def _judge(
 
     def norms(item) -> np.ndarray:
         if isinstance(item, tuple):
-            # point-major copies, so the pairing rounds as it always has
+            # point-major copies: einsum rounds differently on component-major rows
             form, field = (np.ascontiguousarray(values_of(i).T) for i in item)
             return np.abs(np.einsum("nd,nd->n", form, field))
         if isinstance(item, (KForm, VectorField)):
