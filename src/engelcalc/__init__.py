@@ -43,7 +43,6 @@ from .structures import (
     check_even_contact,
     check_engel_pair,
     check_engel_frame,
-    derived_square,
     annihilator_1form,
     characteristic_vector_field,
     check_characteristic,

@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     path = Path(args.manifest)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"engelcalc: cannot read {path}: {err}", file=sys.stderr)
         return 2
 
@@ -81,22 +81,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"engelcalc: {path}: {err}", file=sys.stderr)
         return 2
 
-    report = run_tasks(
-        manifest,
-        command=args.command,
-        fd_step=args.fd_step,
-        out_path=getattr(args, "out", None),
-    )
-    payload = emit_report(report, args.format)
-    if args.report:
-        try:
+    try:
+        report = run_tasks(
+            manifest,
+            command=args.command,
+            fd_step=args.fd_step,
+            out_path=getattr(args, "out", None),
+        )
+        payload = emit_report(report, args.format)
+        if args.report:
             Path(args.report).write_bytes(payload)
-        except OSError as err:
-            print(f"engelcalc: cannot write report: {err}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.flush()
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.flush()
+    except OSError as err:  # a construct task's output, or the report
+        print(f"engelcalc: cannot write: {err}", file=sys.stderr)
+        return 2
     return report.exit_code
 
 

@@ -42,14 +42,13 @@ from .structures import (
     DEFAULT_TOLERANCES,
     Condition,
     Distribution2,
+    RankDeficiencyError,
     Tolerances,
     VerificationReport,
     _combined,
     _judge,
-    annihilator_1form,
     check_characteristic,
     check_contact_3d,
-    derived_square,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -146,23 +145,25 @@ def prolong(frame: ContactFrame, n: int) -> Distribution2:
 def fiber_characteristic_annihilator(
     d: Distribution2, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> KForm:
-    """Annihilator of the bracket-extended frame, verified to single out the
+    """Annihilator of the bracket-extended frame, verified by
+    :func:`~engelcalc.structures.check_characteristic` to single out the
     fiber direction: the fiber field must satisfy the characteristic
-    conditions against it (which includes having no fiber component).
+    conditions against it (which includes having no fiber component).  A
+    frame whose (X, Y, [X, Y]) drops rank at a sample is a
+    :class:`~engelcalc.structures.RankDeficiencyError`.
 
     The last ``MEMO_SIZE`` verified forms are remembered for the process,
     keyed by (d, plan, tol), and shared by equal calls.  The check's
     witnesses are reported nowhere, so a hit changes no report; a failed
     check is never stored and raises again on every call.
     """
-    chart = d.chart
-    if chart.fiber is None:
-        raise GeometryError("distribution chart has no fiber coordinate")
-    frame3 = derived_square(d, plan, tol)
-    beta = annihilator_1form(frame3, plan, tol)
-    check_characteristic(coordinate_field(chart, chart.fiber), beta, plan, tol).require(
-        "fiber-direction characteristic check"
-    )
+    frame, beta, characteristic = check_characteristic(d, plan, tol)
+    if characteristic is None:
+        raise RankDeficiencyError(
+            f"derived distribution has rank {frame.first_failure['rank_step1']} at sample point"
+            f" {frame.first_failure['point']}"
+        )
+    characteristic.require("fiber-direction characteristic check")
     return beta
 
 

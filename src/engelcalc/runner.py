@@ -14,7 +14,6 @@ from . import expr as ex
 from .charts import (
     GeometryError,
     SamplePlan,
-    coordinate_field,
     fd_lie_bracket,
     lie_bracket,
     random_points,
@@ -34,7 +33,6 @@ from .structures import (
     CheckError,
     Distribution2,
     VerificationReport,
-    annihilator_1form,
     check_characteristic,
     check_contact_3d,
     check_engel_frame,
@@ -83,21 +81,16 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
         rep = obj.validate(plan, tol)
     elif decl.kind in ("engel_frame", "prolongation", "extension"):
         dist = extend(obj, plan) if decl.kind == "extension" else obj
-        rep = check_engel_frame(dist, plan, tol)
-        if decl.kind == "prolongation" and rep.witnesses["rank_step1_min"] == 3:
-            # a prolongation's characteristic must be its fiber.  The check
-            # needs (X, Y, [X, Y]) of full rank, as check_engel_frame found it
-            # on this plan; a frame deficient there has already failed.
-            frame3 = (dist.x, dist.y, lie_bracket(dist.x, dist.y))
-            char = check_characteristic(
-                coordinate_field(dist.chart, dist.chart.fiber),
-                annihilator_1form(frame3, plan, tol),
-                plan,
-                tol,
-            )
-            record.witnesses.update({"characteristic_" + k: v for k, v in char.witnesses.items()})
-            if not char.passed:
-                rep = char
+        if decl.kind == "prolongation":
+            # a prolongation's characteristic must be its fiber, judged with
+            # the frame where (X, Y, [X, Y]) has full rank
+            rep, _, char = check_characteristic(dist, plan, tol, engel=True)
+            if char is not None:
+                record.witnesses.update({"characteristic_" + k: v for k, v in char.witnesses.items()})
+                if not char.passed:
+                    rep = char
+        else:
+            rep = check_engel_frame(dist, plan, tol)
         record.witnesses["fd_bracket_max_error"] = _fd_cross_check(dist, manifest, fd_step)
     elif decl.kind == "extension_family":
         record.status = "pass"

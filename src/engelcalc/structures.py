@@ -27,17 +27,21 @@ row of the condition's worst value by its index in the full sample:
   condition takes one path: :func:`_frame_ranks` ranks the leading fields
   of the frame's rows in the evaluation block below.
 
-One :func:`_judge` call evaluates everything its conditions read, every
-frame, witness, scale and pair member, in one ``evaluate_many`` call
-(:func:`_evaluate`): one compiled program that computes each distinct
-subexpression once, writing a component-major block whose rows are each
-item's components.  Non-finite values are checked item by item, witnesses
-(a frame field by field, a pair's form first) before scales, so an error
-names the point of the first item that has one, whichever row another item
-fails at.  Norms are taken over the block's component rows, which sums the
-components in the same order as a point-major norm, and pairings over
-point-major copies of the two members, whose einsum rounds differently on
-component-major rows.
+Each check is one :func:`_judge` call, a fibred frame's ranks, annihilator
+self-check and characteristic conditions included
+(:func:`check_characteristic`); a condition ``after`` another is judged only
+if that one passed, and is otherwise neither checked nor reported (None).
+The call evaluates everything its conditions read, every frame, witness,
+scale and pair member, in one ``evaluate_many`` call (:func:`_evaluate`):
+one compiled program that computes each distinct subexpression once,
+writing a component-major block whose rows are each item's components.
+Non-finite values are checked item by item just before the first judged
+condition that reads each item, its witness (a frame field by field, a
+pair's form first) then its scales, so an error names the point of the
+first item that has one, whichever row another item fails at.  Norms are
+taken over the block's component rows, which sums the components in the
+same order as a point-major norm, and pairings over point-major copies of
+the two members, whose einsum rounds differently on component-major rows.
 
 The constructors' self-checks judge ``zero`` conditions at ``tol.zero``,
 but read a ``nonvanishing`` one (beta, or the volume density) only for an
@@ -70,6 +74,7 @@ from .charts import (
     KForm,
     SamplePlan,
     VectorField,
+    coordinate_field,
     distinct_samples,
     exterior_derivative,
     interior_product,
@@ -429,13 +434,16 @@ class Condition:
     """One pointwise test of a check: a form, field or scalar ``witness``, or
     a (1-form, field) pair standing for its pairing, that is
     ``"nonvanishing"`` or ``"zero"``, or a frame whose first ``rank`` fields
-    reach full ``"rank"``.  ``name`` keys its value in a failure."""
+    reach full ``"rank"``.  ``name`` keys its value in a failure.  A
+    condition ``after`` another, listed before it, is judged only where
+    that one passed."""
 
     witness: object
     predicate: str
     name: str = "value"
     scale: tuple = ()
     rank: int = 0
+    after: "Condition | None" = None
 
 
 def _components(item) -> tuple[ScalarExpr, ...]:
@@ -448,6 +456,14 @@ def _components(item) -> tuple[ScalarExpr, ...]:
     return (item,)
 
 
+def _read(c: Condition) -> tuple:
+    """The items a condition reads, in checking order: its frame, form, field
+    or scalar witness, or a pair's form and field, then its scales."""
+    if c.predicate == "rank" or not isinstance(c.witness, tuple):
+        return (c.witness, *c.scale)
+    return (*c.witness, *c.scale)
+
+
 def _evaluate(
     conditions: Sequence[Condition], chart: Chart, pts: np.ndarray
 ) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
@@ -455,40 +471,19 @@ def _evaluate(
 
     Returns the component-major block, in the thread's "frame" workspace
     buffer, and the rows of each item by identity: each frame, and each
-    field, form or scalar, once; a (1-form, field) pair stands for its two
-    members.  A non-finite value is an error naming the first point where
-    the first item has one, in the order witnesses (a frame field by field,
-    a pair's form first), then scales.
+    field, form or scalar, once.  Nothing is checked for finiteness here.
     """
     spans: dict[int, tuple[int, int]] = {}
     exprs: list[ScalarExpr] = []
-    checks: dict[tuple[int, int], None] = {}  # row ranges, in checking order
-
-    def place(item) -> tuple[int, int]:
-        if id(item) not in spans:
-            comps = _components(item)
-            spans[id(item)] = (len(exprs), len(exprs) + len(comps))
-            exprs.extend(comps)
-        return spans[id(item)]
-
     for c in conditions:
-        if c.predicate == "rank":
-            start = place(c.witness)[0]
-            for i in range(len(c.witness)):
-                checks[(start + i * chart.dim, start + (i + 1) * chart.dim)] = None
-        else:
-            for item in c.witness if isinstance(c.witness, tuple) else (c.witness,):
-                checks[place(item)] = None
-    for c in conditions:
-        for item in c.scale:
-            checks[place(item)] = None
-
+        for item in _read(c):
+            if id(item) not in spans:
+                comps = _components(item)
+                spans[id(item)] = (len(exprs), len(exprs) + len(comps))
+                exprs.extend(comps)
     block = ex.evaluate_many(
         tuple(exprs), chart.names, pts, out=scratch((len(exprs), len(pts)), "frame")
     )
-    if not np.isfinite(block).all():
-        for start, stop in checks:
-            require_finite(block[start:stop].T, pts)
     return block, spans
 
 
@@ -499,8 +494,9 @@ def _judge(
     tol: Tolerances,
     *conditions: Condition,
     joint: bool = False,
-) -> list[VerificationReport]:
-    """One report of ``kind`` per condition (see the module docstring).
+) -> list[VerificationReport | None]:
+    """One report of ``kind`` per condition (see the module docstring), or
+    None for a condition whose ``after`` condition did not pass.
 
     Every item is evaluated in one program (:func:`_evaluate`), each frame is
     ranked once for all its sizes, and each other item's pointwise norm is
@@ -509,6 +505,8 @@ def _judge(
     chart = inputs[0].chart
     pts, rows = distinct_samples(chart, plan, variables_of(*inputs))
     block, spans = _evaluate(conditions, chart, pts)
+    # ids of the items not yet checked for finiteness: none if all is finite
+    unchecked = set() if np.isfinite(block).all() else set(spans)
 
     def values_of(item) -> np.ndarray:
         start, stop = spans[id(item)]
@@ -524,22 +522,29 @@ def _judge(
         return np.abs(values_of(item)[0])
 
     values = {}
+    reports: list[VerificationReport | None] = []
     for c in conditions:
-        if id(c.witness) in values:
+        if c.after is not None and not getattr(reports[conditions.index(c.after)], "passed", False):
+            reports.append(None)  # its gate failed, or was itself not judged
             continue
-        if c.predicate == "rank":
-            sizes = [d.rank for d in conditions if d.witness is c.witness]
-            frame = values_of(c.witness).reshape(len(c.witness), chart.dim, len(pts))
-            values[id(c.witness)] = dict(zip(sizes, _frame_ranks(frame, tol.rank, sizes)))
-        else:
-            values[id(c.witness)] = norms(c.witness)
-    for c in conditions:
+        for item in _read(c):
+            if id(item) in unchecked:
+                unchecked.discard(id(item))
+                start, stop = spans[id(item)]
+                step = chart.dim if isinstance(item, tuple) else stop - start  # a frame by field
+                for lo in range(start, stop, step):
+                    require_finite(block[lo : lo + step].T, pts)
+        if id(c.witness) not in values:
+            if c.predicate == "rank":
+                sizes = [d.rank for d in conditions if d.witness is c.witness]
+                frame = values_of(c.witness).reshape(len(c.witness), chart.dim, len(pts))
+                values[id(c.witness)] = dict(zip(sizes, _frame_ranks(frame, tol.rank, sizes)))
+            else:
+                values[id(c.witness)] = norms(c.witness)
         for item in c.scale:
             if id(item) not in values:
                 values[id(item)] = norms(item)
 
-    reports = []
-    for c in conditions:
         if c.predicate == "rank":
             v, ratios = values[id(c.witness)][c.rank]
             low = int(v.min())
@@ -646,21 +651,16 @@ def check_engel_pair(
     }, notes)
 
 
-def check_engel_frame(
-    d: Distribution2,
-    plan: SamplePlan,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VerificationReport:
-    """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
-    if d.chart.dim != 4:
-        raise DimensionError("frame check requires a 4-dimensional chart")
+def _engel_ranks(d: Distribution2, engel: bool) -> tuple[Condition, ...]:
+    """Rank 3 of (X, Y, [X, Y]) and, with ``engel``, rank 4 of the five
+    fields after a second bracket, on one frame."""
     xy = lie_bracket(d.x, d.y)
-    fields = (d.x, d.y, xy, lie_bracket(d.x, xy), lie_bracket(d.y, xy))
-    step1, step2 = _judge(
-        "engel_frame", (d.x, d.y), plan, tol,
-        Condition(fields, "rank", "rank_step1", rank=3),
-        Condition(fields, "rank", "rank_step2", rank=5),
-    )
+    fields = (d.x, d.y, xy, lie_bracket(d.x, xy), lie_bracket(d.y, xy)) if engel else (d.x, d.y, xy)
+    step1 = Condition(fields, "rank", "rank_step1", rank=3)
+    return (step1, Condition(fields, "rank", "rank_step2", rank=5)) if engel else (step1,)
+
+
+def _engel_report(step1: VerificationReport, step2: VerificationReport) -> VerificationReport:
     return _combined("engel_frame", (step1, step2), {
         "rank_step1_min": step1.witnesses["rank_min"],
         "rank_step1_max": step1.witnesses["rank_max"],
@@ -671,35 +671,23 @@ def check_engel_frame(
     })
 
 
-def derived_square(
+def check_engel_frame(
     d: Distribution2,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[VectorField, VectorField, VectorField]:
-    """Frame (X, Y, [X, Y]) of the bracket-extended distribution.
-
-    Raises :class:`RankDeficiencyError` if the three fields drop rank at a
-    sample point.
-    """
-    square = (d.x, d.y, lie_bracket(d.x, d.y))
-    rank3 = Condition(square, "rank", "rank", rank=3)
-    (rep,) = _judge("derived_square", (d.x, d.y), plan, tol, rank3)
-    if not rep.passed:
-        raise RankDeficiencyError(
-            f"derived distribution has rank {rep.first_failure['rank']} at sample point"
-            f" {rep.first_failure['point']}"
-        )
-    return square
+) -> VerificationReport:
+    """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
+    if d.chart.dim != 4:
+        raise DimensionError("frame check requires a 4-dimensional chart")
+    return _engel_report(*_judge("engel_frame", (d.x, d.y), plan, tol, *_engel_ranks(d, True)))
 
 
-def annihilator_1form(
-    frame: Sequence[VectorField], plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES
-) -> KForm:
+def annihilator_1form(frame: Sequence[VectorField]) -> KForm:
     """Symbolic 1-form annihilating a rank-3 frame on a 4-chart.
 
     Component i is the signed 3x3 minor of the 4x3 component matrix with
-    row i removed.  It must not vanish at a sample point, and its pairing
-    with each field must be zero there, relative to |beta| |field|.
+    row i removed.  It is checked numerically only as part of
+    :func:`check_characteristic`.
     """
     if len(frame) != 3:
         raise GeometryError("annihilator expects exactly three fields")
@@ -737,20 +725,7 @@ def annihilator_1form(
         coeff = simplify(minor if i % 2 == 0 else ex.Negate(minor))
         if not ex.is_zero(coeff):
             terms.append(((i,), coeff))
-    beta = KForm(chart, 1, tuple(terms))
-
-    nonzero, *annihilated = _judge(
-        "annihilator", frame, plan, tol,
-        Condition(beta, "nonvanishing"),
-        *(Condition((beta, f), "zero", scale=(beta, f)) for f in frame),
-    )
-    if nonzero.witnesses["min_abs"] <= 0.0:
-        raise RankDeficiencyError(
-            f"frame drops rank at sample point {nonzero.first_failure['point']}"
-        )
-    if not all(r.passed for r in annihilated):
-        raise CheckError("annihilator does not annihilate its frame")
-    return beta
+    return KForm(chart, 1, tuple(terms))
 
 
 def characteristic_vector_field(
@@ -793,21 +768,49 @@ def characteristic_vector_field(
 
 
 def check_characteristic(
-    x0: VectorField,
-    beta: KForm,
+    d: Distribution2,
     plan: SamplePlan,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VerificationReport:
-    """X0 lies in ker(beta) and its flow preserves it: (L_X0 beta)^beta = 0."""
-    if x0.chart != beta.chart:
-        raise ChartMismatchError("field and form on different charts")
+    *,
+    engel: bool = False,
+) -> tuple[VerificationReport, KForm, VerificationReport | None]:
+    """The fiber field X0 of a fibred frame is its characteristic direction.
+
+    One _judge call: rank 3 of (X, Y, [X, Y]) (and, with ``engel``, the
+    ranks of :func:`check_engel_frame`), then, only if rank 3 passed, the
+    self-check of the annihilator beta of (X, Y, [X, Y]) (nonzero, and zero
+    on each field relative to |beta| |field|), X0 in ker(beta) and
+    (L_X0 beta)^beta = 0.  Returns the frame report, beta, and the
+    characteristic report or None.  A beta that is exactly 0 at a sample is
+    a :class:`RankDeficiencyError`, one that does not annihilate a
+    :class:`CheckError`."""
+    chart = d.chart
+    if chart.fiber is None:
+        raise GeometryError("distribution chart has no fiber coordinate")
+    ranks = _engel_ranks(d, engel)
+    step1 = ranks[0]
+    square = step1.witness[:3]
+    beta = annihilator_1form(square)
+    x0 = coordinate_field(chart, chart.fiber)
     lie = lie_derivative_form(x0, beta)
-    proportional, in_kernel = _judge(
-        "characteristic", (x0, beta), plan, tol,
-        Condition(wedge(lie, beta), "zero", scale=(lie, beta)),
-        Condition((beta, x0), "zero", scale=(beta, x0)),
+    *frame, nonzero, a1, a2, a3, proportional, in_kernel = _judge(
+        "characteristic", (d.x, d.y), plan, tol,
+        *ranks,
+        Condition(beta, "nonvanishing", after=step1),
+        *(Condition((beta, f), "zero", scale=(beta, f), after=step1) for f in square),
+        Condition(wedge(lie, beta), "zero", scale=(lie, beta), after=step1),
+        Condition((beta, x0), "zero", scale=(beta, x0), after=step1),
     )
-    return _combined("characteristic", (proportional, in_kernel), {
+    frame_report = _engel_report(*frame) if engel else frame[0]
+    if nonzero is None:
+        return frame_report, beta, None
+    if nonzero.witnesses["min_abs"] <= 0.0:
+        raise RankDeficiencyError(
+            f"frame drops rank at sample point {nonzero.first_failure['point']}"
+        )
+    if not (a1.passed and a2.passed and a3.passed):
+        raise CheckError("annihilator does not annihilate its frame")
+    return frame_report, beta, _combined("characteristic", (proportional, in_kernel), {
         "lie_wedge_max": proportional.witnesses["max_abs"],
         "kernel_pairing_max": in_kernel.witnesses["max_abs"],
     })

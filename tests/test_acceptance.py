@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import kernel_plane_basis, plane_angle_sin
+from conftest import chart_from_box, kernel_plane_basis, plane_angle_sin
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -101,12 +101,14 @@ def test_criterion_1_standard_structures(box4, std_pair_forms, std_kernel_frame)
     )
 
 
-def test_criterion_2_characteristic_field(box4):
-    beta = parse_one_form(box4, "dy - z*dx")
-    x0 = characteristic_vector_field(beta, volume_form(box4), ACCEPTANCE_PLAN)
+def test_criterion_2_characteristic_field():
+    # the kernel frame of dy - z*dx on the box, with the fiber w
+    chart = chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "w": (-1, 1)}, fiber="w")
+    d = Distribution2(chart, ch.coordinate_field(chart, "w"), vector_field(chart, ["1", "z", "w", "0"]))
+    _, beta, rep = check_characteristic(d, ACCEPTANCE_PLAN)
+    x0 = characteristic_vector_field(beta, volume_form(chart), ACCEPTANCE_PLAN)
     exact = tuple(ex.simplify(c) for c in x0.components)
     ok = exact == (ex.ZERO, ex.ZERO, ex.ZERO, ex.ONE)
-    rep = check_characteristic(x0, beta, ACCEPTANCE_PLAN)
     residual = max(rep.witnesses["lie_wedge_max"], rep.witnesses["kernel_pairing_max"])
     ok = ok and rep.passed and residual <= 1e-12
     _verdict(

@@ -31,9 +31,7 @@ from engelcalc.invariants import (
     minimal_twisting_number,
 )
 from engelcalc.prolongation import ContactFrame, deprolong
-from engelcalc.structures import check_characteristic, check_engel_frame
-from engelcalc.structures import Tolerances, annihilator_1form, derived_square
-from engelcalc.charts import coordinate_field
+from engelcalc.structures import Tolerances, check_characteristic, check_engel_frame
 
 PLAN = SamplePlan(grid=3, random=20, seed=0)
 MTW_PLAN = SamplePlan(grid=3, random=6, seed=0)
@@ -183,11 +181,10 @@ def test_extend_requires_exactly_one_target(std_frame):
 
 def test_extend_characteristic_is_fiber(std_frame):
     dist = extend(ExtensionSpec(frame=std_frame, n=1, g=ex.Constant(1.2)), PLAN)
-    beta = annihilator_1form(derived_square(dist, PLAN), PLAN)
+    _, beta, char = check_characteristic(dist, PLAN)
     fiber_idx = dist.chart.index(dist.chart.fiber)
     assert ex.simplify(beta.coeff((fiber_idx,))) == ex.ZERO
-    x0 = coordinate_field(dist.chart, dist.chart.fiber)
-    assert check_characteristic(x0, beta, PLAN).passed
+    assert char.passed
 
 
 def test_extend_deprolongs_to_input_plane(std_frame):

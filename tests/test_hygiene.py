@@ -406,6 +406,34 @@ def e(evaluate_many):
     assert list(_functions_using(ast.parse(source), "evaluate_many")) == ["a", "b", "C.c", "C.d"]
 
 
+# The functions that call structures._judge, and why each may.  A check
+# judges all its conditions in one call, so each item is evaluated once per
+# sample set; a symbolic constructor (structures.annihilator_1form) or a
+# reader of a check's verdict (prolongation.fiber_characteristic_annihilator)
+# that judged on its own would evaluate the check's inputs again.
+JUDGES = {
+    # one verdict each
+    "structures.check_contact_3d",
+    "structures.check_even_contact",
+    "structures.check_engel_pair",
+    "structures.check_engel_frame",
+    "structures.check_twisting_condition",
+    "structures.Distribution2.validate_rank",
+    "prolongation.ContactFrame.validate",
+    "extension.verify_extension_identities",
+    # a fibred frame's ranks, its annihilator's self-check and the fiber's
+    # characteristic conditions, gated on rank 3
+    "structures.check_characteristic",
+    # two calls: the volume density before the field that divides by it is
+    # built, then the field's contraction identity
+    "structures.characteristic_vector_field",
+}
+
+
+def test_only_the_named_checks_call_the_engine():
+    assert _package_functions_using("_judge") == JUDGES
+
+
 def test_verdicts_rank_and_name_failures_only_through_the_engine():
     assert _package_functions_using("_frame_ranks") == {"structures._judge"}
     assert _package_functions_using("sample_index") == {"structures._judge"}

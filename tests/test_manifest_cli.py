@@ -676,25 +676,42 @@ def test_zero_times_a_non_finite_constant_is_an_error_in_every_task(tmp_path, co
     assert all(t["error"].startswith("non-finite value at sample point") for t in tasks)
 
 
-def test_degenerate_prolongation_fails_like_the_engel_frame(tmp_path):
-    # V1 = 2*d/dz is parallel to V0: (X, Y, [X, Y]) has rank 2 everywhere
+@pytest.mark.parametrize(
+    "v1, grid, frame_failure, rank_step1_max, prolonged_index",
+    [
+        # V1 = 2*d/dz is parallel to V0: (X, Y, [X, Y]) has rank 2 everywhere
+        ("0; 0; 2", 4, ([-1.0, -1.0, -1.0], 0, 1, 1), 2, 0),
+        # V1 = x (d/dx + z d/dy) vanishes on x = 0 only, which grid 3 samples:
+        # the frame has rank 3 elsewhere, but its characteristic is not
+        # judged, and the annihilator's self-check (whose beta vanishes
+        # there too) does not turn the failure into an error
+        ("x; x*z; 0", 3, ([0.0, -1.0, -1.0], 9, 1, 1), 3, 27),
+    ],
+    ids=["parallel", "partly-deficient"],
+)
+def test_degenerate_prolongation_fails_like_the_engel_frame(
+    tmp_path, v1, grid, frame_failure, rank_step1_max, prolonged_index
+):
     text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    text = text.replace("field V1 = 1; z; 0", f"field V1 = {v1}").replace("grid = 4", f"grid = {grid}")
     path = tmp_path / "m.manifest"
-    path.write_text(text.replace("field V1 = 1; z; 0", "field V1 = 0; 0; 2"))
+    path.write_text(text)
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--report", str(out)]) == 1
     frame, prolonged = json.loads(out.read_text())["tasks"]
     # both first failures carry their sample row, and ranks print as ints
+    point, index, plane, bracket = frame_failure
     assert frame["witnesses"]["first_failure"] == {
-        "point": [-1.0, -1.0, -1.0],
-        "sample_index": 0,
-        "rank_plane": 1,
-        "rank_with_bracket": 1,
+        "point": point,
+        "sample_index": index,
+        "rank_plane": plane,
+        "rank_with_bracket": bracket,
     }
     assert (prolonged["id"], prolonged["status"]) == ("verify_prolonged", "fail")
     witnesses = prolonged["witnesses"]
-    assert witnesses["rank_step1_max"] == 2
-    assert witnesses["first_failure"]["sample_index"] == 0
+    assert witnesses["rank_step1_max"] == rank_step1_max
+    assert witnesses["first_failure"]["sample_index"] == prolonged_index
+    assert witnesses["first_failure"]["point"] == [*point, 0.0]
     assert type(witnesses["first_failure"]["rank_step1"]) is int
     assert not any(key.startswith("characteristic_") for key in witnesses)
 
@@ -726,6 +743,52 @@ def test_run_tasks_keeps_the_tables_under_their_cap():
     assert cache.maxsize == ex._PROGRAM_CAP
     assert cache.currsize <= ex._PROGRAM_CAP
     assert all(memo.cache_info().currsize <= MEMO_SIZE for memo in MEMOS)
+
+
+def test_no_task_evaluates_an_expression_twice_at_the_same_points(tmp_path, monkeypatch):
+    """Each check evaluates everything it judges in one block, so on a warm
+    pass of the fixture mix no non-constant expression is evaluated twice at
+    the same points within one task, keyed by the expression's identity (the
+    nodes are interned) and the points' bytes.  Across tasks, the verify and
+    identities tasks of an extension each take the sampled minimum of its
+    angle function, which is not memoized because it may warn."""
+    from engelcalc import runner
+
+    seen_in_task, seen_in_request = set(), set()
+    within, across = [], set()
+    evaluate_many = ex.evaluate_many
+
+    def recording(exprs, var_order, points, out=None):
+        rows = points.tobytes()
+        for e in {id(e): e for e in (exprs if isinstance(exprs, tuple) else (exprs,))}.values():
+            if isinstance(e, ex.Constant):
+                continue
+            key = (id(e), rows)
+            if key in seen_in_task:
+                within.append(ex.to_text(e))
+            elif key in seen_in_request:
+                across.add(current)
+            seen_in_task.add(key)
+            seen_in_request.add(key)
+        return evaluate_many(exprs, var_order, points, out=out)
+
+    for name in ("_verify_task", "_invariant_task", "_identities_task", "_construct_task"):
+        def starting_a_task(*args, _task=getattr(runner, name)):
+            seen_in_task.clear()
+            return _task(*args)
+        monkeypatch.setattr(runner, name, starting_a_task)
+
+    manifests = {p.stem: parse_manifest(p.read_text()) for p in sorted(MANIFESTS.glob("*.manifest"))}
+    out = str(tmp_path / "out.manifest")
+    requests = [(stem, command) for stem in manifests for command in ("verify", "invariant", "construct")]
+    for recorded in (False, True):  # the first pass warms the tables and memos
+        if recorded:
+            monkeypatch.setattr(ex, "evaluate_many", recording)
+        for current in requests:
+            seen_in_request.clear()
+            run_tasks(manifests[current[0]], command=current[1], out_path=out)
+    assert within == []
+    assert across and all(stem.startswith("extension-") and command == "verify" for stem, command in across)
 
 
 def test_cli_parser_is_built_once():
@@ -799,6 +862,23 @@ def test_cli_verify_passes(tmp_path, capsys):
 
 def test_cli_missing_file_is_input_error(tmp_path):
     assert main(["verify", str(tmp_path / "missing.manifest")]) == 2
+
+
+def test_cli_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.manifest"
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+    assert main(["verify", str(path)]) == 2
+    assert f"engelcalc: cannot read {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_cli_construct_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "built.manifest"
+    manifest = str(MANIFESTS / "prolonged-n1.manifest")
+    assert main(["construct", manifest, "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("engelcalc: cannot write: [Errno 2] No such file or directory")
+    assert str(out) in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_parse_error_is_input_error(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import chart_from_box
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -18,7 +19,7 @@ from engelcalc.charts import (
     wedge,
 )
 from engelcalc.extension import ExtensionSpec, verify_extension_identities
-from engelcalc.prolongation import ContactFrame
+from engelcalc.prolongation import ContactFrame, fiber_characteristic_annihilator, prolong
 from engelcalc.structures import (
     DimensionError,
     Distribution2,
@@ -32,10 +33,20 @@ from engelcalc.structures import (
     check_engel_pair,
     check_even_contact,
     check_twisting_condition,
-    derived_square,
 )
 
 PLAN = SamplePlan(grid=4, random=60, seed=0)
+
+# the [-1, 1]^4 box of the box4 fixture, with w, and then x, as its fiber
+BOX = {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "w": (-1, 1)}
+FIBER_W = chart_from_box(BOX, fiber="w")
+FIBER_X = chart_from_box(BOX, fiber="x")
+
+
+def _std_kernel(chart, y="1; z; w; 0") -> Distribution2:
+    """The standard pair's kernel frame {d/dw, d/dx + z d/dy + w d/dz} on a
+    fibred copy of the box, or with another second field."""
+    return Distribution2(chart, coordinate_field(chart, "w"), vector_field(chart, y.split(";")))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +188,6 @@ def test_engel_frame_fails_at_the_second_step(box4):
 
 
 def test_engel_frame_prolonged(std_frame):
-    from engelcalc.prolongation import prolong
-
     d = prolong(std_frame, 2)
     assert check_engel_frame(d, PLAN).passed
 
@@ -215,28 +224,33 @@ def test_pair_and_kernel_frame_verdicts_agree(box4, std_pair_forms, std_kernel_f
 
 
 # ---------------------------------------------------------------------------
-# derived square and annihilator
+# derived square (X, Y, [X, Y]) and annihilator
 
 
-def test_derived_square_standard(box4, std_kernel_frame):
-    d = Distribution2(box4, *std_kernel_frame)
-    x, y, xy = derived_square(d, PLAN)
-    assert [ex.to_text(c) for c in xy.components] == ["0", "0", "1", "0"]
+def test_derived_square_standard():
+    # (d/dw, Y, [d/dw, Y] = d/dz) has rank 3 everywhere, and its minors
+    # give beta = z dx - dy
+    frame, beta, char = check_characteristic(_std_kernel(FIBER_W), PLAN)
+    assert frame.passed and frame.witnesses["rank_min"] == frame.witnesses["rank_max"] == 3
+    assert [(key, ex.to_text(c)) for key, c in beta.terms] == [((0,), "z"), ((1,), "-1")]
+    assert char.passed
 
 
-def test_derived_square_integrable_errors(box4):
-    d = Distribution2(box4, coordinate_field(box4, "x"), coordinate_field(box4, "y"))
-    with pytest.raises(RankDeficiencyError):
-        derived_square(d, PLAN)
+def test_derived_square_integrable_errors():
+    d = Distribution2(FIBER_W, coordinate_field(FIBER_W, "x"), coordinate_field(FIBER_W, "y"))
+    frame, _, char = check_characteristic(d, PLAN)
+    assert not frame.passed and frame.witnesses["rank_max"] == 2
+    assert char is None
+    with pytest.raises(RankDeficiencyError, match="derived distribution has rank 2"):
+        fiber_characteristic_annihilator(d, PLAN)
 
 
 def test_derived_square_prolonged_third_vector(std_frame):
     """For the 1-fold prolongation the bracket is the quarter-turned frame
     combination scaled by one half."""
-    from engelcalc.prolongation import prolong
-
     pe = prolong(std_frame, 1)
-    _, _, xy = derived_square(pe, PLAN)
+    assert check_characteristic(pe, PLAN)[0].passed
+    xy = ch.lie_bracket(pe.x, pe.y)
     chart = pe.chart
     pts = sample_points(chart, SamplePlan(grid=3, random=10, seed=2))
     got = xy.evaluate_at(pts)
@@ -250,47 +264,61 @@ def test_derived_square_prolonged_third_vector(std_frame):
     np.testing.assert_allclose(got[:, 3], 0.0, atol=1e-12)
 
 
-def test_annihilator_standard_kernel(box4, std_kernel_frame):
-    d = Distribution2(box4, *std_kernel_frame)
-    beta = annihilator_1form(derived_square(d, PLAN), PLAN)
+def test_annihilator_standard_kernel():
+    _, beta, _ = check_characteristic(_std_kernel(FIBER_W), PLAN)
     # proportional to dy - z*dx: cross-coefficients cancel at samples
-    pts = sample_points(box4, PLAN)
+    pts = sample_points(FIBER_W, PLAN)
     vals = beta.evaluate_at(pts)
-    reference = parse_one_form(box4, "dy - z*dx").evaluate_at(pts)
+    reference = parse_one_form(FIBER_W, "dy - z*dx").evaluate_at(pts)
     cross = vals[:, :, None] * reference[:, None, :]
     assert np.max(np.abs(cross - cross.transpose(0, 2, 1))) <= 1e-12
 
 
 def test_annihilator_coordinate_frame(box4):
     frame = tuple(coordinate_field(box4, n) for n in ("x", "y", "z"))
-    beta = annihilator_1form(frame, PLAN)
+    beta = annihilator_1form(frame)
     assert [key for key, _ in beta.terms] == [(3,)]
 
 
-def test_annihilator_evaluates_each_field_once(box4, monkeypatch):
-    frame = tuple(coordinate_field(box4, n) for n in ("x", "y", "z"))
+def test_annihilator_evaluates_each_field_once(monkeypatch):
+    # the frame once for its ranks, then X, Y and [X, Y] once each as pairing
+    # members and scales, and the fiber field once
     calls = _placed_items(monkeypatch)
-    annihilator_1form(frame, PLAN)
-    assert [f for f in calls if isinstance(f, ch.VectorField)] == list(frame)
+    check_characteristic(_std_kernel(FIBER_W), PLAN)
+    fields = [f for f in calls if isinstance(f, ch.VectorField)]
+    assert len(set(map(id, fields))) == len(fields) == 4
+    assert len(set(map(id, calls))) == len(calls)
 
 
 def test_annihilator_prolonged_has_no_fiber_term(std_frame):
-    from engelcalc.prolongation import prolong
-
     pe = prolong(std_frame, 2)
-    beta = annihilator_1form(derived_square(pe, PLAN), PLAN)
+    _, beta, _ = check_characteristic(pe, PLAN)
     fiber_idx = pe.chart.index(pe.chart.fiber)
     assert ex.simplify(beta.coeff((fiber_idx,))) == ex.ZERO
 
 
-def test_the_annihilator_of_a_frame_rescaled_over_decades_passes(box4, std_kernel_frame):
+def test_the_annihilator_of_a_frame_rescaled_over_decades_passes():
     # exp(5x) on both fields puts exp(15x) on |beta|, 13 decades over the
     # box: only an exact 0 of |beta| is a rank drop, not a small ratio
-    scale = box4.parse("exp(5*x)")
-    d = Distribution2(box4, *(f.scaled_by(scale) for f in std_kernel_frame))
-    beta = annihilator_1form(derived_square(d, PLAN), PLAN)
-    norms = np.linalg.norm(beta.evaluate_at(sample_points(box4, PLAN)), axis=1)
+    scale = FIBER_W.parse("exp(5*x)")
+    plain = _std_kernel(FIBER_W)
+    d = Distribution2(FIBER_W, plain.x.scaled_by(scale), plain.y.scaled_by(scale))
+    _, beta, char = check_characteristic(d, PLAN)
+    norms = np.linalg.norm(beta.evaluate_at(sample_points(FIBER_W, PLAN)), axis=1)
     assert norms.max() / norms.min() > 1e12
+    assert char.passed
+
+
+def test_an_annihilator_that_underflows_at_full_rank_is_a_rank_drop():
+    # every field is about 1e-110 long on a fiber 1e-110 wide, so (X, Y,
+    # [X, Y]) has rank 3, but beta = 1e-330 (z dx - dy) underflows to 0
+    chart = chart_from_box({**BOX, "w": (0, 1e-110)}, fiber="w")
+    d = Distribution2(
+        chart, vector_field(chart, ["0", "0", "0", "1e-110"]),
+        vector_field(chart, ["1e-110", "1e-110*z", "w", "0"]),
+    )
+    with pytest.raises(RankDeficiencyError, match=re.escape("frame drops rank at sample point [-1.0, -1.0, -1.0, 0.0]")):
+        check_characteristic(d, PLAN)
 
 
 def test_a_pairing_witness_pairs_the_evaluated_form_and_field(box4):
@@ -338,48 +366,50 @@ def test_characteristic_field_scales_inversely_with_volume(box4):
     )
 
 
-def test_check_characteristic_standard(box4):
-    beta = parse_one_form(box4, "dy - z*dx")
-    rep = check_characteristic(coordinate_field(box4, "w"), beta, PLAN)
+def test_check_characteristic_standard():
+    _, _, rep = check_characteristic(_std_kernel(FIBER_W), PLAN)
     assert rep.passed
     assert rep.witnesses["lie_wedge_max"] <= 1e-12
 
 
-def test_check_characteristic_wrong_direction_fails(box4):
-    beta = parse_one_form(box4, "dy - z*dx")
-    rep = check_characteristic(coordinate_field(box4, "x"), beta, PLAN)
-    assert not rep.passed  # beta(d/dx) = -z is nonzero at generic samples
+def test_check_characteristic_wrong_direction_fails():
+    # declared with fiber x, the frame's annihilator z dx - dy pairs with d/dx
+    # to z, nonzero at generic samples
+    frame, _, rep = check_characteristic(_std_kernel(FIBER_X), PLAN)
+    assert frame.passed and not rep.passed
+    assert rep.witnesses["kernel_pairing_max"] == 1.0
 
 
-def test_check_characteristic_scale_invariant(box4):
-    beta = parse_one_form(box4, "dy - z*dx")
-    scaled = coordinate_field(box4, "w").scaled_by(box4.parse("1 + x^2"))
-    assert check_characteristic(scaled, beta, PLAN).passed
+def test_check_characteristic_scale_invariant():
+    plain = _std_kernel(FIBER_W)
+    scaled = Distribution2(FIBER_W, plain.x.scaled_by(FIBER_W.parse("1 + x^2")), plain.y)
+    assert check_characteristic(scaled, PLAN)[2].passed
 
 
 # ---------------------------------------------------------------------------
 # chained structure properties
 
 
-def test_engel_chain_frame_to_characteristic(
-    box4, std_kernel_frame, std_frame, t3_frame
-):
-    """Rank conditions imply the even-contact annihilator and a fiber-like
-    characteristic field, for every passing fixture."""
-    from engelcalc.prolongation import prolong
-
+def test_engel_chain_frame_to_characteristic(std_frame, t3_frame):
+    """Rank conditions imply the even-contact annihilator and a characteristic
+    field along the fiber, for every passing fixture."""
     fixtures = [
-        Distribution2(box4, *std_kernel_frame),
+        _std_kernel(FIBER_W),
         prolong(std_frame, 1),
         prolong(std_frame, 3),
         prolong(t3_frame, 2),
     ]
     for d in fixtures:
-        assert check_engel_frame(d, PLAN).passed
-        beta = annihilator_1form(derived_square(d, PLAN), PLAN)
+        frame, beta, char = check_characteristic(d, PLAN, engel=True)
+        assert frame == check_engel_frame(d, PLAN) and frame.passed
+        assert char.passed
         assert check_even_contact(beta, PLAN).passed
         x0 = characteristic_vector_field(beta, volume_form(d.chart), PLAN)
-        assert check_characteristic(x0, beta, PLAN).passed
+        # parallel to the fiber field, which passed the characteristic check
+        values = x0.evaluate_at(sample_points(d.chart, PLAN))
+        fiber_idx = d.chart.index(d.chart.fiber)
+        assert np.min(np.abs(values[:, fiber_idx])) > 0.0
+        assert np.max(np.abs(np.delete(values, fiber_idx, axis=1))) <= 1e-12
 
 
 def test_rank_verdicts_invariant_under_rescaling(box4, std_kernel_frame):
@@ -397,8 +427,6 @@ def test_rank_verdicts_invariant_under_rescaling(box4, std_kernel_frame):
 def test_twisting_condition_matches_engel_verdict(box4, std_kernel_frame, std_frame):
     """Rank 3 of (X0, V, [X0, V]) at all samples iff the frame check passes,
     for plane fields containing the characteristic direction of ker(dy - z dx)."""
-    from engelcalc.prolongation import prolong
-
     x0 = coordinate_field(box4, "w")
     pe1 = prolong(std_frame, 1)
     positives = [std_kernel_frame[1]]
@@ -464,19 +492,22 @@ DISTINCT_CASES = {
     "plane rank": lambda b3, b4: Distribution2(
         b4, _field(b4, "1", "0", "0", "0"), _field(b4, "1", "z", "0", "0")
     ).validate_rank(GRID5),
-    "derived square": lambda b3, b4: derived_square(
-        Distribution2(b4, _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0")),
+    "derived square": lambda b3, b4: check_characteristic(
+        Distribution2(
+            FIBER_W, _field(FIBER_W, "0", "0", "1", "0"), _field(FIBER_W, "1", "z*z/2", "0", "0")
+        ),
         GRID5,
+        engel=True,
     ),
-    "annihilator": lambda b3, b4: annihilator_1form(
-        (_field(b4, "1", "0", "0", "0"), _field(b4, "0", "1", "0", "0"), _field(b4, "0", "0", "x", "0")),
-        GRID5,
+    # beta = (1 - z*z) dx - dy pairs with the fiber d/dx to 1 - z*z, largest at z = 0
+    "annihilator": lambda b3, b4: fiber_characteristic_annihilator(
+        _std_kernel(FIBER_X, "1; 1 - z*z; w; 0"), GRID5
     ),
     "characteristic field": lambda b3, b4: characteristic_vector_field(
         parse_one_form(b4, "dy - z*dx"), volume_form(b4, b4.parse("x")), GRID5
     ),
     "characteristic": lambda b3, b4: check_characteristic(
-        coordinate_field(b4, "w"), parse_one_form(b4, "dy + (1 - z*z)*dw"), GRID5
+        _std_kernel(FIBER_X, "1; 1 - z*z; w; 0"), GRID5
     ),
     "twisting ranks": lambda b3, b4: check_twisting_condition(
         _field(b4, "0", "0", "1", "0"), _field(b4, "1", "z*z/2", "0", "0"), GRID5
@@ -534,12 +565,12 @@ def test_a_rank_check_fails_at_the_first_row_of_its_lowest_rank(box4):
     # X = d/dz, Y = x d/dx + (z^2/2) d/dy: (X, Y, [X, Y]) first falls short
     # at row 10 (x = -1, z = 0, rank 2), and is lowest at row 260 (x = z = 0,
     # where Y vanishes: rank 1)
-    d = Distribution2(box4, coordinate_field(box4, "z"), _field(box4, "x", "z*z/2", "0", "0"))
+    d = Distribution2(FIBER_W, coordinate_field(FIBER_W, "z"), _field(FIBER_W, "x", "z*z/2", "0", "0"))
     rep = check_engel_frame(d, GRID5_ONLY)
     assert rep.first_failure["sample_index"] == 260
     assert rep.first_failure["rank_step1"] == 1
     with pytest.raises(RankDeficiencyError, match=re.escape("rank 1 at sample point [0.0, -1.0, 0.0, -1.0]")):
-        derived_square(d, GRID5_ONLY)
+        fiber_characteristic_annihilator(d, GRID5_ONLY)
 
 
 def test_a_contact_frame_fails_at_the_first_row_where_either_rank_is_short(box3):
@@ -607,6 +638,37 @@ def test_a_non_finite_value_names_the_first_items_point_not_the_first_row(box4):
     # evaluated in one block with the first item, the second is still checked second
     with pytest.raises(GeometryError, match=re.escape(f"non-finite value at sample point {late}")):
         judge(first, second)
+
+
+def test_a_condition_whose_gate_failed_is_neither_checked_nor_reported(box4):
+    from engelcalc import structures
+    from engelcalc.charts import distinct_samples
+
+    pts, _ = distinct_samples(box4, PLAN, frozenset(box4.names))
+    x, y = coordinate_field(box4, "x"), coordinate_field(box4, "y")
+    pole = ch.VectorField(box4, (_pole(box4, pts[5].tolist()), 0, 0, 0))
+
+    def judge(frame):
+        rank = structures.Condition(frame, "rank", rank=3)
+        gated = structures.Condition(pole, "nonvanishing", after=rank)
+        return structures._judge("probe", (x, y, pole), PLAN, structures.DEFAULT_TOLERANCES, rank, gated)
+
+    plane, skipped = judge((x, y, x))
+    assert not plane.passed and skipped is None
+    # where the gate passes, the gated condition's non-finite value is an error
+    with pytest.raises(GeometryError, match="non-finite value at sample point"):
+        judge((x, y, coordinate_field(box4, "z")))
+
+
+def test_a_fibred_frame_is_judged_in_one_call(std_frame, monkeypatch):
+    from engelcalc import structures
+
+    kinds, judge = [], structures._judge
+    monkeypatch.setattr(structures, "_judge", lambda kind, *args, **kw: kinds.append(kind) or judge(kind, *args, **kw))
+    d = prolong(std_frame, 3)
+    check_characteristic(d, PLAN, engel=True)
+    fiber_characteristic_annihilator(d, PLAN)
+    assert kinds == ["characteristic", "characteristic"]
 
 
 def test_an_engel_frame_check_compiles_one_program():
