@@ -393,6 +393,8 @@ class KForm:
     chart: Chart
     degree: int
     terms: tuple[tuple[tuple[int, ...], ScalarExpr], ...] = ()
+    # a parsed 1-form's text, each d<coord> set to 1, for the domain check
+    written: ScalarExpr | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.degree <= self.chart.dim:
@@ -650,7 +652,7 @@ def parse_one_form(chart: Chart, text: str) -> KForm:
     if not ex.is_zero(residual):
         raise GeometryError(f"form expression {text!r} has a scalar part")
     terms = tuple(((i,), c) for i, c in enumerate(coeffs) if not ex.is_zero(c))
-    return KForm(chart, 1, terms)
+    return KForm(chart, 1, terms, ex.substitute(e, dict.fromkeys(dnames, ex.ONE)))
 
 
 def one_form_to_text(form: KForm) -> str:

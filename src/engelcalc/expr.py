@@ -22,9 +22,6 @@ and stay written out kind by kind.
 Differentiation builds no zero terms: the derivative of a subtree that
 does not read the variable is ``ZERO`` at once, and the sum, product and
 quotient rules leave out the term of an operand whose derivative is 0.
-The one exception is a summand that reads no variable and is not finite,
-such as ``0/0``: it keeps the term ``0*summand``, so the derivative of a
-sum that is nowhere finite is not finite either.
 
 Nodes are interned: equal trees are one object, each node's hash is
 computed once, and ``simplify``, differentiation, the linear form behind
@@ -37,8 +34,10 @@ emptied on its own when it reaches ``_TABLE_CAP`` entries; the
 Simplification is a normalizing rewrite (constant folding, flattening of
 sums and products with canonical term ordering, like-term collection, and
 the ``sin^2 + cos^2`` collapse), not a general computer-algebra system.
-Its correctness contract is numeric equivalence, which the test suite
-checks at sampled bindings.
+Its correctness contract is numeric equivalence where its input is finite
+(checked at sampled bindings): ``u - u`` and ``0*u`` fold to 0 for any u,
+but ``0/0*z`` stays nan.  Neither it nor differentiation evaluates a tree;
+whether a definition is finite at the samples is asked by ``manifest.materialize``.
 """
 
 from __future__ import annotations
@@ -421,17 +420,12 @@ def _eval(e: ScalarExpr, b: Mapping[str, float], path: tuple[int, ...]) -> float
     raise ExprError(f"unknown node type {type(e).__name__}")
 
 
-def substitute(e: ScalarExpr, name: str, replacement) -> ScalarExpr:
-    """Replace every occurrence of variable ``name`` by ``replacement``."""
-    rep = as_expr(replacement)
+def substitute(e: ScalarExpr, values: Mapping[str, object]) -> ScalarExpr:
+    """Replace every variable that ``values`` names by its value."""
     if isinstance(e, Variable):
-        return rep if e.name == name else e
-    if not children(e):
-        return e
+        return as_expr(values[e.name]) if e.name in values else e
     fields = (getattr(e, field) for field in e._fields)
-    return type(e)(
-        *(substitute(f, name, rep) if isinstance(f, ScalarExpr) else f for f in fields)
-    )
+    return type(e)(*(substitute(f, values) if isinstance(f, ScalarExpr) else f for f in fields))
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +448,6 @@ def _diff(e: ScalarExpr, v: str) -> ScalarExpr:
     return d
 
 
-_NO_VARIABLES = np.empty((1, 0))
-
-
-def _not_finite(e: ScalarExpr) -> bool:
-    """Whether a tree that reads no variable evaluates to inf or nan."""
-    return not np.isfinite(evaluate_many(e, (), _NO_VARIABLES)[0])
-
-
 def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
     """The derivative of ``e``, which reads ``v``."""
     if isinstance(e, Variable):
@@ -475,13 +461,6 @@ def _diff_node(e: ScalarExpr, v: str) -> ScalarExpr:
         if isinstance(e, (Multiply, Divide)):
             dl = dl if is_zero(dl) else Multiply(dl, e.right)
             dr = dr if is_zero(dr) else Multiply(e.left, dr)
-        else:
-            # but a summand such as 0/0 that reads no variable and is not
-            # finite stays as 0 times itself
-            dl, dr = (
-                Multiply(ZERO, side) if not free_variables(side) and _not_finite(side) else d
-                for d, side in ((dl, e.left), (dr, e.right))
-            )
         rule = Add if isinstance(e, (Add, Multiply)) else Subtract
         if is_zero(dl):
             num = dr if is_zero(dr) or rule is Add else Negate(dr)
@@ -773,17 +752,11 @@ def _merge_factor_lists(fa: tuple, fb: tuple) -> tuple:
 
 
 def _lin_mul(a: _Lin, b: _Lin) -> _Lin | None:
-    """The expanded product, or None where it would pass the expansion cap,
-    fold away a factor whose value may not be finite, or overflow."""
+    """The expanded product, or None past the expansion cap or on overflow;
+    a product with 0 is the product of the constants, a signed zero."""
     if a.nterms() * b.nterms() > _EXPAND_CAP:
         return None
-    if _is_zero(a) or _is_zero(b):
-        # 0*u is 0 only where u is finite; the product keeps the sign of a zero
-        if _has_constant_factor(a) or _has_constant_factor(b):
-            return None
-        return _Lin(a.const * b.const)
-    out = _Lin()
-    out.const = a.const * b.const
+    out = _Lin(a.const * b.const)
     if a.const != 0.0:
         for key, coef in b.terms.items():
             _term_add(out.terms, key, a.const * coef)
@@ -804,7 +777,7 @@ def _lin_quotient(num: _Lin, den: _Lin) -> _Lin | None:
     if _is_const(den) and den.const != 0.0:
         out = _lin_scale(num, 1.0 / den.const)
         return out if _finite(out) else None
-    if _is_zero(num) and not _is_const(den) and not _has_constant_factor(den):
+    if _is_zero(num) and not _is_const(den):
         # 0/den is 0 wherever den is finite and nonzero; 0/0 stays nan
         return _Lin()
     return None
@@ -812,16 +785,6 @@ def _lin_quotient(num: _Lin, den: _Lin) -> _Lin | None:
 
 def _finite(lin: _Lin) -> bool:
     return math.isfinite(lin.const) and all(map(math.isfinite, lin.terms.values()))
-
-
-def _has_constant_factor(lin: _Lin) -> bool:
-    """Whether a term has a variable-free factor other than a named constant
-    (pi), such as 10^400 or 0/0, whose value need not be finite."""
-    for key in lin.terms:
-        for base, _ in key:
-            if type(base) not in (Variable, NamedConstant) and not free_variables(base):
-                return True
-    return False
 
 
 def _atom(e: ScalarExpr) -> _Lin:
@@ -863,8 +826,7 @@ def _linearize_node(e: ScalarExpr) -> _Lin:
             lin = _lin_quotient(left, right)
         if lin is not None:
             return lin
-        # past the expansion cap, with a coefficient that overflows, or a
-        # fold of 0 that could hide a non-finite operand: keep the operands
+        # past the expansion cap, or a coefficient overflows: keep the operands
         return _atom(type(e)(_simplify(e.left), _simplify(e.right)))
     if isinstance(e, IntPower):
         base = _linearize(e.base)

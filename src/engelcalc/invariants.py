@@ -168,7 +168,7 @@ def twisting_number(
     if off.size:
         raise GeometryError(
             f"total rotation {totals[off[0]]:.9f} pi is not an integer"
-            f" at base point {base_points[off[0]]}"
+            f" at base point {base_points[off[0]].tolist()}"
         )
     values = sorted(set(nearest.astype(int).tolist()))
     if len(values) != 1:

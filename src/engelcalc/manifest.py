@@ -10,7 +10,7 @@ parser accepts is listed here::
     fiber = theta           # optional
 
     [sampling]              # optional; defaults grid 4, random 32, seed 0
-    grid = 5                # or one resolution per coordinate: 5 5 5 9
+    grid = 5                # or one per coordinate, 5 5 5 9, if no structure has a fiber
     random = 200
     seed = 0
 
@@ -50,6 +50,11 @@ and a manifest holds at most one [chart], [sampling] and [tolerances] section
 and one section per structure name and task id.  Every referenced name must
 be defined before use; validation errors carry the offending line number.
 
+Every definition must be finite, as written, at every sample of the
+effective plan: ``materialize`` checks what no task evaluates as written (a
+form's text with each d<coord> = 1, an ``f1`` pair, a fibred structure's
+frame), so every task that uses it meets one error.
+
 An extension's ``f1 = a b`` names the target line a*V0 + b*V1.  Its tasks
 accept a pair whose angle has a closed form: a and b are cos(u) and sin(u)
 of one expression u, or two number literals, not both 0.  Any other pair
@@ -66,7 +71,10 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+import numpy as np
+
 from . import expr as ex
+from ._kernels import scratch
 from .charts import (
     MEMO_SIZE,
     Chart,
@@ -75,7 +83,10 @@ from .charts import (
     KForm,
     SamplePlan,
     VectorField,
+    distinct_samples,
     parse_one_form,
+    require_finite,
+    variables_of,
     vector_field,
 )
 from .expr import ScalarExpr
@@ -248,6 +259,12 @@ def parse_manifest(text: str) -> Manifest:
 
     if chart is None:
         raise ManifestError("manifest has no [chart] section", 1)
+    fibred = [decl.name for decl in structures.values() if "frame" in decl.options]
+    if isinstance(sampling.grid, tuple) and (len(sampling.grid) != chart.dim or fibred):
+        line = next(n for kind, _, _, entries in sections if kind == "sampling"
+                    for key, _, n in entries if key == "grid")
+        where = f"structure '{fibred[0]}' has a fiber" if fibred else f"the chart has {chart.dim}"
+        raise ManifestError(f"grid has {len(sampling.grid)} resolutions, but {where}", line)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return Manifest(
         chart=chart,
@@ -576,9 +593,28 @@ def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
     return values[0] if count == 1 else tuple(values)
 
 
+def _check_defined(manifest: Manifest, args: dict) -> None:
+    """What a declaration reads and no task evaluates as written (see the
+    module docstring) is finite at the samples: one evaluation, then each
+    item checked in turn, V0 before V1 as a frame check does."""
+    items = [(form.written,) for form in args.values() if isinstance(form, KForm)]
+    if "frame" in args:  # a prolongation, extension or family
+        frame = args["frame"]
+        items = [frame.v0.components, frame.v1.components, args.get("f1", ())]
+    if items:
+        exprs = tuple(e for item in items for e in item)
+        pts, _ = distinct_samples(manifest.chart, manifest.sampling, variables_of(*exprs))
+        out = scratch((len(exprs), len(pts)), "frame")
+        block = ex.evaluate_many(exprs, manifest.chart.names, pts, out=out)
+        if not np.isfinite(block).all():
+            for values in np.split(block, np.cumsum([len(item) for item in items[:-1]])):
+                require_finite(values.T, pts)
+
+
 def materialize(manifest: Manifest, decl: StructureDecl):
     """Build the runtime object for a structure declaration."""
     args = {key: _resolve(manifest, decl, key) for key in decl.options}
+    _check_defined(manifest, args)
     if decl.kind in ("contact", "even_contact"):
         return args["form"]
     if decl.kind == "engel_pair":

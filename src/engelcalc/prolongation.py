@@ -93,9 +93,9 @@ class ContactFrame:
         })
 
     def basis_at(self, base_points: np.ndarray) -> np.ndarray:
-        """(m, 3, 2) stack with V0, V1 as columns at each of m base points,
-        both evaluated in one call."""
-        comps = (*self.v0.components, *self.v1.components)
+        """(m, 3, 2) stack of V0, V1 as columns at m base points, in one call,
+        simplified like the fields rotated from them: only samples are checked as written."""
+        comps = tuple(map(simplify, (*self.v0.components, *self.v1.components)))
         values = ex.evaluate_many(comps, self.chart.names, base_points)
         v0, v1 = (require_finite(v.T, base_points) for v in (values[:3], values[3:]))
         return np.stack([v0, v1], axis=2)
@@ -187,7 +187,7 @@ def deprolong(
         name = chart.names[i]
         if name == chart.fiber:
             continue
-        restricted = simplify(substitute(coeff, chart.fiber, float(section_value)))
+        restricted = simplify(substitute(coeff, {chart.fiber: float(section_value)}))
         if not ex.is_zero(restricted):
             terms.append(((base.index(name),), restricted))
     alpha = KForm(base, 1, tuple(terms))

@@ -4,6 +4,7 @@ an input error (exit 2)."""
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -67,3 +68,42 @@ def test_no_flag_or_line_edit_gives_a_traceback(tmp_path_factory, command, text,
         argv += ["--out", str(work / "out.manifest")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2)
+
+
+# Terms that are not finite somewhere (1/x at x = 0, 1/(y - 1/3) near y = 1/3)
+# or anywhere, which simplify cancels or multiplies away.
+UNDEFINED = ["1/x", "1/(y - 1/3)", "10^400", "0/0", "exp(1000)"]
+# Every task of each manifest, under every command, reads the frame's V1.
+FRAMED = ["prolonged-n1", "extension-n1"]
+
+
+@given(
+    st.sampled_from(FRAMED),
+    st.integers(0, 2),
+    st.sampled_from(["{c} + {u} - {u}", "{c} + 0*({u})"]),
+    st.sampled_from(UNDEFINED),
+    st.integers(2, 6),
+)
+@settings(max_examples=100, deadline=None)
+def test_tasks_on_one_frame_agree_on_where_it_is_undefined(
+    tmp_path_factory, stem, slot, pattern, undefined, grid
+):
+    """A component of V1 rewritten with a term that cancels symbolically:
+    the tasks that use V1 either all give one identical error or none does."""
+    components = ["1", "z", "0"]
+    components[slot] = pattern.format(c=components[slot], u=undefined)
+    text = TEXTS[stem].replace("field V1 = 1; z; 0", "field V1 = " + "; ".join(components))
+    text = text.replace("grid = 4", f"grid = {grid}")
+    work = tmp_path_factory.mktemp("frame")
+    path = work / "edited.manifest"
+    path.write_text(text, encoding="utf-8")
+    errors = []
+    for command in ("verify", "invariant", "construct"):
+        report = work / "report.json"
+        argv = [command, str(path), "--report", str(report)]
+        if command == "construct":
+            argv += ["--out", str(work / "out.manifest")]
+        assert main(argv) in (0, 1)
+        errors += [task.get("error") for task in json.loads(report.read_text())["tasks"]]
+    assert len(errors) == 4
+    assert len(set(errors)) == 1, errors

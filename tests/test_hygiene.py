@@ -349,6 +349,8 @@ SAMPLERS = {
     "extension._sample_min",
     # base points of the development behind both twisting numbers
     "invariants._fiber_rotation",
+    # the domain check of the definitions no task evaluates as written
+    "manifest._check_defined",
     # the full sample, which every distinct sample set stands for
     "charts.sample_points",
 }
@@ -361,7 +363,8 @@ def test_only_the_condition_engine_and_named_constructors_sample():
 # The functions that call expr.evaluate_many, and why each may.  Each makes
 # one call per point set with every expression it needs there, so the one
 # compiled program computes their shared subtrees once; a new loop that
-# evaluates component by component fails here.
+# evaluates component by component fails here.  No expr function is one:
+# simplify and differentiation evaluate nothing numerically.
 EVALUATORS = {
     # every item of a condition check: frames, witnesses, scales, pair members
     "structures._evaluate",
@@ -378,8 +381,9 @@ EVALUATORS = {
     "invariants.LegendrianLineField.tabulate",
     # the one angle function of an extension, a construction input
     "extension._sample_min",
-    # a variable-free summand, at the empty point, while differentiating
-    "expr._not_finite",
+    # every definition of a declaration that no task evaluates as written,
+    # at the manifest's samples, so that every task meets the same error
+    "manifest._check_defined",
 }
 
 
@@ -541,8 +545,6 @@ UNREACHED_BY_FIXTURES = {
     "invariants.line_angle_distance",
     "charts.one_form_to_text",
     "charts.volume_form",
-    # reached only by deprolong (above), which restricts its form to a section
-    "expr.substitute",
     # looked up by name by perfbench/tracer.py, which wraps it as a check span
     "structures.Distribution2.validate_rank",
     # read only by Distribution2.validate_rank and by tests

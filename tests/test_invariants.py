@@ -113,6 +113,19 @@ def test_every_fibred_datum_refuses_a_fiber_that_is_not_characteristic(std_frame
         induced_legendrian_line(skew, std_frame, 0.0)
 
 
+def test_a_rotation_that_is_not_an_integer_names_its_base_point_as_a_list(std_frame):
+    # theta/4 per loop: the line turns half way round, 0.5 pi
+    quarter = rotate_along_fiber(
+        std_frame, "theta", 0.0, 2.0 * math.pi, True,
+        lambda theta: ex.Divide(theta, ex.Constant(4.0)),
+    )
+    with pytest.raises(GeometryError) as err:
+        twisting_number(quarter, std_frame, [[0.1, -0.3, 0.5]])
+    assert str(err.value) == (
+        "total rotation 0.500000000 pi is not an integer at base point [0.1, -0.3, 0.5]"
+    )
+
+
 # ---------------------------------------------------------------------------
 # minimal twisting number
 

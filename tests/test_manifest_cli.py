@@ -129,6 +129,10 @@ def test_unknown_reference_in_task():
          "line 18: duplicate structure 'pair'"),
         (("target = pair", "target = pair\n\n[task check]\nkind = verify\ntarget = pair"),
          "line 22: duplicate task 'check'"),
+        (("[define]", "[sampling]\ngrid = 4 4\n\n[define]"),
+         "line 10: grid has 2 resolutions, but the chart has 4"),
+        (("[define]", "[sampling]\ngrid = 4 4 4 4 4\n\n[define]"),
+         "line 10: grid has 5 resolutions, but the chart has 4"),
     ],
 )
 def test_hostile_inputs_are_manifest_errors(mutation, message):
@@ -369,6 +373,14 @@ def test_extension_from_a_pair_without_closed_form_is_a_task_error(tmp_path):
     tasks = _run_f1(tmp_path, "x 1")
     assert {k: t["status"] for k, t in tasks.items()} == {"verify_ext": "error", "mtw": "error"}
     assert all("no closed-form angle" in t["error"] for t in tasks.values())
+
+
+def test_an_f1_pair_undefined_at_a_sample_is_a_task_error(tmp_path):
+    # as written the pair is nan at x = 0, though simplified it is the constant pair 1 0
+    tasks = _run_f1(tmp_path, "1+0*(1/x) 0")
+    assert {k: t.get("error") for k, t in tasks.items()} == dict.fromkeys(
+        ["verify_ext", "mtw"], "non-finite value at sample point [0.0, -1.0, -1.0]"
+    )
 
 
 TWO_SLICE_FAMILY = """
@@ -677,6 +689,65 @@ def test_zero_times_a_non_finite_constant_is_an_error_in_every_task(tmp_path, co
 
 
 @pytest.mark.parametrize(
+    "component, grid, point",
+    [("z + 10^400 - 10^400", 4, [-1.0, -1.0, -1.0]), ("z + 1/x - 1/x", 3, [0.0, -1.0, -1.0])],
+    ids=["10^400-10^400", "1/x-1/x"],
+)
+def test_a_frame_undefined_at_a_sample_is_one_error_in_every_task(tmp_path, component, grid, point):
+    # simplify cancels u - u, so the prolongation's fields are defined
+    # everywhere; the frame as written is not, and every task says so
+    text = (MANIFESTS / "prolonged-n1.manifest").read_text(encoding="utf-8")
+    text = text.replace("field V1 = 1; z; 0", f"field V1 = 1; {component}; 0")
+    path = tmp_path / "m.manifest"
+    path.write_text(text.replace("grid = 4", f"grid = {grid}"))
+    out = tmp_path / "r.json"
+    errors = {}
+    for command in ("verify", "invariant", "construct"):
+        built = ["--out", str(tmp_path / "built.manifest")] if command == "construct" else []
+        assert main([command, str(path), "--report", str(out), *built]) == 1
+        errors.update((t["id"], t["error"]) for t in json.loads(out.read_text())["tasks"])
+    error = f"non-finite value at sample point {point}"
+    assert errors == dict.fromkeys(["verify_frame", "verify_prolonged", "tw", "build"], error)
+    assert not (tmp_path / "built.manifest").exists()
+
+
+def test_a_form_undefined_at_a_sample_is_a_task_error(tmp_path):
+    # the coefficient of dz simplifies to 0, but the form as written is nan at x = 0
+    text = (MANIFESTS / "standard-contact-r3.manifest").read_text(encoding="utf-8")
+    text = text.replace("form alpha = dy - z*dx", "form alpha = dy - z*dx + (1/x - 1/x)*dz")
+    path = tmp_path / "m.manifest"
+    path.write_text(text.replace("grid = 6", "grid = 3"))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--report", str(out)]) == 1
+    tasks = json.loads(out.read_text())["tasks"]
+    assert [(t["id"], t["status"], t.get("error")) for t in tasks] == [
+        ("contact", "error", "non-finite value at sample point [0.0, -1.0, -1.0]"),
+        ("frame", "pass", None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fixture, grid, message",
+    [
+        ("standard-contact-r3", "4 4", "line 10: grid has 2 resolutions, but the chart has 3"),
+        ("prolonged-n1", "4 4 5", "line 10: grid has 3 resolutions, but structure 'prolonged' has a fiber"),
+        ("extension-n1", "4 4 5", "line 11: grid has 3 resolutions, but structure 'ext' has a fiber"),
+        ("neg-family-jump", "3 3 3", "line 11: grid has 3 resolutions, but structure 'fam' has a fiber"),
+    ],
+)
+def test_a_grid_of_resolutions_that_cannot_cover_the_samples_is_an_input_error(
+    tmp_path, capsys, fixture, grid, message
+):
+    text = (MANIFESTS / f"{fixture}.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "m.manifest"
+    path.write_text(re.sub(r"(?m)^grid = \d+$", f"grid = {grid}", text))
+    for command in ("verify", "invariant", "construct"):
+        built = ["--out", str(tmp_path / "built.manifest")] if command == "construct" else []
+        assert main([command, str(path), "--report", str(tmp_path / "r.json"), *built]) == 2
+        assert capsys.readouterr().err == f"engelcalc: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "v1, grid, frame_failure, rank_step1_max, prolonged_index",
     [
         # V1 = 2*d/dz is parallel to V0: (X, Y, [X, Y]) has rank 2 everywhere
@@ -751,7 +822,12 @@ def test_no_task_evaluates_an_expression_twice_at_the_same_points(tmp_path, monk
     the same points within one task, keyed by the expression's identity (the
     nodes are interned) and the points' bytes.  Across tasks, the verify and
     identities tasks of an extension each take the sampled minimum of its
-    angle function, which is not memoized because it may warn."""
+    angle function, which is not memoized because it may warn.  And a
+    frame's fields are read as written by an earlier task (the contact frame
+    check) and checked again by a later one: every task on a prolongation or
+    extension checks that the fields it turns into new ones are finite at
+    the samples, so that all of them report the same error where they are
+    not."""
     from engelcalc import runner
 
     seen_in_task, seen_in_request = set(), set()
@@ -788,7 +864,9 @@ def test_no_task_evaluates_an_expression_twice_at_the_same_points(tmp_path, monk
             seen_in_request.clear()
             run_tasks(manifests[current[0]], command=current[1], out_path=out)
     assert within == []
-    assert across and all(stem.startswith("extension-") and command == "verify" for stem, command in across)
+    assert across and all(
+        stem.startswith(("extension-", "prolonged-")) and command == "verify" for stem, command in across
+    )
 
 
 def test_cli_parser_is_built_once():
