@@ -452,12 +452,7 @@ class KForm:
         _require_same_chart(self, other)
         if self.degree != other.degree:
             raise DimensionError("cannot add forms of different degree")
-        acc: dict[tuple[int, ...], ScalarExpr] = {k: c for k, c in self.terms}
-        for k, c in other.terms:
-            acc[k] = ex.Add(acc[k], c) if k in acc else c
-        return KForm(
-            self.chart, self.degree, tuple((k, simplify(c)) for k, c in acc.items())
-        )
+        return _collected(self.chart, self.degree, (*self.terms, *other.terms))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scaled_by(-1.0)
@@ -544,26 +539,32 @@ def fd_lie_bracket(
     return np.sum(xv[:, -1, :, None] * dy - yv[:, -1, :, None] * dx, axis=1)
 
 
+def _collected(chart: Chart, degree: int, terms) -> KForm:
+    """The form whose coefficient at each key is the simplified sum of the
+    (key, term) pairs given for it, added in the order given."""
+    acc: dict[tuple[int, ...], ScalarExpr] = {}
+    for key, term in terms:
+        acc[key] = ex.Add(acc[key], term) if key in acc else term
+    return KForm(chart, degree, tuple((k, simplify(c)) for k, c in acc.items()))
+
+
 def exterior_derivative(form: KForm) -> KForm:
     if form.degree >= form.chart.dim:
         raise DimensionError("exterior derivative would exceed the chart dimension")
     names = form.chart.names
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for key, coeff in form.terms:
-        for j in range(form.chart.dim):
-            if j in key:
-                continue
-            d = ex.partial_derivative(coeff, names[j])
-            if ex.is_zero(d):
-                continue
-            sign, newkey = _merge_sign((j,), key)
-            term = d if sign > 0 else ex.Negate(d)
-            acc[newkey] = ex.Add(acc[newkey], term) if newkey in acc else term
-    return KForm(
-        form.chart,
-        form.degree + 1,
-        tuple((k, simplify(c)) for k, c in acc.items()),
-    )
+
+    def terms():
+        for key, coeff in form.terms:
+            for j in range(form.chart.dim):
+                if j in key:
+                    continue
+                d = ex.partial_derivative(coeff, names[j])
+                if ex.is_zero(d):
+                    continue
+                sign, newkey = _merge_sign((j,), key)
+                yield newkey, d if sign > 0 else ex.Negate(d)
+
+    return _collected(form.chart, form.degree + 1, terms())
 
 
 def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -585,20 +586,18 @@ def wedge(a: KForm, b: KForm) -> KForm:
     _require_same_chart(a, b)
     if a.degree + b.degree > a.chart.dim:
         raise DimensionError("wedge degree exceeds the chart dimension")
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for ka, ca in a.terms:
-        for kb, cb in b.terms:
-            merged = _merge_sign(ka, kb)
-            if merged is None:
-                continue
-            sign, key = merged
-            term = ex.Multiply(ca, cb)
-            if sign < 0:
-                term = ex.Negate(term)
-            acc[key] = ex.Add(acc[key], term) if key in acc else term
-    return KForm(
-        a.chart, a.degree + b.degree, tuple((k, simplify(c)) for k, c in acc.items())
-    )
+
+    def terms():
+        for ka, ca in a.terms:
+            for kb, cb in b.terms:
+                merged = _merge_sign(ka, kb)
+                if merged is None:
+                    continue
+                sign, key = merged
+                term = ex.Multiply(ca, cb)
+                yield key, term if sign > 0 else ex.Negate(term)
+
+    return _collected(a.chart, a.degree + b.degree, terms())
 
 
 def interior_product(x: VectorField, form: KForm) -> KForm:
@@ -606,19 +605,16 @@ def interior_product(x: VectorField, form: KForm) -> KForm:
     _require_same_chart(x, form)
     if form.degree < 1:
         raise DimensionError("interior product needs degree >= 1")
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for key, coeff in form.terms:
-        for pos, i in enumerate(key):
-            if not _nonzero(x.components[i]):
-                continue
-            rest = key[:pos] + key[pos + 1 :]
-            term = ex.Multiply(x.components[i], coeff)
-            if pos % 2 == 1:
-                term = ex.Negate(term)
-            acc[rest] = ex.Add(acc[rest], term) if rest in acc else term
-    return KForm(
-        form.chart, form.degree - 1, tuple((k, simplify(c)) for k, c in acc.items())
-    )
+
+    def terms():
+        for key, coeff in form.terms:
+            for pos, i in enumerate(key):
+                if not _nonzero(x.components[i]):
+                    continue
+                term = ex.Multiply(x.components[i], coeff)
+                yield key[:pos] + key[pos + 1 :], ex.Negate(term) if pos % 2 else term
+
+    return _collected(form.chart, form.degree - 1, terms())
 
 
 def lie_derivative_form(x: VectorField, form: KForm) -> KForm:

@@ -166,11 +166,11 @@ def verify_extension_identities(
     ).scaled_by(h)
 
     first, second = _judge(
-        "extension_identities", (u_actual, u_expected, vu_actual, vu_expected), plan, tol,
+        (u_actual, u_expected, vu_actual, vu_expected), plan, tol,
         Condition(u_actual - u_expected, "zero"),
         Condition(vu_actual - vu_expected, "zero"),
     )
-    return _combined("extension_identities", (first, second), {
+    return _combined((first, second), {
         "first_bracket_residual": first.witnesses["max_abs"],
         "second_bracket_residual": second.witnesses["max_abs"],
     })

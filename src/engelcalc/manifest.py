@@ -50,6 +50,12 @@ and a manifest holds at most one [chart], [sampling] and [tolerances] section
 and one section per structure name and task id.  Every referenced name must
 be defined before use; validation errors carry the offending line number.
 
+A verify task may target a structure of any kind, an identities task an
+extension, a construct task a prolongation or an extension, and an
+invariant task the kind its invariant is defined for: twisting_number a
+prolongation (an S^1 fibre), minimal_twisting_number an extension (an
+interval fibre).  Any other target is a validation error at its line.
+
 Every definition must be finite, as written, at every sample of the
 effective plan: ``materialize`` checks what no task evaluates as written (a
 form's text with each d<coord> = 1, an ``f1`` pair, a fibred structure's
@@ -76,6 +82,7 @@ import numpy as np
 from . import expr as ex
 from ._kernels import scratch
 from .charts import (
+    MAX_SAMPLE_ROWS,
     MEMO_SIZE,
     Chart,
     CoordinateAxis,
@@ -299,9 +306,10 @@ def _parse_chart(entries, header_line) -> Chart:
         elif words[0] == "periodic" and len(words) == 2:
             period = _const_value(value, lineno)
             if period <= 0:
+                raise ManifestError(f"periodic coordinate '{words[1]}' needs a positive period", lineno)
+            if not math.isfinite(period * MAX_SAMPLE_ROWS):  # no sample set holds a finer grid
                 raise ManifestError(
-                    f"periodic coordinate '{words[1]}' needs a positive period",
-                    lineno,
+                    f"period of '{words[1]}' is too large: period * {MAX_SAMPLE_ROWS} overflows", lineno
                 )
             axes_spec[words[1]] = (0.0, period, True)
         elif key == "fiber":
@@ -404,14 +412,6 @@ def _parse_definitions(chart: Chart, entries, definitions: dict) -> None:
 # values of the twisting grid use half of the row budget of one development
 # pass (prolongation.MAX_PROFILE_POINTS).
 MAX_BASE_POINTS = 256
-
-# Keys each task kind accepts; base_points further needs twisting_number.
-_TASK_KEYS = {
-    "verify": {"target"},
-    "invariant": {"target", "invariant", "expect", "base_points"},
-    "identities": {"target"},
-    "construct": {"target", "out"},
-}
 
 # The count of an entry that takes one or more names.
 _SOME = 0
@@ -532,6 +532,19 @@ def _parse_structure(
     )
 
 
+# Per task kind: the entries it accepts, and the structure kinds it may target
+# by the invariant it names (None for other kinds); base_points needs twisting_number.
+_TASKS = {
+    "verify": ({"target"}, {None: tuple(_STRUCTURES)}),
+    "invariant": (
+        {"target", "invariant", "expect", "base_points"},
+        {"twisting_number": ("prolongation",), "minimal_twisting_number": ("extension",)},
+    ),
+    "identities": ({"target"}, {None: ("extension",)}),
+    "construct": ({"target", "out"}, {None: ("prolongation", "extension")}),
+}
+
+
 def _parse_task(label: str, entries, structures: dict, header_line: int) -> TaskDecl:
     options = {}
     lines = {}
@@ -539,7 +552,7 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
     for key, value, lineno in entries:
         if key == "kind":
             kind = value
-            if kind not in _TASK_KEYS:
+            if kind not in _TASKS:
                 raise ManifestError(f"unknown task kind '{kind}'", lineno)
             continue
         if key == "target":
@@ -559,8 +572,9 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
         lines[key] = lineno
     if kind is None:
         raise ManifestError(f"task '{label}' has no kind", header_line)
+    accepted, targets = _TASKS[kind]
     for key, lineno in lines.items():
-        if key not in _TASK_KEYS[kind]:
+        if key not in accepted:
             raise ManifestError(f"unknown task entry '{key}' for kind '{kind}'", lineno)
     if "base_points" in options and options.get("invariant") != "twisting_number":
         raise ManifestError(
@@ -570,6 +584,16 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
         raise ManifestError(f"task '{label}' has no target", header_line)
     if kind == "invariant" and "invariant" not in options:
         raise ManifestError(f"invariant task '{label}' names no invariant", header_line)
+    invariant = options.get("invariant")
+    if invariant not in targets:
+        raise ManifestError(f"unknown invariant '{invariant}'", lines["invariant"])
+    target = structures[options["target"]]
+    if target.kind not in targets[invariant]:
+        raise ManifestError(
+            f"{invariant or kind + ' task'} targets {' or '.join(targets[invariant])} structures,"
+            f" '{target.name}' is a {target.kind}",
+            lines["target"],
+        )
     return TaskDecl(
         task_id=label, kind=kind, options=MappingProxyType(options), line=header_line
     )
@@ -627,9 +651,7 @@ def materialize(manifest: Manifest, decl: StructureDecl):
         return prolong(args["frame"], args["n"])
     if decl.kind == "extension":
         return ExtensionSpec(**args)  # frame, n, and g or f1
-    if decl.kind == "extension_family":
-        return [ExtensionSpec(args["frame"], n, g=g) for g, n in zip(args["g"], args["n"])]
-    raise ManifestError(f"cannot materialize kind '{decl.kind}'", decl.line)
+    return [ExtensionSpec(args["frame"], n, g=g) for g, n in zip(args["g"], args["n"])]  # a family
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,12 @@ class ContactFrame:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
         plane, bracket = _judge(
-            "contact_frame", (self.v0, self.v1), plan, tol,
+            (self.v0, self.v1), plan, tol,
             Condition(fields, "rank", "rank_plane", rank=2),
             Condition(fields, "rank", "rank_with_bracket", rank=3),
             joint=True,
         )
-        return _combined("contact_frame", (plane, bracket), {
+        return _combined((plane, bracket), {
             "min_sv_ratio_plane": plane.witnesses["min_sv_ratio"],
             "min_sv_ratio_bracket": bracket.witnesses["min_sv_ratio"],
         })

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
+from functools import cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .charts import (
     require_finite,
     sample_points,
 )
-from .extension import ExtensionSpec, extend, extend_family, verify_extension_identities
+from .extension import extend, extend_family, verify_extension_identities
 from .invariants import (
     BoundaryConventionWarning,
     minimal_twisting_number,
@@ -64,11 +66,11 @@ def _fd_cross_check(dist: Distribution2, manifest: Manifest, fd_step: float) -> 
     return float(np.max(np.abs(fd - sym)))
 
 
-def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> TaskRecord:
+def _verify_task(manifest: Manifest, decl: StructureDecl, build: Callable, fd_step: float) -> TaskRecord:
     plan = manifest.sampling
     tol = manifest.tolerances
     record = TaskRecord(task_id="", kind="verify", target=decl.name, status="error")
-    obj = materialize(manifest, decl)
+    obj = build(decl.name)
 
     if decl.kind == "contact":
         rep = check_contact_3d(obj, plan, tol)
@@ -92,35 +94,28 @@ def _verify_task(manifest: Manifest, decl: StructureDecl, fd_step: float) -> Tas
         else:
             rep = check_engel_frame(dist, plan, tol)
         record.witnesses["fd_bracket_max_error"] = _fd_cross_check(dist, manifest, fd_step)
-    elif decl.kind == "extension_family":
+    else:  # extension_family
         record.status = "pass"
         record.witnesses["mtw_profile"] = list(extend_family(obj, plan, tol))
         return record
-    else:
-        raise GeometryError(f"verify cannot handle kind '{decl.kind}'")
 
     record.status = "pass" if rep.passed else "fail"
     record.witnesses.update(_report_witnesses(rep))
     return record
 
 
-def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> TaskRecord:
+def _invariant_task(manifest: Manifest, decl: StructureDecl, build: Callable, task: TaskDecl) -> TaskRecord:
     plan = manifest.sampling
     tol = manifest.tolerances
     record = TaskRecord(task_id="", kind="invariant", target=decl.name, status="error")
-    name = task.options["invariant"]
-    obj = materialize(manifest, decl)
+    obj = build(decl.name)
 
-    if name == "twisting_number":
-        if decl.kind != "prolongation":
-            raise GeometryError("twisting_number targets a prolongation structure")
-        frame = materialize(manifest, manifest.structures[decl.options["frame"]])
+    if task.options["invariant"] == "twisting_number":
+        frame = build(decl.options["frame"])
         count = int(task.options.get("base_points", "10"))
         base_pts = random_points(frame.chart, count, plan.seed)
         value = twisting_number(obj, frame, base_pts, tol)
-    elif name == "minimal_twisting_number":
-        if not isinstance(obj, ExtensionSpec):
-            raise GeometryError("minimal_twisting_number targets an extension structure")
+    else:  # minimal_twisting_number
         dist = extend(obj, plan)
         base_plan = minimal_twisting_plan(plan.seed)
         with warnings.catch_warnings(record=True) as caught:
@@ -128,8 +123,6 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
             value = minimal_twisting_number(dist, obj.frame, base_plan, tol)
         for w in caught:
             record.notes.append(str(w.message))
-    else:
-        raise GeometryError(f"unknown invariant '{name}'")
 
     record.witnesses["value"] = int(value)
     record.witnesses["abs_value"] = abs(int(value))
@@ -142,28 +135,21 @@ def _invariant_task(manifest: Manifest, decl: StructureDecl, task: TaskDecl) -> 
     return record
 
 
-def _identities_task(manifest: Manifest, decl: StructureDecl) -> TaskRecord:
+def _identities_task(manifest: Manifest, decl: StructureDecl, build: Callable) -> TaskRecord:
     record = TaskRecord(task_id="", kind="identities", target=decl.name, status="error")
-    obj = materialize(manifest, decl)
-    if not isinstance(obj, ExtensionSpec):
-        raise GeometryError("identities tasks target extension structures")
-    rep = verify_extension_identities(obj, manifest.sampling, manifest.tolerances)
+    rep = verify_extension_identities(build(decl.name), manifest.sampling, manifest.tolerances)
     record.status = "pass" if rep.passed else "fail"
     record.witnesses.update(_report_witnesses(rep))
     return record
 
 
 def _construct_task(
-    manifest: Manifest, decl: StructureDecl, task: TaskDecl, out_path: str | None
+    manifest: Manifest, decl: StructureDecl, build: Callable, task: TaskDecl, out_path: str | None
 ) -> TaskRecord:
     record = TaskRecord(task_id="", kind="construct", target=decl.name, status="error")
-    obj = materialize(manifest, decl)
-    if decl.kind == "prolongation":
-        dist = obj
-    elif decl.kind == "extension":
-        dist = extend(obj, manifest.sampling)
-    else:
-        raise GeometryError("construct tasks target prolongation or extension structures")
+    dist = build(decl.name)
+    if decl.kind == "extension":
+        dist = extend(dist, manifest.sampling)
     text = frame_to_manifest_text(dist, name=decl.name)
     destination = task.options.get("out", out_path)
     if destination is None:
@@ -184,26 +170,30 @@ def run_tasks(
     """Run the manifest's tasks of the kinds the command selects, in order.
 
     Task-level failures are recorded in the report (exit code 1); only
-    I/O and parse problems escape as exceptions (exit code 2).  The
+    I/O and parse problems escape as exceptions (exit code 2).  One table
+    per run holds the built structures: each is materialized, and its
+    definitions checked, in the first task that reads it; one that raises
+    is not kept, so every task on it records the same error.  The
     expression intern and memo tables outlive the run, so a later run on
     the same manifest reuses its symbolic work.
     """
     started = time.perf_counter()
     records: list[TaskRecord] = []
     kinds = COMMAND_TASK_KINDS[command]
+    build = cache(lambda name: materialize(manifest, manifest.structures[name]))
     for task in manifest.tasks:
         if task.kind not in kinds:
             continue
         decl = manifest.structures[task.options["target"]]
         try:
             if task.kind == "verify":
-                record = _verify_task(manifest, decl, fd_step)
+                record = _verify_task(manifest, decl, build, fd_step)
             elif task.kind == "invariant":
-                record = _invariant_task(manifest, decl, task)
+                record = _invariant_task(manifest, decl, build, task)
             elif task.kind == "identities":
-                record = _identities_task(manifest, decl)
+                record = _identities_task(manifest, decl, build)
             else:
-                record = _construct_task(manifest, decl, task, out_path)
+                record = _construct_task(manifest, decl, build, task, out_path)
         except (GeometryError, CheckError, ex.ExprError) as err:
             record = TaskRecord(
                 task_id=task.task_id,

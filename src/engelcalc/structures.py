@@ -112,11 +112,7 @@ DEFAULT_TOLERANCES = Tolerances()
 
 
 class CheckError(GeometryError):
-    """A structural precondition failed; carries the offending report."""
-
-    def __init__(self, message: str, report: "VerificationReport | None" = None):
-        super().__init__(message)
-        self.report = report
+    """A structural precondition failed."""
 
 
 class RankDeficiencyError(CheckError):
@@ -125,29 +121,26 @@ class RankDeficiencyError(CheckError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    kind: str
     passed: bool
     witnesses: dict[str, float]
     first_failure: dict | None = None
     notes: tuple[str, ...] = ()
 
-    def require(self, what: str = "") -> "VerificationReport":
+    def require(self, what: str) -> "VerificationReport":
         if not self.passed:
             raise CheckError(
-                f"{what or self.kind} failed: witnesses {self.witnesses},"
-                f" first failure {self.first_failure}",
-                self,
+                f"{what} failed: witnesses {self.witnesses}, first failure {self.first_failure}"
             )
         return self
 
 
 def _combined(
-    kind: str, reports: Sequence[VerificationReport], witnesses: dict, notes: tuple[str, ...] = ()
+    reports: Sequence[VerificationReport], witnesses: dict, notes: tuple[str, ...] = ()
 ) -> VerificationReport:
-    """One report of ``kind`` that passes when all ``reports`` pass and names
-    the first failure among them, in order."""
+    """One report that passes when all ``reports`` pass and names the first
+    failure among them, in order."""
     first = next((r.first_failure for r in reports if r.first_failure), None)
-    return VerificationReport(kind, all(r.passed for r in reports), witnesses, first, notes)
+    return VerificationReport(all(r.passed for r in reports), witnesses, first, notes)
 
 
 # The Gram path's error budget.  Each matrix is scaled by its largest |entry|,
@@ -408,7 +401,7 @@ class Distribution2:
 
     def validate_rank(self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
         rank2 = Condition(self.frame, "rank", "rank", rank=2)
-        return _judge("distribution_rank2", self.frame, plan, tol, rank2)[0]
+        return _judge(self.frame, plan, tol, rank2)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -488,14 +481,13 @@ def _evaluate(
 
 
 def _judge(
-    kind: str,
     inputs: Sequence,
     plan: SamplePlan,
     tol: Tolerances,
     *conditions: Condition,
     joint: bool = False,
 ) -> list[VerificationReport | None]:
-    """One report of ``kind`` per condition (see the module docstring), or
+    """One report per condition (see the module docstring), or
     None for a condition whose ``after`` condition did not pass.
 
     Every item is evaluated in one program (:func:`_evaluate`), each frame is
@@ -579,7 +571,7 @@ def _judge(
                 idx = int(v.argmax() if c.predicate == "zero" else v.argmin())
             first = {"point": pts[idx].tolist(), "sample_index": int(rows[idx])}
             first.update((name, a[idx].item()) for name, a in named)
-        reports.append(VerificationReport(kind, passed, witnesses, first))
+        reports.append(VerificationReport(passed, witnesses, first))
     return reports
 
 
@@ -594,7 +586,7 @@ def check_contact_3d(
     if alpha.degree != 1:
         raise DimensionError("contact check requires a 1-form")
     top = Condition(wedge(alpha, exterior_derivative(alpha)), "nonvanishing")
-    return _judge("contact_3d", (alpha,), plan, tol, top)[0]
+    return _judge((alpha,), plan, tol, top)[0]
 
 
 def check_even_contact(
@@ -608,7 +600,7 @@ def check_even_contact(
     if beta.degree != 1:
         raise DimensionError("even-contact check requires a 1-form")
     top = Condition(wedge(beta, exterior_derivative(beta)), "nonvanishing")
-    return _judge("even_contact", (beta,), plan, tol, top)[0]
+    return _judge((beta,), plan, tol, top)[0]
 
 
 def check_engel_pair(
@@ -627,7 +619,7 @@ def check_engel_pair(
     ab = wedge(alpha, beta)
     ab_da, ab_db = wedge(ab, da), wedge(ab, db)
     r1, r2, r3, *swapped = _judge(
-        "engel_pair", (alpha, beta), plan, tol,
+        (alpha, beta), plan, tol,
         Condition(ab_da, "nonvanishing"),
         Condition(ab_db, "zero", scale=(alpha, beta, db)),
         Condition(wedge(beta, db), "nonvanishing"),
@@ -641,7 +633,7 @@ def check_engel_pair(
         f"given order (alpha, beta): {'pass' if passed else 'fail'}",
         f"swapped order (beta, alpha): {'pass' if all(r.passed for r in swapped) else 'fail'}",
     )
-    return _combined("engel_pair", (r1, r2, r3), {
+    return _combined((r1, r2, r3), {
         "condition1_min_abs": r1.witnesses["min_abs"],
         "condition1_min_over_max": r1.witnesses["min_over_max"],
         "condition1_max_abs": r1.witnesses["max_abs"],
@@ -661,7 +653,7 @@ def _engel_ranks(d: Distribution2, engel: bool) -> tuple[Condition, ...]:
 
 
 def _engel_report(step1: VerificationReport, step2: VerificationReport) -> VerificationReport:
-    return _combined("engel_frame", (step1, step2), {
+    return _combined((step1, step2), {
         "rank_step1_min": step1.witnesses["rank_min"],
         "rank_step1_max": step1.witnesses["rank_max"],
         "rank_step2_min": step2.witnesses["rank_min"],
@@ -679,7 +671,7 @@ def check_engel_frame(
     """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
     if d.chart.dim != 4:
         raise DimensionError("frame check requires a 4-dimensional chart")
-    return _engel_report(*_judge("engel_frame", (d.x, d.y), plan, tol, *_engel_ranks(d, True)))
+    return _engel_report(*_judge((d.x, d.y), plan, tol, *_engel_ranks(d, True)))
 
 
 def annihilator_1form(frame: Sequence[VectorField]) -> KForm:
@@ -746,7 +738,7 @@ def characteristic_vector_field(
 
     rho = volume.coeff(tuple(range(4)))
     # judged before X is built, since X divides by rho
-    (density,) = _judge("volume", (beta, volume), plan, tol, Condition(rho, "nonvanishing"))
+    (density,) = _judge((beta, volume), plan, tol, Condition(rho, "nonvanishing"))
     if density.witnesses["min_abs"] <= 0.0:
         raise CheckError(
             f"volume form vanishes at sample point {density.first_failure['point']}"
@@ -762,7 +754,7 @@ def characteristic_vector_field(
     x0 = VectorField(chart, tuple(comps))
 
     identity = Condition(interior_product(x0, volume) - bdb, "zero", scale=(bdb,))
-    if not _judge("contraction", (beta, volume), plan, tol, identity)[0].passed:
+    if not _judge((beta, volume), plan, tol, identity)[0].passed:
         raise CheckError("contraction identity violated for the computed field")
     return x0
 
@@ -794,7 +786,7 @@ def check_characteristic(
     x0 = coordinate_field(chart, chart.fiber)
     lie = lie_derivative_form(x0, beta)
     *frame, nonzero, a1, a2, a3, proportional, in_kernel = _judge(
-        "characteristic", (d.x, d.y), plan, tol,
+        (d.x, d.y), plan, tol,
         *ranks,
         Condition(beta, "nonvanishing", after=step1),
         *(Condition((beta, f), "zero", scale=(beta, f), after=step1) for f in square),
@@ -810,7 +802,7 @@ def check_characteristic(
         )
     if not (a1.passed and a2.passed and a3.passed):
         raise CheckError("annihilator does not annihilate its frame")
-    return frame_report, beta, _combined("characteristic", (proportional, in_kernel), {
+    return frame_report, beta, _combined((proportional, in_kernel), {
         "lie_wedge_max": proportional.witnesses["max_abs"],
         "kernel_pairing_max": in_kernel.witnesses["max_abs"],
     })
@@ -827,4 +819,4 @@ def check_twisting_condition(
     if x0.chart != v.chart:
         raise ChartMismatchError("fields on different charts")
     rank3 = Condition((x0, v, lie_bracket(x0, v)), "rank", "rank", rank=3)
-    return _judge("twisting_condition", (x0, v), plan, tol, rank3)[0]
+    return _judge((x0, v), plan, tol, rank3)[0]

@@ -133,6 +133,8 @@ def test_unknown_reference_in_task():
          "line 10: grid has 2 resolutions, but the chart has 4"),
         (("[define]", "[sampling]\ngrid = 4 4 4 4 4\n\n[define]"),
          "line 10: grid has 5 resolutions, but the chart has 4"),
+        (("box w = -1 1", "periodic w = 1e308"),
+         r"line 7: period of 'w' is too large: period \* 524288 overflows"),
     ],
 )
 def test_hostile_inputs_are_manifest_errors(mutation, message):
@@ -261,6 +263,32 @@ def test_bad_flags_and_tolerances_are_input_errors(tmp_path, capsys, flags, sect
             "invariant = minimal_twisting_number\nexpect = 1\nbase_points = 10",
             "base_points applies only to the twisting_number invariant",
         ),
+        (
+            "kind = construct\ntarget = prolonged",
+            "kind = construct\ntarget = frame",
+            "construct task targets prolongation or extension structures,"
+            " 'frame' is a contact_frame",
+        ),
+        (
+            "kind = verify\ntarget = prolonged",
+            "kind = identities\ntarget = prolonged",
+            "identities task targets extension structures, 'prolonged' is a prolongation",
+        ),
+        (
+            "kind = invariant\ntarget = prolonged",
+            "kind = invariant\ntarget = frame",
+            "twisting_number targets prolongation structures, 'frame' is a contact_frame",
+        ),
+        (
+            "target = prolonged\ninvariant = twisting_number\nexpect = 1\nbase_points = 10",
+            "invariant = minimal_twisting_number\nexpect = 1\ntarget = prolonged",
+            "minimal_twisting_number targets extension structures, 'prolonged' is a prolongation",
+        ),
+        (
+            "invariant = twisting_number\nexpect = 1\nbase_points = 10",
+            "expect = 1\ninvariant = twisting",
+            "unknown invariant 'twisting'",
+        ),
     ],
 )
 def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, new, message):
@@ -275,6 +303,95 @@ def test_bad_references_and_options_are_manifest_errors(tmp_path, capsys, old, n
     for command in ("verify", "invariant"):
         assert main([command, str(path)]) == 2
         assert f"line {err.value.line}: {message}" in capsys.readouterr().err
+
+
+# One structure of every kind, named by its kind, on the chart it needs.
+EVERY_KIND_3 = """
+[chart]
+coords = x y z
+box x = -1 1
+box y = -1 1
+box z = -1 1
+
+[define]
+field V0 = 0; 0; 1
+field V1 = 1; z; 0
+form alpha = dy - z*dx
+expr g = pi/2
+
+[structure contact]
+kind = contact
+form = alpha
+
+[structure contact_frame]
+kind = contact_frame
+v0 = V0
+v1 = V1
+
+[structure prolongation]
+kind = prolongation
+frame = contact_frame
+n = 1
+
+[structure extension]
+kind = extension
+frame = contact_frame
+g = g
+n = 1
+
+[structure extension_family]
+kind = extension_family
+frame = contact_frame
+g = g
+n = 1
+"""
+
+EVERY_KIND_4 = MINIMAL.replace("[structure pair]", "[structure engel_pair]").replace(
+    "[task check]\nkind = verify\ntarget = pair\n", """
+[define]
+field X = 0; 0; 0; 1
+field Y = 1; z; w; 0
+
+[structure even_contact]
+kind = even_contact
+form = beta
+
+[structure engel_frame]
+kind = engel_frame
+fields = X Y
+""")
+
+# The structure kinds each task may target, as the paper fixes them.
+TARGETS = {
+    ("verify", None): set(_STRUCTURES),
+    ("invariant", "twisting_number"): {"prolongation"},
+    ("invariant", "minimal_twisting_number"): {"extension"},
+    ("identities", None): {"extension"},
+    ("construct", None): {"prolongation", "extension"},
+}
+
+
+@pytest.mark.parametrize("task", TARGETS, ids=lambda t: t[1] or t[0])
+@pytest.mark.parametrize("kind", sorted(_STRUCTURES))
+def test_a_task_on_a_structure_it_cannot_target_is_an_input_error(tmp_path, capsys, task, kind):
+    task_kind, invariant = task
+    base = EVERY_KIND_3 if _STRUCTURES[kind].dim == 3 else EVERY_KIND_4
+    assert f"[structure {kind}]" in base
+    text = base + f"\n[task t]\nkind = {task_kind}\n"
+    text += f"invariant = {invariant}\n" if invariant else ""
+    text += f"target = {kind}\n"
+    if kind in TARGETS[task]:
+        assert [t.kind for t in parse_manifest(text).tasks] == [task_kind]
+        return
+    with pytest.raises(ManifestError, match=f"'{kind}' is a {kind}") as err:
+        parse_manifest(text)
+    assert err.value.line == len(text.splitlines())
+    path = tmp_path / "m.manifest"
+    path.write_text(text)
+    command = "verify" if task_kind == "identities" else task_kind
+    built = ["--out", str(tmp_path / "built.manifest")] if command == "construct" else []
+    assert main([command, str(path), *built]) == 2
+    assert f"line {err.value.line}: " in capsys.readouterr().err
 
 
 F1_EXTENSION = """
@@ -843,7 +960,7 @@ def test_no_task_evaluates_an_expression_twice_at_the_same_points(tmp_path, monk
             if key in seen_in_task:
                 within.append(ex.to_text(e))
             elif key in seen_in_request:
-                across.add(current)
+                across.add((*current, ex.to_text(e)))
             seen_in_task.add(key)
             seen_in_request.add(key)
         return evaluate_many(exprs, var_order, points, out=out)
@@ -864,9 +981,50 @@ def test_no_task_evaluates_an_expression_twice_at_the_same_points(tmp_path, monk
             seen_in_request.clear()
             run_tasks(manifests[current[0]], command=current[1], out_path=out)
     assert within == []
-    assert across and all(
-        stem.startswith(("extension-", "prolonged-")) and command == "verify" for stem, command in across
+    assert across == {(f"extension-n{n}", "verify", "pi/2") for n in range(4)} | {
+        (f"prolonged-n{n}", "verify", "z") for n in range(1, 6)
+    }
+
+
+def test_each_declaration_is_checked_at_most_once_per_request(tmp_path, monkeypatch):
+    """A request materializes each structure once, in the first task that
+    reads it, so the domain check of a declaration evaluates at most once;
+    a contact frame that a prolongation resolves has nothing to evaluate."""
+    from engelcalc import runner
+
+    names, checked, evaluations = [], [], []
+    materialize, check_defined, evaluate_many = (
+        manifest_module.materialize, manifest_module._check_defined, ex.evaluate_many
     )
+
+    def materializing(manifest, decl):
+        names.append(decl.name)
+        try:
+            return materialize(manifest, decl)
+        finally:
+            names.pop()
+
+    def checking(manifest, args):
+        before = len(evaluations)
+        check_defined(manifest, args)
+        if len(evaluations) > before:
+            checked.append((current, names[-1]))
+
+    def evaluating(*args, **kwargs):
+        evaluations.append(None)
+        return evaluate_many(*args, **kwargs)
+
+    monkeypatch.setattr(manifest_module, "materialize", materializing)
+    monkeypatch.setattr(runner, "materialize", materializing)
+    monkeypatch.setattr(manifest_module, "_check_defined", checking)
+    monkeypatch.setattr(ex, "evaluate_many", evaluating)
+    out = str(tmp_path / "out.manifest")
+    for path in sorted(MANIFESTS.glob("*.manifest")):
+        for command in ("verify", "invariant", "construct"):
+            current = (path.stem, command)
+            run_tasks(parse_manifest(path.read_text()), command=command, out_path=out)
+    repeated = [key for key in checked if checked.count(key) > 1]
+    assert checked and repeated == []
 
 
 def test_cli_parser_is_built_once():

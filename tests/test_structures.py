@@ -327,7 +327,7 @@ def test_a_pairing_witness_pairs_the_evaluated_form_and_field(box4):
     beta = parse_one_form(box4, "dy - z*dx")
     x = coordinate_field(box4, "x")  # beta(d/dx) = -z
     paired = structures.Condition((beta, x), "zero", scale=(beta, x))
-    (rep,) = structures._judge("pairing", (beta, x), PLAN, structures.DEFAULT_TOLERANCES, paired)
+    (rep,) = structures._judge((beta, x), PLAN, structures.DEFAULT_TOLERANCES, paired)
     pts = sample_points(box4, PLAN)
     worst = int(np.argmax(np.abs(pts[:, 2])))
     assert not rep.passed
@@ -631,7 +631,7 @@ def test_a_non_finite_value_names_the_first_items_point_not_the_first_row(box4):
 
     def judge(*fields):
         conditions = (structures.Condition(f, "nonvanishing") for f in fields)
-        structures._judge("probe", fields, PLAN, structures.DEFAULT_TOLERANCES, *conditions)
+        structures._judge(fields, PLAN, structures.DEFAULT_TOLERANCES, *conditions)
 
     with pytest.raises(GeometryError, match=re.escape(f"non-finite value at sample point {early}")):
         judge(second)
@@ -651,7 +651,7 @@ def test_a_condition_whose_gate_failed_is_neither_checked_nor_reported(box4):
     def judge(frame):
         rank = structures.Condition(frame, "rank", rank=3)
         gated = structures.Condition(pole, "nonvanishing", after=rank)
-        return structures._judge("probe", (x, y, pole), PLAN, structures.DEFAULT_TOLERANCES, rank, gated)
+        return structures._judge((x, y, pole), PLAN, structures.DEFAULT_TOLERANCES, rank, gated)
 
     plane, skipped = judge((x, y, x))
     assert not plane.passed and skipped is None
@@ -663,12 +663,12 @@ def test_a_condition_whose_gate_failed_is_neither_checked_nor_reported(box4):
 def test_a_fibred_frame_is_judged_in_one_call(std_frame, monkeypatch):
     from engelcalc import structures
 
-    kinds, judge = [], structures._judge
-    monkeypatch.setattr(structures, "_judge", lambda kind, *args, **kw: kinds.append(kind) or judge(kind, *args, **kw))
+    inputs, judge = [], structures._judge
+    monkeypatch.setattr(structures, "_judge", lambda *args, **kw: inputs.append(args[0]) or judge(*args, **kw))
     d = prolong(std_frame, 3)
     check_characteristic(d, PLAN, engel=True)
     fiber_characteristic_annihilator(d, PLAN)
-    assert kinds == ["characteristic", "characteristic"]
+    assert inputs == [(d.x, d.y)] * 2
 
 
 def test_an_engel_frame_check_compiles_one_program():
