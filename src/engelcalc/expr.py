@@ -137,7 +137,7 @@ _TABLE_CAP = 1 << 12
 # of one check and keeps all their trees alive, so the cache holds fewer
 # programs than a table holds nodes: on a stream of inputs that never
 # repeat, 2^12 programs held about 8 MB more than 2^9.  All 15 bundled
-# manifests under every command compile 71 programs.
+# manifests under every command compile 57 programs.
 _PROGRAM_CAP = 1 << 9
 
 _interned: dict = {}  # node key, or (class, id(left), id(right)) of an infix node -> node

@@ -16,18 +16,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
 from .charts import (
     Chart,
     GeometryError,
     SamplePlan,
-    distinct_samples,
     lie_bracket,
     lift_to_product,
-    require_finite,
-    variables_of,
 )
 from .expr import ScalarExpr, simplify
 from .invariants import (
@@ -50,8 +45,7 @@ from .structures import (
 
 def _sample_min(g: ScalarExpr, chart: Chart, plan: SamplePlan) -> float:
     """min g over the samples; a non-finite value is an error naming its point."""
-    pts, _ = distinct_samples(chart, plan, variables_of(g))
-    return float(np.min(require_finite(ex.evaluate_many(g, chart.names, pts), pts)))
+    return _judge(chart, plan, DEFAULT_TOLERANCES, Condition(g, "finite"))[0].witnesses["min"]
 
 
 def _pair_angle(f1: tuple[ScalarExpr, ScalarExpr]) -> ScalarExpr:
@@ -166,7 +160,7 @@ def verify_extension_identities(
     ).scaled_by(h)
 
     first, second = _judge(
-        (u_actual, u_expected, vu_actual, vu_expected), plan, tol,
+        chart4, plan, tol,
         Condition(u_actual - u_expected, "zero"),
         Condition(vu_actual - vu_expected, "zero"),
     )

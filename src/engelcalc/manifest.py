@@ -75,12 +75,9 @@ import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
-
-import numpy as np
+from typing import Callable, Mapping, NamedTuple
 
 from . import expr as ex
-from ._kernels import scratch
 from .charts import (
     MAX_SAMPLE_ROWS,
     MEMO_SIZE,
@@ -90,16 +87,13 @@ from .charts import (
     KForm,
     SamplePlan,
     VectorField,
-    distinct_samples,
     parse_one_form,
-    require_finite,
-    variables_of,
     vector_field,
 )
 from .expr import ScalarExpr
 from .extension import ExtensionSpec
 from .prolongation import ContactFrame, prolong
-from .structures import Distribution2, EngelPair, Tolerances
+from .structures import Condition, Distribution2, EngelPair, Tolerances, _judge
 
 
 class ManifestError(ValueError):
@@ -603,7 +597,7 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
 # materialization
 
 
-def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
+def _resolve(manifest: Manifest, decl: StructureDecl, key: str, build: Callable):
     """What the names of one entry refer to: one object for an entry that
     takes one name, else a tuple of them."""
     ref, count = _STRUCTURES[decl.kind].entries[key]
@@ -611,7 +605,7 @@ def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
     if ref is int:
         values = [int(n) for n in names]
     elif isinstance(ref, str):
-        values = [materialize(manifest, manifest.structures[n]) for n in names]
+        values = [build(n) for n in names]
     else:
         values = [manifest.definitions[n] for n in names]
     return values[0] if count == 1 else tuple(values)
@@ -619,25 +613,20 @@ def _resolve(manifest: Manifest, decl: StructureDecl, key: str):
 
 def _check_defined(manifest: Manifest, args: dict) -> None:
     """What a declaration reads and no task evaluates as written (see the
-    module docstring) is finite at the samples: one evaluation, then each
-    item checked in turn, V0 before V1 as a frame check does."""
-    items = [(form.written,) for form in args.values() if isinstance(form, KForm)]
+    module docstring) is finite at the samples: one engine call, each item
+    checked in turn, V0 before V1 as a frame check does, then each f1 member."""
+    items = [form.written for form in args.values() if isinstance(form, KForm)]
     if "frame" in args:  # a prolongation, extension or family
-        frame = args["frame"]
-        items = [frame.v0.components, frame.v1.components, args.get("f1", ())]
+        items = [args["frame"].v0, args["frame"].v1, *args.get("f1", ())]
     if items:
-        exprs = tuple(e for item in items for e in item)
-        pts, _ = distinct_samples(manifest.chart, manifest.sampling, variables_of(*exprs))
-        out = scratch((len(exprs), len(pts)), "frame")
-        block = ex.evaluate_many(exprs, manifest.chart.names, pts, out=out)
-        if not np.isfinite(block).all():
-            for values in np.split(block, np.cumsum([len(item) for item in items[:-1]])):
-                require_finite(values.T, pts)
+        finite = (Condition(item, "finite") for item in items)
+        _judge(manifest.chart, manifest.sampling, manifest.tolerances, *finite)
 
 
-def materialize(manifest: Manifest, decl: StructureDecl):
-    """Build the runtime object for a structure declaration."""
-    args = {key: _resolve(manifest, decl, key) for key in decl.options}
+def materialize(manifest: Manifest, decl: StructureDecl, build: Callable):
+    """Build the runtime object for a structure declaration; ``build`` maps
+    the name of each structure it refers to to that structure, built."""
+    args = {key: _resolve(manifest, decl, key, build) for key in decl.options}
     _check_defined(manifest, args)
     if decl.kind in ("contact", "even_contact"):
         return args["form"]

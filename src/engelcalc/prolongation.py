@@ -82,7 +82,7 @@ class ContactFrame:
         """Rank 2 of (V0, V1) and rank 3 of (V0, V1, [V0, V1]) at samples."""
         fields = (self.v0, self.v1, lie_bracket(self.v0, self.v1))
         plane, bracket = _judge(
-            (self.v0, self.v1), plan, tol,
+            self.chart, plan, tol,
             Condition(fields, "rank", "rank_plane", rank=2),
             Condition(fields, "rank", "rank_with_bracket", rank=3),
             joint=True,

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PASS_STATUSES = frozenset({"pass", "match", "computed", "done"})
-FAIL_STATUSES = frozenset({"fail", "mismatch", "error"})
 
 
 def _plain(value):

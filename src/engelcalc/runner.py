@@ -32,7 +32,6 @@ from .invariants import (
 from .manifest import Manifest, StructureDecl, TaskDecl, frame_to_manifest_text, materialize
 from .report import RunReport, TaskRecord
 from .structures import (
-    CheckError,
     Distribution2,
     VerificationReport,
     check_characteristic,
@@ -172,15 +171,15 @@ def run_tasks(
     Task-level failures are recorded in the report (exit code 1); only
     I/O and parse problems escape as exceptions (exit code 2).  One table
     per run holds the built structures: each is materialized, and its
-    definitions checked, in the first task that reads it; one that raises
-    is not kept, so every task on it records the same error.  The
+    definitions checked, in the first task or structure that reads it; one
+    that raises is not kept, so every task on it records the same error.  The
     expression intern and memo tables outlive the run, so a later run on
     the same manifest reuses its symbolic work.
     """
     started = time.perf_counter()
     records: list[TaskRecord] = []
     kinds = COMMAND_TASK_KINDS[command]
-    build = cache(lambda name: materialize(manifest, manifest.structures[name]))
+    build = cache(lambda name: materialize(manifest, manifest.structures[name], build))
     for task in manifest.tasks:
         if task.kind not in kinds:
             continue
@@ -194,7 +193,7 @@ def run_tasks(
                 record = _identities_task(manifest, decl, build)
             else:
                 record = _construct_task(manifest, decl, build, task, out_path)
-        except (GeometryError, CheckError, ex.ExprError) as err:
+        except (GeometryError, ex.ExprError) as err:
             record = TaskRecord(
                 task_id=task.task_id,
                 kind=task.kind,

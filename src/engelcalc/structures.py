@@ -2,8 +2,8 @@
 
 Every check, and every constructor's numeric self-check, is a list of
 :class:`Condition` objects judged by one :func:`_judge` call under the
-caller's :class:`Tolerances`.  It samples only the rows that differ in the
-coordinates the check's inputs read
+caller's :class:`Tolerances`.  It samples what its conditions read, gated
+or not: only the rows that differ in the coordinates those items read
 (:func:`~engelcalc.charts.distinct_samples`), and a failure names the first
 row of the condition's worst value by its index in the full sample:
 
@@ -25,16 +25,19 @@ row of the condition's worst value by its index in the full sample:
   inside a guard band and stacks too short to repay the Gram pass go to
   the exact SVD, so ranks and reported ratios equal the SVD's.  Every rank
   condition takes one path: :func:`_frame_ranks` ranks the leading fields
-  of the frame's rows in the evaluation block below.
+  of the frame's rows in the evaluation block below;
+* ``finite``: always passes once its witness passed the finiteness check
+  below, and reports a scalar witness's ``min``: the domain check of
+  :func:`~engelcalc.manifest.materialize` and an extension's angle minimum.
 
 Each check is one :func:`_judge` call, a fibred frame's ranks, annihilator
 self-check and characteristic conditions included
 (:func:`check_characteristic`); a condition ``after`` another is judged only
 if that one passed, and is otherwise neither checked nor reported (None).
 The call evaluates everything its conditions read, every frame, witness,
-scale and pair member, in one ``evaluate_many`` call (:func:`_evaluate`):
-one compiled program that computes each distinct subexpression once,
-writing a component-major block whose rows are each item's components.
+scale and pair member, in one ``evaluate_many`` call: one compiled
+program that computes each distinct subexpression once, writing a
+component-major block whose rows are each item's components.
 Non-finite values are checked item by item just before the first judged
 condition that reads each item, its witness (a frame field by field, a
 pair's form first) then its scales, so an error names the point of the
@@ -401,7 +404,7 @@ class Distribution2:
 
     def validate_rank(self, plan: SamplePlan, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
         rank2 = Condition(self.frame, "rank", "rank", rank=2)
-        return _judge(self.frame, plan, tol, rank2)[0]
+        return _judge(self.chart, plan, tol, rank2)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,10 +429,10 @@ class EngelPair:
 class Condition:
     """One pointwise test of a check: a form, field or scalar ``witness``, or
     a (1-form, field) pair standing for its pairing, that is
-    ``"nonvanishing"`` or ``"zero"``, or a frame whose first ``rank`` fields
-    reach full ``"rank"``.  ``name`` keys its value in a failure.  A
-    condition ``after`` another, listed before it, is judged only where
-    that one passed."""
+    ``"nonvanishing"``, ``"zero"`` or ``"finite"``, or a frame whose first
+    ``rank`` fields reach full ``"rank"``.  ``name`` keys its value in a
+    failure.  A condition ``after`` another, listed before it, is judged
+    only where that one passed."""
 
     witness: object
     predicate: str
@@ -457,31 +460,8 @@ def _read(c: Condition) -> tuple:
     return (*c.witness, *c.scale)
 
 
-def _evaluate(
-    conditions: Sequence[Condition], chart: Chart, pts: np.ndarray
-) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
-    """Every item the conditions read, at the points, in one evaluate_many call.
-
-    Returns the component-major block, in the thread's "frame" workspace
-    buffer, and the rows of each item by identity: each frame, and each
-    field, form or scalar, once.  Nothing is checked for finiteness here.
-    """
-    spans: dict[int, tuple[int, int]] = {}
-    exprs: list[ScalarExpr] = []
-    for c in conditions:
-        for item in _read(c):
-            if id(item) not in spans:
-                comps = _components(item)
-                spans[id(item)] = (len(exprs), len(exprs) + len(comps))
-                exprs.extend(comps)
-    block = ex.evaluate_many(
-        tuple(exprs), chart.names, pts, out=scratch((len(exprs), len(pts)), "frame")
-    )
-    return block, spans
-
-
 def _judge(
-    inputs: Sequence,
+    chart: Chart,
     plan: SamplePlan,
     tol: Tolerances,
     *conditions: Condition,
@@ -490,13 +470,24 @@ def _judge(
     """One report per condition (see the module docstring), or
     None for a condition whose ``after`` condition did not pass.
 
-    Every item is evaluated in one program (:func:`_evaluate`), each frame is
-    ranked once for all its sizes, and each other item's pointwise norm is
-    taken once, keyed by identity: of a field's or form's components, of a
-    scalar, or of a (1-form, field) pair's pairing."""
-    chart = inputs[0].chart
-    pts, rows = distinct_samples(chart, plan, variables_of(*inputs))
-    block, spans = _evaluate(conditions, chart, pts)
+    Every item is evaluated in one program, into a component-major block in
+    the thread's "frame" workspace buffer, each frame is ranked once for all
+    its sizes, and each other item's pointwise norm is taken once, keyed by
+    identity: of a field's or form's components, of a scalar, or of a
+    (1-form, field) pair's pairing."""
+    # the rows of every item the conditions read, by identity: each frame,
+    # and each field, form or scalar, once
+    spans: dict[int, tuple[int, int]] = {}
+    exprs: list[ScalarExpr] = []
+    for c in conditions:
+        for item in _read(c):
+            if id(item) not in spans:
+                comps = _components(item)
+                spans[id(item)] = (len(exprs), len(exprs) + len(comps))
+                exprs.extend(comps)
+    pts, rows = distinct_samples(chart, plan, variables_of(*exprs))
+    out = scratch((len(exprs), len(pts)), "frame")
+    block = ex.evaluate_many(tuple(exprs), chart.names, pts, out=out)
     # ids of the items not yet checked for finiteness: none if all is finite
     unchecked = set() if np.isfinite(block).all() else set(spans)
 
@@ -526,6 +517,10 @@ def _judge(
                 step = chart.dim if isinstance(item, tuple) else stop - start  # a frame by field
                 for lo in range(start, stop, step):
                     require_finite(block[lo : lo + step].T, pts)
+        if c.predicate == "finite":  # its items were checked just above
+            least = values_of(c.witness).min() if isinstance(c.witness, ScalarExpr) else None
+            reports.append(VerificationReport(True, {} if least is None else {"min": float(least)}))
+            continue
         if id(c.witness) not in values:
             if c.predicate == "rank":
                 sizes = [d.rank for d in conditions if d.witness is c.witness]
@@ -586,7 +581,7 @@ def check_contact_3d(
     if alpha.degree != 1:
         raise DimensionError("contact check requires a 1-form")
     top = Condition(wedge(alpha, exterior_derivative(alpha)), "nonvanishing")
-    return _judge((alpha,), plan, tol, top)[0]
+    return _judge(alpha.chart, plan, tol, top)[0]
 
 
 def check_even_contact(
@@ -600,7 +595,7 @@ def check_even_contact(
     if beta.degree != 1:
         raise DimensionError("even-contact check requires a 1-form")
     top = Condition(wedge(beta, exterior_derivative(beta)), "nonvanishing")
-    return _judge((beta,), plan, tol, top)[0]
+    return _judge(beta.chart, plan, tol, top)[0]
 
 
 def check_engel_pair(
@@ -619,7 +614,7 @@ def check_engel_pair(
     ab = wedge(alpha, beta)
     ab_da, ab_db = wedge(ab, da), wedge(ab, db)
     r1, r2, r3, *swapped = _judge(
-        (alpha, beta), plan, tol,
+        alpha.chart, plan, tol,
         Condition(ab_da, "nonvanishing"),
         Condition(ab_db, "zero", scale=(alpha, beta, db)),
         Condition(wedge(beta, db), "nonvanishing"),
@@ -671,7 +666,7 @@ def check_engel_frame(
     """Derived-distribution ranks: dim 3 after one bracket, dim 4 after two."""
     if d.chart.dim != 4:
         raise DimensionError("frame check requires a 4-dimensional chart")
-    return _engel_report(*_judge((d.x, d.y), plan, tol, *_engel_ranks(d, True)))
+    return _engel_report(*_judge(d.chart, plan, tol, *_engel_ranks(d, True)))
 
 
 def annihilator_1form(frame: Sequence[VectorField]) -> KForm:
@@ -738,7 +733,7 @@ def characteristic_vector_field(
 
     rho = volume.coeff(tuple(range(4)))
     # judged before X is built, since X divides by rho
-    (density,) = _judge((beta, volume), plan, tol, Condition(rho, "nonvanishing"))
+    (density,) = _judge(chart, plan, tol, Condition(rho, "nonvanishing"))
     if density.witnesses["min_abs"] <= 0.0:
         raise CheckError(
             f"volume form vanishes at sample point {density.first_failure['point']}"
@@ -754,7 +749,7 @@ def characteristic_vector_field(
     x0 = VectorField(chart, tuple(comps))
 
     identity = Condition(interior_product(x0, volume) - bdb, "zero", scale=(bdb,))
-    if not _judge((beta, volume), plan, tol, identity)[0].passed:
+    if not _judge(chart, plan, tol, identity)[0].passed:
         raise CheckError("contraction identity violated for the computed field")
     return x0
 
@@ -786,7 +781,7 @@ def check_characteristic(
     x0 = coordinate_field(chart, chart.fiber)
     lie = lie_derivative_form(x0, beta)
     *frame, nonzero, a1, a2, a3, proportional, in_kernel = _judge(
-        (d.x, d.y), plan, tol,
+        chart, plan, tol,
         *ranks,
         Condition(beta, "nonvanishing", after=step1),
         *(Condition((beta, f), "zero", scale=(beta, f), after=step1) for f in square),
@@ -819,4 +814,4 @@ def check_twisting_condition(
     if x0.chart != v.chart:
         raise ChartMismatchError("fields on different charts")
     rank3 = Condition((x0, v, lie_bracket(x0, v)), "rank", "rank", rank=3)
-    return _judge((x0, v), plan, tol, rank3)[0]
+    return _judge(x0.chart, plan, tol, rank3)[0]

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -25,6 +26,13 @@ MEMOS = (
     prolongation.prolong,
     prolongation.fiber_characteristic_annihilator,
 )
+
+
+def built(m: manifest.Manifest, name: str):
+    """Structure ``name`` of a manifest, built as a run builds it: the
+    structures it names come from the same table."""
+    build = functools.cache(lambda n: manifest.materialize(m, m.structures[n], build))
+    return build(name)
 
 
 def empty_expr_tables() -> None:

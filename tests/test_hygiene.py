@@ -1,6 +1,7 @@
 """Dead-code guard: unused top-level imports, imports inside functions,
-unread parameters, unreferenced private names, and public functions,
-methods and properties that no manifest reaches; a registration guard:
+unread parameters, unreferenced private names, unread public module
+names, and public functions, methods and properties that no manifest
+reaches; a registration guard:
 every process-lifetime memo is emptied before each test; and design
 guards: verdicts and self-checks sample, rank and name failures only
 through the condition engine, ``structures._judge``, and no literal
@@ -273,7 +274,8 @@ def f(): ...
     assert list(_memo_sized(ast.parse(source))) == ["a", "b", "c"]
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
+def _module_definitions(tree: ast.Module) -> dict[str, int]:
+    """Every name a module binds at its top level but by an import, and its line."""
     defined: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -284,9 +286,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
             names = [node.target.id]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
+        defined.update(dict.fromkeys(names, node.lineno))
     return defined
 
 
@@ -309,10 +309,57 @@ def test_every_private_module_name_is_referenced():
     dead = [
         f"{name}:{line} {private}"
         for name, tree in trees.items()
-        for private, line in _private_definitions(tree).items()
-        if private not in referenced
+        for private, line in _module_definitions(tree).items()
+        if private.startswith("_") and not private.startswith("__") and private not in referenced
     ]
     assert not dead, f"private names no source file references: {dead}"
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names loaded and attributes read anywhere in a file, and its strings,
+    which may name one for a lookup by name; an import alone reads nothing."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+# Public module-level names that neither the package nor its tests read,
+# and so are read by perfbench/run.py alone, which records both per run.
+READ_BY_PERFBENCH = {"_kernels.HAVE_NUMBA", "_kernels.active_backend"}
+
+
+def test_every_public_module_name_is_read():
+    read = set().union(*(_reads(_tree(path)) for path in [*MODULES, *(REPO / "tests").rglob("*.py")]))
+    unread = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _module_definitions(_tree(path))
+        if not name.startswith("_") and name not in read
+    }
+    assert unread == READ_BY_PERFBENCH
+    perfbench = set().union(*(_reads(_tree(path)) for path in (REPO / "perfbench").rglob("*.py")))
+    assert {name.split(".")[1] for name in unread} <= perfbench
+
+
+def test_the_public_name_scan_sees_every_spelling():
+    source = """
+import x
+A = 1
+B: int = 2
+def f(): return A
+class C: pass
+getattr(x, "C"), x.B
+D = E = 3
+"""
+    assert _reads(ast.parse(source)) >= {"A", "B", "C"}
+    assert not {"D", "E", "f"} & _reads(ast.parse(source))
+    assert list(_module_definitions(ast.parse(source))) == ["A", "B", "f", "C", "D", "E"]
 
 
 def _functions_using(tree: ast.Module, name: str):
@@ -343,14 +390,11 @@ def _package_functions_using(name: str) -> set[str]:
 # sampled verdict and self-check is a list of structures.Condition judged by
 # structures._judge, so a new check that samples on its own fails here.
 SAMPLERS = {
-    # the condition engine: every verdict and every constructor's self-check
+    # the condition engine: every verdict, every constructor's self-check,
+    # the domain check and the angle minimum, over what its conditions read
     "structures._judge",
-    # the sampled minimum of an extension's angle function, a construction input
-    "extension._sample_min",
     # base points of the development behind both twisting numbers
     "invariants._fiber_rotation",
-    # the domain check of the definitions no task evaluates as written
-    "manifest._check_defined",
     # the full sample, which every distinct sample set stands for
     "charts.sample_points",
 }
@@ -367,7 +411,7 @@ def test_only_the_condition_engine_and_named_constructors_sample():
 # simplify and differentiation evaluate nothing numerically.
 EVALUATORS = {
     # every item of a condition check: frames, witnesses, scales, pair members
-    "structures._evaluate",
+    "structures._judge",
     # a field's components or a form's coefficients, at the caller's points
     "charts.VectorField.evaluate_at",
     "charts.KForm.evaluate_at",
@@ -379,11 +423,6 @@ EVALUATORS = {
     "prolongation.ContactFrame.basis_at",
     # both coefficients of a symbolic line field
     "invariants.LegendrianLineField.tabulate",
-    # the one angle function of an extension, a construction input
-    "extension._sample_min",
-    # every definition of a declaration that no task evaluates as written,
-    # at the manifest's samples, so that every task meets the same error
-    "manifest._check_defined",
 }
 
 
@@ -431,6 +470,11 @@ JUDGES = {
     # two calls: the volume density before the field that divides by it is
     # built, then the field's contraction identity
     "structures.characteristic_vector_field",
+    # "finite" conditions: every definition of a declaration that no task
+    # evaluates as written, so that every task meets the same error, and the
+    # sampled minimum of an extension's angle function
+    "manifest._check_defined",
+    "extension._sample_min",
 }
 
 
@@ -537,7 +581,7 @@ UNREACHED_BY_FIXTURES = {
     "cli.entry",
     # recorded on every run of perfbench/run.py
     "_kernels.active_backend",
-    # inputs of the normal-form task planned in ROADMAP open item 2
+    # inputs of the normal-form task planned in ROADMAP open item 3
     "prolongation.deprolong",
     "structures.characteristic_vector_field",
     "structures.check_twisting_condition",
@@ -554,7 +598,7 @@ UNREACHED_BY_FIXTURES = {
     # the condition engine evaluates forms through their components; this is
     # looked up by name by perfbench/tracer.py, and tests evaluate forms with it
     "charts.KForm.evaluate_at",
-    # line fields of induced_legendrian_line (above), for ROADMAP open item 2
+    # line fields of induced_legendrian_line (above), for ROADMAP open item 3
     "invariants.LegendrianLineField.symbolic",
     "invariants.LegendrianLineField.tabulate",
 }

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import built
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -18,7 +19,7 @@ from engelcalc.invariants import (
     minimal_twisting_number,
     twisting_number,
 )
-from engelcalc.manifest import materialize, parse_manifest
+from engelcalc.manifest import parse_manifest
 from engelcalc.prolongation import ContactFrame, prolong, rotate_along_fiber
 from engelcalc.structures import DEFAULT_TOLERANCES
 
@@ -177,7 +178,7 @@ def _mtw_rotation(dist, frame, plan):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_mtw_over_distinct_base_points_equals_the_full_sample(n, monkeypatch):
     manifest = parse_manifest((MANIFESTS / f"extension-n{n}.manifest").read_text())
-    spec = materialize(manifest, manifest.structures["ext"])
+    spec = built(manifest, "ext")
     dist = extend(spec, manifest.sampling)
     plan = inv.minimal_twisting_plan(manifest.sampling.seed)
 

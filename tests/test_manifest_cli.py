@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import EXPR_TABLES, MEMOS, strict_json
+from conftest import EXPR_TABLES, MEMOS, built, strict_json
 
 from engelcalc import expr as ex
 from engelcalc import manifest as manifest_module
@@ -497,6 +497,15 @@ def test_an_f1_pair_undefined_at_a_sample_is_a_task_error(tmp_path):
     tasks = _run_f1(tmp_path, "1+0*(1/x) 0")
     assert {k: t.get("error") for k, t in tasks.items()} == dict.fromkeys(
         ["verify_ext", "mtw"], "non-finite value at sample point [0.0, -1.0, -1.0]"
+    )
+
+
+def test_the_members_of_an_f1_pair_are_checked_in_turn(tmp_path):
+    # the first member is nan at x = 1 and the second at x = -1, an earlier
+    # row: the error names the first member's point, as for a frame's fields
+    tasks = _run_f1(tmp_path, "1+0*(1/(x-1)) 0*(1/(x+1))")
+    assert {k: t.get("error") for k, t in tasks.items()} == dict.fromkeys(
+        ["verify_ext", "mtw"], "non-finite value at sample point [1.0, -1.0, -1.0]"
     )
 
 
@@ -997,10 +1006,10 @@ def test_each_declaration_is_checked_at_most_once_per_request(tmp_path, monkeypa
         manifest_module.materialize, manifest_module._check_defined, ex.evaluate_many
     )
 
-    def materializing(manifest, decl):
+    def materializing(manifest, decl, build):
         names.append(decl.name)
         try:
-            return materialize(manifest, decl)
+            return materialize(manifest, decl, build)
         finally:
             names.pop()
 
@@ -1025,6 +1034,50 @@ def test_each_declaration_is_checked_at_most_once_per_request(tmp_path, monkeypa
             run_tasks(parse_manifest(path.read_text()), command=command, out_path=out)
     repeated = [key for key in checked if checked.count(key) > 1]
     assert checked and repeated == []
+
+
+def test_a_prolongation_takes_its_frame_from_the_runs_table(monkeypatch):
+    from engelcalc import runner
+
+    names, materialize = [], manifest_module.materialize
+
+    def materializing(manifest, decl, *build):
+        names.append(decl.name)
+        return materialize(manifest, decl, *build)
+
+    monkeypatch.setattr(manifest_module, "materialize", materializing)
+    monkeypatch.setattr(runner, "materialize", materializing)
+    run_tasks(parse_manifest((MANIFESTS / "prolonged-n1.manifest").read_text()), command="invariant")
+    assert names == ["prolonged", "frame"]
+
+
+def test_the_domain_check_is_one_engine_call_per_declaration(monkeypatch):
+    """Each form as written, or V0, V1 and then each f1 member, are the
+    "finite" conditions of one engine call; a frame of fields has none."""
+    checks, check_defined, judge = [], manifest_module._check_defined, manifest_module._judge
+
+    def checking(manifest, args):
+        checks.append([])
+        check_defined(manifest, args)
+
+    def judging(chart, plan, tol, *conditions):
+        checks[-1].append([c.witness for c in conditions if c.predicate == "finite"])
+        return judge(chart, plan, tol, *conditions)
+
+    monkeypatch.setattr(manifest_module, "_check_defined", checking)
+    monkeypatch.setattr(manifest_module, "_judge", judging)
+    texts = [path.read_text() for path in sorted(MANIFESTS.glob("*.manifest"))]
+    for m in map(parse_manifest, [*texts, F1_EXTENSION]):
+        for decl in m.structures.values():
+            opts, read = decl.options, m.definitions.get
+            if "frame" in opts:
+                frame = built(m, opts["frame"])
+                items = [frame.v0, frame.v1, *map(read, opts.get("f1", "").split())]
+            else:
+                items = [read(opts[k]).written for k in ("form", "alpha", "beta") if k in opts]
+            checks.clear()
+            built(m, decl.name)
+            assert checks[-1] == ([items] if items else [])
 
 
 def test_cli_parser_is_built_once():
@@ -1300,15 +1353,15 @@ def test_constructed_frame_reads_back_equal(name):
     its hash, so both share one memoized characteristic check."""
     from engelcalc.extension import extend
     from engelcalc.invariants import CHARACTERISTIC_PLAN
-    from engelcalc.manifest import frame_to_manifest_text, materialize
+    from engelcalc.manifest import frame_to_manifest_text
     from engelcalc.prolongation import fiber_characteristic_annihilator
 
     m = parse_manifest((MANIFESTS / f"{name}.manifest").read_text(encoding="utf-8"))
     (decl,) = (s for s in m.structures.values() if s.kind in ("prolongation", "extension"))
-    built = materialize(m, decl)
-    d = built if decl.kind == "prolongation" else extend(built, m.sampling)
+    obj = built(m, decl.name)
+    d = obj if decl.kind == "prolongation" else extend(obj, m.sampling)
     rebuilt = parse_manifest(frame_to_manifest_text(d, name=decl.name))
-    again = materialize(rebuilt, rebuilt.structures[decl.name])
+    again = built(rebuilt, decl.name)
     assert again is not d
     assert again == d and hash(again) == hash(d)
     beta = fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN)

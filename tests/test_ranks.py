@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import built
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelcalc import expr as ex
 from engelcalc import structures
 from engelcalc.charts import lie_bracket, sample_points
-from engelcalc.manifest import materialize, parse_manifest
+from engelcalc.manifest import parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
 
@@ -352,7 +353,7 @@ def test_prolonged_n3_step2_stack_is_certified_almost_whole(monkeypatch):
     """A certificate that rejects every row stays correct, so count the SVD rows."""
     text = (MANIFESTS / "prolonged-n3.manifest").read_text(encoding="utf-8")
     manifest = parse_manifest(text).with_overrides(grid=16, random=1000)
-    dist = materialize(manifest, manifest.structures["prolonged"])
+    dist = built(manifest, "prolonged")
     pts = sample_points(dist.chart, manifest.sampling)
     xy = lie_bracket(dist.x, dist.y)
     fields = (dist.x, dist.y, xy, lie_bracket(dist.x, xy), lie_bracket(dist.y, xy))

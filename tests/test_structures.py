@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chart_from_box
+from conftest import built, chart_from_box
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -327,7 +327,7 @@ def test_a_pairing_witness_pairs_the_evaluated_form_and_field(box4):
     beta = parse_one_form(box4, "dy - z*dx")
     x = coordinate_field(box4, "x")  # beta(d/dx) = -z
     paired = structures.Condition((beta, x), "zero", scale=(beta, x))
-    (rep,) = structures._judge((beta, x), PLAN, structures.DEFAULT_TOLERANCES, paired)
+    (rep,) = structures._judge(box4, PLAN, structures.DEFAULT_TOLERANCES, paired)
     pts = sample_points(box4, PLAN)
     worst = int(np.argmax(np.abs(pts[:, 2])))
     assert not rep.passed
@@ -533,13 +533,13 @@ DISTINCT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(DISTINCT_CASES))
 def test_checks_on_distinct_points_match_the_full_sample(case, box3, box4, monkeypatch):
-    from engelcalc import extension, structures
+    from engelcalc import structures
 
     run = functools.partial(DISTINCT_CASES[case], box3, box4)
     distinct = _outcome(run)
-    # the contact frame samples through structures._judge
-    for module in (structures, extension):
-        monkeypatch.setattr(module, "distinct_samples", _full_sample)
+    # every case, the contact frame and the angle minimum included, samples
+    # through structures._judge
+    monkeypatch.setattr(structures, "distinct_samples", _full_sample)
     assert _outcome(run) == distinct
 
 
@@ -631,7 +631,7 @@ def test_a_non_finite_value_names_the_first_items_point_not_the_first_row(box4):
 
     def judge(*fields):
         conditions = (structures.Condition(f, "nonvanishing") for f in fields)
-        structures._judge(fields, PLAN, structures.DEFAULT_TOLERANCES, *conditions)
+        structures._judge(box4, PLAN, structures.DEFAULT_TOLERANCES, *conditions)
 
     with pytest.raises(GeometryError, match=re.escape(f"non-finite value at sample point {early}")):
         judge(second)
@@ -651,7 +651,7 @@ def test_a_condition_whose_gate_failed_is_neither_checked_nor_reported(box4):
     def judge(frame):
         rank = structures.Condition(frame, "rank", rank=3)
         gated = structures.Condition(pole, "nonvanishing", after=rank)
-        return structures._judge((x, y, pole), PLAN, structures.DEFAULT_TOLERANCES, rank, gated)
+        return structures._judge(box4, PLAN, structures.DEFAULT_TOLERANCES, rank, gated)
 
     plane, skipped = judge((x, y, x))
     assert not plane.passed and skipped is None
@@ -663,23 +663,48 @@ def test_a_condition_whose_gate_failed_is_neither_checked_nor_reported(box4):
 def test_a_fibred_frame_is_judged_in_one_call(std_frame, monkeypatch):
     from engelcalc import structures
 
-    inputs, judge = [], structures._judge
-    monkeypatch.setattr(structures, "_judge", lambda *args, **kw: inputs.append(args[0]) or judge(*args, **kw))
+    charts, judge = [], structures._judge
+    monkeypatch.setattr(structures, "_judge", lambda *args, **kw: charts.append(args[0]) or judge(*args, **kw))
     d = prolong(std_frame, 3)
     check_characteristic(d, PLAN, engel=True)
     fiber_characteristic_annihilator(d, PLAN)
-    assert inputs == [(d.x, d.y)] * 2
+    assert charts == [d.chart] * 2
 
 
 def test_an_engel_frame_check_compiles_one_program():
-    from engelcalc.manifest import materialize, parse_manifest
+    from engelcalc.manifest import parse_manifest
 
     text = (Path(__file__).resolve().parents[1] / "manifests" / "prolonged-n1.manifest").read_text()
     manifest = parse_manifest(text)
-    dist = materialize(manifest, manifest.structures["prolonged"])
+    dist = built(manifest, "prolonged")
     ex.compile_program.cache_clear()
     assert check_engel_frame(dist, manifest.sampling, manifest.tolerances).passed
     assert ex.compile_program.cache_info().misses == 1
+
+
+def test_a_check_samples_what_its_conditions_read(monkeypatch):
+    # alpha reads z, but alpha ^ d(alpha) = -dx^dy^dz reads no coordinate
+    from engelcalc.manifest import parse_manifest
+
+    text = (Path(__file__).resolve().parents[1] / "manifests" / "standard-contact-r3.manifest").read_text()
+    manifest = parse_manifest(text)
+    alpha = manifest.definitions["alpha"]
+    rows, evaluate_many = [], ex.evaluate_many
+    monkeypatch.setattr(ex, "evaluate_many", lambda e, n, pts, **kw: rows.append(len(pts)) or evaluate_many(e, n, pts, **kw))
+    assert check_contact_3d(alpha, manifest.sampling, manifest.tolerances).passed
+    assert rows == [1]
+
+
+def test_a_scale_that_reads_another_coordinate_samples_its_grid(box4):
+    from engelcalc import structures
+
+    # the witness reads no coordinate; the scale is 0 at row 0 (y = -1) and 2000 at y = 1
+    witness = ex.Constant(10 * structures.DEFAULT_TOLERANCES.zero)
+    scale = ex.parse_scalar_expr("1000*(y + 1)", box4.names)
+    zero = structures.Condition(witness, "zero", scale=(scale,))
+    (rep,) = structures._judge(box4, PLAN, structures.DEFAULT_TOLERANCES, zero)
+    assert rep.passed
+    assert rep.witnesses["scale"] == pytest.approx(1000 * (sample_points(box4, PLAN)[:, 1] + 1).max())
 
 
 # ---------------------------------------------------------------------------
