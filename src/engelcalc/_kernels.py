@@ -19,10 +19,11 @@ The workspace holds a few buffers per thread (``threading.local``,
 warm process neither allocates its large temporaries nor faults their
 pages in again.  A buffer grows to the largest array asked of it, up to
 ``WORKSPACE_BYTES``; a larger array is allocated afresh.  The slots are
-"program" (the temporaries of :func:`run_program`), "frame" (the values a
-condition check evaluates, or a development's generators), "gram" (a block's
-Gram stack in the rank layer) and "temporary" (the rank layer's scaled
-copy, B^2 and certificate; a development's points).
+"program" (the temporaries of :func:`run_program`; a development's turns),
+"frame" (the values a condition check evaluates, or a development's
+generators), "gram" (a block's Gram stack in the rank layer) and
+"temporary" (the rank layer's scaled copy, B^2 and certificate; a
+development's points, then its frame coefficients and residual).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .charts import (
 from .expr import ScalarExpr
 from .prolongation import (
     ContactFrame,
-    _raw_angles,
+    _frame_coefficients,
     development_profile,
     fiber_characteristic_annihilator,
 )
@@ -45,6 +45,11 @@ CHARACTERISTIC_PLAN = SamplePlan(grid=3, random=8, seed=0)
 # fiber grid steps of the twisting number and the minimal twisting number
 TWISTING_STEPS = 512
 MINIMAL_TWISTING_STEPS = 256
+# The largest covering index (twist count) each grid resolves: every step
+# then turns the line by at most pi/2 (with g <= pi on an extension), which
+# the development's refinement sees; a turn beyond 3*pi/4 it cannot see.
+MAX_TWISTING_INDEX = TWISTING_STEPS // 2
+MAX_MINIMAL_TWISTING_INDEX = MINIMAL_TWISTING_STEPS // 2 - 1
 
 
 class BoundaryConventionWarning(UserWarning):
@@ -232,7 +237,8 @@ def induced_legendrian_line(
     fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        raw = _raw_angles(d, frame, points, np.array([float(t)]), tol)[:, 0]
+        a, b = _frame_coefficients(d, frame, points, np.array([float(t)]), tol)
+        raw = np.arctan2(b[:, 0], a[:, 0]) % math.pi
         return np.stack([np.cos(raw), np.sin(raw)], axis=1)
 
     return LegendrianLineField(base, frame, evaluator=evaluator)

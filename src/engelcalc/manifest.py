@@ -55,6 +55,12 @@ extension, a construct task a prolongation or an extension, and an
 invariant task the kind its invariant is defined for: twisting_number a
 prolongation (an S^1 fibre), minimal_twisting_number an extension (an
 interval fibre).  Any other target is a validation error at its line.
+The development behind both invariants resolves a turn of at most pi/2
+per fibre step, so twisting_number takes a prolongation with n <= 256,
+minimal_twisting_number an extension with n <= 127, and an
+extension_family (whose verify reports minimal twisting numbers) n <= 127
+in every slice; a larger n is a validation error at the task's invariant
+line or at the family's n line.
 
 Every definition must be finite, as written, at every sample of the
 effective plan: ``materialize`` checks what no task evaluates as written (a
@@ -92,6 +98,12 @@ from .charts import (
 )
 from .expr import ScalarExpr
 from .extension import ExtensionSpec
+from .invariants import (
+    MAX_MINIMAL_TWISTING_INDEX,
+    MAX_TWISTING_INDEX,
+    MINIMAL_TWISTING_STEPS,
+    TWISTING_STEPS,
+)
 from .prolongation import ContactFrame, prolong
 from .structures import Condition, Distribution2, EngelPair, Tolerances, _judge
 
@@ -520,10 +532,33 @@ def _parse_structure(
             " and ".join(f"'{key}'" for key in lists) + " lists must have equal length",
             header_line,
         )
+    if kind == "extension_family":
+        # its verify task reports each slice's minimal twisting number
+        _require_resolved("minimal_twisting_number", name, *options["n"])
     flat = {k: v for k, (v, _) in options.items()}
     return StructureDecl(
         name=name, kind=kind, options=MappingProxyType(flat), line=header_line
     )
+
+
+# Per invariant: the fiber steps it develops and the largest n they resolve.
+_RESOLVED = {
+    "twisting_number": (TWISTING_STEPS, MAX_TWISTING_INDEX),
+    "minimal_twisting_number": (MINIMAL_TWISTING_STEPS, MAX_MINIMAL_TWISTING_INDEX),
+}
+
+
+def _require_resolved(invariant: str, target: str, n: str, lineno: int) -> None:
+    """Refuse a covering index (twist count) beyond what the invariant's
+    fiber grid resolves; ``n`` is the entry's text, one or more integers."""
+    steps, bound = _RESOLVED[invariant]
+    largest = max(int(k) for k in n.split())
+    if largest > bound:
+        raise ManifestError(
+            f"{invariant} develops {steps} fiber steps, which resolve n <= {bound};"
+            f" '{target}' has n = {largest}",
+            lineno,
+        )
 
 
 # Per task kind: the entries it accepts, and the structure kinds it may target
@@ -588,6 +623,8 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
             f" '{target.name}' is a {target.kind}",
             lines["target"],
         )
+    if invariant is not None:
+        _require_resolved(invariant, target.name, target.options["n"], lines["invariant"])
     return TaskDecl(
         task_id=label, kind=kind, options=MappingProxyType(options), line=header_line
     )

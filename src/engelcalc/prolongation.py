@@ -5,9 +5,14 @@ the product with a periodic fiber: the frame is rotated through half the
 fiber angle (times the covering index), so one fiber loop sweeps the
 projective line of the contact plane n times.  Deprolongation inverts
 this: the annihilator of the bracket-extended distribution is restricted
-to a cross section.  Development tracks the induced line's angle against
-the frame along the fibers over a stack of base points, in one evaluation
-pass per refinement level, unwrapped modulo pi.
+to a cross section.  Development follows the induced line along the fibers
+over a stack of base points, in one evaluation pass per refinement level:
+from the line's angle mod pi at the start of each fiber it sums each step's
+turn, arctan(cross/dot) of the frame coefficients at the step's two ends,
+bisecting every step where |cross| >= |dot| (a turn of pi/4 or more).  A
+step that turns the line by more than 3*pi/4 reads as a small turn the
+other way, so the fiber grid must keep each turn at or below pi/2; a
+manifest's covering index is bounded to that.
 """
 
 from __future__ import annotations
@@ -199,23 +204,26 @@ def deprolong(
 # development
 
 
-def _wrap_half_pi(delta: np.ndarray) -> np.ndarray:
-    """Reduce angle increments mod pi into [-pi/2, pi/2)."""
-    return (delta + math.pi / 2.0) % math.pi - math.pi / 2.0
-
-
-def _raw_angles(
+def _frame_coefficients(
     d: Distribution2,
     frame: ContactFrame,
     base_points: np.ndarray,
     fiber_values: np.ndarray,
     tol: Tolerances,
-) -> np.ndarray:
-    """(m, s) angles mod pi of the fiber-free generator against (V0, V1), at
-    m base points times s fiber values, evaluated in one pass.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a, b) of the fiber-free generator a*V0 + b*V1 against
+    the frame, at m base points times s fiber values, evaluated in one pass.
 
-    X and Y are evaluated together, component-major into (dim, m*s) buffers
-    with the fiber component last, so each component is a contiguous row."""
+    Both are (m, s) arrays with contiguous rows in this thread's "temporary"
+    workspace slot, valid until the thread next asks that slot.  X and Y are
+    evaluated together, component-major into (dim, m*s) rows with the fiber
+    component last.  The generator is xf*Y - yf*X over max(|xf|, |yf|), with
+    xf and yf the fiber components: Y itself where Y has no fiber component
+    and X's never vanishes, as on every prolongation and extension (X is
+    d/dfiber).  Each base point's dual basis (the pseudo-inverse of V0, V1)
+    projects it onto the frame, and the projection must leave a relative
+    residual of at most ``tol.projection``.
+    """
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
@@ -231,33 +239,49 @@ def _raw_angles(
     order = (*base_idx, fiber_idx)
     comps = tuple(field.components[i] for field in (d.x, d.y) for i in order)
     block = scratch((2 * chart.dim, m * s), "frame")
-    xv, yv = ex.evaluate_many(comps, chart.names, pts, out=block).reshape(2, chart.dim, m * s)
-    require_finite(xv.T, pts)
-    require_finite(yv.T, pts)
+    ex.evaluate_many(comps, chart.names, pts, out=block)
+    xv, yv = block.reshape(2, chart.dim, m * s)
+    # a sum of finite values may overflow, never the other way round
+    if not math.isfinite(block.sum()):
+        require_finite(xv.T, pts)
+        require_finite(yv.T, pts)
     xf, yf = xv[-1], yv[-1]
-    # eliminate the fiber component against the more fiber-like generator
-    use_x = np.abs(xf) >= np.abs(yf)
-    pivot = np.where(use_x, xf, yf)
-    if np.any(pivot == 0.0):
-        raise GeometryError("frame has no generator transverse to the base")
-    ratio = np.where(use_x, yf, xf) / pivot
-    xb, yb = xv[:-1], yv[:-1]
-    w = np.where(use_x, yb - ratio * xb, xb - ratio * yb)
-    wb = w.reshape(len(base_idx), m, s).transpose(1, 0, 2)
+    xb, w = xv[:-1], yv[:-1]
+    if yf.any() or not (xf.min() > 0.0 or xf.max() < 0.0):
+        # in place over the evaluated rows
+        big, cx = scratch((2, m * s))
+        np.abs(xf, out=big)
+        np.abs(yf, out=cx)
+        np.maximum(big, cx, out=big)
+        if big.min() == 0.0:
+            raise GeometryError("frame has no generator transverse to the base")
+        np.divide(xf, big, out=cx)
+        np.divide(yf, big, out=big)
+        np.multiply(w, cx, out=w)
+        np.multiply(xb, big, out=xb)
+        np.subtract(w, xb, out=w)
 
     basis = frame.basis_at(base_points)
-    coeffs = np.linalg.pinv(basis) @ wb
-    residual = np.linalg.norm(basis @ coeffs - wb, axis=1)
-    wnorm = np.linalg.norm(wb, axis=1)
-    if np.any(wnorm <= 0.0):
+    dual = np.linalg.pinv(basis)
+    wb = w.reshape(len(base_idx), m, s)
+    work = scratch((len(base_idx) + 4, m, s))
+    coeffs, residual, ww, rr = work[:2], work[2:-2], work[-2], work[-1]
+    np.matmul(dual, wb.transpose(1, 0, 2), out=coeffs.transpose(1, 0, 2))
+    np.einsum("cij,cij->ij", wb, wb, out=ww)
+    if ww.min() <= 0.0:
         raise GeometryError("degenerate generator along the fiber")
-    rel = residual / wnorm
-    if np.max(rel) > tol.projection:
+    np.matmul(basis, coeffs.transpose(1, 0, 2), out=residual.transpose(1, 0, 2))
+    np.subtract(wb, residual, out=residual)
+    np.einsum("cij,cij->ij", residual, residual, out=rr)
+    # rr <= tol**2 * ww at every row, judged by the largest rr/ww
+    np.divide(rr, ww, out=rr)
+    worst = rr.max()
+    if worst > tol.projection**2:
         raise ProjectionResidualError(
-            f"projection onto the frame leaves relative residual {np.max(rel):.3e}"
+            f"projection onto the frame leaves relative residual {math.sqrt(worst):.3e}"
             f" > {tol.projection:.1e}"
         )
-    return np.arctan2(coeffs[:, 1], coeffs[:, 0]) % math.pi
+    return coeffs[0], coeffs[1]
 
 
 # Rows (base points x fiber values) one development pass may evaluate.
@@ -277,15 +301,20 @@ def development_profile(
     """Unwrapped development angles along the fibers over m base points.
 
     Returns (fiber_values, angles) with angles of shape (m, len(fiber_values))
-    after step refinement of one shared fiber grid: wherever two consecutive
-    raw angles differ by pi/4 or more (mod pi) at any base point, a midpoint
-    is inserted, so genuine increments stay below the pi/2 aliasing bound.
-    Refinement is bounded in depth (``MAX_REFINE``), and every pass in rows
-    (``MAX_PROFILE_POINTS``, base points times fiber values).
+    after step refinement of one shared fiber grid.  The line's angle starts
+    at arctan2(b, a) mod pi of the first coefficient pair (a, b) against the
+    frame; each step then adds arctan(cross/dot) of consecutive pairs, with
+    cross = a0*b1 - b0*a1 and dot = a0*a1 + b0*b1, the turn of the line in
+    (-pi/2, pi/2).  Wherever |cross| >= |dot| at any base point, a turn of
+    pi/4 or more, a midpoint is inserted, so genuine turns stay below the
+    pi/2 aliasing bound.  Refinement is bounded in depth (``MAX_REFINE``),
+    and every pass in rows (``MAX_PROFILE_POINTS``, base points times fiber
+    values).
 
-    Refinement cannot detect increments that alias to a clean multiple of
-    pi, so the input grid must already resolve the twisting (64 steps per
-    covering index is ample for the structures built here).
+    Refinement cannot see a step that turns the line by more than 3*pi/4:
+    it reads as a turn below pi/4 the other way.  So the input grid must
+    already keep every step's turn at or below pi/2, which bounds the
+    covering index a manifest may give (see ``manifest``).
     """
     t = np.asarray(fiber_values, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -296,15 +325,32 @@ def development_profile(
     for _ in range(MAX_REFINE):
         if len(base_points) * t.size > MAX_PROFILE_POINTS:
             break
-        raw = _raw_angles(d, frame, base_points, t, tol)
-        steps = _wrap_half_pi(np.diff(raw, axis=1))
-        bad = np.flatnonzero(np.any(np.abs(steps) >= math.pi / 4.0, axis=0))
+        a, b = _frame_coefficients(d, frame, base_points, t, tol)
+        m, s = a.shape
+        # the turn from column j - 1 to column j goes to column j, over the
+        # flat rows; column 0 holds the step between base points, unread
+        af, bf = a.reshape(-1), b.reshape(-1)
+        a0, a1, b0, b1 = af[:-1], af[1:], bf[:-1], bf[1:]
+        rows = scratch((4, m * s), "program")
+        cross, dot, turn, u = rows[:, 1:]
+        np.multiply(a0, b1, out=cross)
+        np.multiply(b0, a1, out=u)
+        np.subtract(cross, u, out=cross)
+        np.multiply(a0, a1, out=dot)
+        np.multiply(b0, b1, out=u)
+        np.add(dot, u, out=dot)
+        np.abs(cross, out=turn)
+        np.abs(dot, out=u)
+        np.subtract(turn, u, out=turn)
+        turns = rows[2].reshape(m, s)
+        bad = np.flatnonzero(turns[:, 1:].max(axis=0) >= 0.0)
         if bad.size == 0:
-            angles = np.empty_like(raw)
-            angles[:, 0] = raw[:, 0]
-            np.cumsum(steps, axis=1, out=angles[:, 1:])
-            angles[:, 1:] += raw[:, :1]
-            return t, angles
+            # within a row |dot| > |cross|, so dot vanishes only in column 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(cross, dot, out=turn)
+            np.arctan(turn, out=turn)
+            turns[:, 0] = np.arctan2(b[:, 0], a[:, 0]) % math.pi
+            return t, np.cumsum(turns, axis=1)
         t = np.sort(np.concatenate([t, (t[bad] + t[bad + 1]) / 2.0]))
     raise RefinementDepthError(
         "development refinement exceeded the resolution budget;"

@@ -419,7 +419,7 @@ EVALUATORS = {
     "charts.fd_lie_bracket",
     # both generators of a plane field, and both fields of its contact
     # frame at the base points, over one development pass
-    "prolongation._raw_angles",
+    "prolongation._frame_coefficients",
     "prolongation.ContactFrame.basis_at",
     # both coefficients of a symbolic line field
     "invariants.LegendrianLineField.tabulate",

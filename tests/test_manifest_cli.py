@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -15,6 +16,11 @@ from engelcalc import manifest as manifest_module
 from engelcalc.charts import MEMO_SIZE, KForm, VectorField
 from engelcalc.cli import build_parser, main
 from engelcalc.expr import ScalarExpr
+from engelcalc.invariants import (
+    MAX_MINIMAL_TWISTING_INDEX,
+    MAX_TWISTING_INDEX,
+    BoundaryConventionWarning,
+)
 from engelcalc.manifest import _SOME, _STRUCTURES, Manifest, ManifestError, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
@@ -479,11 +485,19 @@ def test_extension_from_any_closed_form_pair(tmp_path, pair):
 )
 def test_extension_from_a_pair_that_is_closed_form_once_simplified(tmp_path, pair, as_matched):
     # the operands, or the constants, are compared in simplified form, and
-    # the tasks report what the pair written in matching form reports
-    tasks = _run_f1(tmp_path, pair)
-    assert tasks["verify_ext"]["status"] == "pass"
-    assert tasks["mtw"]["status"] != "error"
-    assert tasks == _run_f1(tmp_path, as_matched)
+    # the tasks report what the pair written in matching form reports; the
+    # angle x + 1 is shifted by pi to min g = pi, so the verify and the
+    # identities task of each pair warn
+    on_pi = pair.startswith("cos(x+1)")
+    expected = pytest.warns(BoundaryConventionWarning) if on_pi else contextlib.nullcontext()
+    with expected as caught:
+        tasks = _run_f1(tmp_path, pair)
+        assert tasks["verify_ext"]["status"] == "pass"
+        assert tasks["mtw"]["status"] != "error"
+        assert tasks == _run_f1(tmp_path, as_matched)
+    if on_pi:
+        message = "normalized angle function attains pi at its minimum"
+        assert [str(w.message) for w in caught] == 4 * [message]
 
 
 def test_extension_from_a_pair_without_closed_form_is_a_task_error(tmp_path):
@@ -713,6 +727,46 @@ def test_cross_entry_rules_are_manifest_errors(tmp_path, capsys, fixture, old, n
     for command in ("verify", "invariant"):
         assert main([command, str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixture,n,limit,line",
+    [
+        ("prolonged-n3", 3, MAX_TWISTING_INDEX, "invariant = twisting_number"),
+        ("extension-n2", 2, MAX_MINIMAL_TWISTING_INDEX, "invariant = minimal_twisting_number"),
+    ],
+)
+def test_a_covering_index_the_fiber_grid_cannot_resolve_is_an_input_error(
+    tmp_path, capsys, fixture, n, limit, line
+):
+    """At most pi/2 per fiber step: a larger n turns some step by more than
+    3*pi/4, which the development reads as a small turn the other way."""
+    assert (MAX_TWISTING_INDEX, MAX_MINIMAL_TWISTING_INDEX) == (256, 127)
+    text = (MANIFESTS / f"{fixture}.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "n.manifest"
+    path.write_text(text.replace(f"n = {n}\n", f"n = {limit}\n").replace(
+        f"expect = {n}\n", f"expect = {limit}\n"
+    ))
+    report = tmp_path / "report.json"
+    assert main(["invariant", str(path), "--report", str(report)]) == 0
+    assert [t["status"] for t in strict_json(report.read_text())["tasks"]] == ["match"]
+    path.write_text(text.replace(f"n = {n}\n", f"n = {limit + 1}\n"))
+    lineno = text.splitlines().index(line) + 1
+    for command in ("verify", "invariant"):
+        assert main([command, str(path)]) == 2
+        assert f"line {lineno}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,code", [("0 1 127", 1), ("0 1 128", 2)])
+def test_a_family_twist_count_beyond_the_minimal_grid_is_an_input_error(tmp_path, capsys, n, code):
+    # neg-family-jump fails verify (exit 1) on its jump; past the bound its
+    # n line is refused first
+    text = (MANIFESTS / "neg-family-jump.manifest").read_text(encoding="utf-8")
+    path = tmp_path / "family.manifest"
+    path.write_text(text.replace("n = 0 2 3\n", f"n = {n}\n"))
+    assert main(["verify", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("line 29: minimal_twisting_number develops 256 fiber steps" in err) == (code == 2)
 
 
 ENGEL_FRAME_1_OVER_X = """

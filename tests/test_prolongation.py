@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chart_from_box, kernel_plane_basis, plane_angle_sin
+from conftest import built, chart_from_box, kernel_plane_basis, plane_angle_sin
 
 from engelcalc import charts as ch
 from engelcalc import expr as ex
@@ -284,3 +285,94 @@ def test_development_rejects_frame_mismatch(std_frame, t3_frame):
             pe, bad_frame, [(0.3, 0.3, 0.9)], np.linspace(0.0, 2 * math.pi, 257)
         )
 
+
+# ---------------------------------------------------------------------------
+# the development against a reference written from angles
+
+
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+
+
+def _reference_development(d, frame, base, grid):
+    """The development read from line angles: arctan2 mod pi of the frame
+    coefficients at every grid value, each step wrapped into [-pi/2, pi/2)
+    and summed from the first angle, bisecting every step of the shared grid
+    that turns by pi/4 or more at any base point."""
+    chart = d.chart
+    fiber = chart.index(chart.fiber)
+    base_idx = [i for i in range(chart.dim) if i != fiber]
+    basis = np.stack([frame.v0.evaluate_at(base), frame.v1.evaluate_at(base)], axis=2)
+    dual = np.linalg.pinv(basis)
+    t = np.asarray(grid, dtype=float)
+    while True:
+        pts = np.empty((len(base), t.size, chart.dim))
+        pts[:, :, base_idx] = base[:, None, :]
+        pts[:, :, fiber] = t
+        pts = pts.reshape(-1, chart.dim)
+        x, y = d.x.evaluate_at(pts), d.y.evaluate_at(pts)
+        # eliminate the fiber component against the more fiber-like generator
+        use_x = np.abs(x[:, fiber]) >= np.abs(y[:, fiber])
+        pivot, other = np.where(use_x[:, None], x, y), np.where(use_x[:, None], y, x)
+        w = other - (other[:, fiber] / pivot[:, fiber])[:, None] * pivot
+        w = w[:, base_idx].reshape(len(base), t.size, len(base_idx))
+        coeffs = np.einsum("mkc,msc->msk", dual, w)
+        raw = np.arctan2(coeffs[..., 1], coeffs[..., 0]) % math.pi
+        steps = (np.diff(raw, axis=1) + math.pi / 2) % math.pi - math.pi / 2
+        bad = np.flatnonzero(np.any(np.abs(steps) >= math.pi / 4, axis=0))
+        if bad.size == 0:
+            return t, raw[:, :1] + np.concatenate(
+                [np.zeros((len(base), 1)), np.cumsum(steps, axis=1)], axis=1
+            )
+        t = np.sort(np.concatenate([t, (t[bad] + t[bad + 1]) / 2]))
+
+
+def _bundled_developments():
+    from engelcalc.extension import extend
+    from engelcalc.invariants import MINIMAL_TWISTING_STEPS, TWISTING_STEPS
+    from engelcalc.manifest import parse_manifest
+
+    for path in sorted(MANIFESTS.glob("*.manifest")):
+        m = parse_manifest(path.read_text())
+        for name, decl in m.structures.items():
+            if decl.kind == "prolongation":
+                d, frame = built(m, name), built(m, decl.options["frame"])
+                grid = np.linspace(0.0, 2 * math.pi, TWISTING_STEPS + 1)
+            elif decl.kind == "extension":
+                spec = built(m, name)
+                d, frame = extend(spec, m.sampling), spec.frame
+                grid = np.linspace(0.0, 1.0, MINIMAL_TWISTING_STEPS + 1)
+            else:
+                continue
+            yield path.stem, d, frame, ch.random_points(frame.chart, 32, 5), grid
+
+
+def test_development_agrees_with_the_angle_reference():
+    from engelcalc.extension import ExtensionSpec, extend
+
+    chart = chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
+    frame = ContactFrame(
+        chart, coordinate_field(chart, "z"), vector_field(chart, ["1", "z", "0"])
+    )
+    spec = ExtensionSpec(frame=frame, n=10, g=chart.parse("pi/2 + x"))
+    refining = extend(spec, PLAN), frame, np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+    # from theta = 2.5 the 3-fold prolongation's line starts at 3.75, past pi
+    pe = prolong(frame, 3)
+    base = ch.random_points(chart, 32, 6)
+    twisting = np.linspace(2.5, 2.5 + 2 * math.pi, 513)
+    # the same plane spanned by generators that both have a fiber component,
+    # and by the twisted generator first
+    mixed = Distribution2(pe.chart, pe.x + pe.y, pe.x - pe.y)
+    swapped = Distribution2(pe.chart, pe.y, pe.x)
+    cases = [
+        *_bundled_developments(),
+        ("refining", *refining, np.linspace(0.0, 1.0, 43)),
+        ("starting past pi", pe, frame, base, twisting),
+        ("mixed generators", mixed, frame, base, twisting),
+        ("swapped generators", swapped, frame, base, twisting),
+    ]
+    assert len(cases) == 13
+    for name, dist, contact, points, grid in cases:
+        t, angles = development_profile(dist, contact, points, grid)
+        ref_t, ref_angles = _reference_development(dist, contact, points, grid)
+        np.testing.assert_array_equal(t, ref_t, err_msg=name)
+        np.testing.assert_allclose(angles, ref_angles, rtol=0, atol=1e-12, err_msg=name)
