@@ -45,11 +45,14 @@ CHARACTERISTIC_PLAN = SamplePlan(grid=3, random=8, seed=0)
 # fiber grid steps of the twisting number and the minimal twisting number
 TWISTING_STEPS = 512
 MINIMAL_TWISTING_STEPS = 256
-# The largest covering index (twist count) each grid resolves: every step
-# then turns the line by at most pi/2 (with g <= pi on an extension), which
-# the development's refinement sees; a turn beyond 3*pi/4 it cannot see.
-MAX_TWISTING_INDEX = TWISTING_STEPS // 2
-MAX_MINIMAL_TWISTING_INDEX = MINIMAL_TWISTING_STEPS // 2 - 1
+# Per invariant: its fiber grid steps and the largest covering index (twist
+# count) they resolve.  Every step then turns the line by at most pi/2 (with
+# g <= pi on an extension), the development's aliasing bound; past 3*pi/4 a
+# turn reads as a small one the other way.
+RESOLVED_INDEX = {
+    "twisting_number": (TWISTING_STEPS, TWISTING_STEPS // 2),
+    "minimal_twisting_number": (MINIMAL_TWISTING_STEPS, MINIMAL_TWISTING_STEPS // 2 - 1),
+}
 
 
 class BoundaryConventionWarning(UserWarning):

@@ -56,9 +56,9 @@ invariant task the kind its invariant is defined for: twisting_number a
 prolongation (an S^1 fibre), minimal_twisting_number an extension (an
 interval fibre).  Any other target is a validation error at its line.
 The development behind both invariants resolves a turn of at most pi/2
-per fibre step, so twisting_number takes a prolongation with n <= 256,
-minimal_twisting_number an extension with n <= 127, and an
-extension_family (whose verify reports minimal twisting numbers) n <= 127
+per fibre step, so each invariant bounds its target's n
+(``invariants.RESOLVED_INDEX``), and an extension_family, whose verify
+reports minimal twisting numbers, takes minimal_twisting_number's bound
 in every slice; a larger n is a validation error at the task's invariant
 line or at the family's n line.
 
@@ -98,12 +98,7 @@ from .charts import (
 )
 from .expr import ScalarExpr
 from .extension import ExtensionSpec
-from .invariants import (
-    MAX_MINIMAL_TWISTING_INDEX,
-    MAX_TWISTING_INDEX,
-    MINIMAL_TWISTING_STEPS,
-    TWISTING_STEPS,
-)
+from .invariants import RESOLVED_INDEX
 from .prolongation import ContactFrame, prolong
 from .structures import Condition, Distribution2, EngelPair, Tolerances, _judge
 
@@ -541,17 +536,10 @@ def _parse_structure(
     )
 
 
-# Per invariant: the fiber steps it develops and the largest n they resolve.
-_RESOLVED = {
-    "twisting_number": (TWISTING_STEPS, MAX_TWISTING_INDEX),
-    "minimal_twisting_number": (MINIMAL_TWISTING_STEPS, MAX_MINIMAL_TWISTING_INDEX),
-}
-
-
 def _require_resolved(invariant: str, target: str, n: str, lineno: int) -> None:
     """Refuse a covering index (twist count) beyond what the invariant's
     fiber grid resolves; ``n`` is the entry's text, one or more integers."""
-    steps, bound = _RESOLVED[invariant]
+    steps, bound = RESOLVED_INDEX[invariant]
     largest = max(int(k) for k in n.split())
     if largest > bound:
         raise ManifestError(

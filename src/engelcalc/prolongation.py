@@ -218,11 +218,10 @@ def _frame_coefficients(
     workspace slot, valid until the thread next asks that slot.  X and Y are
     evaluated together, component-major into (dim, m*s) rows with the fiber
     component last.  The generator is xf*Y - yf*X over max(|xf|, |yf|), with
-    xf and yf the fiber components: Y itself where Y has no fiber component
-    and X's never vanishes, as on every prolongation and extension (X is
-    d/dfiber).  Each base point's dual basis (the pseudo-inverse of V0, V1)
-    projects it onto the frame, and the projection must leave a relative
-    residual of at most ``tol.projection``.
+    xf and yf the fiber components (Y itself where X is d/dfiber, as on
+    every prolongation and extension).  Each base point's dual basis (the
+    pseudo-inverse of V0, V1) projects it onto the frame, and the projection
+    must leave a relative residual of at most ``tol.projection``.
     """
     chart = d.chart
     if chart.fiber is None:
@@ -247,19 +246,18 @@ def _frame_coefficients(
         require_finite(yv.T, pts)
     xf, yf = xv[-1], yv[-1]
     xb, w = xv[:-1], yv[:-1]
-    if yf.any() or not (xf.min() > 0.0 or xf.max() < 0.0):
-        # in place over the evaluated rows
-        big, cx = scratch((2, m * s))
-        np.abs(xf, out=big)
-        np.abs(yf, out=cx)
-        np.maximum(big, cx, out=big)
-        if big.min() == 0.0:
-            raise GeometryError("frame has no generator transverse to the base")
-        np.divide(xf, big, out=cx)
-        np.divide(yf, big, out=big)
-        np.multiply(w, cx, out=w)
-        np.multiply(xb, big, out=xb)
-        np.subtract(w, xb, out=w)
+    # in place over the evaluated rows
+    big, cx = scratch((2, m * s))
+    np.abs(xf, out=big)
+    np.abs(yf, out=cx)
+    np.maximum(big, cx, out=big)
+    if big.min() == 0.0:
+        raise GeometryError("frame has no generator transverse to the base")
+    np.divide(xf, big, out=cx)
+    np.divide(yf, big, out=big)
+    np.multiply(w, cx, out=w)
+    np.multiply(xb, big, out=xb)
+    np.subtract(w, xb, out=w)
 
     basis = frame.basis_at(base_points)
     dual = np.linalg.pinv(basis)
@@ -312,9 +310,11 @@ def development_profile(
     values).
 
     Refinement cannot see a step that turns the line by more than 3*pi/4:
-    it reads as a turn below pi/4 the other way.  So the input grid must
-    already keep every step's turn at or below pi/2, which bounds the
-    covering index a manifest may give (see ``manifest``).
+    it reads as a turn below pi/4 the other way.  A step between pi/2 and
+    3*pi/4 is still bisected, but only because its aliased reading happens
+    to reach pi/4.  So the input grid must already keep every step's turn
+    at or below pi/2, which bounds the covering index a manifest may give
+    (``invariants.RESOLVED_INDEX``).
     """
     t = np.asarray(fiber_values, dtype=float)
     if t.ndim != 1 or t.size < 2:

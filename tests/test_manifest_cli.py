@@ -16,11 +16,7 @@ from engelcalc import manifest as manifest_module
 from engelcalc.charts import MEMO_SIZE, KForm, VectorField
 from engelcalc.cli import build_parser, main
 from engelcalc.expr import ScalarExpr
-from engelcalc.invariants import (
-    MAX_MINIMAL_TWISTING_INDEX,
-    MAX_TWISTING_INDEX,
-    BoundaryConventionWarning,
-)
+from engelcalc.invariants import RESOLVED_INDEX, BoundaryConventionWarning
 from engelcalc.manifest import _SOME, _STRUCTURES, Manifest, ManifestError, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
@@ -730,18 +726,17 @@ def test_cross_entry_rules_are_manifest_errors(tmp_path, capsys, fixture, old, n
 
 
 @pytest.mark.parametrize(
-    "fixture,n,limit,line",
-    [
-        ("prolonged-n3", 3, MAX_TWISTING_INDEX, "invariant = twisting_number"),
-        ("extension-n2", 2, MAX_MINIMAL_TWISTING_INDEX, "invariant = minimal_twisting_number"),
-    ],
+    "fixture,n,invariant",
+    [("prolonged-n3", 3, "twisting_number"), ("extension-n2", 2, "minimal_twisting_number")],
 )
 def test_a_covering_index_the_fiber_grid_cannot_resolve_is_an_input_error(
-    tmp_path, capsys, fixture, n, limit, line
+    tmp_path, capsys, fixture, n, invariant
 ):
-    """At most pi/2 per fiber step: a larger n turns some step by more than
-    3*pi/4, which the development reads as a small turn the other way."""
-    assert (MAX_TWISTING_INDEX, MAX_MINIMAL_TWISTING_INDEX) == (256, 127)
+    """At most pi/2 per fiber step, the development's aliasing bound; past
+    3*pi/4 a step reads as a small turn the other way."""
+    limit = RESOLVED_INDEX[invariant][1]
+    assert limit == {"twisting_number": 256, "minimal_twisting_number": 127}[invariant]
+    line = f"invariant = {invariant}"
     text = (MANIFESTS / f"{fixture}.manifest").read_text(encoding="utf-8")
     path = tmp_path / "n.manifest"
     path.write_text(text.replace(f"n = {n}\n", f"n = {limit}\n").replace(
