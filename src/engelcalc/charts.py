@@ -467,13 +467,13 @@ def volume_form(chart: Chart, density=1.0) -> KForm:
 # exterior calculus
 
 # Results each memo of a pure symbolic constructor keeps for the process:
-# lie_bracket below, manifest.parse_manifest, prolongation.prolong and
+# lie_bracket below, manifest.parse_manifest, prolongation.prolong,
 # prolongation.fiber_characteristic_annihilator (a constructor whose check
-# is reported nowhere).  Their keys and results are immutable, so a hit
-# hands every caller one shared object.  None of them warns, so a hit drops
-# no note from a report, and an exception is never stored.  The 15 bundled
-# manifests under every command need 15 parses and 49 entries across the
-# other three memos.
+# is reported nowhere) and prolongation._generator_and_rate.  Their keys and
+# results are immutable, so a hit hands every caller one shared object.
+# None of them warns, so a hit drops no note from a report, and an exception
+# is never stored.  The 15 bundled manifests under every command need 15
+# parses and 58 entries across the other four memos.
 MEMO_SIZE = 1 << 7
 
 

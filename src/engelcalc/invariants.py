@@ -3,8 +3,11 @@
 The twisting number counts, in units of pi, how far the induced line in
 the contact plane rotates along one full fiber loop; the minimal twisting
 number takes the floor of the smallest total rotation from one end of an
-interval fiber to the other.  Line fields tangent to the contact plane
-are stored as coefficient pairs against a fixed frame.
+interval fiber to the other.  Both rotations integrate the line's exact
+turning rate over the whole fiber as one step of
+``prolongation.development_profile``, so no covering index aliases and
+none is bounded.  Line fields tangent to the contact plane are stored as
+coefficient pairs against a fixed frame.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .charts import (
 )
 from .expr import ScalarExpr
 from .prolongation import (
+    INTEGER_TOLERANCE,
     ContactFrame,
     _frame_coefficients,
     development_profile,
@@ -37,22 +41,8 @@ from .prolongation import (
 )
 from .structures import DEFAULT_TOLERANCES, Distribution2, Tolerances
 
-INTEGER_TOLERANCE = 1e-6
-
 # light plan for the fiber-characteristic precondition of the invariants
 CHARACTERISTIC_PLAN = SamplePlan(grid=3, random=8, seed=0)
-
-# fiber grid steps of the twisting number and the minimal twisting number
-TWISTING_STEPS = 512
-MINIMAL_TWISTING_STEPS = 256
-# Per invariant: its fiber grid steps and the largest covering index (twist
-# count) they resolve.  Every step then turns the line by at most pi/2 (with
-# g <= pi on an extension), the development's aliasing bound; past 3*pi/4 a
-# turn reads as a small one the other way.
-RESOLVED_INDEX = {
-    "twisting_number": (TWISTING_STEPS, TWISTING_STEPS // 2),
-    "minimal_twisting_number": (MINIMAL_TWISTING_STEPS, MINIMAL_TWISTING_STEPS // 2 - 1),
-}
 
 
 class BoundaryConventionWarning(UserWarning):
@@ -129,11 +119,11 @@ def minimal_twisting_plan(seed: int) -> SamplePlan:
 
 
 def _fiber_rotation(
-    d: Distribution2, frame: ContactFrame, base, periodic: bool, steps: int, tol: Tolerances
+    d: Distribution2, frame: ContactFrame, base, periodic: bool, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
     """Base points (given, or the distinct samples of a plan on the base
     chart) and the induced line's rotation in radians from one end of the
-    fiber to the other over each, on ``steps`` fiber steps.  The fiber must
+    fiber to the other over each, developed as one step.  The fiber must
     be the characteristic direction, and periodic or an interval as
     requested."""
     chart = d.chart
@@ -151,7 +141,7 @@ def _fiber_rotation(
         read = variables_of(d.x, d.y, frame.v0, frame.v1)
         base, _ = distinct_samples(base_chart_of(chart), base, read)
     hi = axis.lo + axis.period if periodic else axis.hi
-    _, angles = development_profile(d, frame, base, np.linspace(axis.lo, hi, steps + 1), tol)
+    _, angles = development_profile(d, frame, base, (axis.lo, hi), tol)
     return base, angles[:, -1] - angles[:, 0]
 
 
@@ -169,7 +159,7 @@ def twisting_number(
     base_points = np.asarray(base_points, dtype=float)
     if base_points.size == 0:
         raise GeometryError("need at least one base point")
-    _, rotation = _fiber_rotation(d, frame, base_points, True, TWISTING_STEPS, tol)
+    _, rotation = _fiber_rotation(d, frame, base_points, True, tol)
     totals = rotation / math.pi
     nearest = np.round(totals)
     off = np.flatnonzero(np.abs(totals - nearest) > INTEGER_TOLERANCE)
@@ -198,7 +188,7 @@ def minimal_twisting_number(
     start normalizes to zero.  A rotation within ``INTEGER_TOLERANCE`` of
     a multiple of pi emits :class:`BoundaryConventionWarning`.
     """
-    base_pts, phi = _fiber_rotation(d, frame, plan, False, MINIMAL_TWISTING_STEPS, tol)
+    base_pts, phi = _fiber_rotation(d, frame, plan, False, tol)
     negative = np.flatnonzero(phi < -INTEGER_TOLERANCE)
     if negative.size:
         raise GeometryError(
@@ -240,8 +230,8 @@ def induced_legendrian_line(
     fiber_characteristic_annihilator(d, CHARACTERISTIC_PLAN, tol)
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        a, b = _frame_coefficients(d, frame, points, np.array([float(t)]), tol)
-        raw = np.arctan2(b[:, 0], a[:, 0]) % math.pi
+        a, b = _frame_coefficients(d, frame, points, np.array([float(t)]), tol)[:, 0, :, 0].T
+        raw = np.arctan2(b, a) % math.pi
         return np.stack([np.cos(raw), np.sin(raw)], axis=1)
 
     return LegendrianLineField(base, frame, evaluator=evaluator)

@@ -55,12 +55,8 @@ extension, a construct task a prolongation or an extension, and an
 invariant task the kind its invariant is defined for: twisting_number a
 prolongation (an S^1 fibre), minimal_twisting_number an extension (an
 interval fibre).  Any other target is a validation error at its line.
-The development behind both invariants resolves a turn of at most pi/2
-per fibre step, so each invariant bounds its target's n
-(``invariants.RESOLVED_INDEX``), and an extension_family, whose verify
-reports minimal twisting numbers, takes minimal_twisting_number's bound
-in every slice; a larger n is a validation error at the task's invariant
-line or at the family's n line.
+Both invariants integrate the line's exact turning rate along the fibre,
+which no covering index aliases, so n is not bounded.
 
 Every definition must be finite, as written, at every sample of the
 effective plan: ``materialize`` checks what no task evaluates as written (a
@@ -98,7 +94,6 @@ from .charts import (
 )
 from .expr import ScalarExpr
 from .extension import ExtensionSpec
-from .invariants import RESOLVED_INDEX
 from .prolongation import ContactFrame, prolong
 from .structures import Condition, Distribution2, EngelPair, Tolerances, _judge
 
@@ -409,9 +404,9 @@ def _parse_definitions(chart: Chart, entries, definitions: dict) -> None:
             raise ManifestError(str(err), lineno) from err
 
 
-# Largest twisting_number base_points: 256 base points times the 513 fiber
-# values of the twisting grid use half of the row budget of one development
-# pass (prolongation.MAX_PROFILE_POINTS).
+# Largest twisting_number base_points: at 256 base points the development
+# still compares its rules of 256 and 512 intervals (256 x 513 rows) within
+# its row budget (prolongation.MAX_PROFILE_POINTS).
 MAX_BASE_POINTS = 256
 
 # The count of an entry that takes one or more names.
@@ -527,26 +522,10 @@ def _parse_structure(
             " and ".join(f"'{key}'" for key in lists) + " lists must have equal length",
             header_line,
         )
-    if kind == "extension_family":
-        # its verify task reports each slice's minimal twisting number
-        _require_resolved("minimal_twisting_number", name, *options["n"])
     flat = {k: v for k, (v, _) in options.items()}
     return StructureDecl(
         name=name, kind=kind, options=MappingProxyType(flat), line=header_line
     )
-
-
-def _require_resolved(invariant: str, target: str, n: str, lineno: int) -> None:
-    """Refuse a covering index (twist count) beyond what the invariant's
-    fiber grid resolves; ``n`` is the entry's text, one or more integers."""
-    steps, bound = RESOLVED_INDEX[invariant]
-    largest = max(int(k) for k in n.split())
-    if largest > bound:
-        raise ManifestError(
-            f"{invariant} develops {steps} fiber steps, which resolve n <= {bound};"
-            f" '{target}' has n = {largest}",
-            lineno,
-        )
 
 
 # Per task kind: the entries it accepts, and the structure kinds it may target
@@ -611,8 +590,6 @@ def _parse_task(label: str, entries, structures: dict, header_line: int) -> Task
             f" '{target.name}' is a {target.kind}",
             lines["target"],
         )
-    if invariant is not None:
-        _require_resolved(invariant, target.name, target.options["n"], lines["invariant"])
     return TaskDecl(
         task_id=label, kind=kind, options=MappingProxyType(options), line=header_line
     )

@@ -6,13 +6,12 @@ fiber angle (times the covering index), so one fiber loop sweeps the
 projective line of the contact plane n times.  Deprolongation inverts
 this: the annihilator of the bracket-extended distribution is restricted
 to a cross section.  Development follows the induced line along the fibers
-over a stack of base points, in one evaluation pass per refinement level:
-from the line's angle mod pi at the start of each fiber it sums each step's
-turn, arctan(cross/dot) of the frame coefficients at the step's two ends,
-bisecting every step where |cross| >= |dot| (a turn of pi/4 or more).  A
-step that turns the line by more than 3*pi/4 reads as a small turn the
-other way, so the fiber grid must keep each turn at or below pi/2; a
-manifest's covering index is bounded to that.
+over a stack of base points: from the line's angle mod pi at the start of
+each fiber it adds the integral of the line's exact turning rate, read
+from the frame coefficients of the fiber-free generator and of its
+symbolic fiber derivative.  Nothing is taken mod pi after the start, so
+no covering index aliases; two nested Clenshaw-Curtis rules, doubled
+until they agree, integrate each step from one evaluation pass per level.
 """
 
 from __future__ import annotations
@@ -60,10 +59,6 @@ TWO_PI = 2.0 * math.pi
 
 
 class ProjectionResidualError(GeometryError):
-    pass
-
-
-class RefinementDepthError(GeometryError):
     pass
 
 
@@ -203,6 +198,54 @@ def deprolong(
 # ---------------------------------------------------------------------------
 # development
 
+# A rotation is an integer multiple of pi when it is within this many pi of one.
+INTEGER_TOLERANCE = 1e-6
+# The largest gap, in radians, between the two nested rules' integrals of one
+# fiber step that ends their doubling: a thousandth of the integer check's
+# tolerance, so the settled rule moves no rotation/pi across that check.
+QUADRATURE_TOLERANCE = INTEGER_TOLERANCE * 1e-3
+# Intervals of the coarser rule of the first level; each level doubles them.
+FIRST_INTERVALS = 16
+# Rows (base points x fiber nodes) a pass past the first may evaluate.
+MAX_PROFILE_POINTS = 1 << 18
+# Clenshaw-Curtis rules kept: 16 to 2**17 intervals, all the row budget admits.
+_RULES = 14
+
+
+@lru_cache(maxsize=_RULES)
+def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Clenshaw-Curtis rule with n intervals (n
+    even) on [0, 1]: the n + 1 nodes sin(k*pi/(2n))**2, ascending from 0 to
+    1, and their weights from one inverse FFT of the Chebyshev moments
+    (J. Waldvogel, "Fast construction of the Fejer and Clenshaw-Curtis
+    quadrature rules", BIT 46, 2006).  Every other node of the rule with 2n
+    intervals is a node of this one, in order."""
+    k = np.arange(n + 1)
+    nodes = np.sin(k * (math.pi / (2 * n))) ** 2
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
+    f = np.fft.ifft(np.concatenate([moments, moments[-2:0:-1]])).real
+    weights = np.concatenate([f[:1], 2.0 * f[1:n], f[n : n + 1]]) / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _generator_and_rate(d: Distribution2) -> tuple[ScalarExpr, ...]:
+    """xf and yf, the fiber components of X and Y, then the base components
+    of the fiber-free generator w = xf*Y - yf*X, then those of its partial
+    derivative along the fiber.  The last ``MEMO_SIZE`` are remembered for
+    the process, keyed by d."""
+    chart = d.chart
+    fiber_idx = chart.index(chart.fiber)
+    xf, yf = d.x.components[fiber_idx], d.y.components[fiber_idx]
+    w = tuple(
+        simplify(ex.Subtract(ex.Multiply(xf, y), ex.Multiply(yf, x)))
+        for i, (x, y) in enumerate(zip(d.x.components, d.y.components))
+        if i != fiber_idx
+    )
+    return (xf, yf, *w, *(ex.partial_derivative(c, chart.fiber) for c in w))
+
 
 def _frame_coefficients(
     d: Distribution2,
@@ -210,24 +253,22 @@ def _frame_coefficients(
     base_points: np.ndarray,
     fiber_values: np.ndarray,
     tol: Tolerances,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (a, b) of the fiber-free generator a*V0 + b*V1 against
-    the frame, at m base points times s fiber values, evaluated in one pass.
+) -> np.ndarray:
+    """Coefficients against the frame of the fiber-free generator w and of
+    its derivative along the fiber, at m base points times s fiber values,
+    evaluated in one pass.
 
-    Both are (m, s) arrays with contiguous rows in this thread's "temporary"
-    workspace slot, valid until the thread next asks that slot.  X and Y are
-    evaluated together, component-major into (dim, m*s) rows with the fiber
-    component last.  The generator is xf*Y - yf*X over max(|xf|, |yf|), with
-    xf and yf the fiber components (Y itself where X is d/dfiber, as on
-    every prolongation and extension).  Each base point's dual basis (the
-    pseudo-inverse of V0, V1) projects it onto the frame, and the projection
-    must leave a relative residual of at most ``tol.projection``.
+    Returns an (m, 2, 2, s) array: [:, 0] holds w's pair (a, b), w = a*V0 +
+    b*V1, and [:, 1] the pair of w's fiber derivative.  Each base point's
+    dual basis (the pseudo-inverse of V0, V1) projects both, and w's
+    projection must leave a relative residual of at most ``tol.projection``.
     """
     chart = d.chart
     if chart.fiber is None:
         raise GeometryError("distribution chart has no fiber coordinate")
     fiber_idx = chart.index(chart.fiber)
     base_idx = [i for i in range(chart.dim) if i != fiber_idx]
+    k = len(base_idx)
 
     m, s = base_points.shape[0], fiber_values.size
     pts = scratch((m, s, chart.dim))
@@ -235,58 +276,32 @@ def _frame_coefficients(
     pts[:, :, fiber_idx] = fiber_values
     pts = pts.reshape(m * s, chart.dim)
 
-    order = (*base_idx, fiber_idx)
-    comps = tuple(field.components[i] for field in (d.x, d.y) for i in order)
-    block = scratch((2 * chart.dim, m * s), "frame")
-    ex.evaluate_many(comps, chart.names, pts, out=block)
-    xv, yv = block.reshape(2, chart.dim, m * s)
+    block = scratch((2 + 2 * k, m * s), "frame")
+    ex.evaluate_many(_generator_and_rate(d), chart.names, pts, out=block)
     # a sum of finite values may overflow, never the other way round
     if not math.isfinite(block.sum()):
-        require_finite(xv.T, pts)
-        require_finite(yv.T, pts)
-    xf, yf = xv[-1], yv[-1]
-    xb, w = xv[:-1], yv[:-1]
-    # in place over the evaluated rows
-    big, cx = scratch((2, m * s))
-    np.abs(xf, out=big)
-    np.abs(yf, out=cx)
-    np.maximum(big, cx, out=big)
-    if big.min() == 0.0:
+        require_finite(block.T, pts)
+    if np.maximum(np.abs(block[0]), np.abs(block[1])).min() == 0.0:
         raise GeometryError("frame has no generator transverse to the base")
-    np.divide(xf, big, out=cx)
-    np.divide(yf, big, out=big)
-    np.multiply(w, cx, out=w)
-    np.multiply(xb, big, out=xb)
-    np.subtract(w, xb, out=w)
-
-    basis = frame.basis_at(base_points)
-    dual = np.linalg.pinv(basis)
-    wb = w.reshape(len(base_idx), m, s)
-    work = scratch((len(base_idx) + 4, m, s))
-    coeffs, residual, ww, rr = work[:2], work[2:-2], work[-2], work[-1]
-    np.matmul(dual, wb.transpose(1, 0, 2), out=coeffs.transpose(1, 0, 2))
-    np.einsum("cij,cij->ij", wb, wb, out=ww)
+    # (m, 2, k, s): w, then its fiber derivative, per base point
+    fields = block[2:].reshape(2, k, m, s).transpose(2, 0, 1, 3)
+    w = fields[:, 0]
+    ww = np.einsum("mks,mks->ms", w, w)
     if ww.min() <= 0.0:
         raise GeometryError("degenerate generator along the fiber")
-    np.matmul(basis, coeffs.transpose(1, 0, 2), out=residual.transpose(1, 0, 2))
-    np.subtract(wb, residual, out=residual)
-    np.einsum("cij,cij->ij", residual, residual, out=rr)
+
+    basis = frame.basis_at(base_points)
+    coeffs = np.matmul(np.linalg.pinv(basis)[:, None], fields)
+    residual = w - np.matmul(basis, coeffs[:, 0])
+    rr = np.einsum("mks,mks->ms", residual, residual)
     # rr <= tol**2 * ww at every row, judged by the largest rr/ww
-    np.divide(rr, ww, out=rr)
-    worst = rr.max()
+    worst = (rr / ww).max()
     if worst > tol.projection**2:
         raise ProjectionResidualError(
             f"projection onto the frame leaves relative residual {math.sqrt(worst):.3e}"
             f" > {tol.projection:.1e}"
         )
-    return coeffs[0], coeffs[1]
-
-
-# Rows (base points x fiber values) one development pass may evaluate.
-MAX_PROFILE_POINTS = 1 << 18
-# Passes development_profile checks at most: its input grid, then one per
-# refinement level.
-MAX_REFINE = 24
+    return coeffs
 
 
 def development_profile(
@@ -296,25 +311,29 @@ def development_profile(
     fiber_values,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unwrapped development angles along the fibers over m base points.
+    """Development angles of the induced line along the fibers over m base
+    points.
 
-    Returns (fiber_values, angles) with angles of shape (m, len(fiber_values))
-    after step refinement of one shared fiber grid.  The line's angle starts
-    at arctan2(b, a) mod pi of the first coefficient pair (a, b) against the
-    frame; each step then adds arctan(cross/dot) of consecutive pairs, with
-    cross = a0*b1 - b0*a1 and dot = a0*a1 + b0*b1, the turn of the line in
-    (-pi/2, pi/2).  Wherever |cross| >= |dot| at any base point, a turn of
-    pi/4 or more, a midpoint is inserted, so genuine turns stay below the
-    pi/2 aliasing bound.  Refinement is bounded in depth (``MAX_REFINE``),
-    and every pass in rows (``MAX_PROFILE_POINTS``, base points times fiber
-    values).
+    Returns (fiber_values, angles) with angles of shape (m, len(fiber_values)).
+    The line's angle starts at arctan2(b, a) mod pi of its coefficients (a,
+    b) against the frame at the first fiber value, and each step of the
+    grid adds the integral of the line's turning rate
 
-    Refinement cannot see a step that turns the line by more than 3*pi/4:
-    it reads as a turn below pi/4 the other way.  A step between pi/2 and
-    3*pi/4 is still bisected, but only because its aliased reading happens
-    to reach pi/4.  So the input grid must already keep every step's turn
-    at or below pi/2, which bounds the covering index a manifest may give
-    (``invariants.RESOLVED_INDEX``).
+        omega = (a*b' - b*a') / (a**2 + b**2),
+
+    with (a', b') the coefficients of the generator's fiber derivative.
+    omega is unchanged when the generator is scaled, and nothing is taken
+    mod pi, so a step may turn the line by any angle.
+
+    Every step is integrated by two nested Clenshaw-Curtis rules, with N
+    and 2N intervals, from one evaluation pass over the finer rule's nodes
+    for every base point and step.  N doubles from ``FIRST_INTERVALS`` until
+    the rules' integrals of every step agree within ``QUADRATURE_TOLERANCE``,
+    and the finer one is kept.  Rules that agree can still both miss a
+    fiber frequency that is a multiple of 2N.  The first pass always runs;
+    a later pass that would evaluate more than ``MAX_PROFILE_POINTS`` rows
+    (base points times nodes) raises instead, naming the base point where
+    the rules disagree most.
     """
     t = np.asarray(fiber_values, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -322,37 +341,30 @@ def development_profile(
     base_points = np.asarray(base_points, dtype=float)
     if base_points.ndim != 2 or len(base_points) == 0:
         raise GeometryError("need a non-empty (m, dim) stack of base points")
-    for _ in range(MAX_REFINE):
-        if len(base_points) * t.size > MAX_PROFILE_POINTS:
+    m, lengths = len(base_points), np.diff(t)
+    n = FIRST_INTERVALS
+    while True:
+        nodes, fine_weights = _clenshaw_curtis(2 * n)
+        coarse_weights = _clenshaw_curtis(n)[1]
+        values = t[:-1, None] + lengths[:, None] * nodes
+        coeffs = _frame_coefficients(d, frame, base_points, values.reshape(-1), tol)
+        (a, b), (da, db) = coeffs.transpose(1, 2, 0, 3)
+        rate = (a * db - b * da) / (a * a + b * b)
+        rate = rate.reshape(m, lengths.size, nodes.size) * lengths[:, None]
+        fine = rate @ fine_weights
+        gap = np.abs(fine - rate[:, :, ::2] @ coarse_weights).max(axis=1)
+        if gap.max() <= QUADRATURE_TOLERANCE:
             break
-        a, b = _frame_coefficients(d, frame, base_points, t, tol)
-        m, s = a.shape
-        # the turn from column j - 1 to column j goes to column j, over the
-        # flat rows; column 0 holds the step between base points, unread
-        af, bf = a.reshape(-1), b.reshape(-1)
-        a0, a1, b0, b1 = af[:-1], af[1:], bf[:-1], bf[1:]
-        rows = scratch((4, m * s), "program")
-        cross, dot, turn, u = rows[:, 1:]
-        np.multiply(a0, b1, out=cross)
-        np.multiply(b0, a1, out=u)
-        np.subtract(cross, u, out=cross)
-        np.multiply(a0, a1, out=dot)
-        np.multiply(b0, b1, out=u)
-        np.add(dot, u, out=dot)
-        np.abs(cross, out=turn)
-        np.abs(dot, out=u)
-        np.subtract(turn, u, out=turn)
-        turns = rows[2].reshape(m, s)
-        bad = np.flatnonzero(turns[:, 1:].max(axis=0) >= 0.0)
-        if bad.size == 0:
-            # within a row |dot| > |cross|, so dot vanishes only in column 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(cross, dot, out=turn)
-            np.arctan(turn, out=turn)
-            turns[:, 0] = np.arctan2(b[:, 0], a[:, 0]) % math.pi
-            return t, np.cumsum(turns, axis=1)
-        t = np.sort(np.concatenate([t, (t[bad] + t[bad + 1]) / 2.0]))
-    raise RefinementDepthError(
-        "development refinement exceeded the resolution budget;"
-        " the field twists too fast for the requested fiber grid"
-    )
+        n *= 2
+        if m * lengths.size * (2 * n + 1) > MAX_PROFILE_POINTS:
+            worst = int(np.argmax(gap))
+            raise GeometryError(
+                f"the turning rate's integral did not settle within the row budget:"
+                f" its {n // 2}- and {n}-interval rules differ by {gap[worst]:.3e}"
+                f" at base point {base_points[worst].tolist()}"
+            )
+    angles = np.empty((m, t.size))
+    angles[:, 0] = np.arctan2(b[:, 0], a[:, 0]) % math.pi
+    np.cumsum(fine, axis=1, out=angles[:, 1:])
+    angles[:, 1:] += angles[:, :1]
+    return t, angles

@@ -25,6 +25,7 @@ MEMOS = (
     ch.lie_bracket,
     prolongation.prolong,
     prolongation.fiber_characteristic_annihilator,
+    prolongation._generator_and_rate,
 )
 
 

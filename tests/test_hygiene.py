@@ -347,6 +347,50 @@ def test_every_public_module_name_is_read():
     assert {name.split(".")[1] for name in unread} <= perfbench
 
 
+# (module, name) pairs that perfbench/tracer.py wraps but the package no
+# longer defines: derived_square, which ROADMAP item 5 drops from the tracer.
+STALE_IN_TRACER = {("structures", "derived_square")}
+
+
+def _tracer_table(name: str):
+    """The literal value perfbench/tracer.py binds to ``name`` at its top level."""
+    for node in _tree(REPO / "perfbench" / "tracer.py").body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py binds no {name}")
+
+
+def _defines(tree: ast.Module, qualname: str) -> bool:
+    """Whether a module defines ``fn``, or ``Class.method``, at its top level."""
+    head, _, member = qualname.partition(".")
+    for node in tree.body:
+        if getattr(node, "name", None) == head:
+            if not member:
+                return isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            return isinstance(node, ast.ClassDef) and any(
+                getattr(item, "name", None) == member for item in node.body
+            )
+    return False
+
+
+def test_every_name_the_tracer_wraps_is_defined():
+    """The tracer gives a function its layer by (module, name), so renaming a
+    function it names (development_profile, say) would zero that layer
+    without an error."""
+    wrapped = {*_tracer_table("NAMED"), *_tracer_table("METHODS")}
+    trees = {path.stem: _tree(path) for path in MODULES}
+    missing = {(module, name) for module, name in wrapped
+               if module not in trees or not _defines(trees[module], name)}
+    assert missing == STALE_IN_TRACER
+
+
+def test_the_tracer_name_scan_sees_every_spelling():
+    tree = ast.parse("def f(): ...\nclass C:\n    def m(self): ...\n    x = 1\nC.n = f\n")
+    assert [_defines(tree, name) for name in ("f", "C", "C.m", "C.x", "C.n", "g", "f.m")] == [
+        True, True, True, False, False, False, False
+    ]
+
+
 def test_the_public_name_scan_sees_every_spelling():
     source = """
 import x

@@ -9,6 +9,7 @@ from conftest import built
 from engelcalc import charts as ch
 from engelcalc import expr as ex
 from engelcalc import invariants as inv
+from engelcalc import prolongation as prl
 from engelcalc.charts import GeometryError, SamplePlan
 from engelcalc.extension import ExtensionSpec, extend
 from engelcalc.invariants import (
@@ -21,7 +22,7 @@ from engelcalc.invariants import (
 )
 from engelcalc.manifest import parse_manifest
 from engelcalc.prolongation import ContactFrame, prolong, rotate_along_fiber
-from engelcalc.structures import DEFAULT_TOLERANCES
+from engelcalc.structures import DEFAULT_TOLERANCES, check_engel_frame
 
 MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
 
@@ -72,6 +73,35 @@ def test_twisting_number_invariant_under_positive_rescaling(std_frame):
     )
     pts = _random_base(chart, 5, seed=12)
     assert twisting_number(pe, scaled, pts) == 2
+
+
+def _reparametrized(theta):
+    # 1.5*(theta + sin(theta + x)/2): the rate 1.5 + 0.75*cos(theta + x) >= 0.75
+    wave = ex.Divide(ex.Sin(ex.Add(theta, ex.Variable("x"))), ex.Constant(2))
+    return ex.Multiply(ex.Constant(1.5), ex.Add(theta, wave))
+
+
+def _high_harmonic(theta):
+    # 1.5*theta + 0.05*sin(24*theta + x): the rate 1.5 + 1.2*cos(24*theta + x) >= 0.3
+    wave = ex.Sin(ex.Add(ex.Multiply(ex.Constant(24), theta), ex.Variable("x")))
+    return ex.Add(ex.Multiply(ex.Constant(1.5), theta), ex.Multiply(ex.Constant(0.05), wave))
+
+
+@pytest.mark.parametrize(
+    "angle,intervals", [(_reparametrized, [16, 32]), (_high_harmonic, [16, 32, 64, 128, 256])]
+)
+def test_twisting_number_of_a_frame_turning_at_a_varying_rate(std_frame, monkeypatch, angle, intervals):
+    """Engel frames {d/dtheta, cos(phi)*V0 + sin(phi)*V1} that are not
+    prolongations: phi turns by 3*pi over the loop at a rate that varies.
+    The 24th fiber harmonic fools the rules of 16 and 32 intervals, so the
+    development doubles them until those of 128 and 256 agree."""
+    dist = rotate_along_fiber(std_frame, "theta", 0.0, 2 * math.pi, True, angle)
+    assert check_engel_frame(dist, PLAN).passed
+    asked = []
+    rules = prl._clenshaw_curtis
+    monkeypatch.setattr(prl, "_clenshaw_curtis", lambda n: asked.append(n) or rules(n))
+    assert twisting_number(dist, std_frame, _random_base(std_frame.chart, 10, seed=7)) == 3
+    assert sorted(set(asked)) == intervals
 
 
 def test_twisting_number_needs_base_points(std_frame):
@@ -170,9 +200,7 @@ def _develop_every_sample_row(monkeypatch):
 
 
 def _mtw_rotation(dist, frame, plan):
-    return inv._fiber_rotation(
-        dist, frame, plan, False, inv.MINIMAL_TWISTING_STEPS, DEFAULT_TOLERANCES
-    )
+    return inv._fiber_rotation(dist, frame, plan, False, DEFAULT_TOLERANCES)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

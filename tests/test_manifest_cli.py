@@ -16,7 +16,7 @@ from engelcalc import manifest as manifest_module
 from engelcalc.charts import MEMO_SIZE, KForm, VectorField
 from engelcalc.cli import build_parser, main
 from engelcalc.expr import ScalarExpr
-from engelcalc.invariants import RESOLVED_INDEX, BoundaryConventionWarning
+from engelcalc.invariants import BoundaryConventionWarning
 from engelcalc.manifest import _SOME, _STRUCTURES, Manifest, ManifestError, parse_manifest
 from engelcalc.report import emit_report
 from engelcalc.runner import run_tasks
@@ -726,42 +726,58 @@ def test_cross_entry_rules_are_manifest_errors(tmp_path, capsys, fixture, old, n
 
 
 @pytest.mark.parametrize(
-    "fixture,n,invariant",
-    [("prolonged-n3", 3, "twisting_number"), ("extension-n2", 2, "minimal_twisting_number")],
+    "fixture,edits,value",
+    [
+        # past the covering index the old 512 and 256 fiber steps resolved
+        ("prolonged-n3", {"n = 3": "n = 257", "expect = 3": "expect = 257"}, 257),
+        ("prolonged-n3", {"n = 3": "n = 1000", "expect = 3": "expect = 1000"}, 1000),
+        ("extension-n2", {"n = 2": "n = 128", "expect = 2": "expect = 128"}, 128),
+        # min g 0.5, but 600.5 at x = 1: 256 steps of 2.37 there used to
+        # read as small turns back, "negative rotation -1.975e+02"
+        ("extension-n2", {"expr g_half = pi/2": "expr g_half = 0.5 + 600*((x+1)/2)^200"}, 2),
+        # 256 base points at n = 200 used to exceed the refinement budget,
+        # "development refinement exceeded the resolution budget"
+        (
+            "prolonged-n3",
+            {"n = 3": "n = 200", "expect = 3": "expect = 200", "base_points = 10": "base_points = 256"},
+            200,
+        ),
+    ],
 )
-def test_a_covering_index_the_fiber_grid_cannot_resolve_is_an_input_error(
-    tmp_path, capsys, fixture, n, invariant
+def test_any_covering_index_and_any_turn_per_base_point_read_exactly(
+    tmp_path, fixture, edits, value
 ):
-    """At most pi/2 per fiber step, the development's aliasing bound; past
-    3*pi/4 a step reads as a small turn the other way."""
-    limit = RESOLVED_INDEX[invariant][1]
-    assert limit == {"twisting_number": 256, "minimal_twisting_number": 127}[invariant]
-    line = f"invariant = {invariant}"
+    """The development integrates the line's turning rate and takes nothing
+    mod pi, so no covering index and no fast turn at one base point aliases."""
     text = (MANIFESTS / f"{fixture}.manifest").read_text(encoding="utf-8")
-    path = tmp_path / "n.manifest"
-    path.write_text(text.replace(f"n = {n}\n", f"n = {limit}\n").replace(
-        f"expect = {n}\n", f"expect = {limit}\n"
-    ))
+    for old, new in edits.items():
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", new + "\n")
+    path = tmp_path / "edited.manifest"
+    path.write_text(text)
     report = tmp_path / "report.json"
     assert main(["invariant", str(path), "--report", str(report)]) == 0
-    assert [t["status"] for t in strict_json(report.read_text())["tasks"]] == ["match"]
-    path.write_text(text.replace(f"n = {n}\n", f"n = {limit + 1}\n"))
-    lineno = text.splitlines().index(line) + 1
-    for command in ("verify", "invariant"):
-        assert main([command, str(path)]) == 2
-        assert f"line {lineno}: " in capsys.readouterr().err
+    tasks = strict_json(report.read_text())["tasks"]
+    assert [(t["status"], t["witnesses"]["value"]) for t in tasks] == [("match", value)]
 
 
-@pytest.mark.parametrize("n,code", [("0 1 127", 1), ("0 1 128", 2)])
-def test_a_family_twist_count_beyond_the_minimal_grid_is_an_input_error(tmp_path, capsys, n, code):
-    # neg-family-jump fails verify (exit 1) on its jump; past the bound its
-    # n line is refused first
+@pytest.mark.parametrize(
+    "n,code,found",
+    [
+        ("0 1 128", 1, "twist count jumps from 1 to 128 between s=1.0 and s=2.0"),
+        ("126 127 128", 0, [126, 127, 128]),
+    ],
+)
+def test_a_family_twist_count_is_not_bounded(tmp_path, n, code, found):
+    # neg-family-jump fails verify (exit 1) on its jump, however large its
+    # twist counts; without one, every slice's minimal twisting number reads
     text = (MANIFESTS / "neg-family-jump.manifest").read_text(encoding="utf-8")
     path = tmp_path / "family.manifest"
     path.write_text(text.replace("n = 0 2 3\n", f"n = {n}\n"))
-    assert main(["verify", str(path)]) == code
-    err = capsys.readouterr().err
-    assert ("line 29: minimal_twisting_number develops 256 fiber steps" in err) == (code == 2)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(path), "--report", str(report)]) == code
+    (task,) = strict_json(report.read_text())["tasks"]
+    assert (task["error"] if code else task["witnesses"]["mtw_profile"]) == found
 
 
 ENGEL_FRAME_1_OVER_X = """

@@ -31,6 +31,7 @@ DISTINCT_INPUTS = (
     ),
     lambda i, box3, frame: (frame, i + 1),
     lambda i, box3, frame: (prolong(frame, 1), ch.SamplePlan(grid=2, random=1, seed=i)),
+    lambda i, box3, frame: (prolong(frame, i + 1),),
 )
 
 

@@ -205,10 +205,13 @@ def test_development_angle_on_extension():
         np.testing.assert_allclose(angles, t * (gval + 2 * math.pi), rtol=0, atol=1e-9)
 
 
-def test_development_refines_the_shared_grid_for_any_base_point():
+@pytest.mark.parametrize("values", [43, 2])
+def test_a_development_step_may_turn_the_line_by_any_angle(values):
     """The angle at (p, t) is t*(pi/2 + x + 10*pi).  On 42 steps it moves
-    0.762 per step at x = -1 (below pi/4) and 0.809 at x = 1 (above), so
-    the second base point alone bisects every step of the shared grid."""
+    0.762 per step at x = -1 and 0.809 at x = 1, past the pi/4 at which the
+    development used to bisect; as one step it moves 33.5 and 35.5, far past
+    the 3*pi/4 at which a turn read as a small one the other way.  The
+    development reads the given grid."""
     from engelcalc.extension import ExtensionSpec, extend
 
     chart = chart_from_box({"x": (-1, 1), "y": (-1, 1), "z": (-1, 1)})
@@ -218,57 +221,54 @@ def test_development_refines_the_shared_grid_for_any_base_point():
     spec = ExtensionSpec(frame=frame, n=10, g=chart.parse("pi/2 + x"))
     dist = extend(spec, PLAN)
     base = [(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    t, profiles = development_profile(dist, frame, base, np.linspace(0.0, 1.0, 43))
-    assert t.size == 85
+    grid = np.linspace(0.0, 1.0, values)
+    t, profiles = development_profile(dist, frame, base, grid)
+    np.testing.assert_array_equal(t, grid)
     for (x, _, _), angles in zip(base, profiles):
         expected = t * (math.pi / 2 + x + 10 * math.pi)
         np.testing.assert_allclose(angles, expected, rtol=0, atol=1e-9)
 
 
-def test_development_refinement_budget_is_bounded(std_frame, monkeypatch):
-    """A line field twisting so fast that every refinement level still sees
-    quarter-turn jumps hits the resolution budget instead of looping.
-
-    Twist rate is chosen so each halving leaves increments of pi/3 mod pi:
-    rate * step = (4/3)*pi*2^m, whose halvings alternate between 1/3 and
-    2/3 of a turn.
-    """
-    from engelcalc import prolongation as prl
-    from engelcalc.charts import product_chart, lift_to_product
-    from engelcalc.structures import Distribution2
-
-    monkeypatch.setattr(prl, "MAX_PROFILE_POINTS", 1 << 12)
-    steps = 64
-    rate = (4.0 / 3.0) * math.pi * 2**20 / (2 * math.pi / steps)
-    chart4 = product_chart(std_frame.chart, "theta", 0.0, 2 * math.pi, periodic=True)
-    phase = ex.Multiply(ex.Constant(rate), ex.Variable("theta"))
-    twist = lift_to_product(std_frame.v0, chart4).scaled_by(
-        ex.Cos(phase)
-    ) + lift_to_product(std_frame.v1, chart4).scaled_by(ex.Sin(phase))
-    dist = Distribution2(chart4, ch.coordinate_field(chart4, "theta"), twist)
-    grid = np.linspace(0.0, 2 * math.pi, steps + 1)
-    with pytest.raises(prl.RefinementDepthError):
-        development_profile(dist, std_frame, [(0.1, 0.2, 0.3)], grid)
-    # the budget bounds the rows of one pass: base points times fiber values
-    with pytest.raises(prl.RefinementDepthError):
-        development_profile(dist, std_frame, -1 + 2 * np.random.default_rng(1).random((8, 3)), grid)
-
-
-def test_development_budget_counts_base_points(std_frame, monkeypatch):
-    """MAX_PROFILE_POINTS bounds base points times fiber values: the one
-    refinement level a 20-fold prolongation needs on a 65-point grid fits
-    for one base point and overflows the budget for 32."""
+def test_nested_clenshaw_curtis_rules():
+    """Each rule on [0, 1] integrates polynomials up to its interval count
+    exactly, and every other node of the finer rule is a node of the
+    coarser one."""
     from engelcalc import prolongation as prl
 
-    monkeypatch.setattr(prl, "MAX_PROFILE_POINTS", 1 << 12)
-    pe = prolong(std_frame, 20)
-    grid = np.linspace(0.0, 2 * math.pi, 65)
-    base = -1 + 2 * np.random.default_rng(2).random((32, 3))
-    t, angles = development_profile(pe, std_frame, base[:1], grid)
-    assert t.size == 129
-    assert angles[0, -1] - angles[0, 0] == pytest.approx(20 * math.pi, abs=1e-9)
-    with pytest.raises(prl.RefinementDepthError):
-        development_profile(pe, std_frame, base, grid)
+    for n in (16, 32, 64):
+        nodes, weights = prl._clenshaw_curtis(n)
+        assert (nodes[0], nodes[-1]) == (0.0, 1.0) and np.all(np.diff(nodes) > 0)
+        for degree in range(n + 1):
+            assert weights @ nodes**degree == pytest.approx(1 / (degree + 1), abs=1e-14)
+        np.testing.assert_array_equal(prl._clenshaw_curtis(2 * n)[0][::2], nodes)
+
+
+def test_an_exhausted_row_budget_names_the_base_point(std_frame, monkeypatch):
+    """Along x = 0 the line turns at the constant rate 1.5; along x = 0.9 a
+    24th fiber harmonic moves the rate, and the nested rules first agree
+    at 128 and 256 intervals.  The row budget counts base points times
+    nodes: 512 rows settle the second base point alone (257 rows for the
+    rules of 128 and 256 intervals), and refuse both together (514 rows),
+    naming the base point where the rules of 64 and 128 intervals differ
+    most."""
+    from engelcalc import prolongation as prl
+    from engelcalc.prolongation import rotate_along_fiber
+
+    def angle(theta):
+        wobble = ex.Multiply(ex.Variable("x"), ex.Sin(ex.Multiply(ex.Constant(24), theta)))
+        return ex.Add(ex.Multiply(ex.Constant(1.5), theta), ex.Multiply(ex.Constant(0.05), wobble))
+
+    dist = rotate_along_fiber(std_frame, "theta", 0.0, 2 * math.pi, True, angle)
+    base = np.array([(0.0, 0.2, 0.3), (0.9, 0.2, 0.3)])
+    monkeypatch.setattr(prl, "MAX_PROFILE_POINTS", 1 << 9)
+    _, angles = development_profile(dist, std_frame, base[1:], (0.0, 2 * math.pi))
+    assert angles[0, 1] - angles[0, 0] == pytest.approx(3 * math.pi, abs=1e-12)
+    with pytest.raises(
+        GeometryError,
+        match=r"did not settle within the row budget: its 64- and 128-interval rules differ"
+        r" by \d\.\d{3}e[-+]\d+ at base point \[0\.9, 0\.2, 0\.3\]$",
+    ):
+        development_profile(dist, std_frame, base, (0.0, 2 * math.pi))
 
 
 def test_development_rejects_frame_mismatch(std_frame, t3_frame):
@@ -328,7 +328,6 @@ def _reference_development(d, frame, base, grid):
 
 def _bundled_developments():
     from engelcalc.extension import extend
-    from engelcalc.invariants import MINIMAL_TWISTING_STEPS, TWISTING_STEPS
     from engelcalc.manifest import parse_manifest
 
     for path in sorted(MANIFESTS.glob("*.manifest")):
@@ -336,11 +335,11 @@ def _bundled_developments():
         for name, decl in m.structures.items():
             if decl.kind == "prolongation":
                 d, frame = built(m, name), built(m, decl.options["frame"])
-                grid = np.linspace(0.0, 2 * math.pi, TWISTING_STEPS + 1)
+                grid = np.linspace(0.0, 2 * math.pi, 65)
             elif decl.kind == "extension":
                 spec = built(m, name)
                 d, frame = extend(spec, m.sampling), spec.frame
-                grid = np.linspace(0.0, 1.0, MINIMAL_TWISTING_STEPS + 1)
+                grid = np.linspace(0.0, 1.0, 33)
             else:
                 continue
             yield path.stem, d, frame, ch.random_points(frame.chart, 32, 5), grid
@@ -358,7 +357,7 @@ def test_development_agrees_with_the_angle_reference():
     # from theta = 2.5 the 3-fold prolongation's line starts at 3.75, past pi
     pe = prolong(frame, 3)
     base = ch.random_points(chart, 32, 6)
-    twisting = np.linspace(2.5, 2.5 + 2 * math.pi, 513)
+    twisting = np.linspace(2.5, 2.5 + 2 * math.pi, 129)
     # the same plane spanned by generators that both have a fiber component,
     # and by the twisted generator first
     mixed = Distribution2(pe.chart, pe.x + pe.y, pe.x - pe.y)
@@ -374,5 +373,8 @@ def test_development_agrees_with_the_angle_reference():
     for name, dist, contact, points, grid in cases:
         t, angles = development_profile(dist, contact, points, grid)
         ref_t, ref_angles = _reference_development(dist, contact, points, grid)
-        np.testing.assert_array_equal(t, ref_t, err_msg=name)
-        np.testing.assert_allclose(angles, ref_angles, rtol=0, atol=1e-12, err_msg=name)
+        # the reference bisects steps; the development reads the given grid
+        np.testing.assert_array_equal(t, grid, err_msg=name)
+        at = np.searchsorted(ref_t, t)
+        np.testing.assert_array_equal(ref_t[at], t, err_msg=name)
+        np.testing.assert_allclose(angles, ref_angles[:, at], rtol=0, atol=1e-12, err_msg=name)
